@@ -57,6 +57,7 @@ from .stars import (
     invariant_curves,
     invariant_stars,
     profile,
+    sample_pairs_by_type,
     star_graph_automorphisms,
     star_table,
     trichotomy_census,
@@ -466,22 +467,6 @@ def _lemma_2daviddef() -> list[str]:
     ]
 
 
-def _sample_pairs_by_type(per_type: int):
-    """First per_type pairs of each kind, scanning in canonical order."""
-    stars = enumerate_stars()
-    found: dict[PairType, list] = {p: [] for p in PairType}
-    for a, b in combinations(range(len(stars)), 2):
-        sa, sb = stars[a], stars[b]
-        if sa.support & sb.support:
-            continue
-        ptype = classify_pair(sa, sb).pair_type
-        if len(found[ptype]) < per_type:
-            found[ptype].append((sa, sb))
-        if all(len(v) >= per_type for v in found.values()):
-            break
-    return found
-
-
 def _lemma_davidauto() -> list[str]:
     expected = {
         PairType.ASYNCHRONIZED: 288,
@@ -493,7 +478,7 @@ def _lemma_davidauto() -> list[str]:
         n = star_graph_automorphisms([s])
         _require(n == 12, f"single star automorphisms {n} != 12")
     out.append("single star: 12")
-    samples = _sample_pairs_by_type(10)
+    samples = sample_pairs_by_type(10)
     for ptype, pairs in samples.items():
         for sa, sb in pairs:
             n = star_graph_automorphisms([sa, sb])
@@ -567,7 +552,7 @@ def _lemma_ratcor() -> list[str]:
                 f"{name}: two-stars witness gives no triple",
             )
     # any asynchronized pair contains a qualifying triple
-    for sa, sb in _sample_pairs_by_type(25)[PairType.ASYNCHRONIZED]:
+    for sa, sb in sample_pairs_by_type(25)[PairType.ASYNCHRONIZED]:
         a, b, c = sa.curve_ids[0], sb.curve_ids[0], sa.curve_ids[1]
         p = curve_table().pairing
         _require(

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, product
+
+import numpy as np
 
 from .curves import curve_table
 from .lattice import (
@@ -34,12 +37,20 @@ from .stars import (
     PairType,
     StarConfiguration,
     classify_pair,
+    generator_permutations,
     invariant_curves,
     invariant_stars,
+    star_actions,
+    star_masks,
     star_rotation,
     star_table,
 )
-from .weyl import CarterType3, carter_type_order3, element_order
+from .weyl import (
+    CarterType3,
+    carter_type_order3,
+    element_order,
+    permutation_orders,
+)
 
 RATIONAL_CAVEAT = (
     "lattice-level verdict: assumes the surface has a suitable rational point, "
@@ -70,6 +81,56 @@ class ActionSetup:
             self.g_group.generators + self.gamma_group.generators,
             label="combined",
         )
+
+
+class GroupContext:
+    """A group closed at most once: its elements as curve permutations.
+
+    Rows of ``perms`` are the closure in ``group_closure`` order, identity
+    first, and ``orders`` their orders; both are computed on first use,
+    so a rule that needs only the generators closes nothing.  The five
+    rules and the witness replays accept a context in place of a
+    GroupSpec, and the minimality search builds one for G, so one report
+    closes each group once.  A 9x9 matrix is built only for an element
+    that needs one (Carter typing, witnesses).
+    """
+
+    def __init__(self, group: GroupSpec, cap: int = 10000) -> None:
+        self.group = group
+        self.cap = cap
+
+    @cached_property
+    def perms(self) -> np.ndarray:
+        return group_closure(self.group, self.cap)
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        return permutation_orders(self.perms)
+
+    @cached_property
+    def _keys(self) -> set[bytes]:
+        return {p.tobytes() for p in self.perms}
+
+    def of_order(self, n: int) -> np.ndarray:
+        """Closure indices of the elements of order n, in closure order."""
+        return np.flatnonzero(self.orders == n)
+
+    def element(self, i: int) -> LatticeIsometry:
+        return curve_table().isometry_of(self.perms[i])
+
+    def contains(self, m: LatticeIsometry) -> bool:
+        return curve_table().permutation_of(m).tobytes() in self._keys
+
+
+def _context(group: GroupSpec | GroupContext, cap: int) -> GroupContext:
+    """The given context (with its own cap), or a fresh one for a GroupSpec."""
+    if isinstance(group, GroupContext):
+        return group
+    return GroupContext(group, cap)
+
+
+def _spec(group: GroupSpec | GroupContext) -> GroupSpec:
+    return group.group if isinstance(group, GroupContext) else group
 
 
 # ---------------------------------------------------------------------------
@@ -120,65 +181,58 @@ class MinimalityCertificate:
 # not-rational rules
 
 def check_not_rational_carter(
-    gamma: GroupSpec, cap: int = 10000
+    gamma: GroupSpec | GroupContext, cap: int = 10000
 ) -> CarterWitness | None:
     """An order-3 element of class A2^3 or A2^4 in the closure."""
-    for m in group_closure(gamma, cap):
-        if m.is_identity():
-            continue
-        if element_order(m) != 3:
-            continue
+    ctx = _context(gamma, cap)
+    for i in ctx.of_order(3):
+        m = ctx.element(i)
         ctype = carter_type_order3(m)
         if ctype in (CarterType3.A2x3, CarterType3.A2x4):
             return CarterWitness(m, ctype)
     return None
 
 
-def _faithful_stars_of(m: LatticeIsometry) -> list[StarConfiguration]:
+def _faithful_stars_of(perm: np.ndarray) -> list[StarConfiguration]:
     return [
-        a.star for a in invariant_stars(m) if a.kind is ActionKind.FAITHFUL
+        a.star for a in star_actions(perm[None]) if a.kind is ActionKind.FAITHFUL
     ]
 
 
 def check_not_rational_stars(
-    gamma: GroupSpec, cap: int = 10000
+    gamma: GroupSpec | GroupContext, cap: int = 10000
 ) -> StarsWitness | None:
     """An order-3 element acting faithfully on three of its invariant stars."""
-    for m in group_closure(gamma, cap):
-        if m.is_identity() or element_order(m) != 3:
-            continue
-        faithful = _faithful_stars_of(m)
+    ctx = _context(gamma, cap)
+    for i in ctx.of_order(3):
+        faithful = _faithful_stars_of(ctx.perms[i])
         if len(faithful) >= 3:
-            return StarsWitness(m, tuple(faithful[:3]))
+            return StarsWitness(ctx.element(i), tuple(faithful[:3]))
     return None
 
 
-def _acts_antipodally(m: LatticeIsometry, star: StarConfiguration) -> bool:
-    perm = curve_table().permutation_of(m)
-    image = {perm[c] for c in star.curve_ids}
-    if image != star.support:
-        return False
-    p = curve_table().pairing
-    return all(p[c][perm[c]] == 3 for c in star.curve_ids)
+def _antipodal_stars(perm: np.ndarray) -> np.ndarray:
+    """Star ids on which a curve permutation acts as the antipode.
+
+    Pairing 3 with the image forces H -> H_{i+3} on every member, the
+    Bertini flip of the hexagon (only a Bertini pair pairs to 3), so such
+    a star is invariant.
+    """
+    ids = star_table().ids_array
+    p = curve_table().pairing_array
+    return np.flatnonzero((p[ids, perm[ids]] == 3).all(axis=1))
 
 
 def check_not_rational_even(
-    gamma: GroupSpec, cap: int = 10000
+    gamma: GroupSpec | GroupContext, cap: int = 10000
 ) -> EvenWitness | None:
-    """An even-order element acting on an invariant star as the antipode.
-
-    Pairing 3 with the image forces H -> H_{i+3} on every member, the
-    Bertini flip of the hexagon.
-    """
-    for m in group_closure(gamma, cap):
-        if m.is_identity():
-            continue
-        order = element_order(m)
-        if order % 2 != 0:
-            continue
-        for action in invariant_stars(m):
-            if _acts_antipodally(m, action.star):
-                return EvenWitness(m, order, action.star)
+    """An even-order element acting on an invariant star as the antipode."""
+    ctx = _context(gamma, cap)
+    for i in np.flatnonzero(ctx.orders % 2 == 0):
+        hits = _antipodal_stars(ctx.perms[i])
+        if len(hits):
+            star = star_table().star(int(hits[0]))
+            return EvenWitness(ctx.element(i), int(ctx.orders[i]), star)
     return None
 
 
@@ -186,14 +240,14 @@ def check_not_rational_even(
 # rational rules
 
 def check_rational_triple(
-    gamma: GroupSpec, cap: int = 10000
+    gamma: GroupSpec | GroupContext, cap: int = 10000
 ) -> TripleWitness | None:
     """Fixed curves A, B, C with A.B = B.C = 1 and A.C = 0.
 
     The sum D = A + B + C then has D^2 = 1 and D.K = -3, the shape of a
     plane model; both equalities are re-checked on the found triple.
     """
-    inv = invariant_curves(gamma)
+    inv = invariant_curves(_spec(gamma))
     p = curve_table().pairing
     for a in inv:
         for b in inv:
@@ -221,7 +275,7 @@ def _all_ones_cross(a: StarConfiguration, b: StarConfiguration) -> bool:
 
 
 def check_rational_two_stars(
-    gamma: GroupSpec, cap: int = 10000
+    gamma: GroupSpec | GroupContext, cap: int = 10000
 ) -> TwoStarsWitness | None:
     """Two pointwise-fixed stars that are asynchronized.
 
@@ -229,7 +283,9 @@ def check_rational_two_stars(
     that directly and classify_pair confirms the hit.
     """
     pointwise = [
-        a.star for a in invariant_stars(gamma) if a.kind is ActionKind.TRIVIAL
+        a.star
+        for a in invariant_stars(_spec(gamma))
+        if a.kind is ActionKind.TRIVIAL
     ]
     for a, b in combinations(pointwise, 2):
         if a.support & b.support:
@@ -244,6 +300,13 @@ def check_rational_two_stars(
 # ---------------------------------------------------------------------------
 # minimality
 
+def _faithful(perms: np.ndarray, stars) -> np.ndarray:
+    """(k, m) mask: permutation k maps star m to itself and moves a curve."""
+    ids = np.array([s.curve_ids for s in stars], dtype=np.int16).reshape(-1, 6)
+    setwise, pointwise = star_masks(perms, ids)
+    return setwise & ~pointwise
+
+
 def search_commuting_order3(
     g: LatticeIsometry, faithful_on
 ) -> LatticeIsometry:
@@ -252,36 +315,26 @@ def search_commuting_order3(
     Candidates are products of plane rotations of the requested stars
     (exponents 1 and 2); a rotation of a star whose curves g fixes
     commutes with g automatically, but every condition is checked rather
-    than assumed.
+    than assumed.  The search runs on curve permutations; only the hit
+    becomes a matrix.
     """
     stars = list(faithful_on)
     if not stars:
         raise ValueError("need at least one star to act on")
-    rotations = [star_rotation(s) for s in stars]
-
-    def build(exps: tuple[int, ...]) -> LatticeIsometry:
-        m = LatticeIsometry.identity()
+    t = curve_table()
+    g_perm = t.permutation_of(g)
+    rotations = [t.permutation_of(star_rotation(s)) for s in stars]
+    for exps in product((1, 2), repeat=len(stars)):
+        h = np.arange(240, dtype=np.int16)
         for r, e in zip(rotations, exps):
             for _ in range(e):
-                m = m @ r
-        return m
-
-    t = curve_table()
-    exponents = [(e,) for e in (1, 2)]
-    for _ in range(len(stars) - 1):
-        exponents = [prev + (e,) for prev in exponents for e in (1, 2)]
-    for exps in exponents:
-        h = build(exps)
-        if h @ g != g @ h or element_order(h) != 3:
+                h = h[r]
+        if not np.array_equal(h[g_perm], g_perm[h]):
             continue
-        perm = t.permutation_of(h)
-        faithful = all(
-            {perm[c] for c in s.curve_ids} == s.support
-            and any(perm[c] != c for c in s.curve_ids)
-            for s in stars
-        )
-        if faithful:
-            return h
+        if permutation_orders(h[None])[0] != 3:
+            continue
+        if _faithful(h[None], stars).all():
+            return t.isometry_of(h)
     raise ValueError("no commuting order-3 element found over the star planes")
 
 
@@ -295,28 +348,20 @@ def check_minimal_four_stars(
     exists the fixed rank of the combined group is computed directly and
     must equal 1.
     """
-    order3 = [
-        m
-        for m in group_closure(setup.g_group, cap)
-        if not m.is_identity() and element_order(m) == 3
-    ]
-    if not order3:
+    g = GroupContext(setup.g_group, cap)
+    order3 = g.of_order(3)
+    if not len(order3):
         return None
-    t = curve_table()
-    perms = {m: t.permutation_of(m) for m in order3}
+    stars = [a.star for a in invariant_stars(setup.combined)]
+    faithful = _faithful(g.perms[order3], stars)
+    # each star takes the first order-3 element, in closure order, that rotates it
+    candidates: list[tuple[StarConfiguration, int]] = [
+        (s, int(order3[faithful[:, j].argmax()]))
+        for j, s in enumerate(stars)
+        if faithful[:, j].any()
+    ]
 
-    candidates: list[tuple[StarConfiguration, LatticeIsometry]] = []
-    for action in invariant_stars(setup.combined):
-        s = action.star
-        for m in order3:
-            perm = perms[m]
-            if {perm[c] for c in s.curve_ids} == s.support and any(
-                perm[c] != c for c in s.curve_ids
-            ):
-                candidates.append((s, m))
-                break
-
-    chosen: list[tuple[StarConfiguration, LatticeIsometry]] = []
+    chosen: list[tuple[StarConfiguration, int]] = []
 
     def compatible(s: StarConfiguration) -> bool:
         return all(
@@ -339,7 +384,7 @@ def check_minimal_four_stars(
     if not rec(0):
         return None
     stars = tuple(s for s, _ in chosen)
-    elements = tuple(m for _, m in chosen)
+    elements = tuple(g.element(i) for _, i in chosen)
     for a, b in combinations(stars, 2):
         if classify_pair(a, b).pair_type is not PairType.ASYNCHRONIZED:
             raise CertificateViolation("clique member pair not asynchronized")
@@ -354,8 +399,10 @@ def check_minimal_four_stars(
 # ---------------------------------------------------------------------------
 # replay
 
-def replay_carter(gamma: GroupSpec, w: CarterWitness, cap: int = 10000) -> bool:
-    if w.element not in group_closure(gamma, cap):
+def replay_carter(
+    gamma: GroupSpec | GroupContext, w: CarterWitness, cap: int = 10000
+) -> bool:
+    if not _context(gamma, cap).contains(w.element):
         return False
     if element_order(w.element) != 3:
         return False
@@ -365,28 +412,33 @@ def replay_carter(gamma: GroupSpec, w: CarterWitness, cap: int = 10000) -> bool:
     )
 
 
-def replay_stars(gamma: GroupSpec, w: StarsWitness, cap: int = 10000) -> bool:
-    if w.element not in group_closure(gamma, cap):
+def replay_stars(
+    gamma: GroupSpec | GroupContext, w: StarsWitness, cap: int = 10000
+) -> bool:
+    if not _context(gamma, cap).contains(w.element):
         return False
     if element_order(w.element) != 3:
         return False
     if len(set(w.stars)) < 3:
         return False
-    faithful = set(_faithful_stars_of(w.element))
+    faithful = set(_faithful_stars_of(curve_table().permutation_of(w.element)))
     return all(s in faithful for s in w.stars)
 
 
-def replay_even(gamma: GroupSpec, w: EvenWitness, cap: int = 10000) -> bool:
-    if w.element not in group_closure(gamma, cap):
+def replay_even(
+    gamma: GroupSpec | GroupContext, w: EvenWitness, cap: int = 10000
+) -> bool:
+    if not _context(gamma, cap).contains(w.element):
         return False
     if element_order(w.element) != w.order or w.order % 2 != 0:
         return False
-    return _acts_antipodally(w.element, w.star)
+    perm = curve_table().permutation_of(w.element)
+    return star_table().star_id(w.star) in _antipodal_stars(perm)
 
 
-def replay_triple(gamma: GroupSpec, w: TripleWitness) -> bool:
+def replay_triple(gamma: GroupSpec | GroupContext, w: TripleWitness) -> bool:
     a, b, c = w.curve_ids
-    inv = set(invariant_curves(gamma))
+    inv = set(invariant_curves(_spec(gamma)))
     if not {a, b, c} <= inv:
         return False
     p = curve_table().pairing
@@ -396,9 +448,9 @@ def replay_triple(gamma: GroupSpec, w: TripleWitness) -> bool:
     return True
 
 
-def replay_two_stars(gamma: GroupSpec, w: TwoStarsWitness) -> bool:
+def replay_two_stars(gamma: GroupSpec | GroupContext, w: TwoStarsWitness) -> bool:
     a, b = w.stars
-    inv = set(invariant_curves(gamma))
+    inv = set(invariant_curves(_spec(gamma)))
     if not (a.support <= inv and b.support <= inv):
         return False
     return classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
@@ -409,21 +461,16 @@ def replay_minimality(
 ) -> bool:
     if len(set(cert.stars)) != 4 or len(cert.elements) != 4:
         return False
-    closure = group_closure(setup.g_group, cap)
+    g = GroupContext(setup.g_group, cap)
+    combined = generator_permutations(setup.combined)
     t = curve_table()
-    combined_perms = [
-        t.permutation_of(m) for m in setup.combined.generators
-    ]
     for s, m in zip(cert.stars, cert.elements):
-        if m not in closure or element_order(m) != 3:
+        if not g.contains(m) or element_order(m) != 3:
             return False
-        for perm in combined_perms:
-            if {perm[c] for c in s.curve_ids} != s.support:
-                return False
-        perm = t.permutation_of(m)
-        if {perm[c] for c in s.curve_ids} != s.support:
+        setwise, _ = star_masks(combined, np.array([s.curve_ids]))
+        if not setwise.all():
             return False
-        if all(perm[c] == c for c in s.curve_ids):
+        if not _faithful(t.permutation_of(m)[None], [s]).all():
             return False
     for a, b in combinations(cert.stars, 2):
         if classify_pair(a, b).pair_type is not PairType.ASYNCHRONIZED:
@@ -462,13 +509,16 @@ class RationalityVerdict:
 def rationality_report(setup: ActionSetup, cap: int = 10000) -> RationalityVerdict:
     """Run the decision rules in fixed order and report the first hit.
 
-    Rational rules run first because their witnesses are cheap to check;
+    The rules share one context for Gamma, so Gamma is closed at most
+    once, and only if a rule needs more than its generators.  Rational
+    rules run first because their witnesses are cheap to check;
     the verdict also carries the fixed ranks of G, Gamma and the combined
     group, and a minimality certificate when one exists.
     """
     verdict, rule, witness = Verdict.INCONCLUSIVE, None, None
+    gamma = GroupContext(setup.gamma_group, cap)
     for name, v, checker in RULES:
-        w = checker(setup.gamma_group, cap)
+        w = checker(gamma, cap)
         if w is not None:
             verdict, rule, witness = v, name, w
             break

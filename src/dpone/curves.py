@@ -41,6 +41,15 @@ from .lattice import (
 
 FAMILIES = ("E", "L2", "Q", "C", "BQ", "BL", "BE")
 
+# Curve coefficients lie in -3..6, so shifted by 8 they are base-16 digits;
+# with c_L most significant, packed keys sort like the coefficient tuples.
+_KEY_SHIFT = 8
+_KEY_WEIGHTS = 16 ** np.arange(RANK - 1, -1, -1, dtype=np.int64)
+
+
+def _packed_keys(coeffs: np.ndarray) -> np.ndarray:
+    return (coeffs + _KEY_SHIFT) @ _KEY_WEIGHTS
+
 
 @dataclass(frozen=True)
 class ExceptionalCurve:
@@ -149,6 +158,17 @@ class CurveTable:
         self.id_by_name: dict[str, int] = {c.name: c.id for c in curves}
 
         coeff_matrix = np.array([c.divisor.coeffs for c in curves], dtype=np.int64)
+        self.coeff_array = coeff_matrix
+        # ids follow coefficient order, so the keys are sorted and a key's
+        # position is its curve id
+        self._keys = _packed_keys(coeff_matrix)
+        if not np.all(np.diff(self._keys) > 0):
+            raise AssertionError("packed curve keys are not strictly increasing")
+        # E1..E8 and L12, whose images fix an isometry (L = L12 + E1 + E2)
+        self._basis_ids = np.array(
+            [self.id_by_class[exceptional(i).coeffs] for i in range(1, 9)]
+            + [self.id_by_class[(LINE - exceptional(1) - exceptional(2)).coeffs]]
+        )
         form = np.diag(np.array([1] + [-1] * 8, dtype=np.int64))
         self.pairing_array = (coeff_matrix @ form @ coeff_matrix.T).astype(np.int8)
         self.pairing: tuple[tuple[int, ...], ...] = tuple(
@@ -177,22 +197,31 @@ class CurveTable:
     def pair_ids(self, i: int, j: int) -> int:
         return self.pairing[i][j]
 
-    def permutation_of(self, m: LatticeIsometry) -> tuple[int, ...]:
-        """The permutation of curve ids induced by an isometry.
+    def permutation_of(self, m: LatticeIsometry) -> np.ndarray:
+        """The curve-id permutation induced by an isometry, as int16.
 
-        Every validated isometry maps the 240-class set to itself; a miss
-        here would mean the matrix is not an isometry.
+        perm[c] is the id of the image of curve c.  Every validated
+        isometry maps the 240-class set to itself; a miss here would mean
+        the matrix is not an isometry.
         """
-        out = []
-        for c in self.curves:
-            image = m.apply(c.divisor)
-            cid = self.id_by_class.get(image.coeffs)
-            if cid is None:
-                raise AssertionError(
-                    f"isometry maps {c.name} outside the curve set"
-                )
-            out.append(cid)
-        return tuple(out)
+        images = self.coeff_array @ np.array(m.matrix, dtype=np.int64).T
+        ids = np.searchsorted(self._keys, _packed_keys(images)).clip(max=239)
+        missed = (self.coeff_array[ids] != images).any(axis=1)
+        if missed.any():
+            name = self.curves[int(np.argmax(missed))].name
+            raise AssertionError(f"isometry maps {name} outside the curve set")
+        return ids.astype(np.int16)
+
+    def isometry_of(self, perm: np.ndarray) -> LatticeIsometry:
+        """The isometry inducing a curve permutation, validated once.
+
+        Its columns are the images of L, E1, ..., E8, read off the images
+        of the curves E1..E8 and L12 = L - E1 - E2.
+        """
+        e1_to_e8_l12 = self.coeff_array[perm[self._basis_ids]]
+        line = e1_to_e8_l12[8] + e1_to_e8_l12[0] + e1_to_e8_l12[1]
+        columns = np.vstack([line, e1_to_e8_l12[:8]])
+        return LatticeIsometry(tuple(tuple(row) for row in columns.T.tolist()))
 
 
 @cache

@@ -10,9 +10,12 @@ fixing K.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 RANK = 9
 
@@ -135,6 +138,14 @@ class LatticeIsometry:
             raise ValueError("matrix does not preserve the pairing and fix K")
 
     @classmethod
+    def _unchecked(cls, matrix: Matrix) -> "LatticeIsometry":
+        """Wrap a matrix that is an isometry by construction: a product or
+        inverse of validated isometries."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "matrix", matrix)
+        return m
+
+    @classmethod
     def identity(cls) -> "LatticeIsometry":
         return cls(tuple(tuple(int(i == j) for j in range(RANK)) for i in range(RANK)))
 
@@ -153,7 +164,7 @@ class LatticeIsometry:
                     sum(ai[k] * b[k][j] for k in range(RANK)) for j in range(RANK)
                 )
             )
-        return LatticeIsometry(tuple(rows))
+        return LatticeIsometry._unchecked(tuple(rows))
 
     def inverse(self) -> "LatticeIsometry":
         # M^T G M = G gives M^-1 = G M^T G with G the diagonal form.
@@ -162,7 +173,7 @@ class LatticeIsometry:
             tuple(FORM_DIAG[i] * m[j][i] * FORM_DIAG[j] for j in range(RANK))
             for i in range(RANK)
         )
-        return LatticeIsometry(inv)
+        return LatticeIsometry._unchecked(inv)
 
     def is_identity(self) -> bool:
         return all(
@@ -246,28 +257,39 @@ def fixed_rank(g: GroupLike) -> int:
     return RANK - integer_rank(rows)
 
 
-def group_closure(g: GroupLike, cap: int = 10000) -> list[LatticeIsometry]:
-    """All distinct products of the generators, breadth-first, identity first.
+def group_closure(g: GroupLike, cap: int = 10000) -> np.ndarray:
+    """Curve permutations of all distinct products of the generators.
 
-    Raises if the closure exceeds ``cap``; every group in this artifact's
-    scope has order at most 72, so a large closure signals a bad input.
+    One int16 row of 240 curve ids per element, breadth-first from the
+    identity: each element's products with the generators follow in
+    generator order, composed as perm(A @ B) = perm_A[perm_B].  W(E8)
+    acts faithfully on the 240 curves, so a row determines its isometry.
+
+    ``cap`` bounds the time and memory a closure may take: W(E8) itself
+    has order 696,729,600, and two generators typed by a user can
+    generate a subgroup far too large to list.  Past ``cap`` elements the
+    closure raises.
     """
+    from .curves import curve_table
+
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    gens = _generators_of(g)
-    identity = LatticeIsometry.identity()
-    seen: dict[Matrix, LatticeIsometry] = {identity.matrix: identity}
-    queue = [identity]
+    table = curve_table()
+    gens = [table.permutation_of(m) for m in _generators_of(g)]
+    identity = np.arange(240, dtype=np.int16)
+    seen = {identity.tobytes(): identity}
+    queue = deque([identity])
     while queue:
-        current = queue.pop(0)
+        current = queue.popleft()
         for gen in gens:
-            nxt = current @ gen
-            if nxt.matrix not in seen:
+            nxt = current[gen]
+            key = nxt.tobytes()
+            if key not in seen:
                 if len(seen) >= cap:
                     raise ValueError(f"group closure exceeds cap {cap}")
-                seen[nxt.matrix] = nxt
+                seen[key] = nxt
                 queue.append(nxt)
-    return list(seen.values())
+    return np.stack(list(seen.values()))
 
 
 # -- permutation shorthand and text I/O ------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -54,10 +55,10 @@ class TrichotomyViolation(RuntimeError):
 
 def _resolve_curve_id(c) -> int:
     table = curve_table()
-    if isinstance(c, int):
+    if isinstance(c, (int, np.integer)):
         if not 0 <= c < 240:
             raise ValueError(f"curve id out of range: {c}")
-        return c
+        return int(c)
     if isinstance(c, ExceptionalCurve):
         return c.id
     if isinstance(c, DivisorClass):
@@ -270,6 +271,22 @@ def classify_pair(a: StarConfiguration, b: StarConfiguration) -> PairClassificat
     return next(iter(hits.values()))
 
 
+def sample_pairs_by_type(per_type: int) -> dict[PairType, list]:
+    """First per_type disjoint star pairs of each kind, in canonical order."""
+    stars = enumerate_stars()
+    found: dict[PairType, list] = {p: [] for p in PairType}
+    for a, b in combinations(range(len(stars)), 2):
+        sa, sb = stars[a], stars[b]
+        if sa.support & sb.support:
+            continue
+        ptype = classify_pair(sa, sb).pair_type
+        if len(found[ptype]) < per_type:
+            found[ptype].append((sa, sb))
+        if all(len(v) >= per_type for v in found.values()):
+            break
+    return found
+
+
 # ---------------------------------------------------------------------------
 # star versus outside curve
 
@@ -325,25 +342,48 @@ class StarAction:
     kind: ActionKind
 
 
-def invariant_curves(g: GroupLike) -> tuple[int, ...]:
-    """Ids of curves fixed by every generator."""
+def generator_permutations(g: GroupLike) -> np.ndarray:
+    """Curve permutations of a group's generators, one row each."""
     t = curve_table()
     perms = [t.permutation_of(m) for m in _generators_of(g)]
-    return tuple(i for i in range(240) if all(p[i] == i for p in perms))
+    return np.array(perms, dtype=np.int16).reshape(len(perms), 240)
+
+
+def star_masks(perms: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which stars each permutation maps to itself, and which it fixes pointwise.
+
+    perms is (k, 240) curve permutations and ids is (m, 6) star curve ids;
+    both masks are (k, m).
+    """
+    images = perms[:, ids]
+    setwise = (np.sort(images, axis=2) == np.sort(ids, axis=1)).all(axis=2)
+    pointwise = (images == ids).all(axis=2)
+    return setwise, pointwise
+
+
+def invariant_curves(g: GroupLike) -> tuple[int, ...]:
+    """Ids of curves fixed by every generator."""
+    fixed = (generator_permutations(g) == np.arange(240)).all(axis=0)
+    return tuple(np.flatnonzero(fixed).tolist())
+
+
+def star_actions(perms: np.ndarray) -> tuple[StarAction, ...]:
+    """Stars invariant under every row of perms, flagged trivial or faithful."""
+    table = star_table()
+    setwise, pointwise = star_masks(perms, table.ids_array)
+    pointwise = pointwise.all(axis=0)
+    return tuple(
+        StarAction(
+            table.stars[sid],
+            ActionKind.TRIVIAL if pointwise[sid] else ActionKind.FAITHFUL,
+        )
+        for sid in np.flatnonzero(setwise.all(axis=0))
+    )
 
 
 def invariant_stars(g: GroupLike) -> tuple[StarAction, ...]:
     """Setwise-invariant stars, flagged trivial (pointwise) or faithful."""
-    t = curve_table()
-    table = star_table()
-    perms = [t.permutation_of(m) for m in _generators_of(g)]
-    out = []
-    for s in table.stars:
-        if all(frozenset(p[c] for c in s.curve_ids) == s.support for p in perms):
-            pointwise = all(p[c] == c for p in perms for c in s.curve_ids)
-            kind = ActionKind.TRIVIAL if pointwise else ActionKind.FAITHFUL
-            out.append(StarAction(s, kind))
-    return tuple(out)
+    return star_actions(generator_permutations(g))
 
 
 def star_plane(star: StarConfiguration) -> tuple[DivisorClass, DivisorClass]:

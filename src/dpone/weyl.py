@@ -14,6 +14,9 @@ import enum
 from functools import cache
 from itertools import combinations
 
+import numpy as np
+
+from .curves import curve_table
 from .lattice import (
     CANONICAL_CLASS,
     LINE,
@@ -121,17 +124,36 @@ def rotation(a: DivisorClass, b: DivisorClass) -> LatticeIsometry:
     return reflection(a) @ reflection(b)
 
 
+def permutation_orders(perms: np.ndarray, cap: int = 60) -> np.ndarray:
+    """Orders of curve permutations, one per row of perms; raises past cap.
+
+    The order is the lcm of the cycle lengths, and a curve's cycle length
+    is the least k with perm^k(c) = c; the powers of all rows are taken
+    together.
+    """
+    ids = np.arange(perms.shape[1])
+    lengths = np.zeros(perms.shape, dtype=np.int64)
+    power = perms
+    for k in range(1, cap + 1):
+        lengths[(power == ids) & (lengths == 0)] = k
+        if lengths.all():
+            orders = np.lcm.reduce(lengths, axis=1)
+            if orders.max(initial=1) > cap:
+                break
+            return orders
+        power = np.take_along_axis(perms, power, axis=1)
+    raise ValueError(f"element order exceeds cap {cap}")
+
+
 def element_order(m: LatticeIsometry, cap: int = 60) -> int:
     """Multiplicative order of an isometry; raises past cap.
 
-    W(E8) elements have order at most 30, so the default cap is generous.
+    W(E8) acts faithfully on the 240 curves, so this is the order of the
+    curve permutation.  W(E8) elements have order at most 30, so the
+    default cap is generous.
     """
-    acc = m
-    for n in range(1, cap + 1):
-        if acc.is_identity():
-            return n
-        acc = acc @ m
-    raise ValueError(f"element order exceeds cap {cap}")
+    perm = curve_table().permutation_of(m)
+    return int(permutation_orders(perm[None], cap)[0])
 
 
 class CarterType3(enum.Enum):

@@ -9,7 +9,6 @@ from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
-from helpers import sample_pairs_by_type
 
 from dpone.criteria import (
     RATIONAL_CAVEAT,
@@ -43,6 +42,7 @@ from dpone.stars import (
     invariant_stars,
     is_star,
     profile,
+    sample_pairs_by_type,
     star_graph_automorphisms,
     star_table,
     star_through,

@@ -289,3 +289,22 @@ def test_minimality_cert_included_in_report():
     report = rationality_report(ActionSetup(group_of(g, h), TRIVIAL_GROUP))
     assert report.minimality is not None
     assert report.minimality.combined_rank == 1
+
+
+def test_report_closes_each_group_once(monkeypatch):
+    # Bertini: no rule hits before the even rule, so all three
+    # closure-reading rules and the minimality search run
+    import dpone.criteria as criteria
+
+    closed = []
+    real = criteria.group_closure
+
+    def counting(g, cap=10000):
+        closed.append(g.label)
+        return real(g, cap)
+
+    monkeypatch.setattr(criteria, "group_closure", counting)
+    gamma = GroupSpec((bertini_isometry(),), "Gamma")
+    report = rationality_report(ActionSetup(GroupSpec((), "G"), gamma))
+    assert report.rule == "not_rational_even"
+    assert sorted(closed) == ["G", "Gamma"]

@@ -13,7 +13,7 @@ from dpone.curves import (
     s8_action,
     search_exceptional_classes,
 )
-from dpone.lattice import CANONICAL_CLASS, divisor, exceptional, pair
+from dpone.lattice import CANONICAL_CLASS, LatticeIsometry, divisor, exceptional, pair
 
 FAMILY_SIZES = {"E": 8, "L2": 28, "Q": 56, "C": 56, "BQ": 56, "BL": 28, "BE": 8}
 
@@ -101,7 +101,7 @@ def test_bertini_isometry_realizes_class_map():
     t = curve_table()
     assert (b @ b).is_identity()
     assert b.apply(CANONICAL_CLASS) == CANONICAL_CLASS
-    assert t.permutation_of(b) == t.bertini_ids
+    assert t.permutation_of(b).tolist() == list(t.bertini_ids)
     v = divisor(2, 1, -1, 0, 0, 3, 0, 0, 0)
     assert b.apply(v) == -1 * v + 2 * pair(v, CANONICAL_CLASS) * CANONICAL_CLASS
 
@@ -126,10 +126,30 @@ def test_s8_action_on_names():
     assert move("E8") == "E8"
 
 
-def test_permutation_of_rejects_non_curve_class():
+def test_id_of_rejects_non_curve_class():
     t = curve_table()
     with pytest.raises(ValueError):
         t.id_of(divisor(1, 0, 0, 0, 0, 0, 0, 0, 0))
+
+
+def forged_isometry(rows) -> LatticeIsometry:
+    """A LatticeIsometry that skipped validation."""
+    m = object.__new__(LatticeIsometry)
+    object.__setattr__(m, "matrix", tuple(tuple(r) for r in rows))
+    return m
+
+
+def test_permutation_of_rejects_forged_matrix():
+    t = curve_table()
+    ident = [[int(i == j) for j in range(9)] for i in range(9)]
+    swap_l_e1 = [row[:] for row in ident]
+    swap_l_e1[0][0] = swap_l_e1[1][1] = 0
+    swap_l_e1[0][1] = swap_l_e1[1][0] = 1
+    doubled = [[2 * x for x in row] for row in ident]
+    huge = [[x * 10**6 for x in row] for row in ident]
+    for rows in (swap_l_e1, doubled, huge):
+        with pytest.raises(AssertionError, match="outside the curve set"):
+            t.permutation_of(forged_isometry(rows))
 
 
 def test_bertini_class_of_cubic():

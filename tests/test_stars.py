@@ -2,8 +2,6 @@ from itertools import combinations
 
 import pytest
 
-from helpers import sample_pairs_by_type
-
 from dpone.curves import bertini, curve_table, s8_action
 from dpone.lattice import CANONICAL_CLASS, pair
 from dpone.stars import (
@@ -19,6 +17,7 @@ from dpone.stars import (
     invariant_stars,
     is_star,
     profile,
+    sample_pairs_by_type,
     star_graph_automorphisms,
     star_plane,
     star_rotation,
