@@ -13,9 +13,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import combinations
-
-import jsonschema
 
 from .criteria import (
     ActionSetup,
@@ -48,14 +45,16 @@ from .lattice import (
     permutation_of_isometry,
 )
 from .stars import (
+    OVERLAPPING,
+    PAIR_TYPES,
     ActionKind,
     OverlappingStars,
     PairType,
-    classify_pair,
     enumerate_stars,
     intersection_profile_census,
     invariant_curves,
     invariant_stars,
+    pair_code_counts,
     profile,
     sample_pairs_by_type,
     star_graph_automorphisms,
@@ -71,92 +70,6 @@ from .weyl import (
     representative_order3,
     search_roots,
 )
-
-VERDICT_SCHEMA = {
-    "type": "object",
-    "required": ["verdict", "rule", "witness", "ranks"],
-    "properties": {
-        "verdict": {"enum": ["Rational", "NotRational", "Inconclusive"]},
-        "rule": {
-            "anyOf": [
-                {
-                    "enum": [
-                        "rational_two_stars",
-                        "rational_triple",
-                        "not_rational_carter",
-                        "not_rational_stars",
-                        "not_rational_even",
-                    ]
-                },
-                {"type": "null"},
-            ]
-        },
-        "witness": {
-            "anyOf": [
-                {
-                    "type": "object",
-                    "required": ["elements", "curves", "stars"],
-                    "properties": {
-                        "elements": {"type": "array", "items": {"type": "string"}},
-                        "curves": {"type": "array", "items": {"type": "string"}},
-                        "stars": {"type": "array", "items": {"type": "string"}},
-                    },
-                },
-                {"type": "null"},
-            ]
-        },
-        "ranks": {
-            "type": "object",
-            "required": ["G", "Gamma", "combined"],
-            "properties": {
-                "G": {"type": "integer"},
-                "Gamma": {"type": "integer"},
-                "combined": {"type": "integer"},
-            },
-        },
-        "minimality": {
-            "anyOf": [
-                {
-                    "type": "object",
-                    "required": ["stars", "elements", "combined_rank"],
-                },
-                {"type": "null"},
-            ]
-        },
-        "caveat": {"anyOf": [{"type": "string"}, {"type": "null"}]},
-    },
-}
-
-CLASSIFY_SCHEMA = {
-    "type": "object",
-    "required": ["order", "fixed_rank"],
-    "properties": {
-        "order": {"type": "integer"},
-        "fixed_rank": {"type": "integer"},
-        "carter_type": {"type": "string"},
-    },
-}
-
-CENSUS_SCHEMA = {
-    "type": "object",
-    "required": ["invariant_curves", "trivial_stars", "faithful_stars", "pairwise"],
-    "properties": {
-        "invariant_curves": {"type": "array", "items": {"type": "string"}},
-        "trivial_stars": {"type": "array", "items": {"type": "string"}},
-        "faithful_stars": {"type": "array", "items": {"type": "string"}},
-        "pairwise": {"type": "object"},
-    },
-}
-
-LEMMA_SCHEMA = {
-    "type": "object",
-    "required": ["lemma", "ok", "detail"],
-    "properties": {
-        "lemma": {"type": "string"},
-        "ok": {"type": "boolean"},
-        "detail": {"type": "array", "items": {"type": "string"}},
-    },
-}
 
 
 class CheckFailure(Exception):
@@ -245,7 +158,7 @@ def minimality_to_dict(cert: MinimalityCertificate | None) -> dict | None:
 
 
 def verdict_to_dict(report: RationalityVerdict) -> dict:
-    doc = {
+    return {
         "verdict": report.verdict.value,
         "rule": report.rule,
         "witness": witness_to_dict(report.witness),
@@ -253,8 +166,6 @@ def verdict_to_dict(report: RationalityVerdict) -> dict:
         "minimality": minimality_to_dict(report.minimality),
         "caveat": report.caveat,
     }
-    jsonschema.validate(doc, VERDICT_SCHEMA)
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +218,6 @@ def cmd_classify_element(args) -> int:
         doc["carter_type"] = ctype.display
         line += f", type {ctype.display}"
     if args.json:
-        jsonschema.validate(doc, CLASSIFY_SCHEMA)
         print(json.dumps(doc, indent=2))
     else:
         print(line)
@@ -321,13 +231,9 @@ def cmd_census(args) -> int:
     actions = invariant_stars(m)
     trivial = [a.star for a in actions if a.kind is ActionKind.TRIVIAL]
     faithful = [a.star for a in actions if a.kind is ActionKind.FAITHFUL]
-    pairwise = {p.value: 0 for p in PairType}
-    pairwise["overlapping"] = 0
-    for a, b in combinations([a.star for a in actions], 2):
-        try:
-            pairwise[classify_pair(a, b).pair_type.value] += 1
-        except OverlappingStars:
-            pairwise["overlapping"] += 1
+    counts = pair_code_counts([a.star.curve_ids for a in actions]).tolist()
+    pairwise = {p.value: n for p, n in zip(PAIR_TYPES, counts)}
+    pairwise["overlapping"] = counts[OVERLAPPING]
     if args.json:
         doc = {
             "invariant_curves": [t.curve(i).name for i in inv],
@@ -335,7 +241,6 @@ def cmd_census(args) -> int:
             "faithful_stars": [s.text() for s in faithful],
             "pairwise": pairwise,
         }
-        jsonschema.validate(doc, CENSUS_SCHEMA)
         print(json.dumps(doc, indent=2))
         return 0
     print(
@@ -594,7 +499,6 @@ def cmd_verify_lemma(args) -> int:
         ok = False
     if args.json:
         doc = {"lemma": args.name, "ok": ok, "detail": detail}
-        jsonschema.validate(doc, LEMMA_SCHEMA)
         print(json.dumps(doc, indent=2))
     else:
         for line in detail:

@@ -172,14 +172,14 @@ class CurveTable:
         form = np.diag(np.array([1] + [-1] * 8, dtype=np.int64))
         self.pairing_array = (coeff_matrix @ form @ coeff_matrix.T).astype(np.int8)
         self.pairing: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(x) for x in row) for row in self.pairing_array
+            map(tuple, self.pairing_array.tolist())
         )
+        k = np.array(CANONICAL_CLASS.coeffs, dtype=np.int64)
         self.bertini_ids: tuple[int, ...] = tuple(
-            self.id_by_class[bertini_class(c.divisor).coeffs] for c in curves
+            self.ids_of(-2 * k - coeff_matrix).tolist()
         )
         self.disjoint: tuple[tuple[int, ...], ...] = tuple(
-            tuple(j for j in range(240) if self.pairing[i][j] == 0)
-            for i in range(240)
+            tuple(np.flatnonzero(row == 0).tolist()) for row in self.pairing_array
         )
 
     def curve(self, cid: int) -> ExceptionalCurve:
@@ -197,6 +197,21 @@ class CurveTable:
     def pair_ids(self, i: int, j: int) -> int:
         return self.pairing[i][j]
 
+    def ids_of(self, coeffs: np.ndarray) -> np.ndarray:
+        """Curve ids of an (n, 9) array of classes, by packed-key search.
+
+        Raises ValueError naming the first row that is not one of the
+        240 classes.
+        """
+        ids = np.searchsorted(self._keys, _packed_keys(coeffs)).clip(max=239)
+        missed = (self.coeff_array[ids] != coeffs).any(axis=1)
+        if missed.any():
+            row = int(np.argmax(missed))
+            raise ValueError(
+                f"row {row} is not an exceptional class: {coeffs[row].tolist()}"
+            )
+        return ids
+
     def permutation_of(self, m: LatticeIsometry) -> np.ndarray:
         """The curve-id permutation induced by an isometry, as int16.
 
@@ -205,11 +220,12 @@ class CurveTable:
         the matrix is not an isometry.
         """
         images = self.coeff_array @ np.array(m.matrix, dtype=np.int64).T
-        ids = np.searchsorted(self._keys, _packed_keys(images)).clip(max=239)
-        missed = (self.coeff_array[ids] != images).any(axis=1)
-        if missed.any():
-            name = self.curves[int(np.argmax(missed))].name
-            raise AssertionError(f"isometry maps {name} outside the curve set")
+        try:
+            ids = self.ids_of(images)
+        except ValueError as exc:
+            raise AssertionError(
+                f"isometry maps a curve outside the curve set ({exc})"
+            ) from None
         return ids.astype(np.int16)
 
     def isometry_of(self, perm: np.ndarray) -> LatticeIsometry:

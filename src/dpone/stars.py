@@ -11,10 +11,15 @@ an A2 plane, which is how stars talk to the Weyl group: rotating the
 plane rotates the star two steps.
 
 Two stars with twelve distinct curves interact in exactly one of three
-ways (asynchronized, synchronized, abnormal), recognized here by brute
-force over hexagon relabelings.  Stars with overlapping supports share
-exactly one Bertini pair and fit no pattern; `classify_pair` refuses
-them.
+ways (asynchronized, synchronized, abnormal).  `classify_pair` recognizes
+one pair by brute force over hexagon relabelings and returns the matching
+orderings.  The censuses use `pair_codes`, which looks each cross-pairing
+matrix up, as one base-3 key, among the precomputed keys of every
+relabeled pattern.  Stars with overlapping supports share exactly one
+Bertini pair and fit no pattern; `classify_pair` refuses them.
+
+The star table itself is built with array operations on the curve
+table; `star_through` is the one-star construction it vectorizes.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -68,13 +72,18 @@ def _resolve_curve_id(c) -> int:
     raise TypeError(f"cannot interpret {c!r} as a curve")
 
 
+# the 12 hexagon relabelings (rotation by k, then its reflection), as
+# position arrays: ordering[i] = ids[D6[r, i]]; row 0 is the identity
+D6 = np.array([
+    order
+    for k in range(6)
+    for order in ([(i + k) % 6 for i in range(6)], [(k - i) % 6 for i in range(6)])
+])
+
+
 def _d6_orderings(ids: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All 12 hexagon reorderings (rotations and reflections)."""
-    out = []
-    for k in range(6):
-        out.append(tuple(ids[(i + k) % 6] for i in range(6)))
-        out.append(tuple(ids[(k - i) % 6] for i in range(6)))
-    return out
+    return [tuple(ids[i] for i in row) for row in D6.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,28 +163,50 @@ def star_through(a, b) -> StarConfiguration:
 
 
 class StarTable:
-    """All 1120 stars, indexed, with membership and support arrays."""
+    """All 1120 stars, indexed, with membership and support arrays.
+
+    Built with array operations from the 6720 disjoint pairs (A, B),
+    A < B, of the pairing table: the hexagon is A, B, B - A - K and the
+    Bertini images of those three.  Each star arises from its six edges;
+    the row kept is the one already in canonical form, starting at the
+    smallest id and stepping to the smaller neighbor.
+    """
 
     def __init__(self) -> None:
         t = curve_table()
-        seen: dict[tuple[int, ...], StarConfiguration] = {}
-        for i in range(240):
-            for j in t.disjoint[i]:
-                if j > i:
-                    s = star_through(i, j)
-                    seen.setdefault(s.canonical_key, StarConfiguration(s.canonical_key))
-        stars = [seen[k] for k in sorted(seen)]
-        self.stars: tuple[StarConfiguration, ...] = tuple(stars)
+        a, b = np.nonzero(np.triu(t.pairing_array == 0, 1))
+        k = np.array(CANONICAL_CLASS.coeffs, dtype=np.int64)
+        third = t.ids_of(t.coeff_array[b] - t.coeff_array[a] - k)
+        half = np.stack([a, b, third], axis=1)
+        hexagons = np.hstack([half, np.array(t.bertini_ids)[half]])
+        keep = (hexagons[:, 0] == hexagons.min(axis=1)) & (
+            hexagons[:, 1] < hexagons[:, 5]
+        )
+        rows = hexagons[keep]
+        rows = rows[np.lexsort(rows.T[::-1])]
+
+        # each row must be the least of its 12 relabelings, and all distinct
+        keys = rows[:, D6] @ (256 ** np.arange(5, -1, -1))
+        if (
+            len(rows) != 1120
+            or np.any(keys[:, 0] != keys.min(axis=1))
+            or np.any(np.diff(keys[:, 0]) <= 0)
+        ):
+            raise AssertionError("star table rows are not 1120 canonical hexagons")
+
+        self.ids_array = rows.astype(np.int16)
+        canonical_keys = list(map(tuple, rows.tolist()))
+        self.stars: tuple[StarConfiguration, ...] = tuple(
+            StarConfiguration(key) for key in canonical_keys
+        )
         self.id_by_key: dict[tuple[int, ...], int] = {
-            s.canonical_key: i for i, s in enumerate(stars)
+            key: i for i, key in enumerate(canonical_keys)
         }
-        self.ids_array = np.array([s.curve_ids for s in stars], dtype=np.int16)
-        membership: list[list[int]] = [[] for _ in range(240)]
-        for sid, s in enumerate(stars):
-            for c in s.curve_ids:
-                membership[c].append(sid)
+        flat = rows.ravel()
+        order = np.argsort(flat, kind="stable")
+        bounds = np.cumsum(np.bincount(flat, minlength=240))[:-1]
         self.membership: tuple[tuple[int, ...], ...] = tuple(
-            tuple(m) for m in membership
+            tuple(m.tolist()) for m in np.split(order // 6, bounds)
         )
 
     def star_id(self, s: StarConfiguration) -> int:
@@ -271,17 +302,105 @@ def classify_pair(a: StarConfiguration, b: StarConfiguration) -> PairClassificat
     return next(iter(hits.values()))
 
 
+# ---------------------------------------------------------------------------
+# the pair kernel shared by the censuses
+#
+# A disjoint pair's 6x6 cross-pairing matrix has entries 0..2, so its
+# cells read as one base-3 number.  The pair matches a pattern up to
+# hexagon relabeling exactly when that number is the key of one of the
+# pattern's D6 x D6 relabelings: the 144 relabelings classify_pair tries,
+# computed once.
+
+PAIR_TYPES = tuple(PairType)
+# pair code of stars whose supports meet; code i < OVERLAPPING is PAIR_TYPES[i]
+OVERLAPPING = len(PAIR_TYPES)
+_CELL_WEIGHTS = 3 ** np.arange(36, dtype=np.int64)
+
+
+def pattern_key_table(
+    patterns: dict[PairType, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys of every relabeling of each pattern, and each key's code.
+
+    Raises TrichotomyViolation if two patterns share a key, since a pair
+    with that matrix would match both.
+    """
+    owner: dict[int, int] = {}
+    for code, ptype in enumerate(PAIR_TYPES):
+        relabeled = patterns[ptype][D6[:, None, :, None], D6[None, :, None, :]]
+        for key in np.unique(relabeled.reshape(-1, 36) @ _CELL_WEIGHTS).tolist():
+            if owner.setdefault(key, code) != code:
+                raise TrichotomyViolation(
+                    f"patterns {PAIR_TYPES[owner[key]].value} and "
+                    f"{ptype.value} share a relabeling"
+                )
+    keys = sorted(owner)
+    return np.array(keys, dtype=np.int64), np.array([owner[k] for k in keys])
+
+
+@cache
+def pattern_keys() -> tuple[np.ndarray, np.ndarray]:
+    return pattern_key_table(PATTERNS)
+
+
+def pair_codes(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """Pair code of the star with curve ids a against each row of rest.
+
+    a holds six curve ids and rest is (m, 6).  Raises TrichotomyViolation
+    unless every pair whose supports meet shares exactly one Bertini pair
+    and every other pair matches exactly one pattern.
+    """
+    t = curve_table()
+    cross = t.pairing_array[a][:, rest].transpose(1, 0, 2)
+    # a curve pairs to -1 only with itself: the positions of a on each row
+    shared = (cross == -1).any(axis=2)
+    over = shared.any(axis=1)
+    if over.any():
+        hit = shared[over]
+        first = hit.argmax(axis=1)
+        last = 5 - hit[:, ::-1].argmax(axis=1)
+        bertini = np.array(t.bertini_ids)
+        if np.any(hit.sum(axis=1) != 2) or np.any(bertini[a[first]] != a[last]):
+            raise TrichotomyViolation(
+                "overlapping pair does not share exactly one Bertini pair"
+            )
+    cells = cross[~over].reshape(-1, 36)
+    table, table_codes = pattern_keys()
+    keys = cells @ _CELL_WEIGHTS
+    at = np.searchsorted(table, keys).clip(max=len(table) - 1)
+    if cells.max(initial=0) > 2 or np.any(table[at] != keys):
+        raise TrichotomyViolation("pair with disjoint supports matched no pattern")
+    codes = np.full(len(rest), OVERLAPPING)
+    codes[~over] = table_codes[at]
+    return codes
+
+
+def pair_code_counts(ids) -> np.ndarray:
+    """How many unordered pairs of the stars with these curve ids have each code.
+
+    ids is a sequence of six-id rows, one per star.
+    """
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1, 6)
+    counts = np.zeros(OVERLAPPING + 1, dtype=np.int64)
+    for a in range(len(ids) - 1):
+        counts += np.bincount(pair_codes(ids[a], ids[a + 1 :]), minlength=len(counts))
+    return counts
+
+
 def sample_pairs_by_type(per_type: int) -> dict[PairType, list]:
-    """First per_type disjoint star pairs of each kind, in canonical order."""
-    stars = enumerate_stars()
+    """First per_type disjoint star pairs of each kind, in canonical order.
+
+    Canonical order is that of combinations over star ids.
+    """
+    table = star_table()
+    s = table.ids_array
     found: dict[PairType, list] = {p: [] for p in PairType}
-    for a, b in combinations(range(len(stars)), 2):
-        sa, sb = stars[a], stars[b]
-        if sa.support & sb.support:
-            continue
-        ptype = classify_pair(sa, sb).pair_type
-        if len(found[ptype]) < per_type:
-            found[ptype].append((sa, sb))
+    for a in range(len(s) - 1):
+        codes = pair_codes(s[a], s[a + 1 :])
+        for code, ptype in enumerate(PAIR_TYPES):
+            need = per_type - len(found[ptype])
+            for b in np.flatnonzero(codes == code)[:need].tolist():
+                found[ptype].append((table.stars[a], table.stars[a + 1 + b]))
         if all(len(v) >= per_type for v in found.values()):
             break
     return found
@@ -451,100 +570,24 @@ class TrichotomyCensus:
     abnormal: int
 
 
-def _pattern_orbit_stack(ptype: PairType) -> np.ndarray:
-    """Distinct relabelings of a pattern under independent hexagon symmetry."""
-    pat = PATTERNS[ptype]
-    perms = []
-    for k in range(6):
-        perms.append([(i + k) % 6 for i in range(6)])
-        perms.append([(k - i) % 6 for i in range(6)])
-    seen: dict[bytes, np.ndarray] = {}
-    for pa in perms:
-        for pb in perms:
-            m = pat[np.ix_(pa, pb)]
-            seen.setdefault(m.tobytes(), m)
-    return np.stack(list(seen.values()))
-
-
 @cache
 def trichotomy_census() -> TrichotomyCensus:
-    """Classify every unordered pair of distinct stars.
+    """Classify every unordered pair of distinct stars with pair_codes.
 
     Pairs with overlapping supports are checked to share exactly one
     Bertini pair; all others are required to match exactly one pattern
-    up to relabeling (the stacked-orbit comparison below is the same 144
-    relabelings classify_pair walks, precomputed once).  Any exception
-    raises.
+    up to relabeling.  Any exception raises.
     """
-    t = curve_table()
-    table = star_table()
-    p = t.pairing_array
-    s = table.ids_array
-    n = len(table.stars)
-    bert = np.array(t.bertini_ids, dtype=np.int16)
-
-    memb = np.zeros((n, 240), dtype=np.int16)
-    memb[np.arange(n)[:, None], s] = 1
-    shared_counts = memb @ memb.T
-
-    orbit = {
-        ptype: _pattern_orbit_stack(ptype)
-        for ptype in (PairType.SYNCHRONIZED, PairType.ABNORMAL)
-    }
-
-    counts = {ptype: 0 for ptype in PairType}
-    overlapping = 0
-    for a in range(n - 1):
-        rest = s[a + 1 :]
-        cross = p[s[a]][:, rest.ravel()].reshape(6, n - a - 1, 6).transpose(1, 0, 2)
-        c0 = (cross == 0).sum(axis=(1, 2))
-        c1 = (cross == 1).sum(axis=(1, 2))
-        c2 = (cross == 2).sum(axis=(1, 2))
-        over = shared_counts[a, a + 1 :] > 0
-
-        if np.any(shared_counts[a, a + 1 :][over] != 2):
-            raise TrichotomyViolation(
-                "overlapping pair shares more than one Bertini pair"
-            )
-        for b in np.nonzero(over)[0]:
-            common = np.intersect1d(s[a], rest[b])
-            if len(common) != 2 or bert[common[0]] != common[1]:
-                raise TrichotomyViolation(
-                    "overlapping pair does not share a Bertini pair"
-                )
-        overlapping += int(over.sum())
-
-        masks = {
-            PairType.ASYNCHRONIZED: (c1 == 36) & ~over,
-            PairType.SYNCHRONIZED: (c0 == 12) & (c1 == 12) & (c2 == 12) & ~over,
-            PairType.ABNORMAL: (c0 == 8) & (c1 == 20) & (c2 == 8) & ~over,
-        }
-        covered = over.copy()
-        for ptype, mask in masks.items():
-            if np.any(covered & mask):
-                raise TrichotomyViolation("pair matched two patterns")
-            covered |= mask
-            counts[ptype] += int(mask.sum())
-            if ptype in orbit and mask.any():
-                cand = cross[mask]
-                ok = (
-                    (cand[:, None, :, :] == orbit[ptype][None])
-                    .all(axis=(2, 3))
-                    .any(axis=1)
-                )
-                if not ok.all():
-                    raise TrichotomyViolation(
-                        f"multiset suggested {ptype.value} but no relabeling matches"
-                    )
-        if not covered.all():
-            raise TrichotomyViolation("pair with disjoint supports matched no pattern")
-
+    ids = star_table().ids_array
+    counts = pair_code_counts(ids).tolist()
+    by_type = dict(zip(PAIR_TYPES, counts))
+    n = len(ids)
     return TrichotomyCensus(
         total_pairs=n * (n - 1) // 2,
-        overlapping=overlapping,
-        asynchronized=counts[PairType.ASYNCHRONIZED],
-        synchronized=counts[PairType.SYNCHRONIZED],
-        abnormal=counts[PairType.ABNORMAL],
+        overlapping=counts[OVERLAPPING],
+        asynchronized=by_type[PairType.ASYNCHRONIZED],
+        synchronized=by_type[PairType.SYNCHRONIZED],
+        abnormal=by_type[PairType.ABNORMAL],
     )
 
 

@@ -169,15 +169,22 @@ def test_criterion_04_star_totals(capsys):
                 keys.add(s.canonical_key)
         assert pairs == 6720
         assert len(keys) == 1120 == pairs // 6
+        # the array-built table agrees with star_through, the slow builder
+        slow = sorted(keys)
         table = star_table()
-        assert len(table.stars) == 1120
+        assert [s.curve_ids for s in table.stars] == slow
+        assert table.ids_array.tolist() == [list(k) for k in slow]
+        assert table.id_by_key == {k: i for i, k in enumerate(slow)}
+        assert table.membership == tuple(
+            tuple(i for i, k in enumerate(slow) if c in k) for c in range(240)
+        )
         for s in table.stars:
             for c in s.curve_ids:
                 membership[c] += 1
         assert set(membership) == {28}
         info["detail"] = (
-            "6720 disjoint pairs all span stars, 1120 distinct, "
-            "each curve on exactly 28"
+            "6720 disjoint pairs all span stars, 1120 distinct and equal "
+            "to the star table, each curve on exactly 28"
         )
 
 

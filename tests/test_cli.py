@@ -1,15 +1,127 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import jsonschema
 import pytest
 
 from dpone.cli import main
 from dpone.lattice import isometry_to_text
 from dpone.weyl import CarterType3, representative_order3
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the Bertini involution D -> -2K - D as nine matrix rows
+BERTINI_ROWS = "\n".join(
+    ["17 6 6 6 6 6 6 6 6"]
+    + [" ".join(["-6"] + ["-3" if j == i else "-2" for j in range(8)]) for i in range(8)]
+)
+
+VERDICT_SCHEMA = {
+    "type": "object",
+    "required": ["verdict", "rule", "witness", "ranks"],
+    "properties": {
+        "verdict": {"enum": ["Rational", "NotRational", "Inconclusive"]},
+        "rule": {
+            "anyOf": [
+                {
+                    "enum": [
+                        "rational_two_stars",
+                        "rational_triple",
+                        "not_rational_carter",
+                        "not_rational_stars",
+                        "not_rational_even",
+                    ]
+                },
+                {"type": "null"},
+            ]
+        },
+        "witness": {
+            "anyOf": [
+                {
+                    "type": "object",
+                    "required": ["elements", "curves", "stars"],
+                    "properties": {
+                        "elements": {"type": "array", "items": {"type": "string"}},
+                        "curves": {"type": "array", "items": {"type": "string"}},
+                        "stars": {"type": "array", "items": {"type": "string"}},
+                    },
+                },
+                {"type": "null"},
+            ]
+        },
+        "ranks": {
+            "type": "object",
+            "required": ["G", "Gamma", "combined"],
+            "properties": {
+                "G": {"type": "integer"},
+                "Gamma": {"type": "integer"},
+                "combined": {"type": "integer"},
+            },
+        },
+        "minimality": {
+            "anyOf": [
+                {
+                    "type": "object",
+                    "required": ["stars", "elements", "combined_rank"],
+                },
+                {"type": "null"},
+            ]
+        },
+        "caveat": {"anyOf": [{"type": "string"}, {"type": "null"}]},
+    },
+}
+
+CLASSIFY_SCHEMA = {
+    "type": "object",
+    "required": ["order", "fixed_rank"],
+    "properties": {
+        "order": {"type": "integer"},
+        "fixed_rank": {"type": "integer"},
+        "carter_type": {"type": "string"},
+    },
+}
+
+CENSUS_SCHEMA = {
+    "type": "object",
+    "required": ["invariant_curves", "trivial_stars", "faithful_stars", "pairwise"],
+    "properties": {
+        "invariant_curves": {"type": "array", "items": {"type": "string"}},
+        "trivial_stars": {"type": "array", "items": {"type": "string"}},
+        "faithful_stars": {"type": "array", "items": {"type": "string"}},
+        "pairwise": {"type": "object"},
+    },
+}
+
+LEMMA_SCHEMA = {
+    "type": "object",
+    "required": ["lemma", "ok", "detail"],
+    "properties": {
+        "lemma": {"type": "string"},
+        "ok": {"type": "boolean"},
+        "detail": {"type": "array", "items": {"type": "string"}},
+    },
+}
+
+# the schema of each subcommand's JSON document; report always prints JSON
+SCHEMAS = {
+    "classify-element": CLASSIFY_SCHEMA,
+    "census": CENSUS_SCHEMA,
+    "verify-lemma": LEMMA_SCHEMA,
+    "report": VERDICT_SCHEMA,
+}
+
 
 def run(capsys, *argv):
+    """Run the CLI; validate the JSON document of a successful command."""
     code = main(list(argv))
     out, err = capsys.readouterr()
+    command = next((a for a in argv if a in SCHEMAS), None)
+    if code == 0 and command and ("--json" in argv or command == "report"):
+        jsonschema.validate(json.loads(out), SCHEMAS[command])
     return code, out, err
 
 
@@ -108,6 +220,37 @@ def test_census_json(capsys):
     assert len(doc["faithful_stars"]) == 2
     assert doc["pairwise"]["asynchronized"] == 6
     assert doc["pairwise"]["overlapping"] == 0
+
+
+def test_census_bertini_all_stars(capsys):
+    # every star is invariant, so the census covers all 626640 pairs
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "--json", "census", "-e", BERTINI_ROWS)
+    elapsed = time.monotonic() - t0
+    doc = json.loads(out)
+    assert code == 0
+    assert len(doc["trivial_stars"]) + len(doc["faithful_stars"]) == 1120
+    assert doc["pairwise"] == {
+        "asynchronized": 67200,
+        "synchronized": 151200,
+        "abnormal": 362880,
+        "overlapping": 45360,
+    }
+    assert elapsed < 10.0, f"Bertini census took {elapsed:.1f}s"
+
+
+def test_cli_import_leaves_out_jsonschema():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, dpone.cli; print('jsonschema' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_report_trivial(capsys):

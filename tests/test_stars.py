@@ -1,21 +1,29 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from dpone.curves import bertini, curve_table, s8_action
 from dpone.lattice import CANONICAL_CLASS, pair
+import dpone.stars as stars_module
 from dpone.stars import (
+    OVERLAPPING,
+    PAIR_TYPES,
+    PATTERNS,
     ActionKind,
     OverlappingStars,
     PairType,
     ProfileKind,
     StarConfiguration,
+    TrichotomyViolation,
     classify_pair,
     enumerate_stars,
     intersection_profile_census,
     invariant_curves,
     invariant_stars,
     is_star,
+    pair_codes,
+    pattern_key_table,
     profile,
     sample_pairs_by_type,
     star_graph_automorphisms,
@@ -199,6 +207,76 @@ def test_census_agrees_with_classify_pair_samples():
     assert census.asynchronized * 2 // 1120 == 120
     assert census.synchronized * 2 // 1120 == 270
     assert census.abnormal * 2 // 1120 == 648
+
+
+def brute_force_code(a, b):
+    try:
+        return PAIR_TYPES.index(classify_pair(a, b).pair_type)
+    except OverlappingStars:
+        return OVERLAPPING
+
+
+@pytest.mark.parametrize(
+    "element",
+    [representative_order3(c) for c in CarterType3]
+    + [s8_action("(1 2)(3 4)(5 6)(7 8)")],
+    ids=[c.display for c in CarterType3] + ["(1 2)(3 4)(5 6)(7 8)"],
+)
+def test_pair_codes_match_classify_pair(element):
+    found = [a.star for a in invariant_stars(element)]
+    ids = np.array([s.curve_ids for s in found])
+    for i in range(len(found) - 1):
+        codes = pair_codes(ids[i], ids[i + 1 :]).tolist()
+        assert codes == [brute_force_code(found[i], b) for b in found[i + 1 :]]
+
+
+def test_sample_pairs_follow_the_combinations_walk():
+    stars = enumerate_stars()
+    walk = {p: [] for p in PairType}
+    for a, b in combinations(stars, 2):
+        if a.support & b.support:
+            continue
+        ptype = classify_pair(a, b).pair_type
+        if len(walk[ptype]) < 10:
+            walk[ptype].append((a, b))
+        if all(len(v) >= 10 for v in walk.values()):
+            break
+    assert sample_pairs_by_type(10) == walk
+
+
+def test_pattern_keys_are_disjoint():
+    keys, codes = stars_module.pattern_keys()
+    assert np.all(np.diff(keys) > 0)
+    assert sorted(set(codes.tolist())) == [0, 1, 2]
+    clash = dict(PATTERNS)
+    clash[PairType.ABNORMAL] = PATTERNS[PairType.SYNCHRONIZED][::-1]
+    with pytest.raises(TrichotomyViolation, match="share a relabeling"):
+        pattern_key_table(clash)
+
+
+def test_pair_codes_reject_corrupted_key(monkeypatch):
+    samples = sample_pairs_by_type(1)
+    keys, codes = stars_module.pattern_keys()
+    for ptype, [(a, b)] in samples.items():
+        cross = curve_table().pairing_array[np.ix_(a.curve_ids, b.curve_ids)]
+        key = int(cross.ravel() @ 3 ** np.arange(36))
+        assert key in keys.tolist()
+        corrupted = np.where(keys == key, key + 1, keys)
+        order = np.argsort(corrupted)
+        monkeypatch.setattr(
+            stars_module, "pattern_keys", lambda: (corrupted[order], codes[order])
+        )
+        with pytest.raises(TrichotomyViolation, match="matched no pattern"):
+            pair_codes(np.array(a.curve_ids), np.array([b.curve_ids]))
+
+
+def test_pair_codes_reject_broken_overlap():
+    # a hexagon sharing a curve but not its Bertini partner
+    a = star_through("E7", "E8")
+    b = star_through("L78", "Q123")
+    forged = (a.curve_ids[0],) + b.curve_ids[1:]
+    with pytest.raises(TrichotomyViolation, match="Bertini pair"):
+        pair_codes(np.array(a.curve_ids), np.array([forged]))
 
 
 def test_profile_shapes():
