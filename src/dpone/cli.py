@@ -26,23 +26,20 @@ from .criteria import (
     TwoStarsWitness,
     Verdict,
     check_minimal_four_stars,
-    check_rational_triple,
-    check_rational_two_stars,
     gamma_report,
     rationality_report,
     replay_triple,
     search_commuting_order3,
 )
-from .curves import curve_table, enumerate_curves, search_exceptional_classes
+from .curves import curve_table, enumerate_curves
 from .lattice import (
     GroupSpec,
     LatticeIsometry,
     TRIVIAL_GROUP,
     cycles_string,
     fixed_rank,
-    isometry_to_text,
-    pair,
     permutation_of_isometry,
+    solve_norm,
 )
 from .stars import (
     OVERLAPPING,
@@ -58,7 +55,6 @@ from .stars import (
     profile,
     sample_pairs_by_type,
     star_graph_automorphisms,
-    star_table,
     trichotomy_census,
 )
 from .weyl import (
@@ -68,7 +64,6 @@ from .weyl import (
     enumerate_roots,
     parse_element,
     representative_order3,
-    search_roots,
 )
 
 
@@ -78,8 +73,11 @@ class CheckFailure(Exception):
 
 def _read_source(value: str) -> str:
     if os.path.exists(value):
-        with open(value, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(value, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {value!r}: {exc.strerror}") from None
     return value
 
 
@@ -284,9 +282,9 @@ def _lemma_dp1lines() -> list[str]:
         sizes == [8, 28, 56, 56, 56, 28, 8],
         f"family sizes {sizes}",
     )
-    solved = search_exceptional_classes()
+    solved = solve_norm(-1, -1)
     _require(
-        sorted(solved) == sorted(c.divisor for c in curves),
+        solved == sorted(c.divisor for c in curves),
         "independent solver disagrees with the closed forms",
     )
     return ["240 curves; families 8/28/56/56/56/28/8; OK"]

@@ -178,9 +178,6 @@ class CurveTable:
         self.bertini_ids: tuple[int, ...] = tuple(
             self.ids_of(-2 * k - coeff_matrix).tolist()
         )
-        self.disjoint: tuple[tuple[int, ...], ...] = tuple(
-            tuple(np.flatnonzero(row == 0).tolist()) for row in self.pairing_array
-        )
 
     def curve(self, cid: int) -> ExceptionalCurve:
         return self.curves[cid]
@@ -193,9 +190,6 @@ class CurveTable:
 
     def id_of_name(self, name: str) -> int:
         return self.id_of(class_of_name(name))
-
-    def pair_ids(self, i: int, j: int) -> int:
-        return self.pairing[i][j]
 
     def ids_of(self, coeffs: np.ndarray) -> np.ndarray:
         """Curve ids of an (n, 9) array of classes, by packed-key search.
@@ -250,42 +244,6 @@ def enumerate_curves() -> tuple[ExceptionalCurve, ...]:
     return curve_table().curves
 
 
-def search_exceptional_classes() -> list[DivisorClass]:
-    """Independent brute-force solver of D*D = -1, D*K = -1.
-
-    Scans c_L in 0..6 and enumerates the E-coefficients with partial-sum
-    pruning; kept free of the family formulas so the two routes check
-    each other.
-    """
-    found: list[DivisorClass] = []
-    for c_l in range(0, 7):
-        target_sum = 1 - 3 * c_l  # from D*K = -1
-        target_sq = c_l * c_l + 1  # from D*D = -1
-        bound = int(target_sq**0.5)
-
-        def rec(pos: int, acc: list[int], s: int, sq: int) -> None:
-            if pos == 8:
-                if s == target_sum and sq == target_sq:
-                    found.append(DivisorClass((c_l, *acc)))
-                return
-            remaining = 8 - pos - 1
-            for c in range(-bound, bound + 1):
-                s2 = s + c
-                sq2 = sq + c * c
-                if sq2 > target_sq:
-                    continue
-                # the remaining coordinates can move the sum by at most
-                # remaining * bound in either direction
-                if abs(target_sum - s2) > remaining * bound:
-                    continue
-                acc.append(c)
-                rec(pos + 1, acc, s2, sq2)
-                acc.pop()
-
-        rec(0, [], 0, 0)
-    return sorted(found)
-
-
 def bertini(c: ExceptionalCurve) -> ExceptionalCurve:
     """The Bertini partner -2K - c; an involution without fixed curves."""
     table = curve_table()
@@ -294,7 +252,7 @@ def bertini(c: ExceptionalCurve) -> ExceptionalCurve:
 
 def disjoint_partners(c: ExceptionalCurve) -> frozenset[int]:
     """Ids of all curves meeting c in zero points."""
-    return frozenset(curve_table().disjoint[c.id])
+    return frozenset(np.flatnonzero(curve_table().pairing_array[c.id] == 0).tolist())
 
 
 def s8_action(perm: str) -> LatticeIsometry:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -88,6 +88,60 @@ def simple_roots() -> tuple[DivisorClass, ...]:
     first = divisor(1, -1, -1, -1, 0, 0, 0, 0, 0)
     chain = tuple(exceptional(i) - exceptional(i + 1) for i in range(1, 8))
     return (first,) + chain
+
+
+def solve_norm(square: int, dot_k: int) -> list[DivisorClass]:
+    """Every class v with v*v = square and v*K = dot_k, sorted.
+
+    Nothing about the answer is assumed, not even the range of c_L.  For
+    v = (c_L; c_1, ..., c_8) the two equations read
+
+        sum c_i   = -dot_k - 3 c_L
+        sum c_i^2 = c_L^2 - square,
+
+    and Cauchy-Schwarz on eight coordinates, (sum c_i)^2 <= 8 sum c_i^2,
+    turns them into c_L^2 + 6 dot_k c_L + dot_k^2 + 8 square <= 0, so
+
+        |c_L + 3 dot_k| <= sqrt(8 (dot_k^2 - square)),
+
+    an empty range when dot_k^2 < square.  Curves (-1, -1) get c_L in
+    -1..7 and roots (-2, 0) get -4..4.
+
+    For each c_L, every coordinate has |c_i| <= isqrt(c_L^2 - square).
+    The 4-tuples in that box whose sum of squares is within bound form
+    one half table, keyed by (sum, sum of squares).  A left half with
+    (s, q) joins exactly the right halves keyed (target_sum - s,
+    target_sq - q), which two searchsorted calls find in the sorted keys.
+    One c_L is built at a time, with int8 coordinates, so the tables
+    stay small.
+    """
+    gap = dot_k * dot_k - square
+    if gap < 0:
+        return []
+    spread = isqrt(8 * gap)
+    found: list[DivisorClass] = []
+    for c_l in range(-3 * dot_k - spread, -3 * dot_k + spread + 1):
+        target_sq = c_l * c_l - square
+        target_sum = -dot_k - 3 * c_l
+        axis = np.arange(-isqrt(target_sq), isqrt(target_sq) + 1, dtype=np.int8)
+        squares = np.square(axis, dtype=np.int32)
+        pairs = squares[:, None] + squares
+        box = pairs[:, :, None, None] + pairs
+        inside = box <= target_sq
+        halves, sq = axis[np.argwhere(inside)], box[inside]
+        # with 0 <= sq <= target_sq the key (sum, sq) -> int is injective
+        keys = halves.sum(axis=1, dtype=np.int32) * (target_sq + 1) + sq
+        order = np.argsort(keys)
+        halves, keys = halves[order], keys[order]
+        wanted = (target_sum * (target_sq + 1) + target_sq) - keys
+        lo = np.searchsorted(keys, wanted, side="left")
+        counts = np.searchsorted(keys, wanted, side="right") - lo
+        left = np.repeat(np.arange(len(keys)), counts)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        right = np.repeat(lo, counts) + np.arange(len(left)) - starts
+        for row in np.hstack([halves[left], halves[right]]).tolist():
+            found.append(DivisorClass((c_l, *row)))
+    return sorted(found)
 
 
 Matrix = tuple[tuple[int, ...], ...]

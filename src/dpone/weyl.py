@@ -22,9 +22,7 @@ from .lattice import (
     LINE,
     RANK,
     DivisorClass,
-    GroupLike,
     LatticeIsometry,
-    divisor,
     exceptional,
     fixed_rank,
     isometry_from_text,
@@ -69,34 +67,6 @@ def enumerate_roots() -> tuple[DivisorClass, ...]:
     if len(roots) != 240:
         raise AssertionError(f"root generator produced {len(roots)} classes")
     return tuple(sorted(roots))
-
-
-def search_roots() -> list[DivisorClass]:
-    """Brute-force solver of v*v = -2, v*K = 0, independent of the closed forms."""
-    found: list[DivisorClass] = []
-    for c_l in range(-3, 4):
-        target_sum = -3 * c_l  # from v*K = 0
-        target_sq = c_l * c_l + 2  # from v*v = -2
-        bound = int(target_sq**0.5)
-
-        def rec(pos: int, acc: list[int], s: int, sq: int) -> None:
-            if pos == 8:
-                if s == target_sum and sq == target_sq:
-                    found.append(DivisorClass((c_l, *acc)))
-                return
-            remaining = 8 - pos - 1
-            for c in range(-bound, bound + 1):
-                s2, sq2 = s + c, sq + c * c
-                if sq2 > target_sq:
-                    continue
-                if abs(target_sum - s2) > remaining * bound:
-                    continue
-                acc.append(c)
-                rec(pos + 1, acc, s2, sq2)
-                acc.pop()
-
-        rec(0, [], 0, 0)
-    return sorted(found)
 
 
 def reflection(r: DivisorClass) -> LatticeIsometry:

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 
 from dpone.criteria import (
     RATIONAL_CAVEAT,
@@ -24,13 +25,14 @@ from dpone.criteria import (
     replay_two_stars,
     search_commuting_order3,
 )
-from dpone.curves import curve_table, enumerate_curves, search_exceptional_classes
+from dpone.curves import curve_table, enumerate_curves
 from dpone.lattice import (
     GroupSpec,
     TRIVIAL_GROUP,
     cycles_string,
     fixed_rank,
     permutation_of_isometry,
+    solve_norm,
 )
 from dpone.stars import (
     ActionKind,
@@ -84,11 +86,11 @@ def test_criterion_01_curve_census(capsys):
             for fam in ("E", "L2", "Q", "C", "BQ", "BL", "BE")
         ]
         assert sizes == [8, 28, 56, 56, 56, 28, 8]
-        solved = search_exceptional_classes()
+        solved = solve_norm(-1, -1)
         assert sorted(solved) == sorted(c.divisor for c in curves)
         info["detail"] = (
             "240 classes, families 8/28/56/56/56/28/8, "
-            "closed forms match the brute-force solver"
+            "closed forms match solve_norm(-1, -1)"
         )
 
 
@@ -160,7 +162,7 @@ def test_criterion_04_star_totals(capsys):
         membership = [0] * 240
         pairs = 0
         for a in range(240):
-            for b in t.disjoint[a]:
+            for b in np.flatnonzero(t.pairing_array[a] == 0).tolist():
                 if b <= a:
                     continue
                 pairs += 1

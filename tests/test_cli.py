@@ -339,6 +339,17 @@ def test_bad_element_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("classify-element", "-e"), ("census", "-e"), ("report", "-g"), ("report", "-gamma")],
+)
+def test_directory_input_exits_2(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read") and str(tmp_path) in err
+
+
 def test_non_isometry_matrix_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     rows = [" ".join("0" for _ in range(9)) for _ in range(9)]

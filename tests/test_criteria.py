@@ -2,7 +2,6 @@ import pytest
 
 from dpone.criteria import (
     ActionSetup,
-    CertificateViolation,
     TripleWitness,
     Verdict,
     check_minimal_four_stars,

@@ -11,9 +11,15 @@ from dpone.curves import (
     disjoint_partners,
     enumerate_curves,
     s8_action,
-    search_exceptional_classes,
 )
-from dpone.lattice import CANONICAL_CLASS, LatticeIsometry, divisor, exceptional, pair
+from dpone.lattice import (
+    CANONICAL_CLASS,
+    LatticeIsometry,
+    divisor,
+    exceptional,
+    pair,
+    solve_norm,
+)
 
 FAMILY_SIZES = {"E": 8, "L2": 28, "Q": 56, "C": 56, "BQ": 56, "BL": 28, "BE": 8}
 
@@ -31,7 +37,7 @@ def test_all_exceptional():
 
 
 def test_independent_solver_agrees():
-    solved = search_exceptional_classes()
+    solved = solve_norm(-1, -1)
     assert len(solved) == 240
     assert sorted(solved) == sorted(c.divisor for c in enumerate_curves())
 

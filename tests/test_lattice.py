@@ -19,6 +19,7 @@ from dpone.lattice import (
     permutation_isometry,
     permutation_of_isometry,
     simple_roots,
+    solve_norm,
 )
 
 
@@ -78,6 +79,71 @@ def test_simple_roots_gram_matrix():
                 assert gram[i][j] == 1
             else:
                 assert gram[i][j] == 0
+
+
+def recursive_norm_solver(square, dot_k, c_l_range):
+    """Oracle for solve_norm: a pruned recursion over c_1..c_8 per c_L."""
+    found = []
+    for c_l in c_l_range:
+        target_sum = -dot_k - 3 * c_l
+        target_sq = c_l * c_l - square
+        if target_sq < 0:
+            continue
+        bound = int(target_sq**0.5)
+
+        def rec(pos, acc, s, sq):
+            if pos == 8:
+                if s == target_sum and sq == target_sq:
+                    found.append(DivisorClass((c_l, *acc)))
+                return
+            remaining = 8 - pos - 1
+            for c in range(-bound, bound + 1):
+                s2, sq2 = s + c, sq + c * c
+                if sq2 > target_sq:
+                    continue
+                # the remaining coordinates move the sum by at most
+                # remaining * bound either way
+                if abs(target_sum - s2) > remaining * bound:
+                    continue
+                acc.append(c)
+                rec(pos + 1, acc, s2, sq2)
+                acc.pop()
+
+        rec(0, [], 0, 0)
+    return sorted(found)
+
+
+# the Cauchy-Schwarz ranges of c_L: -1..7 for curves, -4..4 for roots
+@pytest.mark.parametrize(
+    "square, dot_k, c_l_range",
+    [(-1, -1, range(-1, 8)), (-2, 0, range(-4, 5))],
+    ids=["curves", "roots"],
+)
+def test_solve_norm_matches_recursive_oracle(square, dot_k, c_l_range):
+    solved = solve_norm(square, dot_k)
+    assert len(solved) == 240
+    assert solved == recursive_norm_solver(square, dot_k, c_l_range)
+
+
+def test_solve_norm_counts_the_e8_theta_series():
+    # K-orthogonal classes with v*v = -2k are the E8 vectors of norm 2k,
+    # and there are 240 sigma_3(k) of them
+    for k in range(1, 5):
+        sigma_3 = sum(d**3 for d in range(1, k + 1) if k % d == 0)
+        assert len(solve_norm(-2 * k, 0)) == 240 * sigma_3
+    # at k = 4 both ends of the range, c_L = -8 and 8, are reached by
+    # +-(8; -3, ..., -3), so every c_L from -8 to 8 has a solution
+    c_ls = {v.coeffs[0] for v in solve_norm(-8, 0)}
+    assert c_ls == set(range(-8, 9))
+
+
+def test_solve_norm_at_and_past_the_edge():
+    # v*K = d and v*v = d^2 only for v = dK, by Cauchy-Schwarz equality;
+    # v*v > (v*K)^2 has no solution since K-orthogonal classes are negative
+    assert solve_norm(1, 1) == [CANONICAL_CLASS]
+    assert solve_norm(4, -2) == [-2 * CANONICAL_CLASS]
+    assert solve_norm(0, 0) == [divisor(0, 0, 0, 0, 0, 0, 0, 0, 0)]
+    assert solve_norm(2, 0) == []
 
 
 def test_is_isometry_rejects_form_breakers():

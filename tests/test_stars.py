@@ -102,7 +102,7 @@ def test_every_disjoint_pair_yields_its_star():
     t = curve_table()
     count = 0
     for i in range(240):
-        for j in t.disjoint[i]:
+        for j in np.flatnonzero(t.pairing_array[i] == 0).tolist():
             if j > i:
                 s = star_through(i, j)
                 assert {i, j} <= s.support

@@ -10,6 +10,7 @@ from dpone.lattice import (
     isometry_to_text,
     pair,
     simple_roots,
+    solve_norm,
 )
 from dpone.weyl import (
     CarterType3,
@@ -22,7 +23,6 @@ from dpone.weyl import (
     reflection,
     representative_order3,
     rotation,
-    search_roots,
 )
 
 
@@ -37,7 +37,7 @@ def test_root_census():
 
 
 def test_independent_root_solver_agrees():
-    assert sorted(search_roots()) == sorted(enumerate_roots())
+    assert solve_norm(-2, 0) == list(enumerate_roots())
 
 
 def test_is_root_examples():
