@@ -93,10 +93,14 @@ def load_element(value: str) -> LatticeIsometry:
     return parse_element(_strip_comments(_read_source(value)))
 
 
-def load_group(value: str | None, label: str) -> GroupSpec:
-    """Group from blocks of element text separated by blank lines."""
+def load_group(value: str | None, label: str, cap: int) -> GroupSpec:
+    """Group from blocks of element text separated by blank lines.
+
+    No value, or no element in it, gives the trivial group.  ``cap``
+    bounds the group's closure, and is checked even for the trivial group.
+    """
     if value is None:
-        return TRIVIAL_GROUP
+        return GroupSpec((), label, cap)
     text = _strip_comments(_read_source(value))
     blocks: list[list[str]] = [[]]
     for line in text.splitlines():
@@ -107,9 +111,7 @@ def load_group(value: str | None, label: str) -> GroupSpec:
     generators = tuple(
         parse_element("\n".join(b)) for b in blocks if b
     )
-    if not generators:
-        return TRIVIAL_GROUP
-    return GroupSpec(generators, label)
+    return GroupSpec(generators, label, cap)
 
 
 def element_text(m: LatticeIsometry) -> str:
@@ -257,9 +259,9 @@ def cmd_census(args) -> int:
 
 
 def cmd_report(args) -> int:
-    g = load_group(args.g_group, "G")
-    gamma = load_group(args.gamma, "Gamma")
-    report = rationality_report(ActionSetup(g, gamma), cap=args.cap)
+    g = load_group(args.g_group, "G", args.cap)
+    gamma = load_group(args.gamma, "Gamma", args.cap)
+    report = rationality_report(ActionSetup(g, gamma))
     print(json.dumps(verdict_to_dict(report), indent=2))
     return 0
 
@@ -514,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     parser.add_argument(
-        "--cap", type=int, default=10000, help="group closure size cap"
+        "--cap", type=int, default=10000,
+        help="closure bound for the report's groups G and Gamma",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

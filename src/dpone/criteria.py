@@ -29,8 +29,8 @@ from .lattice import (
     LatticeIsometry,
     TRIVIAL_GROUP,
     fixed_rank,
-    group_closure,
     pair,
+    permutation_orders,
 )
 from .stars import (
     ActionKind,
@@ -49,7 +49,6 @@ from .weyl import (
     CarterType3,
     carter_type_order3,
     element_order,
-    permutation_orders,
 )
 
 RATIONAL_CAVEAT = (
@@ -75,62 +74,12 @@ class ActionSetup:
                 if a @ b != b @ a:
                     raise ValueError("g_group and gamma_group do not commute")
 
-    @property
+    @cached_property
     def combined(self) -> GroupSpec:
         return GroupSpec(
             self.g_group.generators + self.gamma_group.generators,
             label="combined",
         )
-
-
-class GroupContext:
-    """A group closed at most once: its elements as curve permutations.
-
-    Rows of ``perms`` are the closure in ``group_closure`` order, identity
-    first, and ``orders`` their orders; both are computed on first use,
-    so a rule that needs only the generators closes nothing.  The five
-    rules and the witness replays accept a context in place of a
-    GroupSpec, and the minimality search builds one for G, so one report
-    closes each group once.  A 9x9 matrix is built only for an element
-    that needs one (Carter typing, witnesses).
-    """
-
-    def __init__(self, group: GroupSpec, cap: int = 10000) -> None:
-        self.group = group
-        self.cap = cap
-
-    @cached_property
-    def perms(self) -> np.ndarray:
-        return group_closure(self.group, self.cap)
-
-    @cached_property
-    def orders(self) -> np.ndarray:
-        return permutation_orders(self.perms)
-
-    @cached_property
-    def _keys(self) -> set[bytes]:
-        return {p.tobytes() for p in self.perms}
-
-    def of_order(self, n: int) -> np.ndarray:
-        """Closure indices of the elements of order n, in closure order."""
-        return np.flatnonzero(self.orders == n)
-
-    def element(self, i: int) -> LatticeIsometry:
-        return curve_table().isometry_of(self.perms[i])
-
-    def contains(self, m: LatticeIsometry) -> bool:
-        return curve_table().permutation_of(m).tobytes() in self._keys
-
-
-def _context(group: GroupSpec | GroupContext, cap: int) -> GroupContext:
-    """The given context (with its own cap), or a fresh one for a GroupSpec."""
-    if isinstance(group, GroupContext):
-        return group
-    return GroupContext(group, cap)
-
-
-def _spec(group: GroupSpec | GroupContext) -> GroupSpec:
-    return group.group if isinstance(group, GroupContext) else group
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +129,10 @@ class MinimalityCertificate:
 # ---------------------------------------------------------------------------
 # not-rational rules
 
-def check_not_rational_carter(
-    gamma: GroupSpec | GroupContext, cap: int = 10000
-) -> CarterWitness | None:
+def check_not_rational_carter(gamma: GroupSpec) -> CarterWitness | None:
     """An order-3 element of class A2^3 or A2^4 in the closure."""
-    ctx = _context(gamma, cap)
-    for i in ctx.of_order(3):
-        m = ctx.element(i)
+    for i in gamma.of_order(3):
+        m = gamma.element(i)
         ctype = carter_type_order3(m)
         if ctype in (CarterType3.A2x3, CarterType3.A2x4):
             return CarterWitness(m, ctype)
@@ -199,15 +145,12 @@ def _faithful_stars_of(perm: np.ndarray) -> list[StarConfiguration]:
     ]
 
 
-def check_not_rational_stars(
-    gamma: GroupSpec | GroupContext, cap: int = 10000
-) -> StarsWitness | None:
+def check_not_rational_stars(gamma: GroupSpec) -> StarsWitness | None:
     """An order-3 element acting faithfully on three of its invariant stars."""
-    ctx = _context(gamma, cap)
-    for i in ctx.of_order(3):
-        faithful = _faithful_stars_of(ctx.perms[i])
+    for i in gamma.of_order(3):
+        faithful = _faithful_stars_of(gamma.perms[i])
         if len(faithful) >= 3:
-            return StarsWitness(ctx.element(i), tuple(faithful[:3]))
+            return StarsWitness(gamma.element(i), tuple(faithful[:3]))
     return None
 
 
@@ -223,31 +166,26 @@ def _antipodal_stars(perm: np.ndarray) -> np.ndarray:
     return np.flatnonzero((p[ids, perm[ids]] == 3).all(axis=1))
 
 
-def check_not_rational_even(
-    gamma: GroupSpec | GroupContext, cap: int = 10000
-) -> EvenWitness | None:
+def check_not_rational_even(gamma: GroupSpec) -> EvenWitness | None:
     """An even-order element acting on an invariant star as the antipode."""
-    ctx = _context(gamma, cap)
-    for i in np.flatnonzero(ctx.orders % 2 == 0):
-        hits = _antipodal_stars(ctx.perms[i])
+    for i in np.flatnonzero(gamma.orders % 2 == 0):
+        hits = _antipodal_stars(gamma.perms[i])
         if len(hits):
             star = star_table().star(int(hits[0]))
-            return EvenWitness(ctx.element(i), int(ctx.orders[i]), star)
+            return EvenWitness(gamma.element(i), int(gamma.orders[i]), star)
     return None
 
 
 # ---------------------------------------------------------------------------
 # rational rules
 
-def check_rational_triple(
-    gamma: GroupSpec | GroupContext, cap: int = 10000
-) -> TripleWitness | None:
+def check_rational_triple(gamma: GroupSpec) -> TripleWitness | None:
     """Fixed curves A, B, C with A.B = B.C = 1 and A.C = 0.
 
     The sum D = A + B + C then has D^2 = 1 and D.K = -3, the shape of a
     plane model; both equalities are re-checked on the found triple.
     """
-    inv = invariant_curves(_spec(gamma))
+    inv = invariant_curves(gamma)
     p = curve_table().pairing
     for a in inv:
         for b in inv:
@@ -274,9 +212,7 @@ def _all_ones_cross(a: StarConfiguration, b: StarConfiguration) -> bool:
     return all(p[x][y] == 1 for x in a.curve_ids for y in b.curve_ids)
 
 
-def check_rational_two_stars(
-    gamma: GroupSpec | GroupContext, cap: int = 10000
-) -> TwoStarsWitness | None:
+def check_rational_two_stars(gamma: GroupSpec) -> TwoStarsWitness | None:
     """Two pointwise-fixed stars that are asynchronized.
 
     Asynchronized means all 36 cross pairings equal 1, so the scan tests
@@ -284,7 +220,7 @@ def check_rational_two_stars(
     """
     pointwise = [
         a.star
-        for a in invariant_stars(_spec(gamma))
+        for a in invariant_stars(gamma)
         if a.kind is ActionKind.TRIVIAL
     ]
     for a, b in combinations(pointwise, 2):
@@ -338,9 +274,7 @@ def search_commuting_order3(
     raise ValueError("no commuting order-3 element found over the star planes")
 
 
-def check_minimal_four_stars(
-    setup: ActionSetup, cap: int = 10000
-) -> MinimalityCertificate | None:
+def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None:
     """Four pairwise-asynchronized invariant stars, each rotated by G.
 
     Stars must be setwise invariant under the combined group; each needs
@@ -348,7 +282,7 @@ def check_minimal_four_stars(
     exists the fixed rank of the combined group is computed directly and
     must equal 1.
     """
-    g = GroupContext(setup.g_group, cap)
+    g = setup.g_group
     order3 = g.of_order(3)
     if not len(order3):
         return None
@@ -399,10 +333,8 @@ def check_minimal_four_stars(
 # ---------------------------------------------------------------------------
 # replay
 
-def replay_carter(
-    gamma: GroupSpec | GroupContext, w: CarterWitness, cap: int = 10000
-) -> bool:
-    if not _context(gamma, cap).contains(w.element):
+def replay_carter(gamma: GroupSpec, w: CarterWitness) -> bool:
+    if not gamma.contains(w.element):
         return False
     if element_order(w.element) != 3:
         return False
@@ -412,10 +344,8 @@ def replay_carter(
     )
 
 
-def replay_stars(
-    gamma: GroupSpec | GroupContext, w: StarsWitness, cap: int = 10000
-) -> bool:
-    if not _context(gamma, cap).contains(w.element):
+def replay_stars(gamma: GroupSpec, w: StarsWitness) -> bool:
+    if not gamma.contains(w.element):
         return False
     if element_order(w.element) != 3:
         return False
@@ -425,10 +355,8 @@ def replay_stars(
     return all(s in faithful for s in w.stars)
 
 
-def replay_even(
-    gamma: GroupSpec | GroupContext, w: EvenWitness, cap: int = 10000
-) -> bool:
-    if not _context(gamma, cap).contains(w.element):
+def replay_even(gamma: GroupSpec, w: EvenWitness) -> bool:
+    if not gamma.contains(w.element):
         return False
     if element_order(w.element) != w.order or w.order % 2 != 0:
         return False
@@ -436,9 +364,9 @@ def replay_even(
     return star_table().star_id(w.star) in _antipodal_stars(perm)
 
 
-def replay_triple(gamma: GroupSpec | GroupContext, w: TripleWitness) -> bool:
+def replay_triple(gamma: GroupSpec, w: TripleWitness) -> bool:
     a, b, c = w.curve_ids
-    inv = set(invariant_curves(_spec(gamma)))
+    inv = set(invariant_curves(gamma))
     if not {a, b, c} <= inv:
         return False
     p = curve_table().pairing
@@ -448,20 +376,18 @@ def replay_triple(gamma: GroupSpec | GroupContext, w: TripleWitness) -> bool:
     return True
 
 
-def replay_two_stars(gamma: GroupSpec | GroupContext, w: TwoStarsWitness) -> bool:
+def replay_two_stars(gamma: GroupSpec, w: TwoStarsWitness) -> bool:
     a, b = w.stars
-    inv = set(invariant_curves(_spec(gamma)))
+    inv = set(invariant_curves(gamma))
     if not (a.support <= inv and b.support <= inv):
         return False
     return classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
 
 
-def replay_minimality(
-    setup: ActionSetup, cert: MinimalityCertificate, cap: int = 10000
-) -> bool:
+def replay_minimality(setup: ActionSetup, cert: MinimalityCertificate) -> bool:
     if len(set(cert.stars)) != 4 or len(cert.elements) != 4:
         return False
-    g = GroupContext(setup.g_group, cap)
+    g = setup.g_group
     combined = generator_permutations(setup.combined)
     t = curve_table()
     for s, m in zip(cert.stars, cert.elements):
@@ -506,19 +432,19 @@ class RationalityVerdict:
     caveat: str | None
 
 
-def rationality_report(setup: ActionSetup, cap: int = 10000) -> RationalityVerdict:
+def rationality_report(setup: ActionSetup) -> RationalityVerdict:
     """Run the decision rules in fixed order and report the first hit.
 
-    The rules share one context for Gamma, so Gamma is closed at most
-    once, and only if a rule needs more than its generators.  Rational
+    Every rule reads the closure cached on ``setup.gamma_group``, so Gamma
+    is closed at most once, and only if a rule needs more than its
+    generators.  Rational
     rules run first because their witnesses are cheap to check;
     the verdict also carries the fixed ranks of G, Gamma and the combined
     group, and a minimality certificate when one exists.
     """
     verdict, rule, witness = Verdict.INCONCLUSIVE, None, None
-    gamma = GroupContext(setup.gamma_group, cap)
     for name, v, checker in RULES:
-        w = checker(gamma, cap)
+        w = checker(setup.gamma_group)
         if w is not None:
             verdict, rule, witness = v, name, w
             break
@@ -527,11 +453,11 @@ def rationality_report(setup: ActionSetup, cap: int = 10000) -> RationalityVerdi
         "Gamma": fixed_rank(setup.gamma_group),
         "combined": fixed_rank(setup.combined),
     }
-    minimality = check_minimal_four_stars(setup, cap)
+    minimality = check_minimal_four_stars(setup)
     caveat = RATIONAL_CAVEAT if verdict is Verdict.RATIONAL else None
     return RationalityVerdict(verdict, rule, witness, ranks, minimality, caveat)
 
 
-def gamma_report(gamma: GroupSpec, cap: int = 10000) -> RationalityVerdict:
+def gamma_report(gamma: GroupSpec) -> RationalityVerdict:
     """Report for a Galois image acting alone (G trivial)."""
-    return rationality_report(ActionSetup(TRIVIAL_GROUP, gamma), cap)
+    return rationality_report(ActionSetup(TRIVIAL_GROUP, gamma))

@@ -155,7 +155,6 @@ class CurveTable:
         self.id_by_class: dict[tuple[int, ...], int] = {
             c.divisor.coeffs: c.id for c in curves
         }
-        self.id_by_name: dict[str, int] = {c.name: c.id for c in curves}
 
         coeff_matrix = np.array([c.divisor.coeffs for c in curves], dtype=np.int64)
         self.coeff_array = coeff_matrix

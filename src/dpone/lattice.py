@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, isqrt
 from typing import Iterable, Sequence, Union
 
@@ -242,13 +243,51 @@ class LatticeIsometry:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A finitely generated group of lattice isometries."""
+    """A finitely generated group of lattice isometries, closed at most once.
+
+    Rows of ``perms`` are the closure as curve permutations in
+    ``group_closure`` order, identity first, and ``orders`` their orders.
+    Both are computed on first use and kept for the object's lifetime, so
+    a caller that needs only the generators closes nothing, and every
+    rule, search and replay handed the same object shares one closure.
+    ``cap`` bounds that closure (see ``group_closure``).  A 9x9 matrix is
+    built only for an element that needs one (Carter typing, witnesses).
+    """
 
     generators: tuple[LatticeIsometry, ...]
     label: str = ""
+    cap: int = 10000
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "generators", tuple(self.generators))
+        if self.cap < 1:
+            raise ValueError("cap must be >= 1")
+
+    @cached_property
+    def perms(self) -> np.ndarray:
+        return group_closure(self, self.cap)
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        return permutation_orders(self.perms)
+
+    @cached_property
+    def _keys(self) -> set[bytes]:
+        return {p.tobytes() for p in self.perms}
+
+    def of_order(self, n: int) -> np.ndarray:
+        """Closure indices of the elements of order n, in closure order."""
+        return np.flatnonzero(self.orders == n)
+
+    def element(self, i: int) -> LatticeIsometry:
+        from .curves import curve_table
+
+        return curve_table().isometry_of(self.perms[i])
+
+    def contains(self, m: LatticeIsometry) -> bool:
+        from .curves import curve_table
+
+        return curve_table().permutation_of(m).tobytes() in self._keys
 
 
 TRIVIAL_GROUP = GroupSpec((), "trivial")
@@ -344,6 +383,27 @@ def group_closure(g: GroupLike, cap: int = 10000) -> np.ndarray:
                 seen[key] = nxt
                 queue.append(nxt)
     return np.stack(list(seen.values()))
+
+
+def permutation_orders(perms: np.ndarray, cap: int = 60) -> np.ndarray:
+    """Orders of curve permutations, one per row of perms; raises past cap.
+
+    The order is the lcm of the cycle lengths, and a curve's cycle length
+    is the least k with perm^k(c) = c; the powers of all rows are taken
+    together.
+    """
+    ids = np.arange(perms.shape[1])
+    lengths = np.zeros(perms.shape, dtype=np.int64)
+    power = perms
+    for k in range(1, cap + 1):
+        lengths[(power == ids) & (lengths == 0)] = k
+        if lengths.all():
+            orders = np.lcm.reduce(lengths, axis=1)
+            if orders.max(initial=1) > cap:
+                break
+            return orders
+        power = np.take_along_axis(perms, power, axis=1)
+    raise ValueError(f"element order exceeds cap {cap}")
 
 
 # -- permutation shorthand and text I/O ------------------------------------

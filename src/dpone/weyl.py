@@ -14,8 +14,6 @@ import enum
 from functools import cache
 from itertools import combinations
 
-import numpy as np
-
 from .curves import curve_table
 from .lattice import (
     CANONICAL_CLASS,
@@ -29,6 +27,7 @@ from .lattice import (
     pair,
     parse_cycles,
     permutation_isometry,
+    permutation_orders,
     simple_roots,
 )
 
@@ -92,27 +91,6 @@ def rotation(a: DivisorClass, b: DivisorClass) -> LatticeIsometry:
     if pair(a, b) != 1:
         raise ValueError(f"roots do not span an A2 plane: a*b = {pair(a, b)}")
     return reflection(a) @ reflection(b)
-
-
-def permutation_orders(perms: np.ndarray, cap: int = 60) -> np.ndarray:
-    """Orders of curve permutations, one per row of perms; raises past cap.
-
-    The order is the lcm of the cycle lengths, and a curve's cycle length
-    is the least k with perm^k(c) = c; the powers of all rows are taken
-    together.
-    """
-    ids = np.arange(perms.shape[1])
-    lengths = np.zeros(perms.shape, dtype=np.int64)
-    power = perms
-    for k in range(1, cap + 1):
-        lengths[(power == ids) & (lengths == 0)] = k
-        if lengths.all():
-            orders = np.lcm.reduce(lengths, axis=1)
-            if orders.max(initial=1) > cap:
-                break
-            return orders
-        power = np.take_along_axis(perms, power, axis=1)
-    raise ValueError(f"element order exceeds cap {cap}")
 
 
 def element_order(m: LatticeIsometry, cap: int = 60) -> int:

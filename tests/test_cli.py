@@ -350,6 +350,22 @@ def test_directory_input_exits_2(capsys, tmp_path, argv):
     assert err.startswith("error: cannot read") and str(tmp_path) in err
 
 
+@pytest.mark.parametrize("gamma", [(), ("-gamma", "(1 2 3)")], ids=["trivial", "A2"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cap_below_one_exits_2(capsys, cap, gamma):
+    code, out, err = run(capsys, "--cap", cap, "report", *gamma)
+    assert code == 2
+    assert out == ""
+    assert err == "error: cap must be >= 1\n"
+
+
+def test_cap_exceeded_exits_2(capsys):
+    code, out, err = run(capsys, "--cap", "5", "report", "-gamma", "(1 2 3 4 5 6 7 8)")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "cap 5" in err
+
+
 def test_non_isometry_matrix_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     rows = [" ".join("0" for _ in range(9)) for _ in range(9)]

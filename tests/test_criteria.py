@@ -291,19 +291,30 @@ def test_minimality_cert_included_in_report():
 
 
 def test_report_closes_each_group_once(monkeypatch):
-    # Bertini: no rule hits before the even rule, so all three
-    # closure-reading rules and the minimality search run
-    import dpone.criteria as criteria
+    # Gamma = <Bertini>: no rule hits before the even rule, so all three
+    # closure-reading rules run; the minimality search closes G, and the
+    # replays of the witness and the certificate reuse both closures.
+    # Bertini is central, so it commutes with the A2^2 pair, whose
+    # certificate survives the combined group.
+    import dpone.lattice as lattice
 
     closed = []
-    real = criteria.group_closure
+    real = lattice.group_closure
 
     def counting(g, cap=10000):
         closed.append(g.label)
         return real(g, cap)
 
-    monkeypatch.setattr(criteria, "group_closure", counting)
-    gamma = GroupSpec((bertini_isometry(),), "Gamma")
-    report = rationality_report(ActionSetup(GroupSpec((), "G"), gamma))
-    assert report.rule == "not_rational_even"
-    assert sorted(closed) == ["G", "Gamma"]
+    monkeypatch.setattr(lattice, "group_closure", counting)
+    for g_gens in ((), _commuting_pair(CarterType3.A2x2)[:2]):
+        closed.clear()
+        setup = ActionSetup(
+            GroupSpec(g_gens, "G"), GroupSpec((bertini_isometry(),), "Gamma")
+        )
+        report = rationality_report(setup)
+        assert report.rule == "not_rational_even"
+        assert replay_even(setup.gamma_group, report.witness)
+        assert (report.minimality is not None) == bool(g_gens)
+        if g_gens:
+            assert replay_minimality(setup, report.minimality)
+        assert sorted(closed) == ["G", "Gamma"]
