@@ -11,6 +11,9 @@ from scratch by the matching replay_* function.  The rules are sufficient
 conditions, so Inconclusive is an honest verdict.  Rational verdicts are
 a lattice-level statement: the lattice cannot see rational points, so
 they assume the surface has one where the geometric argument needs it.
+
+The rules read stars as rows of the star table and star pairs only
+through `pair_codes`; the replays re-check star pairs with `classify_pair`.
 """
 
 from __future__ import annotations
@@ -33,14 +36,13 @@ from .lattice import (
     permutation_orders,
 )
 from .stars import (
-    ActionKind,
+    PAIR_TYPES,
     PairType,
     StarConfiguration,
     classify_pair,
     generator_permutations,
     invariant_curves,
-    invariant_stars,
-    star_actions,
+    pair_codes,
     star_masks,
     star_rotation,
     star_table,
@@ -50,6 +52,8 @@ from .weyl import (
     carter_type_order3,
     element_order,
 )
+
+ASYNCHRONIZED = PAIR_TYPES.index(PairType.ASYNCHRONIZED)  # its pair code
 
 RATIONAL_CAVEAT = (
     "lattice-level verdict: assumes the surface has a suitable rational point, "
@@ -139,18 +143,20 @@ def check_not_rational_carter(gamma: GroupSpec) -> CarterWitness | None:
     return None
 
 
-def _faithful_stars_of(perm: np.ndarray) -> list[StarConfiguration]:
-    return [
-        a.star for a in star_actions(perm[None]) if a.kind is ActionKind.FAITHFUL
-    ]
+def _faithful(perms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(k, m) mask: permutation k maps star row m to itself and moves a curve."""
+    setwise, pointwise = star_masks(perms, rows)
+    return setwise & ~pointwise
 
 
 def check_not_rational_stars(gamma: GroupSpec) -> StarsWitness | None:
-    """An order-3 element acting faithfully on three of its invariant stars."""
+    """An order-3 element acting faithfully on three invariant stars (lowest ids)."""
+    table = star_table()
     for i in gamma.of_order(3):
-        faithful = _faithful_stars_of(gamma.perms[i])
-        if len(faithful) >= 3:
-            return StarsWitness(gamma.element(i), tuple(faithful[:3]))
+        hits = np.flatnonzero(_faithful(gamma.perms[i][None], table.ids_array)[0])
+        if len(hits) >= 3:
+            stars = tuple(map(table.star, hits[:3].tolist()))
+            return StarsWitness(gamma.element(i), stars)
     return None
 
 
@@ -207,41 +213,27 @@ def _verify_triple_sum(w: TripleWitness) -> None:
         raise CertificateViolation(f"triple sum fails the plane-model check: {w}")
 
 
-def _all_ones_cross(a: StarConfiguration, b: StarConfiguration) -> bool:
-    p = curve_table().pairing
-    return all(p[x][y] == 1 for x in a.curve_ids for y in b.curve_ids)
-
-
 def check_rational_two_stars(gamma: GroupSpec) -> TwoStarsWitness | None:
     """Two pointwise-fixed stars that are asynchronized.
 
-    Asynchronized means all 36 cross pairings equal 1, so the scan tests
-    that directly and classify_pair confirms the hit.
+    Scans the pointwise-fixed stars' pairs in combinations order over star
+    ids and returns the first whose `pair_codes` code is asynchronized (all
+    36 cross pairings 1).
     """
-    pointwise = [
-        a.star
-        for a in invariant_stars(gamma)
-        if a.kind is ActionKind.TRIVIAL
-    ]
-    for a, b in combinations(pointwise, 2):
-        if a.support & b.support:
-            continue
-        if _all_ones_cross(a, b):
-            if classify_pair(a, b).pair_type is not PairType.ASYNCHRONIZED:
-                raise CertificateViolation("all-ones pair not asynchronized")
-            return TwoStarsWitness((a, b))
+    table = star_table()
+    _, pointwise = star_masks(generator_permutations(gamma), table.ids_array)
+    fixed = np.flatnonzero(pointwise.all(axis=0))
+    rows = table.ids_array[fixed]
+    for i in range(len(rows) - 1):
+        hits = np.flatnonzero(pair_codes(rows[i], rows[i + 1 :]) == ASYNCHRONIZED)
+        if len(hits):
+            a, b = fixed[[i, i + 1 + hits[0]]].tolist()
+            return TwoStarsWitness((table.star(a), table.star(b)))
     return None
 
 
 # ---------------------------------------------------------------------------
 # minimality
-
-def _faithful(perms: np.ndarray, stars) -> np.ndarray:
-    """(k, m) mask: permutation k maps star m to itself and moves a curve."""
-    ids = np.array([s.curve_ids for s in stars], dtype=np.int16).reshape(-1, 6)
-    setwise, pointwise = star_masks(perms, ids)
-    return setwise & ~pointwise
-
 
 def search_commuting_order3(
     g: LatticeIsometry, faithful_on
@@ -269,7 +261,7 @@ def search_commuting_order3(
             continue
         if permutation_orders(h[None])[0] != 3:
             continue
-        if _faithful(h[None], stars).all():
+        if _faithful(h[None], np.array([s.curve_ids for s in stars])).all():
             return t.isometry_of(h)
     raise ValueError("no commuting order-3 element found over the star planes")
 
@@ -278,38 +270,36 @@ def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None
     """Four pairwise-asynchronized invariant stars, each rotated by G.
 
     Stars must be setwise invariant under the combined group; each needs
-    an order-3 element of G acting faithfully on it.  When the clique
-    exists the fixed rank of the combined group is computed directly and
-    must equal 1.
+    an order-3 element of G acting faithfully on it.  The search reads the
+    candidates' pair codes, computed once.  When the clique exists the
+    fixed rank of the combined group is computed directly and must equal 1.
     """
     g = setup.g_group
     order3 = g.of_order(3)
     if not len(order3):
         return None
-    stars = [a.star for a in invariant_stars(setup.combined)]
-    faithful = _faithful(g.perms[order3], stars)
+    table = star_table()
+    setwise, _ = star_masks(generator_permutations(setup.combined), table.ids_array)
+    invariant = np.flatnonzero(setwise.all(axis=0))
+    faithful = _faithful(g.perms[order3], table.ids_array[invariant])
+    rotated = faithful.any(axis=0)
+    candidates = invariant[rotated]
     # each star takes the first order-3 element, in closure order, that rotates it
-    candidates: list[tuple[StarConfiguration, int]] = [
-        (s, int(order3[faithful[:, j].argmax()]))
-        for j, s in enumerate(stars)
-        if faithful[:, j].any()
-    ]
+    rotator = order3[faithful[:, rotated].argmax(axis=0)]
+    rows = table.ids_array[candidates]
+    n = len(rows)
+    asynchronized = np.zeros((n, n), dtype=bool)  # filled and read for i < j only
+    for i in range(n - 1):
+        asynchronized[i, i + 1 :] = pair_codes(rows[i], rows[i + 1 :]) == ASYNCHRONIZED
 
-    chosen: list[tuple[StarConfiguration, int]] = []
-
-    def compatible(s: StarConfiguration) -> bool:
-        return all(
-            not (s.support & prev.support) and _all_ones_cross(s, prev)
-            for prev, _ in chosen
-        )
+    chosen: list[int] = []
 
     def rec(start: int) -> bool:
         if len(chosen) == 4:
             return True
-        for idx in range(start, len(candidates)):
-            s, m = candidates[idx]
-            if compatible(s):
-                chosen.append((s, m))
+        for idx in range(start, n):
+            if asynchronized[chosen, idx].all():
+                chosen.append(idx)
                 if rec(idx + 1):
                     return True
                 chosen.pop()
@@ -317,11 +307,8 @@ def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None
 
     if not rec(0):
         return None
-    stars = tuple(s for s, _ in chosen)
-    elements = tuple(g.element(i) for _, i in chosen)
-    for a, b in combinations(stars, 2):
-        if classify_pair(a, b).pair_type is not PairType.ASYNCHRONIZED:
-            raise CertificateViolation("clique member pair not asynchronized")
+    stars = tuple(table.star(int(candidates[i])) for i in chosen)
+    elements = tuple(g.element(int(rotator[i])) for i in chosen)
     rank = fixed_rank(setup.combined)
     if rank != 1:
         raise CertificateViolation(
@@ -351,8 +338,8 @@ def replay_stars(gamma: GroupSpec, w: StarsWitness) -> bool:
         return False
     if len(set(w.stars)) < 3:
         return False
-    faithful = set(_faithful_stars_of(curve_table().permutation_of(w.element)))
-    return all(s in faithful for s in w.stars)
+    perm = curve_table().permutation_of(w.element)
+    return bool(_faithful(perm[None], np.array([s.curve_ids for s in w.stars])).all())
 
 
 def replay_even(gamma: GroupSpec, w: EvenWitness) -> bool:
@@ -396,7 +383,7 @@ def replay_minimality(setup: ActionSetup, cert: MinimalityCertificate) -> bool:
         setwise, _ = star_masks(combined, np.array([s.curve_ids]))
         if not setwise.all():
             return False
-        if not _faithful(t.permutation_of(m)[None], [s]).all():
+        if not _faithful(t.permutation_of(m)[None], np.array([s.curve_ids])).all():
             return False
     for a, b in combinations(cert.stars, 2):
         if classify_pair(a, b).pair_type is not PairType.ASYNCHRONIZED:

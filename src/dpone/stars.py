@@ -13,10 +13,12 @@ plane rotates the star two steps.
 Two stars with twelve distinct curves interact in exactly one of three
 ways (asynchronized, synchronized, abnormal).  `classify_pair` recognizes
 one pair by brute force over hexagon relabelings and returns the matching
-orderings.  The censuses use `pair_codes`, which looks each cross-pairing
-matrix up, as one base-3 key, among the precomputed keys of every
-relabeled pattern.  Stars with overlapping supports share exactly one
-Bertini pair and fit no pattern; `classify_pair` refuses them.
+orderings; it is the single-pair API and the check behind the witness
+replays.  The censuses and the decision rules use `pair_codes`, which
+looks each cross-pairing matrix up, as one base-3 key, among the
+precomputed keys of every relabeled pattern.  Stars with overlapping
+supports share exactly one Bertini pair and fit no pattern;
+`classify_pair` refuses them and `pair_codes` gives them their own code.
 
 The star table itself is built with array operations on the curve
 table; `star_through` is the one-star construction it vectorizes.
@@ -303,7 +305,7 @@ def classify_pair(a: StarConfiguration, b: StarConfiguration) -> PairClassificat
 
 
 # ---------------------------------------------------------------------------
-# the pair kernel shared by the censuses
+# the pair kernel shared by the censuses and the decision rules
 #
 # A disjoint pair's 6x6 cross-pairing matrix has entries 0..2, so its
 # cells read as one base-3 number.  The pair matches a pattern up to
@@ -328,7 +330,7 @@ def pattern_key_table(
     owner: dict[int, int] = {}
     for code, ptype in enumerate(PAIR_TYPES):
         relabeled = patterns[ptype][D6[:, None, :, None], D6[None, :, None, :]]
-        for key in np.unique(relabeled.reshape(-1, 36) @ _CELL_WEIGHTS).tolist():
+        for key in (relabeled.reshape(-1, 36) @ _CELL_WEIGHTS).tolist():
             if owner.setdefault(key, code) != code:
                 raise TrichotomyViolation(
                     f"patterns {PAIR_TYPES[owner[key]].value} and "

@@ -1,8 +1,14 @@
+from itertools import combinations
+
+import numpy as np
 import pytest
 
 from dpone.criteria import (
     ActionSetup,
+    MinimalityCertificate,
+    StarsWitness,
     TripleWitness,
+    TwoStarsWitness,
     Verdict,
     check_minimal_four_stars,
     check_not_rational_carter,
@@ -29,8 +35,16 @@ from dpone.lattice import (
     pair,
     simple_roots,
 )
-from dpone.stars import ActionKind, PairType, classify_pair, invariant_stars
+from dpone.stars import (
+    ActionKind,
+    PairType,
+    classify_pair,
+    invariant_stars,
+    star_actions,
+    star_masks,
+)
 from dpone.weyl import CarterType3, element_order, reflection, representative_order3
+from test_group_oracles import GROUPS as ORACLE_GROUPS
 
 
 def group_of(*elements, label=""):
@@ -318,3 +332,171 @@ def test_report_closes_each_group_once(monkeypatch):
         if g_gens:
             assert replay_minimality(setup, report.minimality)
         assert sorted(closed) == ["G", "Gamma"]
+
+
+# ---------------------------------------------------------------------------
+# the star rules against object-level reference scans
+#
+# The rules read star-table rows and pair_codes.  The reference versions
+# below walk StarConfiguration objects instead: an all-ones cross test
+# confirmed by classify_pair, a clique search over those tests, and the
+# faithful-star list of StarAction objects.  Witnesses are the first hit
+# in a fixed order, so they must agree exactly, labeling included.
+
+
+def all_ones_cross(a, b):
+    p = curve_table().pairing
+    return all(p[x][y] == 1 for x in a.curve_ids for y in b.curve_ids)
+
+
+def reference_two_stars(gamma):
+    pointwise = [a.star for a in invariant_stars(gamma) if a.kind is ActionKind.TRIVIAL]
+    for a, b in combinations(pointwise, 2):
+        if a.support & b.support:
+            continue
+        if all_ones_cross(a, b):
+            assert classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
+            return TwoStarsWitness((a, b))
+    return None
+
+
+def reference_not_rational_stars(gamma):
+    for i in gamma.of_order(3):
+        faithful = [
+            a.star for a in star_actions(gamma.perms[i][None])
+            if a.kind is ActionKind.FAITHFUL
+        ]
+        if len(faithful) >= 3:
+            return StarsWitness(gamma.element(i), tuple(faithful[:3]))
+    return None
+
+
+def reference_four_stars(setup):
+    g = setup.g_group
+    order3 = g.of_order(3)
+    if not len(order3):
+        return None
+    stars = [a.star for a in invariant_stars(setup.combined)]
+    ids = np.array([s.curve_ids for s in stars]).reshape(-1, 6)
+    setwise, pointwise = star_masks(g.perms[order3], ids)
+    faithful = setwise & ~pointwise
+    candidates = [
+        (s, int(order3[faithful[:, j].argmax()]))
+        for j, s in enumerate(stars)
+        if faithful[:, j].any()
+    ]
+    chosen = []
+
+    def compatible(s):
+        return all(
+            not (s.support & prev.support) and all_ones_cross(s, prev)
+            for prev, _ in chosen
+        )
+
+    def rec(start):
+        if len(chosen) == 4:
+            return True
+        for idx in range(start, len(candidates)):
+            s, m = candidates[idx]
+            if compatible(s):
+                chosen.append((s, m))
+                if rec(idx + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not rec(0):
+        return None
+    stars = tuple(s for s, _ in chosen)
+    for a, b in combinations(stars, 2):
+        assert classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
+    elements = tuple(g.element(i) for _, i in chosen)
+    return MinimalityCertificate(stars, elements, fixed_rank(setup.combined))
+
+
+def same_stars(got, want):
+    return [s.curve_ids for s in got] == [s.curve_ids for s in want]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_star_rules_match_reference_scans(name):
+    gamma = GroupSpec(ORACLE_GROUPS[name], "Gamma")
+    got, want = check_rational_two_stars(gamma), reference_two_stars(gamma)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert same_stars(got.stars, want.stars)
+        assert replay_two_stars(gamma, got)
+    got, want = check_not_rational_stars(gamma), reference_not_rational_stars(gamma)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.element == want.element
+        assert same_stars(got.stars, want.stars)
+        assert replay_stars(gamma, got)
+    setup = ActionSetup(GroupSpec(gamma.generators, "G"), TRIVIAL_GROUP)
+    got, want = check_minimal_four_stars(setup), reference_four_stars(setup)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert same_stars(got.stars, want.stars)
+        assert got.elements == want.elements
+        assert replay_minimality(setup, got)
+
+
+MINIMALITY_GROUPS = {
+    "A2^4 rep": lambda: (REPS[CarterType3.A2x4],),
+    "A2^3 pair": lambda: _commuting_pair(CarterType3.A2x3)[:2],
+    "A2^2 pair": lambda: _commuting_pair(CarterType3.A2x2)[:2],
+}
+
+
+@pytest.mark.parametrize("with_bertini", [False, True], ids=["trivial", "Bertini"])
+@pytest.mark.parametrize("g_name", sorted(MINIMALITY_GROUPS))
+def test_minimality_matches_reference_clique(g_name, with_bertini):
+    gamma = (bertini_isometry(),) if with_bertini else ()
+    setup = ActionSetup(
+        GroupSpec(MINIMALITY_GROUPS[g_name](), "G"), GroupSpec(gamma, "Gamma")
+    )
+    got, want = check_minimal_four_stars(setup), reference_four_stars(setup)
+    assert got is not None and want is not None
+    assert same_stars(got.stars, want.stars)
+    assert got.elements == want.elements
+    assert got.combined_rank == want.combined_rank == 1
+    assert replay_minimality(setup, got)
+
+
+def test_report_path_never_calls_brute_force(monkeypatch):
+    # classify_pair stays the replays' check; the rules read pair_codes
+    import dpone.criteria as criteria
+    import dpone.stars as stars
+
+    def forbidden(a, b):
+        raise AssertionError("classify_pair called on the report path")
+
+    monkeypatch.setattr(criteria, "classify_pair", forbidden)
+    monkeypatch.setattr(stars, "classify_pair", forbidden)
+    gamma = group_of(s8_action("(1 2 3)"))
+    report = gamma_report(gamma)
+    assert report.rule == "rational_two_stars"
+    g, h, _ = _commuting_pair(CarterType3.A2x2)
+    setup = ActionSetup(group_of(g, h), TRIVIAL_GROUP)
+    cert = rationality_report(setup).minimality
+    assert cert is not None
+    monkeypatch.undo()
+    assert replay_two_stars(gamma, report.witness)
+    assert replay_minimality(setup, cert)
+
+
+def test_swapped_kernel_table_is_caught_at_replay(monkeypatch):
+    # a kernel table that files synchronized pairs as asynchronized makes
+    # the rule report a wrong pair; the brute-force replay must reject it
+    import dpone.stars as stars
+
+    swapped = dict(stars.PATTERNS)
+    swapped[PairType.ASYNCHRONIZED] = stars.PATTERNS[PairType.SYNCHRONIZED]
+    swapped[PairType.SYNCHRONIZED] = stars.PATTERNS[PairType.ASYNCHRONIZED]
+    table = stars.pattern_key_table(swapped)
+    monkeypatch.setattr(stars, "pattern_keys", lambda: table)
+    gamma = group_of(s8_action("(1 2 3)"))
+    w = check_rational_two_stars(gamma)
+    assert w is not None
+    assert classify_pair(*w.stars).pair_type is PairType.SYNCHRONIZED
+    assert not replay_two_stars(gamma, w)
