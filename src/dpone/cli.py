@@ -459,9 +459,9 @@ def _lemma_ratcor() -> list[str]:
     # any asynchronized pair contains a qualifying triple
     for sa, sb in sample_pairs_by_type(25)[PairType.ASYNCHRONIZED]:
         a, b, c = sa.curve_ids[0], sb.curve_ids[0], sa.curve_ids[1]
-        p = curve_table().pairing
+        p = curve_table().pairing_array
         _require(
-            p[a][b] == 1 and p[b][c] == 1 and p[a][c] == 0,
+            p[a, b] == 1 and p[b, c] == 1 and p[a, c] == 0,
             "asynchronized pair without an adjacent-plus-cross triple",
         )
     out.append("every sampled asynchronized pair yields a triple")

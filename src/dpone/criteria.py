@@ -160,22 +160,20 @@ def check_not_rational_stars(gamma: GroupSpec) -> StarsWitness | None:
     return None
 
 
-def _antipodal_stars(perm: np.ndarray) -> np.ndarray:
-    """Star ids on which a curve permutation acts as the antipode.
+def _antipodal(perm: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(m,) mask: a curve permutation acts on star row m as the antipode.
 
     Pairing 3 with the image forces H -> H_{i+3} on every member, the
     Bertini flip of the hexagon (only a Bertini pair pairs to 3), so such
     a star is invariant.
     """
-    ids = star_table().ids_array
-    p = curve_table().pairing_array
-    return np.flatnonzero((p[ids, perm[ids]] == 3).all(axis=1))
+    return (curve_table().pairing_array[rows, perm[rows]] == 3).all(axis=1)
 
 
 def check_not_rational_even(gamma: GroupSpec) -> EvenWitness | None:
     """An even-order element acting on an invariant star as the antipode."""
     for i in np.flatnonzero(gamma.orders % 2 == 0):
-        hits = _antipodal_stars(gamma.perms[i])
+        hits = np.flatnonzero(_antipodal(gamma.perms[i], star_table().ids_array))
         if len(hits):
             star = star_table().star(int(hits[0]))
             return EvenWitness(gamma.element(i), int(gamma.orders[i]), star)
@@ -192,13 +190,13 @@ def check_rational_triple(gamma: GroupSpec) -> TripleWitness | None:
     plane model; both equalities are re-checked on the found triple.
     """
     inv = invariant_curves(gamma)
-    p = curve_table().pairing
-    for a in inv:
-        for b in inv:
-            if p[a][b] != 1:
+    p = curve_table().pairing_array[np.ix_(inv, inv)].tolist()
+    for i, a in enumerate(inv):
+        for j, b in enumerate(inv):
+            if p[i][j] != 1:
                 continue
-            for c in inv:
-                if c > a and p[b][c] == 1 and p[a][c] == 0:
+            for k, c in enumerate(inv):
+                if c > a and p[j][k] == 1 and p[i][k] == 0:
                     witness = TripleWitness((a, b, c))
                     _verify_triple_sum(witness)
                     return witness
@@ -348,7 +346,7 @@ def replay_even(gamma: GroupSpec, w: EvenWitness) -> bool:
     if element_order(w.element) != w.order or w.order % 2 != 0:
         return False
     perm = curve_table().permutation_of(w.element)
-    return star_table().star_id(w.star) in _antipodal_stars(perm)
+    return bool(_antipodal(perm, np.array([w.star.curve_ids]))[0])
 
 
 def replay_triple(gamma: GroupSpec, w: TripleWitness) -> bool:
@@ -356,8 +354,8 @@ def replay_triple(gamma: GroupSpec, w: TripleWitness) -> bool:
     inv = set(invariant_curves(gamma))
     if not {a, b, c} <= inv:
         return False
-    p = curve_table().pairing
-    if not (p[a][b] == 1 and p[b][c] == 1 and p[a][c] == 0):
+    p = curve_table().pairing_array
+    if not (p[a, b] == 1 and p[b, c] == 1 and p[a, c] == 0):
         return False
     _verify_triple_sum(w)
     return True

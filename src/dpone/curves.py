@@ -170,13 +170,8 @@ class CurveTable:
         )
         form = np.diag(np.array([1] + [-1] * 8, dtype=np.int64))
         self.pairing_array = (coeff_matrix @ form @ coeff_matrix.T).astype(np.int8)
-        self.pairing: tuple[tuple[int, ...], ...] = tuple(
-            map(tuple, self.pairing_array.tolist())
-        )
         k = np.array(CANONICAL_CLASS.coeffs, dtype=np.int64)
-        self.bertini_ids: tuple[int, ...] = tuple(
-            self.ids_of(-2 * k - coeff_matrix).tolist()
-        )
+        self.bertini_ids = self.ids_of(-2 * k - coeff_matrix)
 
     def curve(self, cid: int) -> ExceptionalCurve:
         return self.curves[cid]

@@ -385,8 +385,12 @@ def group_closure(g: GroupLike, cap: int = 10000) -> np.ndarray:
     return np.stack(list(seen.values()))
 
 
-def permutation_orders(perms: np.ndarray, cap: int = 60) -> np.ndarray:
-    """Orders of curve permutations, one per row of perms; raises past cap.
+# W(E8) elements have order at most 30, so a larger order means a bad input
+ORDER_CAP = 60
+
+
+def permutation_orders(perms: np.ndarray) -> np.ndarray:
+    """Orders of curve permutations, one per row of perms; raises past ORDER_CAP.
 
     The order is the lcm of the cycle lengths, and a curve's cycle length
     is the least k with perm^k(c) = c; the powers of all rows are taken
@@ -395,15 +399,15 @@ def permutation_orders(perms: np.ndarray, cap: int = 60) -> np.ndarray:
     ids = np.arange(perms.shape[1])
     lengths = np.zeros(perms.shape, dtype=np.int64)
     power = perms
-    for k in range(1, cap + 1):
+    for k in range(1, ORDER_CAP + 1):
         lengths[(power == ids) & (lengths == 0)] = k
         if lengths.all():
             orders = np.lcm.reduce(lengths, axis=1)
-            if orders.max(initial=1) > cap:
+            if orders.max(initial=1) > ORDER_CAP:
                 break
             return orders
         power = np.take_along_axis(perms, power, axis=1)
-    raise ValueError(f"element order exceeds cap {cap}")
+    raise ValueError(f"element order exceeds cap {ORDER_CAP}")
 
 
 # -- permutation shorthand and text I/O ------------------------------------

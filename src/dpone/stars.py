@@ -1,10 +1,12 @@
 """Star configurations: hexagons of exceptional curves and their interplay.
 
 A star is a set of six exceptional curves that can be arranged in a cycle
-H_0, ..., H_5 with pairings 0, 2, 3 at cyclic distances 1, 2, 3; the
+H_0, ..., H_5 whose Gram matrix is the circulant STAR_GRAM of
+(-1, 0, 2, 3, 2, 0): pairings 0, 2, 3 at cyclic distances 1, 2, 3.  The
 opposite curve H_{i+3} is always the Bertini partner -2K - H_i.  Any two
 disjoint curves lie in exactly one common star, giving 1120 stars with
-each curve on 28 of them.
+each curve on 28 of them.  Every check reads the curve table's one
+pairing matrix, `pairing_array`.
 
 Adding K to each member turns a star into a hexagon of E8 roots spanning
 an A2 plane, which is how stars talk to the Weyl group: rotating the
@@ -42,8 +44,9 @@ from .lattice import (
 )
 from .weyl import rotation
 
-# cyclic pairing pattern of a star: distances 1..3 pair to 0, 2, 3
-STAR_PATTERN = (0, 2, 3)
+# Gram matrix of a star in hexagon order: the circulant of (-1, 0, 2, 3, 2, 0)
+STAR_GRAM = [[(-1, 0, 2, 3, 2, 0)[(j - i) % 6] for j in range(6)] for i in range(6)]
+_CURVE_IDS = frozenset(range(240))
 
 
 class OverlappingStars(ValueError):
@@ -83,11 +86,6 @@ D6 = np.array([
 ])
 
 
-def _d6_orderings(ids: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All 12 hexagon reorderings (rotations and reflections)."""
-    return [tuple(ids[i] for i in row) for row in D6.tolist()]
-
-
 @dataclass(frozen=True, eq=False)
 class StarConfiguration:
     """Six curve ids in hexagon order; equality ignores the labeling."""
@@ -96,17 +94,17 @@ class StarConfiguration:
 
     def __post_init__(self) -> None:
         ids = self.curve_ids
-        if len(ids) != 6 or len(set(ids)) != 6:
-            raise ValueError("a star needs six distinct curves")
-        p = curve_table().pairing
-        for i in range(6):
-            for d in (1, 2, 3):
-                if p[ids[i]][ids[(i + d) % 6]] != STAR_PATTERN[d - 1]:
-                    raise ValueError("curves do not form a star in this order")
+        if len(ids) != 6 or not _CURVE_IDS.issuperset(ids):
+            raise ValueError(f"a star needs six curve ids in 0..239, got {ids!r}")
+        # the Gram block also rejects repeated curves, whose -1 lands off the
+        # diagonal; take() is cheaper than np.ix_ for the table's 1120 stars
+        gram = curve_table().pairing_array.take(ids, 0).take(ids, 1)
+        if gram.tolist() != STAR_GRAM:
+            raise ValueError("curves do not form a star in this order")
 
     @cached_property
     def canonical_key(self) -> tuple[int, ...]:
-        return min(_d6_orderings(self.curve_ids))
+        return min(map(tuple, np.array(self.curve_ids)[D6].tolist()))
 
     @cached_property
     def support(self) -> frozenset[int]:
@@ -154,7 +152,7 @@ def star_through(a, b) -> StarConfiguration:
     """
     t = curve_table()
     ia, ib = _resolve_curve_id(a), _resolve_curve_id(b)
-    if t.pairing[ia][ib] != 0:
+    if t.pairing_array[ia, ib] != 0:
         raise ValueError(
             f"curves {t.curve(ia).name} and {t.curve(ib).name} are not disjoint"
         )
@@ -165,7 +163,7 @@ def star_through(a, b) -> StarConfiguration:
 
 
 class StarTable:
-    """All 1120 stars, indexed, with membership and support arrays.
+    """All 1120 stars in canonical order, as objects and as a (1120, 6) id array.
 
     Built with array operations from the 6720 disjoint pairs (A, B),
     A < B, of the pairing table: the hexagon is A, B, B - A - K and the
@@ -180,7 +178,7 @@ class StarTable:
         k = np.array(CANONICAL_CLASS.coeffs, dtype=np.int64)
         third = t.ids_of(t.coeff_array[b] - t.coeff_array[a] - k)
         half = np.stack([a, b, third], axis=1)
-        hexagons = np.hstack([half, np.array(t.bertini_ids)[half]])
+        hexagons = np.hstack([half, t.bertini_ids[half]])
         keep = (hexagons[:, 0] == hexagons.min(axis=1)) & (
             hexagons[:, 1] < hexagons[:, 5]
         )
@@ -197,28 +195,12 @@ class StarTable:
             raise AssertionError("star table rows are not 1120 canonical hexagons")
 
         self.ids_array = rows.astype(np.int16)
-        canonical_keys = list(map(tuple, rows.tolist()))
         self.stars: tuple[StarConfiguration, ...] = tuple(
-            StarConfiguration(key) for key in canonical_keys
+            StarConfiguration(tuple(row)) for row in rows.tolist()
         )
-        self.id_by_key: dict[tuple[int, ...], int] = {
-            key: i for i, key in enumerate(canonical_keys)
-        }
-        flat = rows.ravel()
-        order = np.argsort(flat, kind="stable")
-        bounds = np.cumsum(np.bincount(flat, minlength=240))[:-1]
-        self.membership: tuple[tuple[int, ...], ...] = tuple(
-            tuple(m.tolist()) for m in np.split(order // 6, bounds)
-        )
-
-    def star_id(self, s: StarConfiguration) -> int:
-        return self.id_by_key[s.canonical_key]
 
     def star(self, sid: int) -> StarConfiguration:
         return self.stars[sid]
-
-    def stars_containing(self, c) -> tuple[int, ...]:
-        return self.membership[_resolve_curve_id(c)]
 
 
 @cache
@@ -285,23 +267,30 @@ def classify_pair(a: StarConfiguration, b: StarConfiguration) -> PairClassificat
     shared = a.support & b.support
     if shared:
         raise OverlappingStars(frozenset(shared))
-    p = curve_table().pairing
-    hits: dict[PairType, PairClassification] = {}
-    for oa in _d6_orderings(a.curve_ids):
-        for ob in _d6_orderings(b.curve_ids):
+    cross = curve_table().pairing_array[np.ix_(a.curve_ids, b.curve_ids)].tolist()
+    relabelings = D6.tolist()
+    # the first (ra, rb) relabeling, in loop order, that achieves each pattern
+    hits: dict[PairType, tuple[int, int]] = {}
+    for ra, oa in enumerate(relabelings):
+        for rb, ob in enumerate(relabelings):
             for ptype, pat in PATTERNS.items():
                 if all(
-                    p[oa[i]][ob[j]] == pat[i, j]
+                    cross[oa[i]][ob[j]] == pat[i, j]
                     for i in range(6)
                     for j in range(6)
                 ):
-                    hits.setdefault(ptype, PairClassification(ptype, oa, ob))
+                    hits.setdefault(ptype, (ra, rb))
     if len(hits) != 1:
         raise TrichotomyViolation(
             f"pair matched {sorted(t.value for t in hits)} patterns: "
             f"{a.text()} vs {b.text()}"
         )
-    return next(iter(hits.values()))
+    [(ptype, (ra, rb))] = hits.items()
+    return PairClassification(
+        ptype,
+        tuple(a.curve_ids[i] for i in relabelings[ra]),
+        tuple(b.curve_ids[i] for i in relabelings[rb]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +350,8 @@ def pair_codes(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
         hit = shared[over]
         first = hit.argmax(axis=1)
         last = 5 - hit[:, ::-1].argmax(axis=1)
-        bertini = np.array(t.bertini_ids)
-        if np.any(hit.sum(axis=1) != 2) or np.any(bertini[a[first]] != a[last]):
+        partners = t.bertini_ids[a[first]]
+        if np.any(hit.sum(axis=1) != 2) or np.any(partners != a[last]):
             raise TrichotomyViolation(
                 "overlapping pair does not share exactly one Bertini pair"
             )
@@ -436,8 +425,7 @@ def profile(a, star: StarConfiguration) -> IntersectionProfile:
     cid = _resolve_curve_id(a)
     if cid in star.support:
         raise ValueError(f"curve {curve_table().curve(cid).name} lies on the star")
-    p = curve_table().pairing
-    vec = tuple(p[cid][h] for h in star.curve_ids)
+    vec = tuple(curve_table().pairing_array[cid, list(star.curve_ids)].tolist())
     if all(v == 1 for v in vec):
         return IntersectionProfile(ProfileKind.ALL_ONES, vec)
     for k in range(6):
@@ -537,8 +525,7 @@ def star_graph_automorphisms(stars) -> int:
     """
     verts = sorted(set().union(*(s.support for s in stars)))
     n = len(verts)
-    p = curve_table().pairing
-    w = [[p[u][v] for v in verts] for u in verts]
+    w = curve_table().pairing_array[np.ix_(verts, verts)].tolist()
     count = 0
     image: list[int] = []
 

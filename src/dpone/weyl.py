@@ -93,15 +93,14 @@ def rotation(a: DivisorClass, b: DivisorClass) -> LatticeIsometry:
     return reflection(a) @ reflection(b)
 
 
-def element_order(m: LatticeIsometry, cap: int = 60) -> int:
-    """Multiplicative order of an isometry; raises past cap.
+def element_order(m: LatticeIsometry) -> int:
+    """Multiplicative order of an isometry; raises past ORDER_CAP.
 
     W(E8) acts faithfully on the 240 curves, so this is the order of the
-    curve permutation.  W(E8) elements have order at most 30, so the
-    default cap is generous.
+    curve permutation.
     """
     perm = curve_table().permutation_of(m)
-    return int(permutation_orders(perm[None], cap)[0])
+    return int(permutation_orders(perm[None])[0])
 
 
 class CarterType3(enum.Enum):

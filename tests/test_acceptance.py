@@ -176,10 +176,6 @@ def test_criterion_04_star_totals(capsys):
         table = star_table()
         assert [s.curve_ids for s in table.stars] == slow
         assert table.ids_array.tolist() == [list(k) for k in slow]
-        assert table.id_by_key == {k: i for i, k in enumerate(slow)}
-        assert table.membership == tuple(
-            tuple(i for i, k in enumerate(slow) if c in k) for c in range(240)
-        )
         for s in table.stars:
             for c in s.curve_ids:
                 membership[c] += 1

@@ -100,10 +100,10 @@ def test_even_rule_bertini():
     assert w is not None
     assert w.order == 2
     assert replay_even(gamma, w)
-    p = curve_table().pairing
+    p = curve_table().pairing_array
     perm = curve_table().permutation_of(w.element)
     for c in w.star.curve_ids:
-        assert p[c][perm[c]] == 3
+        assert p[c, perm[c]] == 3
 
 
 def test_even_rule_negative_cases():
@@ -142,8 +142,8 @@ def test_triple_search_is_exhaustive_for_a2x3():
     from dpone.stars import invariant_curves
 
     inv = invariant_curves(CANNED["A2^3"])
-    p = curve_table().pairing
-    values = {p[a][b] for a in inv for b in inv if a != b}
+    p = curve_table().pairing_array
+    values = {p[a, b] for a in inv for b in inv if a != b}
     assert 1 not in values
 
 
@@ -345,8 +345,8 @@ def test_report_closes_each_group_once(monkeypatch):
 
 
 def all_ones_cross(a, b):
-    p = curve_table().pairing
-    return all(p[x][y] == 1 for x in a.curve_ids for y in b.curve_ids)
+    p = curve_table().pairing_array
+    return all(p[x, y] == 1 for x in a.curve_ids for y in b.curve_ids)
 
 
 def reference_two_stars(gamma):

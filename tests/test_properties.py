@@ -107,14 +107,14 @@ def test_bertini_involution(c):
 def test_bertini_preserves_pairing(a, b):
     t = curve_table()
     ba, bb = bertini(t.curve(a)).id, bertini(t.curve(b)).id
-    assert t.pairing[a][b] == t.pairing[ba][bb]
+    assert t.pairing_array[a, b] == t.pairing_array[ba, bb]
 
 
 @given(disjoint_curve_pairs)
 def test_star_through_shape(ab):
     a, b = ab
     t = curve_table()
-    assert a != b and t.pairing[a][b] == 0
+    assert a != b and t.pairing_array[a, b] == 0
     ca, cb = t.curve(a), t.curve(b)
     s = star_through(ca, cb)
     assert s == star_through(cb, ca)
@@ -123,7 +123,7 @@ def test_star_through_shape(ab):
     assert t.bertini_ids[ids[0]] == ids[3]
     for i in range(6):
         for d in (1, 2, 3):
-            assert t.pairing[ids[i]][ids[(i + d) % 6]] == (0, 0, 2, 3)[d]
+            assert t.pairing_array[ids[i], ids[(i + d) % 6]] == (0, 0, 2, 3)[d]
 
 
 @given(curve_ids, star_ids)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import numpy as np
@@ -7,6 +8,7 @@ from dpone.curves import bertini, curve_table, s8_action
 from dpone.lattice import CANONICAL_CLASS, pair
 import dpone.stars as stars_module
 from dpone.stars import (
+    D6,
     OVERLAPPING,
     PAIR_TYPES,
     PATTERNS,
@@ -45,6 +47,11 @@ def star_of_names(*names):
     return frozenset(t.id_of_name(n) for n in names)
 
 
+def stars_containing(c):
+    """Star-table ids of the stars through curve c."""
+    return set(np.flatnonzero((star_table().ids_array == c).any(axis=1)).tolist())
+
+
 def test_star_through_example():
     s = star_through("E7", "E8")
     assert s.names == ("E7", "E8", "C7-8", "bE7", "bE8", "C8-7")
@@ -60,9 +67,9 @@ def test_star_pattern_invariants():
     t = curve_table()
     ids = s.curve_ids
     for i in range(6):
-        assert t.pairing[ids[i]][ids[(i + 1) % 6]] == 0
-        assert t.pairing[ids[i]][ids[(i + 2) % 6]] == 2
-        assert t.pairing[ids[i]][ids[(i + 3) % 6]] == 3
+        assert t.pairing_array[ids[i], ids[(i + 1) % 6]] == 0
+        assert t.pairing_array[ids[i], ids[(i + 2) % 6]] == 2
+        assert t.pairing_array[ids[i], ids[(i + 3) % 6]] == 3
         assert bertini(t.curve(ids[i])).id == ids[(i + 3) % 6]
     k = CANONICAL_CLASS
     divisors = [t.curve(i).divisor for i in ids]
@@ -82,6 +89,58 @@ def test_is_star():
     assert not is_star(shuffled)
 
 
+@pytest.mark.parametrize("bad", [-1, 240])
+def test_star_rejects_out_of_range_ids(bad):
+    # (0, 1, 120, 239, 238, 119) is a star; -1 must not index curve 239
+    assert is_star((0, 1, 120, 239, 238, 119))
+    with pytest.raises(ValueError, match="0..239"):
+        StarConfiguration((0, 1, 120, bad, 238, 119))
+    assert not is_star((0, 1, 120, bad, 238, 119))
+
+
+def loop_is_star(p, ids):
+    """The distance-1/2/3 loop over a tuple pairing: the slow star check."""
+    if len(ids) != 6 or len(set(ids)) != 6:
+        return False
+    return all(
+        p[ids[i]][ids[(i + d) % 6]] == (0, 2, 3)[d - 1]
+        for i in range(6)
+        for d in (1, 2, 3)
+    )
+
+
+def gram_is_star(ids):
+    try:
+        StarConfiguration(tuple(ids))
+    except ValueError:
+        return False
+    return True
+
+
+def test_gram_check_agrees_with_loop_oracle():
+    p = tuple(map(tuple, curve_table().pairing_array.tolist()))
+    stars = star_table().ids_array.tolist()
+    relabeled = [[row[i] for i in order] for row in stars for order in D6.tolist()]
+    rng = random.Random(0)
+    near_misses = []
+    for _ in range(1000):
+        a, b = rng.sample(stars, 2)
+        swapped = list(a)
+        for pos in rng.sample(range(6), rng.randint(1, 2)):
+            swapped[pos] = rng.choice(b)
+        # a reordered star passes in 12 of its 720 orders
+        near_misses += [swapped, rng.sample(a + b, 6), rng.sample(a, 6)]
+    short_or_long = [row[:5] for row in stars[:50]] + [
+        row + [c] for row in stars[:50] for c in (row[0], (row[0] + 1) % 240)
+    ]
+    for ids in relabeled + near_misses + short_or_long:
+        expected = loop_is_star(p, ids)
+        assert gram_is_star(ids) == expected == is_star(ids), ids
+    assert all(gram_is_star(ids) for ids in relabeled)
+    assert {gram_is_star(ids) for ids in near_misses} == {True, False}
+    assert not any(gram_is_star(ids) for ids in short_or_long)
+
+
 def test_star_equality_ignores_labeling():
     s = star_through("E7", "E8")
     rotated = StarConfiguration(s.curve_ids[2:] + s.curve_ids[:2])
@@ -93,9 +152,8 @@ def test_star_equality_ignores_labeling():
 def test_enumerate_stars_totals():
     stars = enumerate_stars()
     assert len(stars) == 1120
-    table = star_table()
     for c in range(240):
-        assert len(table.stars_containing(c)) == 28
+        assert len(stars_containing(c)) == 28
 
 
 def test_every_disjoint_pair_yields_its_star():
@@ -118,7 +176,8 @@ def test_stars_stable_under_isometry():
     for s in table.stars[:50]:
         image = tuple(perm[c] for c in s.curve_ids)
         assert is_star(image)
-        assert StarConfiguration(image).canonical_key in table.id_by_key
+        key = StarConfiguration(image).canonical_key
+        assert (table.ids_array == key).all(axis=1).any()
 
 
 def test_bertini_fixes_every_star_antipodally():
@@ -171,7 +230,7 @@ def test_classification_returns_matching_orderings():
             for i in range(6):
                 for j in range(6):
                     assert (
-                        t.pairing[res.ordering_a[i]][res.ordering_b[j]]
+                        t.pairing_array[res.ordering_a[i], res.ordering_b[j]]
                         == pat[i, j]
                     )
 
@@ -189,11 +248,9 @@ def test_trichotomy_census_totals():
 def test_overlap_count_closed_form():
     # stars through a curve all contain its Bertini partner, so overlaps
     # come one per unordered pair of the 28 stars through a Bertini pair
-    table = star_table()
     t = curve_table()
     for c in range(0, 240, 17):
-        through = set(table.stars_containing(c))
-        assert through == set(table.stars_containing(t.bertini_ids[c]))
+        assert stars_containing(c) == stars_containing(t.bertini_ids[c])
     n_pairs = 28 * 27 // 2
     assert trichotomy_census().overlapping == 120 * n_pairs
 
@@ -310,8 +367,8 @@ def test_touching_anchor_matches_adjacency():
     t = curve_table()
     i, j = res.anchor, (res.anchor + 1) % 6
     e6 = t.id_of_name("E6")
-    assert t.pairing[e6][s.curve_ids[i]] == 0
-    assert t.pairing[e6][s.curve_ids[j]] == 0
+    assert t.pairing_array[e6, s.curve_ids[i]] == 0
+    assert t.pairing_array[e6, s.curve_ids[j]] == 0
 
 
 def test_invariant_census_a2():

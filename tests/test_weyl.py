@@ -1,14 +1,17 @@
+import numpy as np
 import pytest
 
 from dpone.curves import s8_action
 from dpone.lattice import (
     CANONICAL_CLASS,
+    ORDER_CAP,
     LatticeIsometry,
     divisor,
     exceptional,
     fixed_rank,
     isometry_to_text,
     pair,
+    permutation_orders,
     simple_roots,
     solve_norm,
 )
@@ -75,11 +78,23 @@ def test_rotation_order_and_rank():
         rotation(a, exceptional(4) - exceptional(5))
 
 
+def cycles_on_240(*lengths):
+    """A permutation of the 240 curve ids made of consecutive cycles."""
+    perm, start = np.arange(240), 0
+    for n in lengths:
+        perm[start : start + n] = np.roll(perm[start : start + n], 1)
+        start += n
+    return perm
+
+
 def test_element_order_cap():
-    g = s8_action("(1 2 3 4 5 6 7)")
-    assert element_order(g) == 7
-    with pytest.raises(ValueError):
-        element_order(g, cap=5)
+    assert element_order(s8_action("(1 2 3 4 5 6 7)")) == 7
+    assert ORDER_CAP == 60
+    assert permutation_orders(cycles_on_240(3, 4, 5)[None]).tolist() == [60]
+    # order 77 is the lcm of short cycles; a 61-cycle outruns the power loop
+    for perm in (cycles_on_240(7, 11), cycles_on_240(61)):
+        with pytest.raises(ValueError, match="exceeds cap 60"):
+            permutation_orders(perm[None])
 
 
 def test_carter_types_of_representatives():
