@@ -33,6 +33,7 @@ from .criteria import (
 )
 from .curves import curve_table, enumerate_curves
 from .lattice import (
+    CLOSURE_CAP,
     GroupSpec,
     LatticeIsometry,
     TRIVIAL_GROUP,
@@ -405,7 +406,7 @@ def _lemma_davidmin() -> list[str]:
     return [f"four-star certificate, combined rank {cert.combined_rank}", "OK"]
 
 
-def _davidmin_pair(ctype: CarterType3) -> tuple[ActionSetup, MinimalityCertificate]:
+def _lemma_davidmin_pair(ctype: CarterType3, rotations: str) -> list[str]:
     g = representative_order3(ctype)
     pointwise = [
         a.star for a in invariant_stars(g) if a.kind is ActionKind.TRIVIAL
@@ -414,21 +415,12 @@ def _davidmin_pair(ctype: CarterType3) -> tuple[ActionSetup, MinimalityCertifica
     setup = ActionSetup(GroupSpec((g, h), "G"), TRIVIAL_GROUP)
     cert = check_minimal_four_stars(setup)
     _require(cert is not None, f"no certificate for the {ctype.display} pair")
-    return setup, cert
-
-
-def _lemma_davidmin1() -> list[str]:
-    setup, cert = _davidmin_pair(CarterType3.A2x3)
     rank = fixed_rank(setup.combined)
     _require(rank == 1, f"direct rank {rank}")
-    return [f"A2^3 with commuting rotation: rank {rank}, certificate found", "OK"]
-
-
-def _lemma_davidmin2() -> list[str]:
-    setup, cert = _davidmin_pair(CarterType3.A2x2)
-    rank = fixed_rank(setup.combined)
-    _require(rank == 1, f"direct rank {rank}")
-    return [f"A2^2 with commuting rotations: rank {rank}, certificate found", "OK"]
+    return [
+        f"{ctype.display} with commuting {rotations}: rank {rank}, certificate found",
+        "OK",
+    ]
 
 
 def _lemma_ratcor() -> list[str]:
@@ -477,8 +469,8 @@ LEMMAS = {
     "2Daviddef": _lemma_2daviddef,
     "Davidauto": _lemma_davidauto,
     "Davidmin": _lemma_davidmin,
-    "Davidmin1": _lemma_davidmin1,
-    "Davidmin2": _lemma_davidmin2,
+    "Davidmin1": lambda: _lemma_davidmin_pair(CarterType3.A2x3, "rotation"),
+    "Davidmin2": lambda: _lemma_davidmin_pair(CarterType3.A2x2, "rotations"),
     "RatCor-consistency": _lemma_ratcor,
 }
 
@@ -516,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     parser.add_argument(
-        "--cap", type=int, default=10000,
+        "--cap", type=int, default=CLOSURE_CAP,
         help="closure bound for the report's groups G and Gamma",
     )
     sub = parser.add_subparsers(dest="command", required=True)

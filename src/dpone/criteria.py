@@ -264,13 +264,33 @@ def search_commuting_order3(
     raise ValueError("no commuting order-3 element found over the star planes")
 
 
+def _first_four_clique(asynchronized: np.ndarray) -> list[int] | None:
+    """The least sorted index 4-tuple whose pairs (i, j), i < j, are all True.
+
+    Reads the (n, n) mask only at i < j.  Sorted cliques grow one index at
+    a time, each row by every larger index that is True against all its
+    members, in (row, index) order, so each level is in lexicographic
+    order and the first row at size 4 is the least.
+    """
+    n = len(asynchronized)
+    cliques = np.arange(n)[:, None]
+    for _ in range(3):
+        rows, j = np.nonzero(np.arange(n) > cliques[:, -1:])
+        keep = asynchronized[cliques[rows], j[:, None]].all(axis=1)
+        cliques = np.column_stack([cliques[rows[keep]], j[keep]])
+    return cliques[0].tolist() if len(cliques) else None
+
+
 def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None:
     """Four pairwise-asynchronized invariant stars, each rotated by G.
 
     Stars must be setwise invariant under the combined group; each needs
     an order-3 element of G acting faithfully on it.  The search reads the
-    candidates' pair codes, computed once.  When the clique exists the
-    fixed rank of the combined group is computed directly and must equal 1.
+    candidates' pair codes, computed once, and takes the least clique of
+    candidate indices; the A2^4 representative has 40 candidates and
+    240, 160 and 40 cliques of sizes 2, 3 and 4.  When the clique exists
+    the fixed rank of the combined group is computed directly and must
+    equal 1.
     """
     g = setup.g_group
     order3 = g.of_order(3)
@@ -290,20 +310,8 @@ def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None
     for i in range(n - 1):
         asynchronized[i, i + 1 :] = pair_codes(rows[i], rows[i + 1 :]) == ASYNCHRONIZED
 
-    chosen: list[int] = []
-
-    def rec(start: int) -> bool:
-        if len(chosen) == 4:
-            return True
-        for idx in range(start, n):
-            if asynchronized[chosen, idx].all():
-                chosen.append(idx)
-                if rec(idx + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not rec(0):
+    chosen = _first_four_clique(asynchronized)
+    if chosen is None:
         return None
     stars = tuple(table.star(int(candidates[i])) for i in chosen)
     elements = tuple(g.element(int(rotator[i])) for i in chosen)

@@ -241,6 +241,13 @@ class LatticeIsometry:
         return f"LatticeIsometry({self.matrix[0]}, ...)"
 
 
+# W(E8) has order 696,729,600, and two generators typed by a user can
+# generate a subgroup far too large to list: a closure raises past its cap
+CLOSURE_CAP = 10000
+# W(E8) elements have order at most 30, so a larger order means a bad input
+ORDER_CAP = 60
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A finitely generated group of lattice isometries, closed at most once.
@@ -256,7 +263,7 @@ class GroupSpec:
 
     generators: tuple[LatticeIsometry, ...]
     label: str = ""
-    cap: int = 10000
+    cap: int = CLOSURE_CAP
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -265,7 +272,7 @@ class GroupSpec:
 
     @cached_property
     def perms(self) -> np.ndarray:
-        return group_closure(self, self.cap)
+        return group_closure(self)
 
     @cached_property
     def orders(self) -> np.ndarray:
@@ -350,7 +357,7 @@ def fixed_rank(g: GroupLike) -> int:
     return RANK - integer_rank(rows)
 
 
-def group_closure(g: GroupLike, cap: int = 10000) -> np.ndarray:
+def group_closure(g: GroupSpec) -> np.ndarray:
     """Curve permutations of all distinct products of the generators.
 
     One int16 row of 240 curve ids per element, breadth-first from the
@@ -358,17 +365,13 @@ def group_closure(g: GroupLike, cap: int = 10000) -> np.ndarray:
     generator order, composed as perm(A @ B) = perm_A[perm_B].  W(E8)
     acts faithfully on the 240 curves, so a row determines its isometry.
 
-    ``cap`` bounds the time and memory a closure may take: W(E8) itself
-    has order 696,729,600, and two generators typed by a user can
-    generate a subgroup far too large to list.  Past ``cap`` elements the
-    closure raises.
+    ``g.cap`` bounds the time and memory a closure may take: past that
+    many elements the closure raises.
     """
     from .curves import curve_table
 
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     table = curve_table()
-    gens = [table.permutation_of(m) for m in _generators_of(g)]
+    gens = [table.permutation_of(m) for m in g.generators]
     identity = np.arange(240, dtype=np.int16)
     seen = {identity.tobytes(): identity}
     queue = deque([identity])
@@ -378,15 +381,11 @@ def group_closure(g: GroupLike, cap: int = 10000) -> np.ndarray:
             nxt = current[gen]
             key = nxt.tobytes()
             if key not in seen:
-                if len(seen) >= cap:
-                    raise ValueError(f"group closure exceeds cap {cap}")
+                if len(seen) >= g.cap:
+                    raise ValueError(f"group closure exceeds cap {g.cap}")
                 seen[key] = nxt
                 queue.append(nxt)
     return np.stack(list(seen.values()))
-
-
-# W(E8) elements have order at most 30, so a larger order means a bad input
-ORDER_CAP = 60
 
 
 def permutation_orders(perms: np.ndarray) -> np.ndarray:

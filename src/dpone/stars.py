@@ -44,8 +44,14 @@ from .lattice import (
 )
 from .weyl import rotation
 
-# Gram matrix of a star in hexagon order: the circulant of (-1, 0, 2, 3, 2, 0)
-STAR_GRAM = [[(-1, 0, 2, 3, 2, 0)[(j - i) % 6] for j in range(6)] for i in range(6)]
+
+def _circulant(row) -> np.ndarray:
+    """6x6 matrix whose entry (i, j) is row[(j - i) % 6]."""
+    return np.array([np.roll(row, i) for i in range(6)], dtype=np.int8)
+
+
+# Gram matrix of a star in hexagon order
+STAR_GRAM = _circulant((-1, 0, 2, 3, 2, 0)).tolist()
 _CURVE_IDS = frozenset(range(240))
 
 
@@ -222,30 +228,20 @@ class PairType(enum.Enum):
     ABNORMAL = "abnormal"
 
 
-def _pattern_matrix(ptype: PairType) -> np.ndarray:
-    m = np.zeros((6, 6), dtype=np.int8)
-    if ptype is PairType.ASYNCHRONIZED:
-        m[:] = 1
-    elif ptype is PairType.SYNCHRONIZED:
-        row = (1, 2, 2, 1, 0, 0)
-        for i in range(6):
-            for j in range(6):
-                m[i, j] = row[(j - i) % 6]
-    else:
-        axis = {0, 3}
-        low = {1, 2}
-        for i in range(6):
-            for j in range(6):
-                if i in axis or j in axis:
-                    m[i, j] = 1
-                elif (i in low) == (j in low):
-                    m[i, j] = 2
-                else:
-                    m[i, j] = 0
-    return m
-
-
-PATTERNS: dict[PairType, np.ndarray] = {p: _pattern_matrix(p) for p in PairType}
+# abnormal: hexagon slots 0 and 3 meet everything once; {1, 2} and {4, 5}
+# meet their own side twice and the other side not at all
+PATTERNS: dict[PairType, np.ndarray] = {
+    PairType.ASYNCHRONIZED: np.ones((6, 6), dtype=np.int8),
+    PairType.SYNCHRONIZED: _circulant((1, 2, 2, 1, 0, 0)),
+    PairType.ABNORMAL: np.array([
+        [1, 1, 1, 1, 1, 1],
+        [1, 2, 2, 1, 0, 0],
+        [1, 2, 2, 1, 0, 0],
+        [1, 1, 1, 1, 1, 1],
+        [1, 0, 0, 1, 2, 2],
+        [1, 0, 0, 1, 2, 2],
+    ], dtype=np.int8),
+}
 
 
 @dataclass(frozen=True)
@@ -342,20 +338,20 @@ def pair_codes(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
     and every other pair matches exactly one pattern.
     """
     t = curve_table()
-    cross = t.pairing_array[a][:, rest].transpose(1, 0, 2)
-    # a curve pairs to -1 only with itself: the positions of a on each row
-    shared = (cross == -1).any(axis=2)
+    in_a = np.zeros(240, dtype=bool)
+    in_a[a] = True
+    shared = in_a[rest]
     over = shared.any(axis=1)
     if over.any():
         hit = shared[over]
-        first = hit.argmax(axis=1)
-        last = 5 - hit[:, ::-1].argmax(axis=1)
-        partners = t.bertini_ids[a[first]]
-        if np.any(hit.sum(axis=1) != 2) or np.any(partners != a[last]):
+        both = rest[over][hit]  # the shared ids, two per row if the pair is sound
+        if np.any(hit.sum(axis=1) != 2) or np.any(
+            t.bertini_ids[both[::2]] != both[1::2]
+        ):
             raise TrichotomyViolation(
                 "overlapping pair does not share exactly one Bertini pair"
             )
-    cells = cross[~over].reshape(-1, 36)
+    cells = t.pairing_array[a][:, rest[~over]].transpose(1, 0, 2).reshape(-1, 36)
     table, table_codes = pattern_keys()
     keys = cells @ _CELL_WEIGHTS
     at = np.searchsorted(table, keys).clip(max=len(table) - 1)
@@ -520,31 +516,24 @@ def star_graph_automorphisms(stars) -> int:
     """Order of the weight-preserving symmetry group of a union of stars.
 
     Vertices are the curves of the given stars; the weight of an edge is
-    the pairing.  Counted by backtracking, so only meant for one or two
-    stars at a time.
+    the pairing.  Each row of ``maps`` is an injective, weight-preserving
+    map of vertices 0..pos-1; every row is extended by every vertex whose
+    weights to the row's images match those of vertex pos.  A level holds
+    at most as many rows as an induced subgraph has symmetries (288 for
+    two stars).
     """
     verts = sorted(set().union(*(s.support for s in stars)))
     n = len(verts)
-    w = curve_table().pairing_array[np.ix_(verts, verts)].tolist()
-    count = 0
-    image: list[int] = []
-
-    def rec(pos: int) -> None:
-        nonlocal count
-        if pos == n:
-            count += 1
-            return
-        used = set(image)
-        for cand in range(n):
-            if cand in used:
-                continue
-            if all(w[pos][i] == w[cand][image[i]] for i in range(pos)):
-                image.append(cand)
-                rec(pos + 1)
-                image.pop()
-
-    rec(0)
-    return count
+    w = curve_table().pairing_array[np.ix_(verts, verts)]
+    maps = np.zeros((1, 0), dtype=np.intp)
+    for pos in range(n):
+        rows = np.repeat(maps, n, axis=0)
+        cand = np.tile(np.arange(n), len(maps))
+        # an image already used pairs -1 with itself, and distinct curves
+        # pair 0..3, so this test also keeps every map injective
+        keep = (w[cand[:, None], rows] == w[pos, :pos]).all(axis=1)
+        maps = np.column_stack([rows[keep], cand[keep]])
+    return len(maps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +11,7 @@ from dpone.criteria import (
     TripleWitness,
     TwoStarsWitness,
     Verdict,
+    _first_four_clique,
     check_minimal_four_stars,
     check_not_rational_carter,
     check_not_rational_even,
@@ -33,6 +35,7 @@ from dpone.lattice import (
     TRIVIAL_GROUP,
     fixed_rank,
     pair,
+    permutation_isometry,
     simple_roots,
 )
 from dpone.stars import (
@@ -315,9 +318,9 @@ def test_report_closes_each_group_once(monkeypatch):
     closed = []
     real = lattice.group_closure
 
-    def counting(g, cap=10000):
+    def counting(g):
         closed.append(g.label)
-        return real(g, cap)
+        return real(g)
 
     monkeypatch.setattr(lattice, "group_closure", counting)
     for g_gens in ((), _commuting_pair(CarterType3.A2x2)[:2]):
@@ -451,16 +454,56 @@ MINIMALITY_GROUPS = {
 @pytest.mark.parametrize("with_bertini", [False, True], ids=["trivial", "Bertini"])
 @pytest.mark.parametrize("g_name", sorted(MINIMALITY_GROUPS))
 def test_minimality_matches_reference_clique(g_name, with_bertini):
+    # relabelling the eight points conjugates G and reorders its candidates
     gamma = (bertini_isometry(),) if with_bertini else ()
-    setup = ActionSetup(
-        GroupSpec(MINIMALITY_GROUPS[g_name](), "G"), GroupSpec(gamma, "Gamma")
-    )
-    got, want = check_minimal_four_stars(setup), reference_four_stars(setup)
-    assert got is not None and want is not None
-    assert same_stars(got.stars, want.stars)
-    assert got.elements == want.elements
-    assert got.combined_rank == want.combined_rank == 1
-    assert replay_minimality(setup, got)
+    base = MINIMALITY_GROUPS[g_name]()
+    for seed in (None, 0, 1, 2):
+        gens = base
+        if seed is not None:
+            images = list(range(1, 9))
+            random.Random(seed).shuffle(images)
+            p = permutation_isometry(dict(zip(range(1, 9), images)))
+            gens = tuple(p @ m @ p.inverse() for m in base)
+        setup = ActionSetup(GroupSpec(gens, "G"), GroupSpec(gamma, "Gamma"))
+        got, want = check_minimal_four_stars(setup), reference_four_stars(setup)
+        assert got is not None and want is not None
+        assert same_stars(got.stars, want.stars)
+        assert got.elements == want.elements
+        assert got.combined_rank == want.combined_rank == 1
+        assert replay_minimality(setup, got)
+
+
+def dfs_four_clique(asynchronized):
+    """The recursive search that _first_four_clique replaced."""
+    n = len(asynchronized)
+    chosen = []
+
+    def rec(start):
+        if len(chosen) == 4:
+            return True
+        for idx in range(start, n):
+            if asynchronized[chosen, idx].all():
+                chosen.append(idx)
+                if rec(idx + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return chosen if rec(0) else None
+
+
+def test_clique_search_matches_dfs_and_reads_upper_triangle():
+    # the lower triangle and diagonal hold noise the search must never read
+    rng = np.random.default_rng(4)
+    found = 0
+    for n in (0, 3, 4, 5, 12, 30):
+        for density in (0.2, 0.5, 0.8):
+            upper = np.triu(rng.random((n, n)) < density, 1)
+            noisy = upper | np.tril(rng.random((n, n)) < 0.5)
+            want = dfs_four_clique(upper)
+            assert _first_four_clique(noisy) == want
+            found += want is not None
+    assert found >= 5
 
 
 def test_report_path_never_calls_brute_force(monkeypatch):

@@ -110,9 +110,9 @@ def test_group_orders():
 
 
 def test_s8_closes_at_its_order():
-    gens = GroupSpec((s8_action("(1 2)"), s8_action("(1 2 3 4 5 6 7 8)")))
-    elements = group_closure(gens, cap=40320)
+    gens = (s8_action("(1 2)"), s8_action("(1 2 3 4 5 6 7 8)"))
+    elements = group_closure(GroupSpec(gens, cap=40320))
     assert elements.shape == (40320, 240)
     assert len({row.tobytes() for row in elements}) == 40320
     with pytest.raises(ValueError, match="exceeds cap 10000"):
-        group_closure(gens)
+        group_closure(GroupSpec(gens))

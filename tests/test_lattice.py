@@ -189,7 +189,7 @@ def test_integer_rank():
 
 def test_group_closure_cyclic():
     g = permutation_isometry(parse_cycles("(1 2 3)"))
-    elements = group_closure(g)
+    elements = group_closure(GroupSpec((g,)))
     assert len(elements) == 3
     assert elements[0].tolist() == list(range(240))
 
@@ -199,10 +199,11 @@ def test_group_closure_cap():
         (
             permutation_isometry(parse_cycles("(1 2)")),
             permutation_isometry(parse_cycles("(1 2 3 4 5 6 7 8)")),
-        )
+        ),
+        cap=100,
     )
     with pytest.raises(ValueError, match="cap"):
-        group_closure(gens, cap=100)
+        group_closure(gens)
 
 
 def test_parse_cycles_round_trip():

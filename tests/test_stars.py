@@ -327,6 +327,15 @@ def test_pair_codes_reject_corrupted_key(monkeypatch):
             pair_codes(np.array(a.curve_ids), np.array([b.curve_ids]))
 
 
+def test_pair_codes_reject_unpaired_shared_curves():
+    # two shared curves that are neighbors on the hexagon, not partners
+    a = star_through("E7", "E8")
+    b = star_through("L78", "Q123")
+    forged = a.curve_ids[:2] + b.curve_ids[2:]
+    with pytest.raises(TrichotomyViolation, match="Bertini pair"):
+        pair_codes(np.array(a.curve_ids), np.array([forged]))
+
+
 def test_pair_codes_reject_broken_overlap():
     # a hexagon sharing a curve but not its Bertini partner
     a = star_through("E7", "E8")
@@ -470,6 +479,46 @@ def test_star_graph_automorphism_orders():
     for ptype, pairs in samples.items():
         for sa, sb in pairs:
             assert star_graph_automorphisms([sa, sb]) == expected[ptype]
+
+
+def backtrack_automorphisms(stars) -> int:
+    """The recursive count that star_graph_automorphisms replaced."""
+    verts = sorted(set().union(*(s.support for s in stars)))
+    n = len(verts)
+    w = curve_table().pairing_array[np.ix_(verts, verts)].tolist()
+    count = 0
+    image: list[int] = []
+
+    def rec(pos: int) -> None:
+        nonlocal count
+        if pos == n:
+            count += 1
+            return
+        used = set(image)
+        for cand in range(n):
+            if cand in used:
+                continue
+            if all(w[pos][i] == w[cand][image[i]] for i in range(pos)):
+                image.append(cand)
+                rec(pos + 1)
+                image.pop()
+
+    rec(0)
+    return count
+
+
+def test_automorphisms_match_backtracking():
+    stars = enumerate_stars()
+    graphs = [[s] for s in stars[:10]]
+    graphs += [list(p) for pairs in sample_pairs_by_type(10).values() for p in pairs]
+    ids = star_table().ids_array
+    overlapping = np.flatnonzero(pair_codes(ids[0], ids[1:]) == OVERLAPPING)[:10]
+    assert len(overlapping) == 10
+    graphs += [[stars[0], stars[1 + b]] for b in overlapping.tolist()]
+    rng = random.Random(3)
+    graphs += [rng.sample(stars, 3) for _ in range(5)]
+    for g in graphs:
+        assert star_graph_automorphisms(g) == backtrack_automorphisms(g)
 
 
 def test_star_plane_and_rotation():
