@@ -73,10 +73,14 @@ class ActionSetup:
     gamma_group: GroupSpec
 
     def __post_init__(self) -> None:
-        for a in self.g_group.generators:
-            for b in self.gamma_group.generators:
-                if a @ b != b @ a:
-                    raise ValueError("g_group and gamma_group do not commute")
+        # W(E8) acts faithfully on the curves, so two elements commute
+        # exactly when their curve permutations do
+        if not (self.g_group.generators and self.gamma_group.generators):
+            return
+        gamma = generator_permutations(self.gamma_group)
+        for a in generator_permutations(self.g_group):
+            if (a[gamma] != gamma[:, a]).any():
+                raise ValueError("g_group and gamma_group do not commute")
 
     @cached_property
     def combined(self) -> GroupSpec:

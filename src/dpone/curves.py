@@ -10,7 +10,9 @@ split into seven families, read off from the L-coefficient:
 E_i is a blown-up point, L_ij a line through two points, Q_ijk a conic
 through five, C_i-j a cubic through seven with a double point at p_i;
 the b-families are their images under the Bertini involution
-D -> -2K - D (and C_i-j maps to C_j-i).
+D -> -2K - D (and C_i-j maps to C_j-i).  Each name is written by the
+same loop that writes its class, with sorted indices ("L12", never
+"L21"), and a name is read back by lookup, not by parsing.
 
 Curves carry dense ids 0..239 assigned by lexicographic coefficient
 order; all higher modules speak ids and look pairings up in a
@@ -19,7 +21,6 @@ precomputed 240x240 table.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
@@ -28,13 +29,12 @@ import numpy as np
 
 from .lattice import (
     CANONICAL_CLASS,
+    FORM_DIAG,
     LINE,
     RANK,
     DivisorClass,
     LatticeIsometry,
-    divisor,
     exceptional,
-    pair,
     parse_cycles,
     permutation_isometry,
 )
@@ -67,76 +67,29 @@ def bertini_class(d: DivisorClass) -> DivisorClass:
     return -2 * CANONICAL_CLASS - d
 
 
-def _family_classes() -> dict[DivisorClass, str]:
-    """Closed-form generator of the seven families, keyed by class."""
-    out: dict[DivisorClass, str] = {}
+def _family_classes() -> dict[DivisorClass, tuple[str, str]]:
+    """Closed-form generator of the seven families: class -> (family, name)."""
+    out: dict[DivisorClass, tuple[str, str]] = {}
     e = [None] + [exceptional(i) for i in range(1, 9)]
     total = sum((e[i] for i in range(2, 9)), e[1])
     for i in range(1, 9):
-        out[e[i]] = "E"
+        out[e[i]] = ("E", f"E{i}")
     for i, j in combinations(range(1, 9), 2):
-        out[LINE - e[i] - e[j]] = "L2"
+        out[LINE - e[i] - e[j]] = ("L2", f"L{i}{j}")
     for i, j, k in combinations(range(1, 9), 3):
-        out[2 * LINE + e[i] + e[j] + e[k] - total] = "Q"
+        out[2 * LINE + e[i] + e[j] + e[k] - total] = ("Q", f"Q{i}{j}{k}")
     for i, j in permutations(range(1, 9), 2):
-        out[3 * LINE - e[i] + e[j] - total] = "C"
-    for d, fam in list(out.items()):
-        if fam in ("E", "L2", "Q"):
-            out[bertini_class(d)] = "B" + ("E" if fam == "E" else fam[0])
+        out[3 * LINE - e[i] + e[j] - total] = ("C", f"C{i}-{j}")
+    for d, (fam, name) in list(out.items()):
+        if fam != "C":
+            out[bertini_class(d)] = ("B" + fam[0], "b" + name)
     return out
 
 
-def _curve_name(d: DivisorClass, family: str) -> str:
-    e_coeffs = d.coeffs[1:]
-    if family == "E":
-        return f"E{e_coeffs.index(1) + 1}"
-    if family == "L2":
-        ij = [i + 1 for i, c in enumerate(e_coeffs) if c == -1]
-        return "L{}{}".format(*ij)
-    if family == "Q":
-        ijk = [i + 1 for i, c in enumerate(e_coeffs) if c == 0]
-        return "Q{}{}{}".format(*ijk)
-    if family == "C":
-        i = e_coeffs.index(-2) + 1
-        j = e_coeffs.index(0) + 1
-        return f"C{i}-{j}"
-    # b-families: name through the Bertini partner.
-    partner = bertini_class(d)
-    base = {"BE": "E", "BL": "L2", "BQ": "Q"}[family]
-    return "b" + _curve_name(partner, base)
-
-
-_NAME_RE = re.compile(r"^(b?)(E([1-8])|L([1-8])([1-8])|Q([1-8])([1-8])([1-8])|C([1-8])-([1-8]))$")
-
-
 def class_of_name(name: str) -> DivisorClass:
-    """Parse a curve name such as "E1", "L12", "Q123", "C1-2", "bQ123"."""
-    m = _NAME_RE.match(name.strip())
-    if not m:
-        raise ValueError(f"malformed curve name: {name!r}")
-    bert, body = m.group(1), m.group(2)
-    e = [None] + [exceptional(i) for i in range(1, 9)]
-    total = sum((e[i] for i in range(2, 9)), e[1])
-    if body.startswith("E"):
-        d = e[int(body[1])]
-    elif body.startswith("L"):
-        i, j = sorted(int(c) for c in body[1:])
-        if i == j:
-            raise ValueError(f"repeated index in curve name: {name!r}")
-        d = LINE - e[i] - e[j]
-    elif body.startswith("Q"):
-        idx = sorted(int(c) for c in body[1:])
-        if len(set(idx)) != 3:
-            raise ValueError(f"repeated index in curve name: {name!r}")
-        d = 2 * LINE + e[idx[0]] + e[idx[1]] + e[idx[2]] - total
-    else:  # C i - j
-        i, j = int(body[1]), int(body[3])
-        if i == j:
-            raise ValueError(f"repeated index in curve name: {name!r}")
-        d = 3 * LINE - e[i] + e[j] - total
-        if bert:
-            raise ValueError(f"cubic classes have no b-form: {name!r}")
-    return bertini_class(d) if bert else d
+    """The class of a curve name such as "E1", "L12", "Q123", "C1-2", "bQ123"."""
+    table = curve_table()
+    return table.curve(table.id_of_name(name)).divisor
 
 
 class CurveTable:
@@ -146,15 +99,15 @@ class CurveTable:
         families = _family_classes()
         if len(families) != 240:
             raise AssertionError(f"family generator produced {len(families)} classes")
-        ordered = sorted(families)
-        curves = []
-        for cid, d in enumerate(ordered):
-            fam = families[d]
-            curves.append(ExceptionalCurve(cid, d, fam, _curve_name(d, fam)))
+        curves = [
+            ExceptionalCurve(cid, d, *families[d])
+            for cid, d in enumerate(sorted(families))
+        ]
         self.curves: tuple[ExceptionalCurve, ...] = tuple(curves)
         self.id_by_class: dict[tuple[int, ...], int] = {
             c.divisor.coeffs: c.id for c in curves
         }
+        self.id_by_name: dict[str, int] = {c.name: c.id for c in curves}
 
         coeff_matrix = np.array([c.divisor.coeffs for c in curves], dtype=np.int64)
         self.coeff_array = coeff_matrix
@@ -165,11 +118,9 @@ class CurveTable:
             raise AssertionError("packed curve keys are not strictly increasing")
         # E1..E8 and L12, whose images fix an isometry (L = L12 + E1 + E2)
         self._basis_ids = np.array(
-            [self.id_by_class[exceptional(i).coeffs] for i in range(1, 9)]
-            + [self.id_by_class[(LINE - exceptional(1) - exceptional(2)).coeffs]]
+            [self.id_by_name[f"E{i}"] for i in range(1, 9)] + [self.id_by_name["L12"]]
         )
-        form = np.diag(np.array([1] + [-1] * 8, dtype=np.int64))
-        self.pairing_array = (coeff_matrix @ form @ coeff_matrix.T).astype(np.int8)
+        self.pairing_array = (coeff_matrix * FORM_DIAG @ coeff_matrix.T).astype(np.int8)
         k = np.array(CANONICAL_CLASS.coeffs, dtype=np.int64)
         self.bertini_ids = self.ids_of(-2 * k - coeff_matrix)
 
@@ -183,7 +134,10 @@ class CurveTable:
             raise ValueError(f"not an exceptional class: {d!r}") from None
 
     def id_of_name(self, name: str) -> int:
-        return self.id_of(class_of_name(name))
+        try:
+            return self.id_by_name[name.strip()]
+        except KeyError:
+            raise ValueError(f"not a curve name: {name!r}") from None
 
     def ids_of(self, coeffs: np.ndarray) -> np.ndarray:
         """Curve ids of an (n, 9) array of classes, by packed-key search.
@@ -256,13 +210,8 @@ def s8_action(perm: str) -> LatticeIsometry:
 
 def bertini_isometry() -> LatticeIsometry:
     """The lattice involution v -> -v + 2(v*K)K realizing D -> -2K - D on curves."""
-    k = CANONICAL_CLASS
-    cols = []
-    for j in range(RANK):
-        basis = [0] * RANK
-        basis[j] = 1
-        v = DivisorClass(tuple(basis))
-        image = -1 * v + 2 * pair(v, k) * k
-        cols.append(image.coeffs)
-    rows = tuple(tuple(cols[j][i] for j in range(RANK)) for i in range(RANK))
-    return LatticeIsometry(rows)
+    k = CANONICAL_CLASS.coeffs
+    return LatticeIsometry(tuple(
+        tuple(-int(i == j) + 2 * k[i] * FORM_DIAG[j] * k[j] for j in range(RANK))
+        for i in range(RANK)
+    ))

@@ -1,27 +1,27 @@
 """Roots and finite-order isometries of the K-orthogonal E8 sublattice.
 
 The Weyl group W(E8) acts on the Picard lattice fixing K; it is generated
-by reflections in the 240 roots {v : v*v = -2, v*K = 0}.  This module
-enumerates the roots, builds reflections and the order-3 rotations of A2
-root planes, and classifies order-3 elements by conjugacy class.  The
-four classes A2, A2^2, A2^3, A2^4 are separated by the rank of the fixed
-sublattice: 7, 5, 3, 1.
+by reflections in the 240 roots {v : v*v = -2, v*K = 0}, which are the
+solutions solve_norm(-2, 0).  This module builds reflections and the
+order-3 rotations of A2 root planes, and classifies order-3 elements by
+conjugacy class.  The four classes A2, A2^2, A2^3, A2^4 are separated by
+the rank of the fixed sublattice: 7, 5, 3, 1.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import cache
-from itertools import combinations
+
+import numpy as np
 
 from .curves import curve_table
 from .lattice import (
     CANONICAL_CLASS,
-    LINE,
+    FORM_DIAG,
     RANK,
     DivisorClass,
     LatticeIsometry,
-    exceptional,
     fixed_rank,
     isometry_from_text,
     pair,
@@ -29,6 +29,7 @@ from .lattice import (
     permutation_isometry,
     permutation_orders,
     simple_roots,
+    solve_norm,
 )
 
 
@@ -38,49 +39,19 @@ def is_root(v: DivisorClass) -> bool:
 
 @cache
 def enumerate_roots() -> tuple[DivisorClass, ...]:
-    """The 240 roots of the E8 sublattice, in lexicographic order.
-
-    Closed forms: E_i - E_j, +-(L - E_i - E_j - E_k),
-    +-(2L - sum of six E's), +-(3L - 2E_i - sum of the rest).
-    """
-    e = [None] + [exceptional(i) for i in range(1, 9)]
-    total = sum((e[i] for i in range(2, 9)), e[1])
-    roots: set[DivisorClass] = set()
-    for i in range(1, 9):
-        for j in range(1, 9):
-            if i != j:
-                roots.add(e[i] - e[j])
-    for i, j, k in combinations(range(1, 9), 3):
-        v = LINE - e[i] - e[j] - e[k]
-        roots.add(v)
-        roots.add(-1 * v)
-    for pair_out in combinations(range(1, 9), 2):
-        # 2L minus six E's == 2L - total + the two left out
-        v = 2 * LINE - total + e[pair_out[0]] + e[pair_out[1]]
-        roots.add(v)
-        roots.add(-1 * v)
-    for i in range(1, 9):
-        v = 3 * LINE - e[i] - total
-        roots.add(v)
-        roots.add(-1 * v)
-    if len(roots) != 240:
-        raise AssertionError(f"root generator produced {len(roots)} classes")
-    return tuple(sorted(roots))
+    """The 240 roots of the E8 sublattice, in lexicographic order."""
+    return tuple(solve_norm(-2, 0))
 
 
 def reflection(r: DivisorClass) -> LatticeIsometry:
     """The reflection x -> x + (x*r) r in a root r."""
     if not is_root(r):
         raise ValueError(f"not a root: {r!r}")
-    cols = []
-    for j in range(RANK):
-        basis = [0] * RANK
-        basis[j] = 1
-        v = DivisorClass(tuple(basis))
-        image = v + pair(v, r) * r
-        cols.append(image.coeffs)
-    rows = tuple(tuple(cols[j][i] for j in range(RANK)) for i in range(RANK))
-    return LatticeIsometry(rows)
+    c = r.coeffs
+    return LatticeIsometry(tuple(
+        tuple(int(i == j) + c[i] * FORM_DIAG[j] * c[j] for j in range(RANK))
+        for i in range(RANK)
+    ))
 
 
 def rotation(a: DivisorClass, b: DivisorClass) -> LatticeIsometry:
@@ -134,42 +105,29 @@ def carter_type_order3(m: LatticeIsometry) -> CarterType3:
 
 
 def orthogonal_a2_planes(count: int) -> tuple[tuple[DivisorClass, DivisorClass], ...]:
-    """Deterministic search for `count` pairwise-orthogonal A2 root pairs.
+    """The first `count` pairwise-orthogonal A2 root pairs, chosen greedily.
 
     Each pair (a, b) has a*b = 1; distinct pairs pair to zero in all four
-    combinations.  Depth-first over roots in enumeration order, so the
-    result is reproducible.
+    combinations.  Each step takes a = the first root, in enumeration
+    order, orthogonal to every root chosen so far, and b = the first such
+    root with a*b = 1, so the result is reproducible.  No choice ever has
+    to be undone: the roots orthogonal to one, two or three A2 planes form
+    the root systems E6, A2 x A2 and A2, each of which holds an A2 plane,
+    and an A2 plane inside A2 x A2 is one of the two factors, so the other
+    is left for the fourth step.
     """
-    roots = enumerate_roots()
-    chosen: list[tuple[DivisorClass, DivisorClass]] = []
-
-    def orthogonal_to_chosen(v: DivisorClass) -> bool:
-        return all(pair(v, a) == 0 and pair(v, b) == 0 for a, b in chosen)
-
-    def rec() -> bool:
-        if len(chosen) == count:
-            return True
-        for a in roots:
-            if not orthogonal_to_chosen(a):
-                continue
-            for b in roots:
-                if b == a or pair(a, b) != 1:
-                    continue
-                if not orthogonal_to_chosen(b):
-                    continue
-                chosen.append((a, b))
-                if rec():
-                    return True
-                chosen.pop()
-            # with a rejected at this depth every extension was tried;
-            # trying a later first-root instead cannot help because any
-            # solution using it would also have been found from `a`
-        return False
-
     if count < 1 or count > 4:
         raise ValueError("count must be between 1 and 4")
-    if not rec():
-        raise AssertionError(f"no {count} orthogonal A2 planes found")
+    roots = enumerate_roots()
+    coeffs = np.array([r.coeffs for r in roots], dtype=np.int64)
+    gram = coeffs * FORM_DIAG @ coeffs.T
+    free = np.ones(len(roots), dtype=bool)
+    chosen = []
+    for _ in range(count):
+        a = int(np.argmax(free))
+        b = int(np.argmax(free & (gram[a] == 1)))
+        chosen.append((roots[a], roots[b]))
+        free &= (gram[a] == 0) & (gram[b] == 0)
     return tuple(chosen)
 
 

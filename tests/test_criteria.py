@@ -33,6 +33,7 @@ from dpone.lattice import (
     CANONICAL_CLASS,
     GroupSpec,
     TRIVIAL_GROUP,
+    divisor,
     fixed_rank,
     pair,
     permutation_isometry,
@@ -69,6 +70,15 @@ def test_action_setup_requires_commuting():
         ActionSetup(group_of(s8_action("(1 2)")), group_of(s8_action("(1 3)")))
     setup = ActionSetup(group_of(s8_action("(1 2)")), group_of(s8_action("(3 4)")))
     assert fixed_rank(setup.combined) == 7
+    # reflections outside S8: roots pairing 1 span an A2, whose reflections
+    # do not commute; roots pairing 0 give commuting reflections
+    a = divisor(1, -1, -1, -1, 0, 0, 0, 0, 0)
+    b = divisor(1, 0, 0, 0, -1, -1, -1, 0, 0)
+    c = divisor(0, 0, 0, 0, 0, 0, 0, 1, -1)
+    assert (pair(a, b), pair(a, c)) == (1, 0)
+    with pytest.raises(ValueError, match="do not commute"):
+        ActionSetup(group_of(reflection(a)), group_of(reflection(b)))
+    ActionSetup(group_of(reflection(a), reflection(c)), group_of(reflection(c)))
 
 
 def test_carter_rule():

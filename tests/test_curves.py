@@ -58,15 +58,37 @@ def test_named_classes():
     assert class_of_name("bE1") == divisor(6, -3, -2, -2, -2, -2, -2, -2, -2)
 
 
+def name_from_class(d, family):
+    """A curve's name read off its E-coefficients."""
+    e_coeffs = d.coeffs[1:]
+    if family == "E":
+        return f"E{e_coeffs.index(1) + 1}"
+    if family == "L2":
+        ij = [i + 1 for i, c in enumerate(e_coeffs) if c == -1]
+        return "L{}{}".format(*ij)
+    if family == "Q":
+        ijk = [i + 1 for i, c in enumerate(e_coeffs) if c == 0]
+        return "Q{}{}{}".format(*ijk)
+    if family == "C":
+        i = e_coeffs.index(-2) + 1
+        j = e_coeffs.index(0) + 1
+        return f"C{i}-{j}"
+    # b-families: name through the Bertini partner.
+    partner = bertini_class(d)
+    base = {"BE": "E", "BL": "L2", "BQ": "Q"}[family]
+    return "b" + name_from_class(partner, base)
+
+
 def test_name_round_trip():
     t = curve_table()
     for c in enumerate_curves():
+        assert c.name == name_from_class(c.divisor, c.family)
         assert t.id_of_name(c.name) == c.id
 
 
 def test_name_rejects_malformed():
-    for bad in ("E9", "L11", "Q122", "C1-1", "bC1-2", "X12", "L1"):
-        with pytest.raises(ValueError):
+    for bad in ("E9", "L11", "Q122", "C1-1", "bC1-2", "X12", "L1", "L21", "Q213"):
+        with pytest.raises(ValueError, match="not a curve name"):
             class_of_name(bad)
 
 

@@ -1,10 +1,14 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from dpone.curves import s8_action
 from dpone.lattice import (
     CANONICAL_CLASS,
+    LINE,
     ORDER_CAP,
+    RANK,
     LatticeIsometry,
     divisor,
     exceptional,
@@ -13,7 +17,6 @@ from dpone.lattice import (
     pair,
     permutation_orders,
     simple_roots,
-    solve_norm,
 )
 from dpone.weyl import (
     CarterType3,
@@ -29,6 +32,61 @@ from dpone.weyl import (
 )
 
 
+def closed_form_roots():
+    """The roots from their closed forms: E_i - E_j, +-(L - E_i - E_j - E_k),
+    +-(2L - sum of six E's), +-(3L - 2E_i - sum of the rest)."""
+    e = [None] + [exceptional(i) for i in range(1, 9)]
+    total = sum((e[i] for i in range(2, 9)), e[1])
+    roots = set()
+    for i in range(1, 9):
+        for j in range(1, 9):
+            if i != j:
+                roots.add(e[i] - e[j])
+    for i, j, k in combinations(range(1, 9), 3):
+        v = LINE - e[i] - e[j] - e[k]
+        roots.add(v)
+        roots.add(-1 * v)
+    for pair_out in combinations(range(1, 9), 2):
+        # 2L minus six E's == 2L - total + the two left out
+        v = 2 * LINE - total + e[pair_out[0]] + e[pair_out[1]]
+        roots.add(v)
+        roots.add(-1 * v)
+    for i in range(1, 9):
+        v = 3 * LINE - e[i] - total
+        roots.add(v)
+        roots.add(-1 * v)
+    return sorted(roots)
+
+
+def dfs_a2_planes(count):
+    """Depth-first search for `count` pairwise-orthogonal A2 root pairs."""
+    roots = enumerate_roots()
+    chosen = []
+
+    def orthogonal_to_chosen(v):
+        return all(pair(v, a) == 0 and pair(v, b) == 0 for a, b in chosen)
+
+    def rec():
+        if len(chosen) == count:
+            return True
+        for a in roots:
+            if not orthogonal_to_chosen(a):
+                continue
+            for b in roots:
+                if b == a or pair(a, b) != 1:
+                    continue
+                if not orthogonal_to_chosen(b):
+                    continue
+                chosen.append((a, b))
+                if rec():
+                    return True
+                chosen.pop()
+        return False
+
+    assert rec()
+    return tuple(chosen)
+
+
 def test_root_census():
     roots = enumerate_roots()
     assert len(roots) == 240
@@ -40,7 +98,7 @@ def test_root_census():
 
 
 def test_independent_root_solver_agrees():
-    assert solve_norm(-2, 0) == list(enumerate_roots())
+    assert closed_form_roots() == list(enumerate_roots())
 
 
 def test_is_root_examples():
@@ -59,6 +117,11 @@ def test_reflection_properties():
     assert fixed_rank(s) == 8
     with pytest.raises(ValueError):
         reflection(exceptional(1))
+    basis = [divisor(*(int(i == j) for j in range(RANK))) for i in range(RANK)]
+    for r in enumerate_roots():
+        s = reflection(r)
+        for v in basis:
+            assert s.apply(v) == v + pair(v, r) * r
 
 
 def test_reflection_in_simple_roots_matches_permutation():
@@ -140,6 +203,8 @@ def test_orthogonal_planes():
                     assert pair(x, y) == 0
     with pytest.raises(ValueError):
         orthogonal_a2_planes(5)
+    for count in range(1, 5):
+        assert orthogonal_a2_planes(count) == dfs_a2_planes(count)
 
 
 def test_parse_element_formats():
