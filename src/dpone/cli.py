@@ -14,23 +14,6 @@ import json
 import os
 import sys
 
-from .criteria import (
-    ActionSetup,
-    CarterWitness,
-    CertificateViolation,
-    EvenWitness,
-    MinimalityCertificate,
-    RationalityVerdict,
-    StarsWitness,
-    TripleWitness,
-    TwoStarsWitness,
-    Verdict,
-    check_minimal_four_stars,
-    gamma_report,
-    rationality_report,
-    replay_triple,
-    search_commuting_order3,
-)
 from .curves import curve_table, enumerate_curves
 from .lattice import (
     CLOSURE_CAP,
@@ -42,22 +25,6 @@ from .lattice import (
     permutation_of_isometry,
     solve_norm,
 )
-from .stars import (
-    OVERLAPPING,
-    PAIR_TYPES,
-    ActionKind,
-    OverlappingStars,
-    PairType,
-    enumerate_stars,
-    intersection_profile_census,
-    invariant_curves,
-    invariant_stars,
-    pair_code_counts,
-    profile,
-    sample_pairs_by_type,
-    star_graph_automorphisms,
-    trichotomy_census,
-)
 from .weyl import (
     CarterType3,
     carter_type_order3,
@@ -66,6 +33,9 @@ from .weyl import (
     parse_element,
     representative_order3,
 )
+
+# `stars` and `criteria` are imported where used: by list-stars, census,
+# report and every lemma but DP1lines and A2A22
 
 
 class CheckFailure(Exception):
@@ -126,6 +96,10 @@ def element_text(m: LatticeIsometry) -> str:
 
 
 def witness_to_dict(w) -> dict | None:
+    from .criteria import (
+        CarterWitness, EvenWitness, StarsWitness, TripleWitness, TwoStarsWitness,
+    )
+
     if w is None:
         return None
     elements: list[str] = []
@@ -148,7 +122,7 @@ def witness_to_dict(w) -> dict | None:
     return {"elements": elements, "curves": curves, "stars": stars}
 
 
-def minimality_to_dict(cert: MinimalityCertificate | None) -> dict | None:
+def minimality_to_dict(cert) -> dict | None:
     if cert is None:
         return None
     return {
@@ -158,7 +132,7 @@ def minimality_to_dict(cert: MinimalityCertificate | None) -> dict | None:
     }
 
 
-def verdict_to_dict(report: RationalityVerdict) -> dict:
+def verdict_to_dict(report) -> dict:
     return {
         "verdict": report.verdict.value,
         "rule": report.rule,
@@ -198,6 +172,8 @@ def cmd_list_roots(args) -> int:
 
 
 def cmd_list_stars(args) -> int:
+    from .stars import enumerate_stars
+
     stars = enumerate_stars()
     if args.json:
         print(json.dumps([s.text() for s in stars], indent=2))
@@ -226,7 +202,12 @@ def cmd_classify_element(args) -> int:
 
 
 def cmd_census(args) -> int:
-    m = load_element(args.element)
+    from .stars import (
+        OVERLAPPING, PAIR_TYPES, ActionKind, invariant_curves, invariant_stars,
+        pair_code_counts,
+    )
+
+    m = GroupSpec((load_element(args.element),))  # permuted once for both scans
     t = curve_table()
     inv = invariant_curves(m)
     actions = invariant_stars(m)
@@ -260,6 +241,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .criteria import ActionSetup, rationality_report
+
     g = load_group(args.g_group, "G", args.cap)
     gamma = load_group(args.gamma, "Gamma", args.cap)
     report = rationality_report(ActionSetup(g, gamma))
@@ -307,6 +290,8 @@ def _lemma_a2a22() -> list[str]:
 
 
 def _lemma_davidinv() -> list[str]:
+    from .stars import ActionKind, invariant_curves, invariant_stars, profile
+
     out = []
     expected = {
         CarterType3.A2: (72, 1),
@@ -346,6 +331,8 @@ def _lemma_davidinv() -> list[str]:
 
 
 def _lemma_davidintersection() -> list[str]:
+    from .stars import intersection_profile_census
+
     census = intersection_profile_census()
     _require(
         census.pairs_checked == census.all_ones + census.touching,
@@ -359,6 +346,8 @@ def _lemma_davidintersection() -> list[str]:
 
 
 def _lemma_2daviddef() -> list[str]:
+    from .stars import trichotomy_census
+
     census = trichotomy_census()
     classified = census.asynchronized + census.synchronized + census.abnormal
     _require(
@@ -374,13 +363,17 @@ def _lemma_2daviddef() -> list[str]:
 
 
 def _lemma_davidauto() -> list[str]:
+    from .stars import (
+        PairType, sample_pairs_by_type, star_graph_automorphisms, star_table,
+    )
+
     expected = {
         PairType.ASYNCHRONIZED: 288,
         PairType.SYNCHRONIZED: 24,
         PairType.ABNORMAL: 16,
     }
     out = []
-    for s in enumerate_stars()[:10]:
+    for s in map(star_table().star, range(10)):
         n = star_graph_automorphisms([s])
         _require(n == 12, f"single star automorphisms {n} != 12")
     out.append("single star: 12")
@@ -398,6 +391,8 @@ def _lemma_davidauto() -> list[str]:
 
 
 def _lemma_davidmin() -> list[str]:
+    from .criteria import ActionSetup, check_minimal_four_stars
+
     g = representative_order3(CarterType3.A2x4)
     setup = ActionSetup(GroupSpec((g,), "G"), TRIVIAL_GROUP)
     cert = check_minimal_four_stars(setup)
@@ -407,6 +402,9 @@ def _lemma_davidmin() -> list[str]:
 
 
 def _lemma_davidmin_pair(ctype: CarterType3, rotations: str) -> list[str]:
+    from .criteria import ActionSetup, check_minimal_four_stars, search_commuting_order3
+    from .stars import ActionKind, invariant_stars
+
     g = representative_order3(ctype)
     pointwise = [
         a.star for a in invariant_stars(g) if a.kind is ActionKind.TRIVIAL
@@ -424,6 +422,11 @@ def _lemma_davidmin_pair(ctype: CarterType3, rotations: str) -> list[str]:
 
 
 def _lemma_ratcor() -> list[str]:
+    from .criteria import (
+        TripleWitness, TwoStarsWitness, Verdict, gamma_report, replay_triple,
+    )
+    from .stars import PairType, sample_pairs_by_type
+
     out = []
     expected = {
         "trivial": (TRIVIAL_GROUP, Verdict.RATIONAL),
@@ -552,10 +555,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, OverlappingStars) as exc:
+    except ValueError as exc:  # stars.OverlappingStars included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CertificateViolation as exc:
+    except RuntimeError as exc:
+        # criteria is loaded already if it raised; the cheap commands never do
+        from .criteria import CertificateViolation
+
+        if not isinstance(exc, CertificateViolation):
+            raise
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
 

@@ -77,8 +77,8 @@ class ActionSetup:
         # exactly when their curve permutations do
         if not (self.g_group.generators and self.gamma_group.generators):
             return
-        gamma = generator_permutations(self.gamma_group)
-        for a in generator_permutations(self.g_group):
+        gamma = self.gamma_group.generator_perms
+        for a in self.g_group.generator_perms:
             if (a[gamma] != gamma[:, a]).any():
                 raise ValueError("g_group and gamma_group do not commute")
 

@@ -252,11 +252,12 @@ ORDER_CAP = 60
 class GroupSpec:
     """A finitely generated group of lattice isometries, closed at most once.
 
-    Rows of ``perms`` are the closure as curve permutations in
-    ``group_closure`` order, identity first, and ``orders`` their orders.
-    Both are computed on first use and kept for the object's lifetime, so
-    a caller that needs only the generators closes nothing, and every
-    rule, search and replay handed the same object shares one closure.
+    Rows of ``generator_perms`` are the generators as curve permutations,
+    rows of ``perms`` the closure in ``group_closure`` order, identity
+    first, and ``orders`` their orders.  All are computed on first use and
+    kept for the object's lifetime, so each generator is permuted once, a
+    caller that needs only the generators closes nothing, and every rule,
+    search and replay handed the same object shares one closure.
     ``cap`` bounds that closure (see ``group_closure``).  A 9x9 matrix is
     built only for an element that needs one (Carter typing, witnesses).
     """
@@ -269,6 +270,16 @@ class GroupSpec:
         object.__setattr__(self, "generators", tuple(self.generators))
         if self.cap < 1:
             raise ValueError("cap must be >= 1")
+
+    @cached_property
+    def generator_perms(self) -> np.ndarray:
+        from .curves import curve_table
+
+        t = curve_table()
+        perms = [t.permutation_of(m) for m in self.generators]
+        perms = np.array(perms, dtype=np.int16).reshape(len(perms), 240)
+        perms.flags.writeable = False  # every caller shares this array
+        return perms
 
     @cached_property
     def perms(self) -> np.ndarray:
@@ -368,10 +379,7 @@ def group_closure(g: GroupSpec) -> np.ndarray:
     ``g.cap`` bounds the time and memory a closure may take: past that
     many elements the closure raises.
     """
-    from .curves import curve_table
-
-    table = curve_table()
-    gens = [table.permutation_of(m) for m in g.generators]
+    gens = g.generator_perms
     identity = np.arange(240, dtype=np.int16)
     seen = {identity.tobytes(): identity}
     queue = deque([identity])

@@ -39,6 +39,7 @@ from .lattice import (
     CANONICAL_CLASS,
     DivisorClass,
     GroupLike,
+    GroupSpec,
     LatticeIsometry,
     _generators_of,
 )
@@ -169,13 +170,18 @@ def star_through(a, b) -> StarConfiguration:
 
 
 class StarTable:
-    """All 1120 stars in canonical order, as objects and as a (1120, 6) id array.
+    """All 1120 stars in canonical order, as a (1120, 6) id array and as objects.
 
     Built with array operations from the 6720 disjoint pairs (A, B),
     A < B, of the pairing table: the hexagon is A, B, B - A - K and the
     Bertini images of those three.  Each star arises from its six edges;
     the row kept is the one already in canonical form, starting at the
     smallest id and stepping to the smaller neighbor.
+
+    The constructor checks every row's Gram block against STAR_GRAM in
+    one array comparison, the check each StarConfiguration makes of its
+    own ids.  Objects are built on request: ``star(sid)`` builds and keeps
+    one, ``stars`` all of them, so each is built at most once.
     """
 
     def __init__(self) -> None:
@@ -191,22 +197,30 @@ class StarTable:
         rows = hexagons[keep]
         rows = rows[np.lexsort(rows.T[::-1])]
 
-        # each row must be the least of its 12 relabelings, and all distinct
+        # each row must be a star, the least of its 12 relabelings, and all
+        # distinct
         keys = rows[:, D6] @ (256 ** np.arange(5, -1, -1))
+        gram = t.pairing_array[rows[:, :, None], rows[:, None, :]]
         if (
             len(rows) != 1120
+            or np.any(gram != STAR_GRAM)
             or np.any(keys[:, 0] != keys.min(axis=1))
             or np.any(np.diff(keys[:, 0]) <= 0)
         ):
             raise AssertionError("star table rows are not 1120 canonical hexagons")
 
         self.ids_array = rows.astype(np.int16)
-        self.stars: tuple[StarConfiguration, ...] = tuple(
-            StarConfiguration(tuple(row)) for row in rows.tolist()
-        )
+        self._built: dict[int, StarConfiguration] = {}
 
     def star(self, sid: int) -> StarConfiguration:
-        return self.stars[sid]
+        if sid not in self._built:
+            ids = tuple(self.ids_array[sid].tolist())
+            self._built[sid] = StarConfiguration(ids)
+        return self._built[sid]
+
+    @cached_property
+    def stars(self) -> tuple[StarConfiguration, ...]:
+        return tuple(map(self.star, range(len(self.ids_array))))
 
 
 @cache
@@ -387,7 +401,7 @@ def sample_pairs_by_type(per_type: int) -> dict[PairType, list]:
         for code, ptype in enumerate(PAIR_TYPES):
             need = per_type - len(found[ptype])
             for b in np.flatnonzero(codes == code)[:need].tolist():
-                found[ptype].append((table.stars[a], table.stars[a + 1 + b]))
+                found[ptype].append((table.star(a), table.star(a + 1 + b)))
         if all(len(v) >= per_type for v in found.values()):
             break
     return found
@@ -448,10 +462,12 @@ class StarAction:
 
 
 def generator_permutations(g: GroupLike) -> np.ndarray:
-    """Curve permutations of a group's generators, one row each."""
-    t = curve_table()
-    perms = [t.permutation_of(m) for m in _generators_of(g)]
-    return np.array(perms, dtype=np.int16).reshape(len(perms), 240)
+    """Curve permutations of a group's generators, one row each.
+
+    A GroupSpec keeps its own; any other group is permuted afresh.
+    """
+    spec = g if isinstance(g, GroupSpec) else GroupSpec(_generators_of(g))
+    return spec.generator_perms
 
 
 def star_masks(perms: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -479,7 +495,7 @@ def star_actions(perms: np.ndarray) -> tuple[StarAction, ...]:
     pointwise = pointwise.all(axis=0)
     return tuple(
         StarAction(
-            table.stars[sid],
+            table.star(sid),
             ActionKind.TRIVIAL if pointwise[sid] else ActionKind.FAITHFUL,
         )
         for sid in np.flatnonzero(setwise.all(axis=0))
@@ -579,11 +595,9 @@ class ProfileCensus:
 @cache
 def intersection_profile_census() -> ProfileCensus:
     """Check every (outside curve, star) profile is all-ones or touching."""
-    table = star_table()
-    t = curve_table()
-    p = t.pairing_array
-    s = table.ids_array
-    n = len(table.stars)
+    p = curve_table().pairing_array
+    s = star_table().ids_array
+    n = len(s)
 
     vecs = p[s]  # (n, 6, 240): pairing of each hexagon slot with each curve
     member = np.zeros((n, 240), dtype=bool)

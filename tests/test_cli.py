@@ -239,18 +239,73 @@ def test_census_bertini_all_stars(capsys):
     assert elapsed < 10.0, f"Bertini census took {elapsed:.1f}s"
 
 
-def test_cli_import_leaves_out_jsonschema():
+# every name `dpone/__init__` exported when it imported its submodules eagerly
+PACKAGE_EXPORTS = """
+    CANONICAL_CLASS DivisorClass GroupSpec LatticeIsometry TRIVIAL_GROUP divisor
+    exceptional fixed_rank group_closure is_isometry pair simple_roots
+    ExceptionalCurve bertini bertini_isometry curve_table disjoint_partners
+    enumerate_curves s8_action
+    CarterType3 carter_type_order3 element_order enumerate_roots is_root
+    parse_element reflection representative_order3 rotation
+    ActionKind IntersectionProfile OverlappingStars PairType ProfileKind
+    StarAction StarConfiguration TrichotomyViolation classify_pair
+    enumerate_stars intersection_profile_census invariant_curves
+    invariant_stars is_star profile star_graph_automorphisms star_rotation
+    star_through trichotomy_census
+    ActionSetup CertificateViolation MinimalityCertificate RationalityVerdict
+    Verdict check_minimal_four_stars check_not_rational_carter
+    check_not_rational_even check_not_rational_stars check_rational_triple
+    check_rational_two_stars gamma_report rationality_report
+    search_commuting_order3
+""".split()
+
+# runs main on argv in a fresh interpreter and prints which modules it loaded
+LOADED_AFTER_MAIN = """
+import contextlib, io, sys
+import dpone.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = dpone.cli.main(sys.argv[1:])
+loaded = ("dpone.stars", "dpone.criteria", "jsonschema")
+print(code, *(m for m in loaded if m in sys.modules))
+"""
+
+
+def fresh_python(code: str, *argv: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
-    code = "import sys, dpone.cli; print('jsonschema' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=60,
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True,
+        text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_out_jsonschema():
+    code = "import sys, dpone.cli; print('jsonschema' in sys.modules)"
+    assert fresh_python(code) == "False"
+    # the cheap commands load neither the star layer nor the rules
+    for argv, exit_code in (
+        (["list-curves"], 0),
+        (["--json", "list-roots"], 0),
+        (["classify-element", "-e", "(1 2 3)"], 0),
+        (["verify-lemma", "A2A22"], 0),
+        (["verify-lemma", "DP1lines"], 0),
+        (["classify-element", "-e", "(1 9)"], 2),
+    ):
+        assert fresh_python(LOADED_AFTER_MAIN, *argv) == str(exit_code), argv
+    # so that the check above cannot pass for want of a working probe
+    loaded = fresh_python(LOADED_AFTER_MAIN, "report", "-gamma", "(1 2 3)")
+    assert loaded == "0 dpone.stars dpone.criteria"
+    # a bare `import dpone` loads no submodule, yet every export resolves
+    code = (
+        "import sys, dpone\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('dpone')))\n"
+        f"print(all(getattr(dpone, name) is not None for name in {PACKAGE_EXPORTS!r}))"
+    )
+    assert fresh_python(code).splitlines() == ["dpone", "True"]
 
 
 def test_report_trivial(capsys):
@@ -331,6 +386,48 @@ def test_verify_lemma_unknown(capsys):
     code, out, err = run(capsys, "verify-lemma", "NoSuchLemma")
     assert code == 2
     assert "unknown lemma" in err
+
+
+def test_failed_lemma_exits_1(capsys, monkeypatch):
+    import dpone.cli as cli
+
+    def failing():
+        raise cli.CheckFailure("planted counterexample")
+
+    monkeypatch.setitem(cli.LEMMAS, "A2A22", failing)
+    code, out, _ = run(capsys, "verify-lemma", "A2A22")
+    assert code == 1
+    assert out == "FAIL: planted counterexample\n"
+
+
+def test_certificate_violation_in_report_exits_1(capsys, monkeypatch):
+    import dpone.criteria as criteria
+
+    def violated(gamma):
+        raise criteria.CertificateViolation("planted violation")
+
+    rules = (("rational_two_stars", criteria.Verdict.RATIONAL, violated),)
+    monkeypatch.setattr(criteria, "RULES", rules)
+    code, out, err = run(capsys, "report", "-gamma", "(1 2 3)")
+    assert code == 1
+    assert out == ""
+    assert err == "check failed: planted violation\n"
+
+
+@pytest.mark.parametrize("argv", [("census", "-e", "(1 2 3)"), ("report",)])
+def test_overlapping_stars_exit_2(capsys, monkeypatch, argv):
+    import dpone.stars as stars
+
+    def overlapping(*args):
+        raise stars.OverlappingStars(frozenset({0}))
+
+    # census and the report's rules both find invariant stars with star_masks
+    monkeypatch.setattr(stars, "star_masks", overlapping)
+    monkeypatch.setattr("dpone.criteria.star_masks", overlapping)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: stars share curves {")
 
 
 def test_bad_element_exits_2(capsys):

@@ -347,6 +347,25 @@ def test_report_closes_each_group_once(monkeypatch):
         assert sorted(closed) == ["G", "Gamma"]
 
 
+def test_report_permutes_each_generator_once_per_group(monkeypatch):
+    # G has two generators, Gamma one and combined three: six permutations
+    # at most, however many rules, closures and star scans read them
+    table = curve_table()
+    calls = []
+    real = type(table).permutation_of
+
+    def counting(self, m):
+        calls.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(type(table), "permutation_of", counting)
+    g = group_of(s8_action("(1 2 3)"), s8_action("(4 5 6)"), label="G")
+    gamma = group_of(bertini_isometry(), label="Gamma")
+    report = rationality_report(ActionSetup(g, gamma))
+    assert report.rule == "not_rational_even"
+    assert len(calls) <= 6
+
+
 # ---------------------------------------------------------------------------
 # the star rules against object-level reference scans
 #

@@ -1,6 +1,8 @@
-"""Every name a dpone module imports is used in that module.
+"""Every name a dpone module imports is read in that module.
 
-`__init__` is exempt: it imports names to re-export them.
+A name counts as used only where it is loaded, so an import whose name
+is only assigned (say, a dataclass field of the same name) is reported.
+Function-local imports count like module-level ones.
 """
 
 import ast
@@ -10,9 +12,7 @@ import pytest
 
 import dpone
 
-MODULES = sorted(
-    p for p in Path(dpone.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+MODULES = sorted(Path(dpone.__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -25,7 +25,11 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     return sorted(
         f"{name} (line {line})" for name, line in imported.items() if name not in used
     )
@@ -40,8 +44,14 @@ def test_unused_import_is_reported():
     source = (
         "import os.path\n"
         "from json import dumps, loads as load_json\n"
+        "from x import divisor\n"
         '"""dumps and os are named only in this docstring."""\n'
+        "class C:\n"
+        "    divisor: int\n"
         "def f(x: str) -> None:\n"
-        "    return load_json(x)\n"
+        "    from y import unused_here, used_here\n"
+        "    return load_json(used_here(x))\n"
     )
-    assert unused_imports(source) == ["dumps (line 2)", "os (line 1)"]
+    assert unused_imports(source) == [
+        "divisor (line 3)", "dumps (line 2)", "os (line 1)", "unused_here (line 8)",
+    ]

@@ -180,6 +180,25 @@ def test_stars_stable_under_isometry():
         assert (table.ids_array == key).all(axis=1).any()
 
 
+def test_star_table_builds_each_star_once_on_request():
+    table = stars_module.StarTable()
+    assert table._built == {}
+    s = table.star(7)
+    assert s.curve_ids == tuple(table.ids_array[7].tolist())
+    assert table.star(7) is s
+    assert table.stars[7] is s
+    assert len(table._built) == len(table.stars) == 1120
+
+
+def test_star_table_checks_every_gram_block(monkeypatch):
+    # no star-table row has this Gram block
+    gram = np.array(stars_module.STAR_GRAM)
+    gram[0, 1] = gram[1, 0] = 1
+    monkeypatch.setattr(stars_module, "STAR_GRAM", gram.tolist())
+    with pytest.raises(AssertionError, match="1120 canonical hexagons"):
+        stars_module.StarTable()
+
+
 def test_bertini_fixes_every_star_antipodally():
     from dpone.curves import bertini_isometry
 
