@@ -96,30 +96,13 @@ def element_text(m: LatticeIsometry) -> str:
 
 
 def witness_to_dict(w) -> dict | None:
-    from .criteria import (
-        CarterWitness, EvenWitness, StarsWitness, TripleWitness, TwoStarsWitness,
-    )
-
     if w is None:
         return None
-    elements: list[str] = []
-    curves: list[str] = []
-    stars: list[str] = []
-    if isinstance(w, CarterWitness):
-        elements = [element_text(w.element)]
-    elif isinstance(w, StarsWitness):
-        elements = [element_text(w.element)]
-        stars = [s.text() for s in w.stars]
-    elif isinstance(w, EvenWitness):
-        elements = [element_text(w.element)]
-        stars = [w.star.text()]
-    elif isinstance(w, TripleWitness):
-        curves = list(w.names)
-    elif isinstance(w, TwoStarsWitness):
-        stars = [s.text() for s in w.stars]
-    else:
-        raise TypeError(f"unknown witness {w!r}")
-    return {"elements": elements, "curves": curves, "stars": stars}
+    return {
+        "elements": [element_text(m) for m in w.elements],
+        "curves": [curve_table().curve(i).name for i in w.curves],
+        "stars": [s.text() for s in w.stars],
+    }
 
 
 def minimality_to_dict(cert) -> dict | None:
@@ -445,7 +428,7 @@ def _lemma_ratcor() -> list[str]:
         if isinstance(report.witness, TwoStarsWitness):
             a, b = report.witness.stars
             triple = TripleWitness(
-                (a.curve_ids[0], b.curve_ids[0], a.curve_ids[1])
+                curves=(a.curve_ids[0], b.curve_ids[0], a.curve_ids[1])
             )
             _require(
                 replay_triple(gamma, triple),

@@ -6,14 +6,17 @@ class is defined over the ground field" translates into "fixed by every
 element of Gamma"; the rules below draw conclusions from the combinatorics
 of fixed curves, invariant stars, and order-3 conjugacy classes.
 
-Every check either returns None or a witness object that can be replayed
-from scratch by the matching replay_* function.  The rules are sufficient
-conditions, so Inconclusive is an honest verdict.  Rational verdicts are
+Every check either returns None or a `Witness`: the group elements,
+curve ids and stars it found, any of them empty.  Its subclass names the
+rule, and the matching replay_* function re-checks it from scratch.  The
+rules are sufficient conditions, so Inconclusive is an honest verdict.  Rational verdicts are
 a lattice-level statement: the lattice cannot see rational points, so
 they assume the surface has one where the geometric argument needs it.
 
 The rules read stars as rows of the star table and star pairs only
 through `pair_codes`; the replays re-check star pairs with `classify_pair`.
+Both order-3 rules take the first closure element of class A2^3 or A2^4,
+typed by `weyl.carter_types`; a 9x9 matrix is built only for a witness.
 """
 
 from __future__ import annotations
@@ -47,11 +50,7 @@ from .stars import (
     star_rotation,
     star_table,
 )
-from .weyl import (
-    CarterType3,
-    carter_type_order3,
-    element_order,
-)
+from .weyl import CarterType3, carter_types, element_order
 
 ASYNCHRONIZED = PAIR_TYPES.index(PairType.ASYNCHRONIZED)  # its pair code
 
@@ -94,37 +93,33 @@ class ActionSetup:
 # witnesses
 
 @dataclass(frozen=True)
-class CarterWitness:
-    element: LatticeIsometry
-    carter_type: CarterType3
+class Witness:
+    """What a rule found: group elements, curve ids and stars."""
+
+    elements: tuple[LatticeIsometry, ...] = ()
+    curves: tuple[int, ...] = ()
+    stars: tuple[StarConfiguration, ...] = ()
 
 
-@dataclass(frozen=True)
-class StarsWitness:
-    element: LatticeIsometry
-    stars: tuple[StarConfiguration, ...]
+# one subclass per rule, naming the replay that checks it
+class CarterWitness(Witness):
+    """One order-3 element of class A2^3 or A2^4."""
 
 
-@dataclass(frozen=True)
-class EvenWitness:
-    element: LatticeIsometry
-    order: int
-    star: StarConfiguration
+class StarsWitness(Witness):
+    """One order-3 element and three stars it acts on faithfully."""
 
 
-@dataclass(frozen=True)
-class TripleWitness:
-    curve_ids: tuple[int, int, int]
-
-    @property
-    def names(self) -> tuple[str, str, str]:
-        t = curve_table()
-        return tuple(t.curve(i).name for i in self.curve_ids)
+class EvenWitness(Witness):
+    """One even-order element and a star it flips antipodally."""
 
 
-@dataclass(frozen=True)
-class TwoStarsWitness:
-    stars: tuple[StarConfiguration, StarConfiguration]
+class TripleWitness(Witness):
+    """Three fixed curves A, B, C with A.B = B.C = 1 and A.C = 0."""
+
+
+class TwoStarsWitness(Witness):
+    """Two pointwise-fixed asynchronized stars."""
 
 
 @dataclass(frozen=True)
@@ -137,14 +132,22 @@ class MinimalityCertificate:
 # ---------------------------------------------------------------------------
 # not-rational rules
 
+# the order-3 classes with at least three faithful stars: A2^3 and A2^4
+# have 12 and 40, A2 and A2^2 only 1 and 2
+_MANY_FAITHFUL = (CarterType3.A2x3, CarterType3.A2x4)
+
+
+def _first_many_faithful(gamma: GroupSpec) -> int | None:
+    """Closure index of the first order-3 element of class A2^3 or A2^4."""
+    order3 = gamma.of_order(3)
+    types = carter_types(gamma.perms[order3])
+    return next((int(i) for i, t in zip(order3, types) if t in _MANY_FAITHFUL), None)
+
+
 def check_not_rational_carter(gamma: GroupSpec) -> CarterWitness | None:
     """An order-3 element of class A2^3 or A2^4 in the closure."""
-    for i in gamma.of_order(3):
-        m = gamma.element(i)
-        ctype = carter_type_order3(m)
-        if ctype in (CarterType3.A2x3, CarterType3.A2x4):
-            return CarterWitness(m, ctype)
-    return None
+    i = _first_many_faithful(gamma)
+    return None if i is None else CarterWitness((gamma.element(i),))
 
 
 def _faithful(perms: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -154,14 +157,18 @@ def _faithful(perms: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def check_not_rational_stars(gamma: GroupSpec) -> StarsWitness | None:
-    """An order-3 element acting faithfully on three invariant stars (lowest ids)."""
+    """An order-3 element acting faithfully on three invariant stars (lowest ids).
+
+    It is the Carter rule's element, and this rule runs after it, so it
+    never decides a report.
+    """
+    i = _first_many_faithful(gamma)
+    if i is None:
+        return None
     table = star_table()
-    for i in gamma.of_order(3):
-        hits = np.flatnonzero(_faithful(gamma.perms[i][None], table.ids_array)[0])
-        if len(hits) >= 3:
-            stars = tuple(map(table.star, hits[:3].tolist()))
-            return StarsWitness(gamma.element(i), stars)
-    return None
+    hits = np.flatnonzero(_faithful(gamma.perms[i][None], table.ids_array)[0])
+    stars = tuple(map(table.star, hits[:3].tolist()))
+    return StarsWitness((gamma.element(i),), stars=stars)
 
 
 def _antipodal(perm: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -180,7 +187,7 @@ def check_not_rational_even(gamma: GroupSpec) -> EvenWitness | None:
         hits = np.flatnonzero(_antipodal(gamma.perms[i], star_table().ids_array))
         if len(hits):
             star = star_table().star(int(hits[0]))
-            return EvenWitness(gamma.element(i), int(gamma.orders[i]), star)
+            return EvenWitness((gamma.element(i),), stars=(star,))
     return None
 
 
@@ -201,7 +208,7 @@ def check_rational_triple(gamma: GroupSpec) -> TripleWitness | None:
                 continue
             for k, c in enumerate(inv):
                 if c > a and p[j][k] == 1 and p[i][k] == 0:
-                    witness = TripleWitness((a, b, c))
+                    witness = TripleWitness(curves=(a, b, c))
                     _verify_triple_sum(witness)
                     return witness
     return None
@@ -209,8 +216,7 @@ def check_rational_triple(gamma: GroupSpec) -> TripleWitness | None:
 
 def _verify_triple_sum(w: TripleWitness) -> None:
     t = curve_table()
-    d = sum((t.curve(i).divisor for i in w.curve_ids[1:]),
-            t.curve(w.curve_ids[0]).divisor)
+    d = sum((t.curve(i).divisor for i in w.curves[1:]), t.curve(w.curves[0]).divisor)
     if pair(d, d) != 1 or pair(d, CANONICAL_CLASS) != -3:
         raise CertificateViolation(f"triple sum fails the plane-model check: {w}")
 
@@ -230,7 +236,7 @@ def check_rational_two_stars(gamma: GroupSpec) -> TwoStarsWitness | None:
         hits = np.flatnonzero(pair_codes(rows[i], rows[i + 1 :]) == ASYNCHRONIZED)
         if len(hits):
             a, b = fixed[[i, i + 1 + hits[0]]].tolist()
-            return TwoStarsWitness((table.star(a), table.star(b)))
+            return TwoStarsWitness(stars=(table.star(a), table.star(b)))
     return None
 
 
@@ -331,38 +337,30 @@ def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None
 # replay
 
 def replay_carter(gamma: GroupSpec, w: CarterWitness) -> bool:
-    if not gamma.contains(w.element):
+    (m,) = w.elements
+    if not gamma.contains(m) or element_order(m) != 3:
         return False
-    if element_order(w.element) != 3:
-        return False
-    return carter_type_order3(w.element) is w.carter_type and w.carter_type in (
-        CarterType3.A2x3,
-        CarterType3.A2x4,
-    )
+    return fixed_rank(m) in {t.fixed_rank for t in _MANY_FAITHFUL}
 
 
 def replay_stars(gamma: GroupSpec, w: StarsWitness) -> bool:
-    if not gamma.contains(w.element):
+    (m,) = w.elements
+    if not gamma.contains(m) or element_order(m) != 3 or len(set(w.stars)) < 3:
         return False
-    if element_order(w.element) != 3:
-        return False
-    if len(set(w.stars)) < 3:
-        return False
-    perm = curve_table().permutation_of(w.element)
+    perm = curve_table().permutation_of(m)
     return bool(_faithful(perm[None], np.array([s.curve_ids for s in w.stars])).all())
 
 
 def replay_even(gamma: GroupSpec, w: EvenWitness) -> bool:
-    if not gamma.contains(w.element):
+    (m,), (star,) = w.elements, w.stars
+    if not gamma.contains(m) or element_order(m) % 2 != 0:
         return False
-    if element_order(w.element) != w.order or w.order % 2 != 0:
-        return False
-    perm = curve_table().permutation_of(w.element)
-    return bool(_antipodal(perm, np.array([w.star.curve_ids]))[0])
+    perm = curve_table().permutation_of(m)
+    return bool(_antipodal(perm, np.array([star.curve_ids]))[0])
 
 
 def replay_triple(gamma: GroupSpec, w: TripleWitness) -> bool:
-    a, b, c = w.curve_ids
+    a, b, c = w.curves
     inv = set(invariant_curves(gamma))
     if not {a, b, c} <= inv:
         return False
@@ -423,7 +421,7 @@ RULES = (
 class RationalityVerdict:
     verdict: Verdict
     rule: str | None
-    witness: object | None
+    witness: Witness | None
     ranks: dict[str, int]
     minimality: MinimalityCertificate | None
     caveat: str | None

@@ -109,6 +109,13 @@ class StarConfiguration:
         if gram.tolist() != STAR_GRAM:
             raise ValueError("curves do not form a star in this order")
 
+    @classmethod
+    def _unchecked(cls, curve_ids: tuple[int, ...]) -> "StarConfiguration":
+        """Wrap ids that are a star by construction: a star-table row."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "curve_ids", curve_ids)
+        return s
+
     @cached_property
     def canonical_key(self) -> tuple[int, ...]:
         return min(map(tuple, np.array(self.curve_ids)[D6].tolist()))
@@ -180,8 +187,8 @@ class StarTable:
 
     The constructor checks every row's Gram block against STAR_GRAM in
     one array comparison, the check each StarConfiguration makes of its
-    own ids.  Objects are built on request: ``star(sid)`` builds and keeps
-    one, ``stars`` all of them, so each is built at most once.
+    own ids, so the objects skip it.  ``star(sid)`` builds and keeps one
+    object, ``stars`` all of them, so each is built at most once.
     """
 
     def __init__(self) -> None:
@@ -215,7 +222,7 @@ class StarTable:
     def star(self, sid: int) -> StarConfiguration:
         if sid not in self._built:
             ids = tuple(self.ids_array[sid].tolist())
-            self._built[sid] = StarConfiguration(ids)
+            self._built[sid] = StarConfiguration._unchecked(ids)
         return self._built[sid]
 
     @cached_property

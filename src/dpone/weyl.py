@@ -4,8 +4,9 @@ The Weyl group W(E8) acts on the Picard lattice fixing K; it is generated
 by reflections in the 240 roots {v : v*v = -2, v*K = 0}, which are the
 solutions solve_norm(-2, 0).  This module builds reflections and the
 order-3 rotations of A2 root planes, and classifies order-3 elements by
-conjugacy class.  The four classes A2, A2^2, A2^3, A2^4 are separated by
-the rank of the fixed sublattice: 7, 5, 3, 1.
+conjugacy class.  The four classes A2, A2^2, A2^3, A2^4 fix 72, 12, 6
+and 0 of the 240 curves, so `carter_types` reads the class of a curve
+permutation off that count; their fixed sublattices have rank 7, 5, 3, 1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .lattice import (
     RANK,
     DivisorClass,
     LatticeIsometry,
-    fixed_rank,
     isometry_from_text,
     pair,
     parse_cycles,
@@ -91,17 +91,25 @@ class CarterType3(enum.Enum):
         return 9 - 2 * self.value
 
 
-_RANK_TO_TYPE = {9 - 2 * k: CarterType3(k) for k in range(1, 5)}
+# fixed curves -> class: the count is a class function
+_FIXED_CURVES_TO_TYPE = dict(zip((72, 12, 6, 0), CarterType3))
+
+
+def carter_types(perms: np.ndarray) -> list[CarterType3]:
+    """The classes of order-3 curve permutations (rows), by fixed-curve count."""
+    fixed = (perms == np.arange(240)).sum(axis=1).tolist()
+    unknown = set(fixed) - _FIXED_CURVES_TO_TYPE.keys()
+    if unknown:
+        raise AssertionError(f"order-3 element fixing {min(unknown)} curves")
+    return [_FIXED_CURVES_TO_TYPE[n] for n in fixed]
 
 
 def carter_type_order3(m: LatticeIsometry) -> CarterType3:
-    """Conjugacy class of an order-3 isometry, read off the fixed rank."""
-    if element_order(m) != 3:
+    """Conjugacy class of an order-3 isometry, read off its fixed curves."""
+    perm = curve_table().permutation_of(m)[None]
+    if permutation_orders(perm)[0] != 3:
         raise ValueError("element does not have order 3")
-    r = fixed_rank(m)
-    if r not in _RANK_TO_TYPE:
-        raise AssertionError(f"order-3 element with fixed rank {r}")
-    return _RANK_TO_TYPE[r]
+    return carter_types(perm)[0]
 
 
 def orthogonal_a2_planes(count: int) -> tuple[tuple[DivisorClass, DivisorClass], ...]:

@@ -11,6 +11,7 @@ answer fails here and not only in a bench run.
 
 import hashlib
 import importlib
+import json
 import random
 from pathlib import Path
 
@@ -55,3 +56,28 @@ def test_star_pair_ops_check(workloads):
     assert len(census) == len(work.oracle)
     for op in census + pairs:
         assert work.check(op, work.run(op)) is None
+
+
+# sha256 over the verdict JSON of every verdicts-pool entry, plain and then
+# under one seeded relabelling of the points, in pool order
+VERDICT_JSON_SHA256 = "4cac4d2bc348e09d4021a40637eacbb17af96f4d2d68eb62e982368ae859d3a1"
+
+
+def test_verdict_json_digest(workloads):
+    from dpone.cli import verdict_to_dict
+    from dpone.criteria import ActionSetup, rationality_report
+    from dpone.lattice import GroupSpec
+
+    def report_json(g, gamma):
+        setup = ActionSetup(GroupSpec(g, "G"), GroupSpec(gamma, "Gamma"))
+        doc = verdict_to_dict(rationality_report(setup))
+        return json.dumps(doc, sort_keys=True).encode()
+
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    for _, _, g, gamma in workloads.verdict_pool():
+        _, p, p_inv = workloads._relabelling(rng)
+        digest.update(report_json(g, gamma))
+        digest.update(report_json(workloads._conjugate(g, p, p_inv),
+                                  workloads._conjugate(gamma, p, p_inv)))
+    assert digest.hexdigest() == VERDICT_JSON_SHA256

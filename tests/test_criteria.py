@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from dpone.criteria import (
     ActionSetup,
+    CarterWitness,
     MinimalityCertificate,
     StarsWitness,
     TripleWitness,
@@ -47,8 +49,15 @@ from dpone.stars import (
     star_actions,
     star_masks,
 )
-from dpone.weyl import CarterType3, element_order, reflection, representative_order3
+from dpone.weyl import (
+    CarterType3,
+    carter_type_order3,
+    element_order,
+    reflection,
+    representative_order3,
+)
 from test_group_oracles import GROUPS as ORACLE_GROUPS
+from test_weyl import rank_carter_type
 
 
 def group_of(*elements, label=""):
@@ -83,10 +92,10 @@ def test_action_setup_requires_commuting():
 
 def test_carter_rule():
     w = check_not_rational_carter(CANNED["A2^4"])
-    assert w is not None and w.carter_type is CarterType3.A2x4
+    assert w is not None and carter_type_order3(w.elements[0]) is CarterType3.A2x4
     assert replay_carter(CANNED["A2^4"], w)
     w3 = check_not_rational_carter(CANNED["A2^3"])
-    assert w3 is not None and w3.carter_type is CarterType3.A2x3
+    assert w3 is not None and carter_type_order3(w3.elements[0]) is CarterType3.A2x3
     assert check_not_rational_carter(CANNED["A2"]) is None
     assert check_not_rational_carter(CANNED["trivial"]) is None
 
@@ -111,11 +120,11 @@ def test_even_rule_bertini():
     gamma = group_of(bertini_isometry())
     w = check_not_rational_even(gamma)
     assert w is not None
-    assert w.order == 2
+    assert element_order(w.elements[0]) == 2
     assert replay_even(gamma, w)
     p = curve_table().pairing_array
-    perm = curve_table().permutation_of(w.element)
-    for c in w.star.curve_ids:
+    perm = curve_table().permutation_of(w.elements[0])
+    for c in w.stars[0].curve_ids:
         assert p[c, perm[c]] == 3
 
 
@@ -129,7 +138,7 @@ def test_triple_rule():
     w = check_rational_triple(CANNED["trivial"])
     assert w is not None
     assert replay_triple(CANNED["trivial"], w)
-    a, b, c = (curve_table().curve(i).divisor for i in w.curve_ids)
+    a, b, c = (curve_table().curve(i).divisor for i in w.curves)
     assert pair(a, b) == 1 and pair(b, c) == 1 and pair(a, c) == 0
     d = a + b + c
     assert pair(d, d) == 1
@@ -173,10 +182,11 @@ def test_two_stars_rule():
 
 def test_replay_rejects_tampered_witnesses():
     w = check_rational_triple(CANNED["A2"])
-    tampered = TripleWitness((w.curve_ids[0], w.curve_ids[1], w.curve_ids[1]))
+    tampered = TripleWitness(curves=(w.curves[0], w.curves[1], w.curves[1]))
     assert not replay_triple(CANNED["A2"], tampered)
     w4 = check_not_rational_carter(CANNED["A2^4"])
     assert not replay_carter(CANNED["A2^3"], w4)
+    assert not replay_carter(CANNED["A2"], CarterWitness((REPS[CarterType3.A2],)))
 
 
 def test_minimality_a2x4():
@@ -268,6 +278,38 @@ def test_report_ranks():
     assert report.ranks == {"G": 9, "Gamma": 5, "combined": 5}
     setup = ActionSetup(CANNED["A2"], CANNED["A2"])
     assert rationality_report(setup).ranks["combined"] == 7
+
+
+def test_order3_rules_build_matrices_only_for_witnesses(monkeypatch):
+    # the rules type closure rows by fixed curves; no element becomes a
+    # 9x9 matrix, and no rank is taken, unless it is the witness
+    import dpone.lattice as lattice
+
+    table = curve_table()
+    calls = Counter()
+    real_isometry_of, real_rank = type(table).isometry_of, lattice.integer_rank
+
+    def isometry_of(self, perm):
+        calls["isometry_of"] += 1
+        return real_isometry_of(self, perm)
+
+    def integer_rank(rows):
+        calls["integer_rank"] += 1
+        return real_rank(rows)
+
+    monkeypatch.setattr(type(table), "isometry_of", isometry_of)
+    monkeypatch.setattr(lattice, "integer_rank", integer_rank)
+    s5 = group_of(s8_action("(1 2)"), s8_action("(1 2 3 4 5)"))
+    a2x4 = CANNED["A2^4"]
+    for gamma in (s5, a2x4):
+        gamma.perms  # close outside the count
+    assert len(s5.of_order(3)) == 20
+    for rule in (check_not_rational_carter, check_not_rational_stars):
+        calls.clear()
+        assert rule(s5) is None
+        assert calls == {}
+        assert rule(a2x4) is not None
+        assert calls == {"isometry_of": 1}
 
 
 def test_exclusivity_on_canned_setups():
@@ -372,8 +414,10 @@ def test_report_permutes_each_generator_once_per_group(monkeypatch):
 # The rules read star-table rows and pair_codes.  The reference versions
 # below walk StarConfiguration objects instead: an all-ones cross test
 # confirmed by classify_pair, a clique search over those tests, and the
-# faithful-star list of StarAction objects.  Witnesses are the first hit
-# in a fixed order, so they must agree exactly, labeling included.
+# faithful-star list of StarAction objects.  The Carter reference builds
+# each order-3 element's matrix and types it by fixed rank, as the rule
+# did before it typed closure rows by fixed curves.  Witnesses are the
+# first hit in a fixed order, so they must agree exactly, labeling included.
 
 
 def all_ones_cross(a, b):
@@ -388,7 +432,15 @@ def reference_two_stars(gamma):
             continue
         if all_ones_cross(a, b):
             assert classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
-            return TwoStarsWitness((a, b))
+            return TwoStarsWitness(stars=(a, b))
+    return None
+
+
+def reference_carter(gamma):
+    for i in gamma.of_order(3):
+        m = gamma.element(i)
+        if rank_carter_type(m) in (CarterType3.A2x3, CarterType3.A2x4):
+            return CarterWitness((m,))
     return None
 
 
@@ -399,7 +451,7 @@ def reference_not_rational_stars(gamma):
             if a.kind is ActionKind.FAITHFUL
         ]
         if len(faithful) >= 3:
-            return StarsWitness(gamma.element(i), tuple(faithful[:3]))
+            return StarsWitness((gamma.element(i),), stars=tuple(faithful[:3]))
     return None
 
 
@@ -458,10 +510,14 @@ def test_star_rules_match_reference_scans(name):
     if got is not None:
         assert same_stars(got.stars, want.stars)
         assert replay_two_stars(gamma, got)
+    got, want = check_not_rational_carter(gamma), reference_carter(gamma)
+    assert got == want
+    if got is not None:
+        assert replay_carter(gamma, got)
     got, want = check_not_rational_stars(gamma), reference_not_rational_stars(gamma)
     assert (got is None) == (want is None)
     if got is not None:
-        assert got.element == want.element
+        assert got.elements == want.elements
         assert same_stars(got.stars, want.stars)
         assert replay_stars(gamma, got)
     setup = ActionSetup(GroupSpec(gamma.generators, "G"), TRIVIAL_GROUP)

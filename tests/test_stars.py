@@ -199,6 +199,26 @@ def test_star_table_checks_every_gram_block(monkeypatch):
         stars_module.StarTable()
 
 
+def test_table_stars_skip_the_repeat_gram_check(monkeypatch):
+    # the table checks all Gram blocks at once; its objects do not repeat it,
+    # while a star built from outside ids still checks its own
+    checked = []
+    real = StarConfiguration.__post_init__
+
+    def counting(self):
+        checked.append(self.curve_ids)
+        real(self)
+
+    monkeypatch.setattr(StarConfiguration, "__post_init__", counting)
+    table = stars_module.StarTable()
+    built = table.stars
+    assert checked == []
+    for s, row in zip(built, table.ids_array.tolist()):
+        want = StarConfiguration(tuple(row))
+        assert s == want and s.curve_ids == want.curve_ids
+    assert len(checked) == len(built) == 1120
+
+
 def test_bertini_fixes_every_star_antipodally():
     from dpone.curves import bertini_isometry
 

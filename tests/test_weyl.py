@@ -1,14 +1,17 @@
+import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from dpone.curves import s8_action
+from dpone.curves import curve_table, s8_action
 from dpone.lattice import (
     CANONICAL_CLASS,
     LINE,
     ORDER_CAP,
     RANK,
+    GroupSpec,
     LatticeIsometry,
     divisor,
     exceptional,
@@ -21,6 +24,7 @@ from dpone.lattice import (
 from dpone.weyl import (
     CarterType3,
     carter_type_order3,
+    carter_types,
     element_order,
     enumerate_roots,
     is_root,
@@ -30,6 +34,7 @@ from dpone.weyl import (
     representative_order3,
     rotation,
 )
+from test_group_oracles import GROUPS as ORACLE_GROUPS
 
 
 def closed_form_roots():
@@ -228,3 +233,58 @@ def test_conjugation_preserves_carter_type():
         m = representative_order3(ctype)
         conj = w @ m @ w.inverse()
         assert carter_type_order3(conj) is ctype
+
+
+def rank_carter_type(m: LatticeIsometry) -> CarterType3:
+    """The class of an order-3 isometry by the rank of its fixed sublattice,
+    the typing that the fixed-curve count replaced."""
+    return {t.fixed_rank: t for t in CarterType3}[fixed_rank(m)]
+
+
+def assert_counts_agree_with_ranks(rows):
+    t = curve_table()
+    elements = [t.isometry_of(row) for row in rows]
+    want = [rank_carter_type(m) for m in elements]
+    assert carter_types(rows) == want
+    assert [carter_type_order3(m) for m in elements] == want
+    return Counter(want)
+
+
+def test_carter_types_match_ranks_on_oracle_groups():
+    seen = Counter()
+    for gens in ORACLE_GROUPS.values():
+        g = GroupSpec(gens)
+        seen += assert_counts_agree_with_ranks(g.perms[g.of_order(3)])
+    assert set(seen) == set(CarterType3)
+
+
+def test_carter_types_match_ranks_on_random_words():
+    # the order-3 powers of seeded words in s1..s8 reach all four classes
+    t = curve_table()
+    simple = [t.permutation_of(reflection(r)) for r in simple_roots()]
+    rng = random.Random(2)
+    words = []
+    for _ in range(3000):
+        h = np.arange(240)
+        for _ in range(rng.choice((60, 61))):
+            h = h[simple[rng.randrange(8)]]
+        words.append(h)
+    rows = []
+    for h, n in zip(words, permutation_orders(np.array(words)).tolist()):
+        if n % 3 == 0:
+            p = np.arange(240)
+            for _ in range(n // 3):
+                p = p[h]
+            rows.append(p)
+    seen = assert_counts_agree_with_ranks(np.array(rows))
+    assert seen == {
+        CarterType3.A2: 504,
+        CarterType3.A2x2: 509,
+        CarterType3.A2x3: 400,
+        CarterType3.A2x4: 127,
+    }
+
+
+def test_carter_types_reject_unknown_counts():
+    with pytest.raises(AssertionError, match="fixing 237 curves"):
+        carter_types(cycles_on_240(3)[None])
