@@ -31,6 +31,7 @@ import numpy as np
 from .curves import curve_table
 from .lattice import (
     CANONICAL_CLASS,
+    CheckViolation,
     GroupSpec,
     LatticeIsometry,
     TRIVIAL_GROUP,
@@ -60,7 +61,7 @@ RATIONAL_CAVEAT = (
 )
 
 
-class CertificateViolation(RuntimeError):
+class CertificateViolation(CheckViolation):
     """A certificate was found whose direct re-verification failed."""
 
 

@@ -20,6 +20,11 @@ import numpy as np
 
 RANK = 9
 
+
+class CheckViolation(RuntimeError):
+    """A computed fact failed one of the library's own consistency checks."""
+
+
 # Diagonal of the intersection form in basis order (L, E1..E8).
 FORM_DIAG = (1, -1, -1, -1, -1, -1, -1, -1, -1)
 
@@ -390,7 +395,8 @@ def group_closure(g: GroupSpec) -> np.ndarray:
             key = nxt.tobytes()
             if key not in seen:
                 if len(seen) >= g.cap:
-                    raise ValueError(f"group closure exceeds cap {g.cap}")
+                    name = f"group {g.label}" if g.label else "group"
+                    raise ValueError(f"{name} closure exceeds cap {g.cap}")
                 seen[key] = nxt
                 queue.append(nxt)
     return np.stack(list(seen.values()))
@@ -501,11 +507,22 @@ def isometry_to_text(m: LatticeIsometry) -> str:
 
 
 def isometry_from_text(text: str) -> LatticeIsometry:
-    """Parse the 9-line matrix format; rows act on column coefficient vectors."""
+    """Parse nine rows of nine integers; rows act on column coefficient vectors.
+
+    Rows end at a newline or at a "/", so the one-line form "r1 / r2 / ..."
+    that the command line prints parses back.
+    """
     rows = []
     for line in text.strip().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([int(tok) for tok in line.split()])
+        rows += ([_matrix_entry(tok) for tok in row.split()] for row in line.split("/"))
     return LatticeIsometry(_as_matrix(rows))
+
+
+def _matrix_entry(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"bad matrix entry {tok!r}") from None

@@ -29,14 +29,17 @@ table; `star_through` is the one-star construction it vectorizes.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .curves import ExceptionalCurve, curve_table
 from .lattice import (
     CANONICAL_CLASS,
+    CheckViolation,
     DivisorClass,
     GroupLike,
     GroupSpec,
@@ -65,7 +68,7 @@ class OverlappingStars(ValueError):
         super().__init__(f"stars share curves {{{names}}}")
 
 
-class TrichotomyViolation(RuntimeError):
+class TrichotomyViolation(CheckViolation):
     """Raised if a disjoint-support pair matches no interaction pattern."""
 
 
@@ -383,16 +386,18 @@ def pair_codes(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
     return codes
 
 
-def pair_code_counts(ids) -> np.ndarray:
-    """How many unordered pairs of the stars with these curve ids have each code.
+def pair_counts(ids) -> dict[str, int]:
+    """How many unordered pairs of the stars with these curve ids are of each kind.
 
-    ids is a sequence of six-id rows, one per star.
+    ids is a sequence of six-id rows, one per star.  The keys are the three
+    PairType values and "overlapping", in pair-code order, zeros included.
     """
     ids = np.asarray(ids, dtype=np.int64).reshape(-1, 6)
     counts = np.zeros(OVERLAPPING + 1, dtype=np.int64)
     for a in range(len(ids) - 1):
         counts += np.bincount(pair_codes(ids[a], ids[a + 1 :]), minlength=len(counts))
-    return counts
+    kinds = [p.value for p in PAIR_TYPES] + ["overlapping"]
+    return dict(zip(kinds, counts.tolist()))
 
 
 def sample_pairs_by_type(per_type: int) -> dict[PairType, list]:
@@ -562,46 +567,25 @@ def star_graph_automorphisms(stars) -> int:
 # ---------------------------------------------------------------------------
 # whole-population sweeps
 
-@dataclass(frozen=True)
-class TrichotomyCensus:
-    total_pairs: int
-    overlapping: int
-    asynchronized: int
-    synchronized: int
-    abnormal: int
-
+# Both censuses are cached and shared, so they return read-only mappings.
 
 @cache
-def trichotomy_census() -> TrichotomyCensus:
-    """Classify every unordered pair of distinct stars with pair_codes.
+def trichotomy_census() -> Mapping[str, int]:
+    """pair_counts of every unordered pair of the 1120 stars.
 
     Pairs with overlapping supports are checked to share exactly one
     Bertini pair; all others are required to match exactly one pattern
     up to relabeling.  Any exception raises.
     """
-    ids = star_table().ids_array
-    counts = pair_code_counts(ids).tolist()
-    by_type = dict(zip(PAIR_TYPES, counts))
-    n = len(ids)
-    return TrichotomyCensus(
-        total_pairs=n * (n - 1) // 2,
-        overlapping=counts[OVERLAPPING],
-        asynchronized=by_type[PairType.ASYNCHRONIZED],
-        synchronized=by_type[PairType.SYNCHRONIZED],
-        abnormal=by_type[PairType.ABNORMAL],
-    )
-
-
-@dataclass(frozen=True)
-class ProfileCensus:
-    pairs_checked: int
-    all_ones: int
-    touching: int
+    return MappingProxyType(pair_counts(star_table().ids_array))
 
 
 @cache
-def intersection_profile_census() -> ProfileCensus:
-    """Check every (outside curve, star) profile is all-ones or touching."""
+def intersection_profile_census() -> Mapping[str, int]:
+    """Count (outside curve, star) profiles by ProfileKind value.
+
+    Raises TrichotomyViolation unless every profile is all-ones or touching.
+    """
     p = curve_table().pairing_array
     s = star_table().ids_array
     n = len(s)
@@ -622,8 +606,7 @@ def intersection_profile_census() -> ProfileCensus:
         raise TrichotomyViolation("profile matched both shapes")
     if not np.all(ones[outside] | touching[outside]):
         raise TrichotomyViolation("outside curve with an unrecognized profile")
-    return ProfileCensus(
-        pairs_checked=int(outside.sum()),
-        all_ones=int((ones & outside).sum()),
-        touching=int((touching & outside).sum()),
-    )
+    return MappingProxyType({
+        ProfileKind.ALL_ONES.value: int((ones & outside).sum()),
+        ProfileKind.TOUCHING.value: int((touching & outside).sum()),
+    })

@@ -164,7 +164,7 @@ def parse_element(text: str) -> LatticeIsometry:
 
     Cycle notation "(1 2 3)(4 5 6)" gives an index permutation; a line
     "s i1 i2 ..." gives a word in the simple reflections s_1..s_8; nine
-    whitespace-separated rows of nine integers give a raw matrix.
+    rows of nine integers, ended by newlines or "/", give a raw matrix.
     """
     stripped = text.strip()
     if not stripped:
@@ -187,4 +187,9 @@ def parse_element(text: str) -> LatticeIsometry:
                 raise ValueError(f"reflection index out of range: {idx}")
             m = m @ reflection(simples[idx - 1])
         return m
+    if not first.split("/")[0].lstrip("-").isdigit():  # a matrix's first entry
+        raise ValueError(
+            f"cannot read an element from {first!r}: write cycle notation "
+            '"(1 2 3)", a reflection word "s 1 2 1" or nine rows of nine integers'
+        )
     return isometry_from_text(stripped)

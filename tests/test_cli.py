@@ -239,6 +239,23 @@ def test_census_bertini_all_stars(capsys):
     assert elapsed < 10.0, f"Bertini census took {elapsed:.1f}s"
 
 
+def test_census_counts_are_one_read_only_shape(capsys):
+    from dpone.stars import intersection_profile_census, pair_counts, trichotomy_census
+
+    assert trichotomy_census() == {
+        "asynchronized": 67200,
+        "synchronized": 151200,
+        "abnormal": 362880,
+        "overlapping": 45360,
+    }
+    for cached in (trichotomy_census(), intersection_profile_census()):
+        with pytest.raises(TypeError):
+            cached["touching"] = 0
+    code, out, _ = run(capsys, "--json", "census", "-e", "(1 2 3)")
+    assert code == 0
+    assert list(json.loads(out)["pairwise"]) == list(pair_counts([]))
+
+
 # every name `dpone/__init__` exported when it imported its submodules eagerly
 PACKAGE_EXPORTS = """
     CANONICAL_CLASS DivisorClass GroupSpec LatticeIsometry TRIVIAL_GROUP divisor
@@ -399,6 +416,20 @@ def test_failed_lemma_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == "FAIL: planted counterexample\n"
 
+    # a library check failing inside a lemma is a failed check, not a traceback
+    import dpone.stars as stars
+
+    def violated(*args):
+        raise stars.TrichotomyViolation("planted violation")
+
+    monkeypatch.setattr(stars, "pair_codes", violated)
+    stars.trichotomy_census.cache_clear()  # a raising census caches nothing
+    code, out, _ = run(capsys, "--json", "verify-lemma", "2Daviddef")
+    assert code == 1
+    assert json.loads(out) == {
+        "lemma": "2Daviddef", "ok": False, "detail": ["FAIL: planted violation"],
+    }
+
 
 def test_certificate_violation_in_report_exits_1(capsys, monkeypatch):
     import dpone.criteria as criteria
@@ -412,6 +443,20 @@ def test_certificate_violation_in_report_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "check failed: planted violation\n"
+
+    # the same for a pair that breaks the trichotomy inside a rule
+    import dpone.stars as stars
+
+    def broken(*args):
+        raise stars.TrichotomyViolation("planted trichotomy violation")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(stars, "pair_codes", broken)
+    monkeypatch.setattr(criteria, "pair_codes", broken)
+    code, out, err = run(capsys, "report", "-gamma", "(1 2 3)")
+    assert code == 1
+    assert out == ""
+    assert err == "check failed: planted trichotomy violation\n"
 
 
 @pytest.mark.parametrize("argv", [("census", "-e", "(1 2 3)"), ("report",)])

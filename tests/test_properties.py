@@ -4,7 +4,8 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import assume, given, settings
 
-from dpone.curves import bertini, curve_table
+from dpone.cli import element_text
+from dpone.curves import bertini, bertini_isometry, curve_table
 from dpone.lattice import (
     CANONICAL_CLASS,
     DivisorClass,
@@ -18,7 +19,14 @@ from dpone.lattice import (
     simple_roots,
 )
 from dpone.stars import is_star, profile, star_table, star_through
-from dpone.weyl import carter_type_order3, element_order, reflection, representative_order3, CarterType3
+from dpone.weyl import (
+    CarterType3,
+    carter_type_order3,
+    element_order,
+    parse_element,
+    reflection,
+    representative_order3,
+)
 
 coeffs9 = st.tuples(*[st.integers(-9, 9)] * 9)
 divisors = coeffs9.map(DivisorClass)
@@ -169,3 +177,16 @@ def test_isometry_text_round_trip(p):
 def test_word_isometry_text_round_trip(word):
     m = word_isometry(word)
     assert isometry_from_text(isometry_to_text(m)) == m
+
+
+@given(words)
+def test_printed_element_parses_back(word):
+    # the command line prints a matrix on one line, rows joined by " / "
+    m = word_isometry(word)
+    assert parse_element(element_text(m)) == m
+
+
+def test_printed_named_elements_parse_back():
+    named = [representative_order3(c) for c in CarterType3] + [bertini_isometry()]
+    for m in named:
+        assert parse_element(element_text(m)) == m
