@@ -4,7 +4,11 @@ Element inputs (-e, -g, -gamma) take a file path or inline text in any of
 the three formats of the weyl module: cycle notation "(1 2 3)(4 5 6)",
 a reflection word "s 1 2 1", or nine rows of nine integers.  Group files
 may contain several elements separated by blank lines; # starts a
-comment.  Exit codes: 0 ok, 1 check failed, 2 usage error.
+comment.  A file is read up to MAX_INPUT_CHARS characters.
+
+Each subcommand returns its JSON document and its text lines, and main
+alone writes one of them to stdout.  Exit codes: 0 ok, 1 check failed,
+2 usage error, 141 stdout closed before the output was written.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 from .curves import FAMILIES, curve_table, enumerate_curves
 from .lattice import (
@@ -43,22 +48,25 @@ class CheckFailure(CheckViolation):
     """A lemma check found a counterexample."""
 
 
+MAX_INPUT_CHARS = 1 << 20  # a 9x9 matrix takes about 250
+
+
 def _read_source(value: str) -> str:
-    if os.path.exists(value):
-        try:
-            with open(value, "r", encoding="utf-8") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise ValueError(f"cannot read {value!r}: {exc.strerror}") from None
-    return value
+    if not os.path.exists(value):
+        return value
+    try:
+        with open(value, "r", encoding="utf-8") as fh:
+            text = fh.read(MAX_INPUT_CHARS + 1)  # /dev/zero has no end
+    except OSError as exc:
+        raise ValueError(f"cannot read {value!r}: {exc.strerror}") from None
+    if len(text) > MAX_INPUT_CHARS:
+        raise ValueError(f"{value!r} is longer than {MAX_INPUT_CHARS} characters")
+    return text
 
 
 def _strip_comments(text: str) -> str:
-    lines = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0].rstrip()
-        lines.append(body)
-    return "\n".join(lines)
+    """The text without comments, each line right-stripped."""
+    return "\n".join(line.split("#", 1)[0].rstrip() for line in text.splitlines())
 
 
 def _parse(text: str, value: str) -> LatticeIsometry:
@@ -83,14 +91,8 @@ def load_group(value: str | None, label: str, cap: int) -> GroupSpec:
     """
     if value is None:
         return GroupSpec((), label, cap)
-    text = _strip_comments(_read_source(value))
-    blocks: list[list[str]] = [[]]
-    for line in text.splitlines():
-        if line.strip():
-            blocks[-1].append(line)
-        elif blocks[-1]:
-            blocks.append([])
-    generators = tuple(_parse("\n".join(b), value) for b in blocks if b)
+    blocks = _strip_comments(_read_source(value)).split("\n\n")
+    generators = tuple(_parse(b, value) for b in blocks if b.strip())
     return GroupSpec(generators, label, cap)
 
 
@@ -99,9 +101,7 @@ def element_text(m: LatticeIsometry) -> str:
     perm = permutation_of_isometry(m)
     if perm is not None:
         return cycles_string(perm)
-    return " / ".join(
-        " ".join(str(x) for x in row) for row in m.matrix
-    )
+    return " / ".join(" ".join(str(x) for x in row) for row in m.matrix)
 
 
 def witness_to_dict(w) -> dict | None:
@@ -136,105 +136,80 @@ def verdict_to_dict(report) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, JSON document, text lines or None)
 
-def cmd_list_curves(args) -> int:
+def cmd_list_curves(args):
     curves = enumerate_curves()
-    if args.json:
-        doc = [
-            {"id": c.id, "name": c.name, "family": c.family,
-             "coeffs": list(c.divisor.coeffs)}
-            for c in curves
-        ]
-        print(json.dumps(doc, indent=2))
-        return 0
-    for c in curves:
-        print(f"{c.name:<6} {c.family:<3} {c.divisor}")
-    return 0
+    doc = [
+        {"id": c.id, "name": c.name, "family": c.family,
+         "coeffs": list(c.divisor.coeffs)}
+        for c in curves
+    ]
+    return 0, doc, (f"{c.name:<6} {c.family:<3} {c.divisor}" for c in curves)
 
 
-def cmd_list_roots(args) -> int:
+def cmd_list_roots(args):
     roots = enumerate_roots()
-    if args.json:
-        print(json.dumps([list(r.coeffs) for r in roots], indent=2))
-        return 0
-    for r in roots:
-        print(r)
-    return 0
+    return 0, [list(r.coeffs) for r in roots], map(str, roots)
 
 
-def cmd_list_stars(args) -> int:
+def cmd_list_stars(args):
     from .stars import enumerate_stars
 
-    stars = enumerate_stars()
-    if args.json:
-        print(json.dumps([s.text() for s in stars], indent=2))
-        return 0
-    print(f"{len(stars)} stars")
-    for s in stars:
-        print(s.text())
-    return 0
+    texts = [s.text() for s in enumerate_stars()]
+    return 0, texts, chain([f"{len(texts)} stars"], texts)
 
 
-def cmd_classify_element(args) -> int:
+def cmd_classify_element(args):
     m = load_element(args.element)
-    order = element_order(m)
-    rank = fixed_rank(m)
+    order, rank = element_order(m), fixed_rank(m)
     doc = {"order": order, "fixed_rank": rank}
     line = f"order {order}, rank {rank}"
     if order == 3:
-        ctype = carter_type_order3(m)
-        doc["carter_type"] = ctype.display
-        line += f", type {ctype.display}"
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(line)
-    return 0
+        doc["carter_type"] = carter_type_order3(m).display
+        line += f", type {doc['carter_type']}"
+    return 0, doc, [line]
 
 
-def cmd_census(args) -> int:
-    from .stars import ActionKind, invariant_curves, invariant_stars, pair_counts
+def _split_stars(g) -> tuple[list, list]:
+    """The invariant stars of g: those it fixes pointwise, those it rotates."""
+    from .stars import ActionKind, invariant_stars
+
+    actions = invariant_stars(g)
+    return tuple(
+        [a.star for a in actions if a.kind is kind]
+        for kind in (ActionKind.TRIVIAL, ActionKind.FAITHFUL)
+    )
+
+
+def cmd_census(args):
+    from .stars import invariant_curves, pair_counts
 
     m = GroupSpec((load_element(args.element),))  # permuted once for both scans
-    t = curve_table()
     inv = invariant_curves(m)
-    actions = invariant_stars(m)
-    trivial = [a.star for a in actions if a.kind is ActionKind.TRIVIAL]
-    faithful = [a.star for a in actions if a.kind is ActionKind.FAITHFUL]
-    pairwise = pair_counts([a.star.curve_ids for a in actions])
-    if args.json:
-        doc = {
-            "invariant_curves": [t.curve(i).name for i in inv],
-            "trivial_stars": [s.text() for s in trivial],
-            "faithful_stars": [s.text() for s in faithful],
-            "pairwise": pairwise,
-        }
-        print(json.dumps(doc, indent=2))
-        return 0
-    print(
-        f"invariant curves: {len(inv)}; faithful stars: {len(faithful)}; "
-        f"trivial stars: {len(trivial)}"
+    trivial, faithful = _split_stars(m)
+    doc = {
+        "invariant_curves": [curve_table().curve(i).name for i in inv],
+        "trivial_stars": [s.text() for s in trivial],
+        "faithful_stars": [s.text() for s in faithful],
+        "pairwise": pair_counts([s.curve_ids for s in trivial + faithful]),
+    }
+    lines = chain(
+        [f"invariant curves: {len(inv)}; faithful stars: {len(faithful)}; "
+         f"trivial stars: {len(trivial)}"],
+        (f"trivial  {s}" for s in doc["trivial_stars"]),
+        (f"faithful {s}" for s in doc["faithful_stars"]),
+        ["pairwise: " + ", ".join(f"{k} {v}" for k, v in doc["pairwise"].items())],
     )
-    for s in trivial:
-        print(f"trivial  {s.text()}")
-    for s in faithful:
-        print(f"faithful {s.text()}")
-    print(
-        "pairwise: "
-        + ", ".join(f"{k} {v}" for k, v in pairwise.items())
-    )
-    return 0
+    return 0, doc, lines
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
     from .criteria import ActionSetup, rationality_report
 
     g = load_group(args.g_group, "G", args.cap)
     gamma = load_group(args.gamma, "Gamma", args.cap)
-    report = rationality_report(ActionSetup(g, gamma))
-    print(json.dumps(verdict_to_dict(report), indent=2))
-    return 0
+    return 0, verdict_to_dict(rationality_report(ActionSetup(g, gamma))), None
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +250,7 @@ def _lemma_a2a22() -> list[str]:
 
 
 def _lemma_davidinv() -> list[str]:
-    from .stars import ActionKind, invariant_curves, invariant_stars, profile
+    from .stars import invariant_curves, profile
 
     out = []
     expected = {
@@ -287,8 +262,7 @@ def _lemma_davidinv() -> list[str]:
     for ctype, (n_inv, n_faithful) in expected.items():
         m = representative_order3(ctype)
         inv = invariant_curves(m)
-        actions = invariant_stars(m)
-        faithful = [a.star for a in actions if a.kind is ActionKind.FAITHFUL]
+        _, faithful = _split_stars(m)
         _require(
             len(inv) == n_inv,
             f"{ctype.display}: {len(inv)} invariant curves, expected {n_inv}",
@@ -302,9 +276,7 @@ def _lemma_davidinv() -> list[str]:
         )
     # the A2 representative: every invariant curve meets its faithful star all-ones
     m = representative_order3(CarterType3.A2)
-    faithful = [
-        a.star for a in invariant_stars(m) if a.kind is ActionKind.FAITHFUL
-    ][0]
+    faithful = _split_stars(m)[1][0]
     for c in invariant_curves(m):
         p = profile(c, faithful)
         _require(
@@ -315,25 +287,29 @@ def _lemma_davidinv() -> list[str]:
     return out
 
 
+def _count_lines(census, total: int, what: str, note: str = "") -> list[str]:
+    """The census's count line, once its counts add up to total."""
+    _require(sum(census.values()) == total, f"census misses some of the {total} {what}")
+    counts = ", ".join(f"{count} {kind}" for kind, count in census.items())
+    return [f"{total} {what}: {counts}{note}", "OK"]
+
+
 def _lemma_davidintersection() -> list[str]:
     from .stars import intersection_profile_census, star_table
 
-    census = intersection_profile_census()
     outside = len(star_table().ids_array) * (240 - 6)
-    _require(sum(census.values()) == outside, "profile census misses outside pairs")
-    counts = ", ".join(f"{count} {kind}" for kind, count in census.items())
-    return [f"{outside} outside (curve, star) pairs: {counts}", "OK"]
+    return _count_lines(
+        intersection_profile_census(), outside, "outside (curve, star) pairs"
+    )
 
 
 def _lemma_2daviddef() -> list[str]:
     from .stars import star_table, trichotomy_census
 
-    census = trichotomy_census()
     n = len(star_table().ids_array)
-    total = n * (n - 1) // 2
-    _require(sum(census.values()) == total, "trichotomy census misses pairs")
-    counts = ", ".join(f"{count} {kind}" for kind, count in census.items())
-    return [f"{total} star pairs: {counts} (share a Bertini pair)", "OK"]
+    return _count_lines(
+        trichotomy_census(), n * (n - 1) // 2, "star pairs", " (share a Bertini pair)"
+    )
 
 
 def _lemma_davidauto() -> list[str]:
@@ -377,13 +353,9 @@ def _lemma_davidmin() -> list[str]:
 
 def _lemma_davidmin_pair(ctype: CarterType3, rotations: str) -> list[str]:
     from .criteria import ActionSetup, check_minimal_four_stars, search_commuting_order3
-    from .stars import ActionKind, invariant_stars
 
     g = representative_order3(ctype)
-    pointwise = [
-        a.star for a in invariant_stars(g) if a.kind is ActionKind.TRIVIAL
-    ]
-    h = search_commuting_order3(g, pointwise)
+    h = search_commuting_order3(g, _split_stars(g)[0])
     setup = ActionSetup(GroupSpec((g, h), "G"), TRIVIAL_GROUP)
     cert = check_minimal_four_stars(setup)
     _require(cert is not None, f"no certificate for the {ctype.display} pair")
@@ -452,27 +424,17 @@ LEMMAS = {
 }
 
 
-def cmd_verify_lemma(args) -> int:
+def cmd_verify_lemma(args):
     checker = LEMMAS.get(args.name)
     if checker is None:
-        print(
-            f"unknown lemma {args.name!r}; choose from {', '.join(sorted(LEMMAS))}",
-            file=sys.stderr,
+        raise ValueError(
+            f"unknown lemma {args.name!r}; choose from {', '.join(sorted(LEMMAS))}"
         )
-        return 2
     try:
-        detail = checker()
-        ok = True
+        detail, ok = checker(), True
     except CheckViolation as exc:  # CheckFailure, or a failed library check
-        detail = [f"FAIL: {exc}"]
-        ok = False
-    if args.json:
-        doc = {"lemma": args.name, "ok": ok, "detail": detail}
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in detail:
-            print(line)
-    return 0 if ok else 1
+        detail, ok = [f"FAIL: {exc}"], False
+    return int(not ok), {"lemma": args.name, "ok": ok, "detail": detail}, detail
 
 
 # ---------------------------------------------------------------------------
@@ -490,51 +452,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list-curves", help="print the 240 exceptional curves")
-    sub.add_parser("list-roots", help="print the 240 roots")
-    sub.add_parser("list-stars", help="print all 1120 stars")
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("classify-element", help="order, fixed rank, Carter type")
+    command("list-curves", cmd_list_curves, "print the 240 exceptional curves")
+    command("list-roots", cmd_list_roots, "print the 240 roots")
+    command("list-stars", cmd_list_stars, "print all 1120 stars")
+
+    p = command("classify-element", cmd_classify_element, "order, fixed rank, Carter type")
     p.add_argument("-e", "--element", required=True, help="element file or inline")
 
-    p = sub.add_parser("census", help="invariant curves and stars of an element")
+    p = command("census", cmd_census, "invariant curves and stars of an element")
     p.add_argument("-e", "--element", required=True, help="element file or inline")
 
-    p = sub.add_parser("verify-lemma", help="replay a named check")
+    p = command("verify-lemma", cmd_verify_lemma, "replay a named check")
     p.add_argument("name", help=", ".join(sorted(LEMMAS)))
 
-    p = sub.add_parser("report", help="rationality verdict as JSON")
+    p = command("report", cmd_report, "rationality verdict as JSON")
     p.add_argument("-g", dest="g_group", default=None, help="G generators file or inline")
     p.add_argument("-gamma", "--gamma", dest="gamma", default=None,
                    help="Gamma generators file or inline")
     return parser
 
 
-COMMANDS = {
-    "list-curves": cmd_list_curves,
-    "list-roots": cmd_list_roots,
-    "list-stars": cmd_list_stars,
-    "classify-element": cmd_classify_element,
-    "census": cmd_census,
-    "verify-lemma": cmd_verify_lemma,
-    "report": cmd_report,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one subcommand and write its document: the one stdout writer."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return COMMANDS[args.command](args)
+        code, doc, lines = args.run(args)
     except ValueError as exc:  # stars.OverlappingStars included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckViolation as exc:  # TrichotomyViolation, CertificateViolation
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    try:
+        if args.json or lines is None:
+            print(json.dumps(doc, indent=2))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader went away, as in `dpone list-stars | head`
+        # so that the interpreter's exit flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell tool stopped by the closed pipe
+    return code
 
 
 if __name__ == "__main__":

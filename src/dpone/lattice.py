@@ -10,6 +10,7 @@ fixing K.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -428,7 +429,8 @@ def permutation_orders(perms: np.ndarray) -> np.ndarray:
 def parse_cycles(text: str) -> dict[int, int]:
     """Parse cycle notation such as "(1 2 3)(4 5 6)" into a mapping on 1..8.
 
-    "()" denotes the identity.  Separators may be spaces or commas.
+    "()" denotes the identity.  Separators may be spaces or commas, and
+    whitespace, newlines included, may stand between cycles.
     """
     s = text.strip()
     if not s:
@@ -438,7 +440,7 @@ def parse_cycles(text: str) -> dict[int, int]:
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError(f"malformed cycle string: {text!r}")
     mapping: dict[int, int] = {}
-    for chunk in s[1:-1].split(")("):
+    for chunk in re.split(r"\)\s*\(", s[1:-1]):
         parts = [p for p in chunk.replace(",", " ").split() if p]
         if not parts:
             continue

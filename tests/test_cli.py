@@ -192,6 +192,12 @@ def test_classify_element_matrix_file(capsys, tmp_path):
     assert out.strip() == "order 3, rank 1, type A2^4"
 
 
+def test_classify_element_spaced_cycles(capsys):
+    code, out, _ = run(capsys, "classify-element", "-e", "(1 2) (3 4)")
+    assert code == 0
+    assert out == "order 2, rank 7\n"
+
+
 def test_census_a2(capsys):
     code, out, _ = run(capsys, "census", "-e", "(1 2 3)")
     lines = out.splitlines()
@@ -323,6 +329,34 @@ def test_cli_import_leaves_out_jsonschema():
         f"print(all(getattr(dpone, name) is not None for name in {PACKAGE_EXPORTS!r}))"
     )
     assert fresh_python(code).splitlines() == ["dpone", "True"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["list-stars"],
+        ["list-curves"],
+        ["--json", "list-roots"],
+        ["classify-element", "-e", "(1 2 3)"],
+    ],
+    ids=" ".join,
+)
+def test_closed_stdout_exits_quietly(argv):
+    """A reader that went away (`dpone list-stars | head -3`) ends the run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpone", *argv], env=env, stdout=write_end,
+            stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_report_trivial(capsys):
@@ -490,6 +524,23 @@ def test_directory_input_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot read") and str(tmp_path) in err
+
+
+def test_oversized_input_exits_2(capsys, tmp_path):
+    path = tmp_path / "padded.txt"
+    path.write_text("(1 2 3)" + " " * (1 << 20))  # past the 1 MiB read limit
+    code, out, err = run(capsys, "classify-element", "-e", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(path) in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_input_exits_2(capsys):
+    code, out, err = run(capsys, "census", "-e", "/dev/zero")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "/dev/zero" in err
 
 
 @pytest.mark.parametrize("gamma", [(), ("-gamma", "(1 2 3)")], ids=["trivial", "A2"])

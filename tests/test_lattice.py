@@ -219,6 +219,11 @@ def test_parse_cycles_round_trip():
         parse_cycles("(1 2 2)")
     with pytest.raises(ValueError):
         parse_cycles("(0 1)")
+    # whitespace, newlines included, may stand between and around cycles
+    assert parse_cycles("(1 2) (3 4)") == parse_cycles("(1 2)(3 4)")
+    assert parse_cycles(" (1 2 3)\n(4 5 6) ") == parse_cycles("(1 2 3)(4 5 6)")
+    with pytest.raises(ValueError, match="malformed cycle string"):
+        parse_cycles("(1 2) x (3 4)")
 
 
 def test_permutation_isometry_round_trip():
