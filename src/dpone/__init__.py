@@ -26,15 +26,15 @@ _EXPORTS = {
     "weyl": (
         "CarterType3", "carter_type_order3", "element_order",
         "enumerate_roots", "is_root", "parse_element", "reflection",
-        "representative_order3", "rotation",
+        "representative_order3",
     ),
     "stars": (
         "ActionKind", "IntersectionProfile", "OverlappingStars", "PairType",
         "ProfileKind", "StarAction", "StarConfiguration",
         "TrichotomyViolation", "classify_pair", "enumerate_stars",
         "intersection_profile_census", "invariant_curves", "invariant_stars",
-        "is_star", "profile", "star_graph_automorphisms", "star_rotation",
-        "star_through", "trichotomy_census",
+        "is_star", "profile", "star_graph_automorphisms", "star_through",
+        "trichotomy_census",
     ),
     "criteria": (
         "ActionSetup", "CertificateViolation", "MinimalityCertificate",

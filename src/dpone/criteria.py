@@ -48,10 +48,10 @@ from .stars import (
     invariant_curves,
     pair_codes,
     star_masks,
-    star_rotation,
+    star_plane,
     star_table,
 )
-from .weyl import CarterType3, carter_types, element_order
+from .weyl import CarterType3, carter_types, reflection_permutation
 
 ASYNCHRONIZED = PAIR_TYPES.index(PairType.ASYNCHRONIZED)  # its pair code
 
@@ -260,7 +260,8 @@ def search_commuting_order3(
         raise ValueError("need at least one star to act on")
     t = curve_table()
     g_perm = t.permutation_of(g)
-    rotations = [t.permutation_of(star_rotation(s)) for s in stars]
+    planes = map(star_plane, stars)
+    rotations = [reflection_permutation(a)[reflection_permutation(b)] for a, b in planes]
     for exps in product((1, 2), repeat=len(stars)):
         h = np.arange(240, dtype=np.int16)
         for r, e in zip(rotations, exps):
@@ -339,25 +340,27 @@ def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None
 
 def replay_carter(gamma: GroupSpec, w: CarterWitness) -> bool:
     (m,) = w.elements
-    if not gamma.contains(m) or element_order(m) != 3:
+    i = gamma.index_of(m)
+    if i is None or gamma.orders[i] != 3:
         return False
     return fixed_rank(m) in {t.fixed_rank for t in _MANY_FAITHFUL}
 
 
 def replay_stars(gamma: GroupSpec, w: StarsWitness) -> bool:
     (m,) = w.elements
-    if not gamma.contains(m) or element_order(m) != 3 or len(set(w.stars)) < 3:
+    i = gamma.index_of(m)
+    if i is None or gamma.orders[i] != 3 or len(set(w.stars)) < 3:
         return False
-    perm = curve_table().permutation_of(m)
-    return bool(_faithful(perm[None], np.array([s.curve_ids for s in w.stars])).all())
+    rows = np.array([s.curve_ids for s in w.stars])
+    return bool(_faithful(gamma.perms[i][None], rows).all())
 
 
 def replay_even(gamma: GroupSpec, w: EvenWitness) -> bool:
     (m,), (star,) = w.elements, w.stars
-    if not gamma.contains(m) or element_order(m) % 2 != 0:
+    i = gamma.index_of(m)
+    if i is None or gamma.orders[i] % 2 != 0:
         return False
-    perm = curve_table().permutation_of(m)
-    return bool(_antipodal(perm, np.array([star.curve_ids]))[0])
+    return bool(_antipodal(gamma.perms[i], np.array([star.curve_ids]))[0])
 
 
 def replay_triple(gamma: GroupSpec, w: TripleWitness) -> bool:
@@ -385,14 +388,14 @@ def replay_minimality(setup: ActionSetup, cert: MinimalityCertificate) -> bool:
         return False
     g = setup.g_group
     combined = generator_permutations(setup.combined)
-    t = curve_table()
     for s, m in zip(cert.stars, cert.elements):
-        if not g.contains(m) or element_order(m) != 3:
+        i = g.index_of(m)
+        if i is None or g.orders[i] != 3:
             return False
         setwise, _ = star_masks(combined, np.array([s.curve_ids]))
         if not setwise.all():
             return False
-        if not _faithful(t.permutation_of(m)[None], np.array([s.curve_ids])).all():
+        if not _faithful(g.perms[i][None], np.array([s.curve_ids])).all():
             return False
     for a, b in combinations(cert.stars, 2):
         if classify_pair(a, b).pair_type is not PairType.ASYNCHRONIZED:

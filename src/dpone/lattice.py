@@ -264,8 +264,9 @@ class GroupSpec:
     kept for the object's lifetime, so each generator is permuted once, a
     caller that needs only the generators closes nothing, and every rule,
     search and replay handed the same object shares one closure.
-    ``cap`` bounds that closure (see ``group_closure``).  A 9x9 matrix is
-    built only for an element that needs one (Carter typing, witnesses).
+    ``cap`` bounds that closure (see ``group_closure``).  ``index_of``
+    finds an isometry's closure index, and ``element(i)`` builds the 9x9
+    matrix of index i, only for an element that is handed out.
     """
 
     generators: tuple[LatticeIsometry, ...]
@@ -296,8 +297,8 @@ class GroupSpec:
         return permutation_orders(self.perms)
 
     @cached_property
-    def _keys(self) -> set[bytes]:
-        return {p.tobytes() for p in self.perms}
+    def _index(self) -> dict[bytes, int]:
+        return {p.tobytes(): i for i, p in enumerate(self.perms)}
 
     def of_order(self, n: int) -> np.ndarray:
         """Closure indices of the elements of order n, in closure order."""
@@ -308,10 +309,11 @@ class GroupSpec:
 
         return curve_table().isometry_of(self.perms[i])
 
-    def contains(self, m: LatticeIsometry) -> bool:
+    def index_of(self, m: LatticeIsometry) -> int | None:
+        """The closure index of an isometry, or None if it is not in the group."""
         from .curves import curve_table
 
-        return curve_table().permutation_of(m).tobytes() in self._keys
+        return self._index.get(curve_table().permutation_of(m).tobytes())
 
 
 TRIVIAL_GROUP = GroupSpec((), "trivial")

@@ -43,10 +43,8 @@ from .lattice import (
     DivisorClass,
     GroupLike,
     GroupSpec,
-    LatticeIsometry,
     _generators_of,
 )
-from .weyl import rotation
 
 
 def _circulant(row) -> np.ndarray:
@@ -523,18 +521,13 @@ def star_plane(star: StarConfiguration) -> tuple[DivisorClass, DivisorClass]:
     """Two roots spanning the A2 plane of a star.
 
     H + K is a root for every member; opposite members give opposite
-    roots, and members at hexagon distance two give roots pairing to 1.
+    roots, and members at hexagon distance two give roots a, b pairing to
+    1, whose rotation s_a s_b of the plane shifts the hexagon by two.
     """
     t = curve_table()
     h0 = t.curve(star.curve_ids[0]).divisor
     h2 = t.curve(star.curve_ids[2]).divisor
     return (h0 + CANONICAL_CLASS, h2 + CANONICAL_CLASS)
-
-
-def star_rotation(star: StarConfiguration) -> LatticeIsometry:
-    """Order-3 rotation of a star's A2 plane; shifts the hexagon by two."""
-    a, b = star_plane(star)
-    return rotation(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,19 @@
 
 The Weyl group W(E8) acts on the Picard lattice fixing K; it is generated
 by reflections in the 240 roots {v : v*v = -2, v*K = 0}, which are the
-solutions solve_norm(-2, 0).  This module builds reflections and the
-order-3 rotations of A2 root planes, and classifies order-3 elements by
-conjugacy class.  The four classes A2, A2^2, A2^3, A2^4 fix 72, 12, 6
-and 0 of the 240 curves, so `carter_types` reads the class of a curve
-permutation off that count; their fixed sublattices have rank 7, 5, 3, 1.
+solutions solve_norm(-2, 0).  Elements compose as curve permutations,
+perm(A @ B) = perm_A[perm_B], with each reflection's permutation cached;
+a matrix is built only to read text or hand an element out, by one
+`curve_table().isometry_of`.  The four order-3 classes A2, A2^2, A2^3,
+A2^4 fix 72, 12, 6 and 0 of the 240 curves, so `carter_types` reads the
+class of a curve permutation off that count; their fixed sublattices
+have rank 7, 5, 3, 1.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
@@ -54,14 +56,12 @@ def reflection(r: DivisorClass) -> LatticeIsometry:
     ))
 
 
-def rotation(a: DivisorClass, b: DivisorClass) -> LatticeIsometry:
-    """The order-3 rotation s_a s_b of the A2 plane spanned by roots a, b.
-
-    Requires a*b = 1 so that a, b span an A2 subsystem.
-    """
-    if pair(a, b) != 1:
-        raise ValueError(f"roots do not span an A2 plane: a*b = {pair(a, b)}")
-    return reflection(a) @ reflection(b)
+@cache
+def reflection_permutation(r: DivisorClass) -> np.ndarray:
+    """The curve permutation of the reflection in a root, read-only int16."""
+    perm = curve_table().permutation_of(reflection(r))
+    perm.flags.writeable = False  # every caller shares this array
+    return perm
 
 
 def element_order(m: LatticeIsometry) -> int:
@@ -144,16 +144,16 @@ def representative_order3(ctype: CarterType3) -> LatticeIsometry:
     """A standard representative of each order-3 class.
 
     A2 and A2^2 act by index 3-cycles on the blown-up points; A2^3 and
-    A2^4 multiply rotations of pairwise-orthogonal A2 planes.
+    A2^4 compose the rotations s_a s_b of pairwise-orthogonal A2 planes.
     """
     if ctype is CarterType3.A2:
         return permutation_isometry(parse_cycles("(1 2 3)"))
     if ctype is CarterType3.A2x2:
         return permutation_isometry(parse_cycles("(1 2 3)(4 5 6)"))
-    planes = orthogonal_a2_planes(ctype.value)
-    m = LatticeIsometry.identity()
-    for a, b in planes:
-        m = m @ rotation(a, b)
+    perm = np.arange(240, dtype=np.int16)
+    for a, b in orthogonal_a2_planes(ctype.value):
+        perm = perm[reflection_permutation(a)[reflection_permutation(b)]]
+    m = curve_table().isometry_of(perm)
     if carter_type_order3(m) is not ctype:
         raise AssertionError(f"representative search produced wrong class for {ctype}")
     return m
@@ -177,7 +177,7 @@ def parse_element(text: str) -> LatticeIsometry:
         word = stripped.split()[1:]
         if not word:
             raise ValueError("empty reflection word")
-        m = LatticeIsometry.identity()
+        roots = []  # every letter is read before the curve table is built
         for tok in word:
             try:
                 idx = int(tok)
@@ -185,8 +185,9 @@ def parse_element(text: str) -> LatticeIsometry:
                 raise ValueError(f"bad reflection index: {tok!r}") from None
             if not 1 <= idx <= 8:
                 raise ValueError(f"reflection index out of range: {idx}")
-            m = m @ reflection(simples[idx - 1])
-        return m
+            roots.append(simples[idx - 1])
+        perms = map(reflection_permutation, roots)  # perm(w s) = perm_w[perm_s]
+        return curve_table().isometry_of(reduce(lambda p, q: p[q], perms))
     if not first.split("/")[0].lstrip("-").isdigit():  # a matrix's first entry
         raise ValueError(
             f"cannot read an element from {first!r}: write cycle notation "

@@ -13,6 +13,7 @@ from dpone.lattice import isometry_to_text
 from dpone.weyl import CarterType3, representative_order3
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 # the Bertini involution D -> -2K - D as nine matrix rows
 BERTINI_ROWS = "\n".join(
@@ -269,12 +270,12 @@ PACKAGE_EXPORTS = """
     ExceptionalCurve bertini bertini_isometry curve_table disjoint_partners
     enumerate_curves s8_action
     CarterType3 carter_type_order3 element_order enumerate_roots is_root
-    parse_element reflection representative_order3 rotation
+    parse_element reflection representative_order3
     ActionKind IntersectionProfile OverlappingStars PairType ProfileKind
     StarAction StarConfiguration TrichotomyViolation classify_pair
     enumerate_stars intersection_profile_census invariant_curves
-    invariant_stars is_star profile star_graph_automorphisms star_rotation
-    star_through trichotomy_census
+    invariant_stars is_star profile star_graph_automorphisms star_through
+    trichotomy_census
     ActionSetup CertificateViolation MinimalityCertificate RationalityVerdict
     Verdict check_minimal_four_stars check_not_rational_carter
     check_not_rational_even check_not_rational_stars check_rational_triple
@@ -329,6 +330,45 @@ def test_cli_import_leaves_out_jsonschema():
         f"print(all(getattr(dpone, name) is not None for name in {PACKAGE_EXPORTS!r}))"
     )
     assert fresh_python(code).splitlines() == ["dpone", "True"]
+
+
+# runs main on the bench pool's commands that build group elements with
+# every 9x9 matrix product refused, and prints each command's exit code and
+# whether its stdout matches the bench oracle; first, a bad reflection word
+# must be refused before the curve table is built
+NO_MATRIX_PRODUCTS = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+from dpone.curves import curve_table
+from dpone.lattice import LatticeIsometry
+from dpone.weyl import parse_element
+
+def refuse(self, other):
+    raise AssertionError("9x9 matrix product")
+
+LatticeIsometry.__matmul__ = refuse
+try:
+    parse_element("s 1 9")
+except ValueError:
+    print("rejected with", curve_table.cache_info().currsize, "tables")
+oracle = workloads.load_oracles()["cli"]
+lemmas = {"Davidinv", "Davidmin", "Davidmin1", "Davidmin2", "RatCor-consistency"}
+for label, _, argv in workloads.cli_pool():
+    if argv[-1].startswith("s ") or {"census", "report"} & set(argv) or lemmas & set(argv):
+        rc, out = workloads.run_cli_captured(argv)
+        same = hashlib.sha256(out.encode()).hexdigest() == oracle[label]["sha256"]
+        print(rc, oracle[label]["exit"], same)
+"""
+
+
+def test_elements_compose_without_matrix_products():
+    lines = fresh_python(NO_MATRIX_PRODUCTS, str(PERFBENCH)).splitlines()
+    assert lines[0] == "rejected with 0 tables"
+    assert len(lines[1:]) == 15
+    for line in lines[1:]:
+        rc, want, same = line.split()
+        assert rc == want and same == "True", lines
 
 
 @pytest.mark.parametrize(

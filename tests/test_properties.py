@@ -1,4 +1,6 @@
+import random
 from functools import reduce
+from operator import matmul
 
 import hypothesis.strategies as st
 import numpy as np
@@ -23,6 +25,7 @@ from dpone.weyl import (
     CarterType3,
     carter_type_order3,
     element_order,
+    orthogonal_a2_planes,
     parse_element,
     reflection,
     representative_order3,
@@ -51,6 +54,33 @@ def word_isometry(word):
         ROOT_REFLECTIONS = tuple(reflection(r) for r in simple_roots())
     gens = [ROOT_REFLECTIONS[i] for i in word]
     return reduce(lambda a, b: a @ b, gens, LatticeIsometry.identity())
+
+
+def word_text(word):
+    return "s " + " ".join(str(i + 1) for i in word)
+
+
+# parse_element composes curve permutations; the matrix products are its oracle
+@settings(max_examples=50, deadline=None)
+@given(words)
+def test_parsed_word_matches_matrix_product(word):
+    assume(word)
+    assert parse_element(word_text(word)) == word_isometry(word)
+
+
+def test_long_parsed_words_match_matrix_products():
+    rng = random.Random(2)
+    for k in range(50):
+        word = [rng.randrange(8) for _ in range(60 + k % 2)]
+        assert parse_element(word_text(word)) == word_isometry(word)
+
+
+def test_representatives_match_plane_rotation_products():
+    for ctype in (CarterType3.A2x3, CarterType3.A2x4):
+        rotations = (
+            reflection(a) @ reflection(b) for a, b in orthogonal_a2_planes(ctype.value)
+        )
+        assert representative_order3(ctype) == reduce(matmul, rotations)
 
 
 @given(divisors, divisors)

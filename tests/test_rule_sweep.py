@@ -30,7 +30,7 @@ from dpone.criteria import (
 )
 from dpone.curves import bertini_isometry, curve_table
 from dpone.lattice import GroupSpec, fixed_rank, permutation_isometry, simple_roots
-from dpone.weyl import reflection
+from dpone.weyl import reflection_permutation
 
 REPLAYS = {
     check_rational_two_stars: replay_two_stars,
@@ -45,7 +45,7 @@ REPLAYS = {
 def family() -> tuple[GroupSpec, ...]:
     """The 400 groups, each word composed on curve permutations."""
     t = curve_table()
-    simple = [t.permutation_of(reflection(r)) for r in simple_roots()]
+    simple = [reflection_permutation(r) for r in simple_roots()]
     b = t.permutation_of(bertini_isometry())
     rng = random.Random(2)
     groups = []

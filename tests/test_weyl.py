@@ -31,8 +31,8 @@ from dpone.weyl import (
     orthogonal_a2_planes,
     parse_element,
     reflection,
+    reflection_permutation,
     representative_order3,
-    rotation,
 )
 from test_group_oracles import GROUPS as ORACLE_GROUPS
 
@@ -139,11 +139,13 @@ def test_rotation_order_and_rank():
     a = exceptional(1) - exceptional(2)
     b = exceptional(2) - exceptional(3)
     assert pair(a, b) == 1
-    rot = rotation(a, b)
-    assert element_order(rot) == 3
+    perm = reflection_permutation(a)[reflection_permutation(b)]
+    assert permutation_orders(perm[None])[0] == 3
+    rot = curve_table().isometry_of(perm)
+    assert rot == reflection(a) @ reflection(b)
     assert fixed_rank(rot) == 7
     with pytest.raises(ValueError):
-        rotation(a, exceptional(4) - exceptional(5))
+        reflection_permutation(a)[0] = 0  # the cached array is shared
 
 
 def cycles_on_240(*lengths):
@@ -260,8 +262,7 @@ def test_carter_types_match_ranks_on_oracle_groups():
 
 def test_carter_types_match_ranks_on_random_words():
     # the order-3 powers of seeded words in s1..s8 reach all four classes
-    t = curve_table()
-    simple = [t.permutation_of(reflection(r)) for r in simple_roots()]
+    simple = [reflection_permutation(r) for r in simple_roots()]
     rng = random.Random(2)
     words = []
     for _ in range(3000):
