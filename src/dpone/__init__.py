@@ -30,11 +30,10 @@ _EXPORTS = {
     ),
     "stars": (
         "ActionKind", "IntersectionProfile", "OverlappingStars", "PairType",
-        "ProfileKind", "StarAction", "StarConfiguration",
-        "TrichotomyViolation", "classify_pair", "enumerate_stars",
-        "intersection_profile_census", "invariant_curves", "invariant_stars",
-        "is_star", "profile", "star_graph_automorphisms", "star_through",
-        "trichotomy_census",
+        "ProfileKind", "StarAction", "TrichotomyViolation", "classify_pair",
+        "enumerate_stars", "intersection_profile_census", "invariant_curves",
+        "invariant_stars", "is_star", "profile", "star_graph_automorphisms",
+        "star_id", "star_text", "star_through", "trichotomy_census",
     ),
     "criteria": (
         "ActionSetup", "CertificateViolation", "MinimalityCertificate",

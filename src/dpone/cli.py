@@ -29,11 +29,13 @@ from .lattice import (
     cycles_string,
     fixed_rank,
     permutation_of_isometry,
+    permutation_orders,
     solve_norm,
 )
 from .weyl import (
     CarterType3,
     carter_type_order3,
+    carter_types,
     element_order,
     enumerate_roots,
     parse_element,
@@ -105,20 +107,24 @@ def element_text(m: LatticeIsometry) -> str:
 
 
 def witness_to_dict(w) -> dict | None:
+    from .stars import star_text
+
     if w is None:
         return None
     return {
         "elements": [element_text(m) for m in w.elements],
         "curves": [curve_table().curve(i).name for i in w.curves],
-        "stars": [s.text() for s in w.stars],
+        "stars": [star_text(s) for s in w.stars],
     }
 
 
 def minimality_to_dict(cert) -> dict | None:
+    from .stars import star_text
+
     if cert is None:
         return None
     return {
-        "stars": [s.text() for s in cert.stars],
+        "stars": [star_text(s) for s in cert.stars],
         "elements": [element_text(m) for m in cert.elements],
         "combined_rank": cert.combined_rank,
     }
@@ -154,19 +160,20 @@ def cmd_list_roots(args):
 
 
 def cmd_list_stars(args):
-    from .stars import enumerate_stars
+    from .stars import enumerate_stars, star_text
 
-    texts = [s.text() for s in enumerate_stars()]
+    texts = [star_text(s) for s in enumerate_stars()]
     return 0, texts, chain([f"{len(texts)} stars"], texts)
 
 
 def cmd_classify_element(args):
     m = load_element(args.element)
-    order, rank = element_order(m), fixed_rank(m)
+    perm = curve_table().permutation_of(m)[None]  # read for the order and type
+    order, rank = int(permutation_orders(perm)[0]), fixed_rank(m)
     doc = {"order": order, "fixed_rank": rank}
     line = f"order {order}, rank {rank}"
     if order == 3:
-        doc["carter_type"] = carter_type_order3(m).display
+        doc["carter_type"] = carter_types(perm)[0].display
         line += f", type {doc['carter_type']}"
     return 0, doc, [line]
 
@@ -183,16 +190,16 @@ def _split_stars(g) -> tuple[list, list]:
 
 
 def cmd_census(args):
-    from .stars import invariant_curves, pair_counts
+    from .stars import invariant_curves, pair_counts, star_text
 
     m = GroupSpec((load_element(args.element),))  # permuted once for both scans
     inv = invariant_curves(m)
     trivial, faithful = _split_stars(m)
     doc = {
         "invariant_curves": [curve_table().curve(i).name for i in inv],
-        "trivial_stars": [s.text() for s in trivial],
-        "faithful_stars": [s.text() for s in faithful],
-        "pairwise": pair_counts([s.curve_ids for s in trivial + faithful]),
+        "trivial_stars": [star_text(s) for s in trivial],
+        "faithful_stars": [star_text(s) for s in faithful],
+        "pairwise": pair_counts(trivial + faithful),
     }
     lines = chain(
         [f"invariant curves: {len(inv)}; faithful stars: {len(faithful)}; "
@@ -323,7 +330,7 @@ def _lemma_davidauto() -> list[str]:
         PairType.ABNORMAL: 16,
     }
     out = []
-    for s in map(star_table().star, range(10)):
+    for s in star_table().stars[:10]:
         n = star_graph_automorphisms([s])
         _require(n == 12, f"single star automorphisms {n} != 12")
     out.append("single star: 12")
@@ -368,9 +375,7 @@ def _lemma_davidmin_pair(ctype: CarterType3, rotations: str) -> list[str]:
 
 
 def _lemma_ratcor() -> list[str]:
-    from .criteria import (
-        TripleWitness, TwoStarsWitness, Verdict, gamma_report, replay_triple,
-    )
+    from .criteria import Verdict, Witness, gamma_report, replay_triple
     from .stars import PairType, sample_pairs_by_type
 
     out = []
@@ -388,18 +393,16 @@ def _lemma_ratcor() -> list[str]:
             f"{name}: verdict {report.verdict.value}, expected {want.value}",
         )
         out.append(f"{name}: {report.verdict.value} via {report.rule}")
-        if isinstance(report.witness, TwoStarsWitness):
+        if report.rule == "rational_two_stars":
             a, b = report.witness.stars
-            triple = TripleWitness(
-                curves=(a.curve_ids[0], b.curve_ids[0], a.curve_ids[1])
-            )
+            triple = Witness(curves=(a[0], b[0], a[1]))
             _require(
                 replay_triple(gamma, triple),
                 f"{name}: two-stars witness gives no triple",
             )
     # any asynchronized pair contains a qualifying triple
     for sa, sb in sample_pairs_by_type(25)[PairType.ASYNCHRONIZED]:
-        a, b, c = sa.curve_ids[0], sb.curve_ids[0], sa.curve_ids[1]
+        a, b, c = sa[0], sb[0], sa[1]
         p = curve_table().pairing_array
         _require(
             p[a, b] == 1 and p[b, c] == 1 and p[a, c] == 0,

@@ -7,14 +7,17 @@ element of Gamma"; the rules below draw conclusions from the combinatorics
 of fixed curves, invariant stars, and order-3 conjugacy classes.
 
 Every check either returns None or a `Witness`: the group elements,
-curve ids and stars it found, any of them empty.  Its subclass names the
-rule, and the matching replay_* function re-checks it from scratch.  The
-rules are sufficient conditions, so Inconclusive is an honest verdict.  Rational verdicts are
+curve ids and stars (curve-id tuples in hexagon order) it found, any of
+them empty.  Its subclass names the rule, and the matching replay_*
+function re-checks it from scratch.  The rules are sufficient
+conditions, so Inconclusive is an honest verdict.  Rational verdicts are
 a lattice-level statement: the lattice cannot see rational points, so
 they assume the surface has one where the geometric argument needs it.
 
 The rules read stars as rows of the star table and star pairs only
-through `pair_codes`; the replays re-check star pairs with `classify_pair`.
+through `pair_codes`.  The replays take no star on trust: each must be
+distinct and pass `star_id`, and star pairs are re-checked with
+`classify_pair`.
 Both order-3 rules take the first closure element of class A2^3 or A2^4,
 typed by `weyl.carter_types`; a 9x9 matrix is built only for a witness.
 """
@@ -42,11 +45,11 @@ from .lattice import (
 from .stars import (
     PAIR_TYPES,
     PairType,
-    StarConfiguration,
     classify_pair,
     generator_permutations,
     invariant_curves,
     pair_codes,
+    star_id,
     star_masks,
     star_plane,
     star_table,
@@ -99,7 +102,7 @@ class Witness:
 
     elements: tuple[LatticeIsometry, ...] = ()
     curves: tuple[int, ...] = ()
-    stars: tuple[StarConfiguration, ...] = ()
+    stars: tuple[tuple[int, ...], ...] = ()
 
 
 # one subclass per rule, naming the replay that checks it
@@ -125,7 +128,7 @@ class TwoStarsWitness(Witness):
 
 @dataclass(frozen=True)
 class MinimalityCertificate:
-    stars: tuple[StarConfiguration, ...]
+    stars: tuple[tuple[int, ...], ...]
     elements: tuple[LatticeIsometry, ...]
     combined_rank: int
 
@@ -168,7 +171,7 @@ def check_not_rational_stars(gamma: GroupSpec) -> StarsWitness | None:
         return None
     table = star_table()
     hits = np.flatnonzero(_faithful(gamma.perms[i][None], table.ids_array)[0])
-    stars = tuple(map(table.star, hits[:3].tolist()))
+    stars = tuple(table.stars[h] for h in hits[:3].tolist())
     return StarsWitness((gamma.element(i),), stars=stars)
 
 
@@ -187,7 +190,7 @@ def check_not_rational_even(gamma: GroupSpec) -> EvenWitness | None:
     for i in np.flatnonzero(gamma.orders % 2 == 0):
         hits = np.flatnonzero(_antipodal(gamma.perms[i], star_table().ids_array))
         if len(hits):
-            star = star_table().star(int(hits[0]))
+            star = star_table().stars[hits[0]]
             return EvenWitness((gamma.element(i),), stars=(star,))
     return None
 
@@ -237,7 +240,7 @@ def check_rational_two_stars(gamma: GroupSpec) -> TwoStarsWitness | None:
         hits = np.flatnonzero(pair_codes(rows[i], rows[i + 1 :]) == ASYNCHRONIZED)
         if len(hits):
             a, b = fixed[[i, i + 1 + hits[0]]].tolist()
-            return TwoStarsWitness(stars=(table.star(a), table.star(b)))
+            return TwoStarsWitness(stars=(table.stars[a], table.stars[b]))
     return None
 
 
@@ -271,7 +274,7 @@ def search_commuting_order3(
             continue
         if permutation_orders(h[None])[0] != 3:
             continue
-        if _faithful(h[None], np.array([s.curve_ids for s in stars])).all():
+        if _faithful(h[None], np.array(stars)).all():
             return t.isometry_of(h)
     raise ValueError("no commuting order-3 element found over the star planes")
 
@@ -325,7 +328,7 @@ def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None
     chosen = _first_four_clique(asynchronized)
     if chosen is None:
         return None
-    stars = tuple(table.star(int(candidates[i])) for i in chosen)
+    stars = tuple(table.stars[candidates[i]] for i in chosen)
     elements = tuple(g.element(int(rotator[i])) for i in chosen)
     rank = fixed_rank(setup.combined)
     if rank != 1:
@@ -346,21 +349,28 @@ def replay_carter(gamma: GroupSpec, w: CarterWitness) -> bool:
     return fixed_rank(m) in {t.fixed_rank for t in _MANY_FAITHFUL}
 
 
+def _distinct_stars(stars, n: int) -> bool:
+    """Whether stars are n different stars, each a star in its own order."""
+    try:
+        return len(stars) == len({star_id(s) for s in stars}) == n
+    except ValueError:
+        return False
+
+
 def replay_stars(gamma: GroupSpec, w: StarsWitness) -> bool:
     (m,) = w.elements
     i = gamma.index_of(m)
-    if i is None or gamma.orders[i] != 3 or len(set(w.stars)) < 3:
+    if i is None or gamma.orders[i] != 3 or not _distinct_stars(w.stars, 3):
         return False
-    rows = np.array([s.curve_ids for s in w.stars])
-    return bool(_faithful(gamma.perms[i][None], rows).all())
+    return bool(_faithful(gamma.perms[i][None], np.array(w.stars)).all())
 
 
 def replay_even(gamma: GroupSpec, w: EvenWitness) -> bool:
-    (m,), (star,) = w.elements, w.stars
+    (m,) = w.elements
     i = gamma.index_of(m)
-    if i is None or gamma.orders[i] % 2 != 0:
+    if i is None or gamma.orders[i] % 2 != 0 or not _distinct_stars(w.stars, 1):
         return False
-    return bool(_antipodal(gamma.perms[i], np.array([star.curve_ids]))[0])
+    return bool(_antipodal(gamma.perms[i], np.array(w.stars))[0])
 
 
 def replay_triple(gamma: GroupSpec, w: TripleWitness) -> bool:
@@ -376,15 +386,16 @@ def replay_triple(gamma: GroupSpec, w: TripleWitness) -> bool:
 
 
 def replay_two_stars(gamma: GroupSpec, w: TwoStarsWitness) -> bool:
+    if not _distinct_stars(w.stars, 2):
+        return False
     a, b = w.stars
-    inv = set(invariant_curves(gamma))
-    if not (a.support <= inv and b.support <= inv):
+    if not set(a) | set(b) <= set(invariant_curves(gamma)):
         return False
     return classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
 
 
 def replay_minimality(setup: ActionSetup, cert: MinimalityCertificate) -> bool:
-    if len(set(cert.stars)) != 4 or len(cert.elements) != 4:
+    if not _distinct_stars(cert.stars, 4) or len(cert.elements) != 4:
         return False
     g = setup.g_group
     combined = generator_permutations(setup.combined)
@@ -392,10 +403,10 @@ def replay_minimality(setup: ActionSetup, cert: MinimalityCertificate) -> bool:
         i = g.index_of(m)
         if i is None or g.orders[i] != 3:
             return False
-        setwise, _ = star_masks(combined, np.array([s.curve_ids]))
+        setwise, _ = star_masks(combined, np.array([s]))
         if not setwise.all():
             return False
-        if not _faithful(g.perms[i][None], np.array([s.curve_ids])).all():
+        if not _faithful(g.perms[i][None], np.array([s])).all():
             return False
     for a, b in combinations(cert.stars, 2):
         if classify_pair(a, b).pair_type is not PairType.ASYNCHRONIZED:

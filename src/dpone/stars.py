@@ -8,6 +8,12 @@ disjoint curves lie in exactly one common star, giving 1120 stars with
 each curve on 28 of them.  Every check reads the curve table's one
 pairing matrix, `pairing_array`.
 
+A star is the tuple of its six curve ids in hexagon order, wherever this
+module takes or returns one; the star table holds all 1120, one row
+each.  Ids from outside the table are checked once, by `star_id`, which
+looks their canonical form up among the table's rows; `star_text`
+names a star's curves.
+
 Adding K to each member turns a star into a hexagon of E8 roots spanning
 an A2 plane, which is how stars talk to the Weyl group: rotating the
 plane rotates the star two steps.
@@ -54,7 +60,6 @@ def _circulant(row) -> np.ndarray:
 
 # Gram matrix of a star in hexagon order
 STAR_GRAM = _circulant((-1, 0, 2, 3, 2, 0)).tolist()
-_CURVE_IDS = frozenset(range(240))
 
 
 class OverlappingStars(ValueError):
@@ -92,75 +97,49 @@ D6 = np.array([
     for k in range(6)
     for order in ([(i + k) % 6 for i in range(6)], [(k - i) % 6 for i in range(6)])
 ])
+# packs six curve ids into one int that orders like the id tuple
+_KEY_WEIGHTS = 256 ** np.arange(5, -1, -1)
 
 
-@dataclass(frozen=True, eq=False)
-class StarConfiguration:
-    """Six curve ids in hexagon order; equality ignores the labeling."""
+def star_text(ids) -> str:
+    """The curve names of a star in its order, as {E7, E8, ...}."""
+    t = curve_table()
+    return "{" + ", ".join(t.curve(i).name for i in ids) + "}"
 
-    curve_ids: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        ids = self.curve_ids
-        if len(ids) != 6 or not _CURVE_IDS.issuperset(ids):
-            raise ValueError(f"a star needs six curve ids in 0..239, got {ids!r}")
-        # the Gram block also rejects repeated curves, whose -1 lands off the
-        # diagonal; take() is cheaper than np.ix_ for the table's 1120 stars
-        gram = curve_table().pairing_array.take(ids, 0).take(ids, 1)
-        if gram.tolist() != STAR_GRAM:
-            raise ValueError("curves do not form a star in this order")
+def star_id(ids) -> int:
+    """The star-table row of the star with these curve ids in this cyclic order.
 
-    @classmethod
-    def _unchecked(cls, curve_ids: tuple[int, ...]) -> "StarConfiguration":
-        """Wrap ids that are a star by construction: a star-table row."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "curve_ids", curve_ids)
-        return s
-
-    @cached_property
-    def canonical_key(self) -> tuple[int, ...]:
-        return min(map(tuple, np.array(self.curve_ids)[D6].tolist()))
-
-    @cached_property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.curve_ids)
-
-    @property
-    def curves(self) -> tuple[ExceptionalCurve, ...]:
-        t = curve_table()
-        return tuple(t.curve(i) for i in self.curve_ids)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.curves)
-
-    def text(self) -> str:
-        return "{" + ", ".join(self.names) + "}"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, StarConfiguration)
-            and self.canonical_key == other.canonical_key
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.canonical_key)
-
-    def __repr__(self) -> str:
-        return f"Star{self.text()}"
+    The least of the ids' 12 relabelings, packed as the table packs its
+    rows, is looked up among the table's sorted keys: it is found exactly
+    when the ids are a relabeling of a row, which are the orders whose
+    Gram block is STAR_GRAM.  Raises ValueError unless ids are six ints
+    in 0..239 that form a star in this order.
+    """
+    ids = tuple(ids)
+    if len(ids) != 6 or not all(
+        isinstance(c, (int, np.integer)) and 0 <= c < 240 for c in ids
+    ):
+        raise ValueError(f"a star needs six curve ids in 0..239, got {ids!r}")
+    keys = star_table().keys
+    key = (np.array(ids, dtype=np.int64)[D6] @ _KEY_WEIGHTS).min()
+    sid = int(np.searchsorted(keys, key))
+    if sid == len(keys) or keys[sid] != key:
+        raise ValueError("curves do not form a star in this order")
+    return sid
 
 
 def is_star(curves) -> bool:
     """Whether the six curves form a star in the given cyclic order."""
     try:
-        StarConfiguration(tuple(_resolve_curve_id(c) for c in curves))
+        star_id([_resolve_curve_id(c) for c in curves])
     except (ValueError, TypeError):
         return False
     return True
 
 
-def star_through(a, b) -> StarConfiguration:
-    """The unique star containing two disjoint curves as neighbors.
+def star_through(a, b) -> tuple[int, ...]:
+    """The curve ids of the unique star containing two disjoint curves as neighbors.
 
     With A, B the classes, the hexagon runs A, B, -K - A + B, -2K - A,
     -2K - B, -K + A - B.
@@ -174,11 +153,13 @@ def star_through(a, b) -> StarConfiguration:
     k = CANONICAL_CLASS
     va, vb = t.curve(ia).divisor, t.curve(ib).divisor
     seq = (va, vb, -1 * k - va + vb, -2 * k - va, -2 * k - vb, -1 * k + va - vb)
-    return StarConfiguration(tuple(t.id_of(d) for d in seq))
+    ids = tuple(t.id_of(d) for d in seq)
+    star_id(ids)
+    return ids
 
 
 class StarTable:
-    """All 1120 stars in canonical order, as a (1120, 6) id array and as objects.
+    """All 1120 stars in canonical order, as a (1120, 6) id array and as tuples.
 
     Built with array operations from the 6720 disjoint pairs (A, B),
     A < B, of the pairing table: the hexagon is A, B, B - A - K and the
@@ -187,9 +168,9 @@ class StarTable:
     smallest id and stepping to the smaller neighbor.
 
     The constructor checks every row's Gram block against STAR_GRAM in
-    one array comparison, the check each StarConfiguration makes of its
-    own ids, so the objects skip it.  ``star(sid)`` builds and keeps one
-    object, ``stars`` all of them, so each is built at most once.
+    one array comparison, once.  ``keys`` holds each row packed base 256,
+    sorted, the keys that `star_id` looks ids from outside up in, and
+    ``stars`` the rows as tuples of ints.
     """
 
     def __init__(self) -> None:
@@ -207,7 +188,7 @@ class StarTable:
 
         # each row must be a star, the least of its 12 relabelings, and all
         # distinct
-        keys = rows[:, D6] @ (256 ** np.arange(5, -1, -1))
+        keys = rows[:, D6] @ _KEY_WEIGHTS
         gram = t.pairing_array[rows[:, :, None], rows[:, None, :]]
         if (
             len(rows) != 1120
@@ -218,17 +199,11 @@ class StarTable:
             raise AssertionError("star table rows are not 1120 canonical hexagons")
 
         self.ids_array = rows.astype(np.int16)
-        self._built: dict[int, StarConfiguration] = {}
-
-    def star(self, sid: int) -> StarConfiguration:
-        if sid not in self._built:
-            ids = tuple(self.ids_array[sid].tolist())
-            self._built[sid] = StarConfiguration._unchecked(ids)
-        return self._built[sid]
+        self.keys = keys[:, 0]
 
     @cached_property
-    def stars(self) -> tuple[StarConfiguration, ...]:
-        return tuple(map(self.star, range(len(self.ids_array))))
+    def stars(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.ids_array.tolist()))
 
 
 @cache
@@ -236,8 +211,8 @@ def star_table() -> StarTable:
     return StarTable()
 
 
-def enumerate_stars() -> tuple[StarConfiguration, ...]:
-    """All 1120 stars, deduplicated by canonical key, in key order."""
+def enumerate_stars() -> tuple[tuple[int, ...], ...]:
+    """All 1120 stars as curve-id tuples, each once, in canonical order."""
     return star_table().stars
 
 
@@ -273,19 +248,20 @@ class PairClassification:
     ordering_b: tuple[int, ...]
 
 
-def classify_pair(a: StarConfiguration, b: StarConfiguration) -> PairClassification:
+def classify_pair(a: tuple[int, ...], b: tuple[int, ...]) -> PairClassification:
     """Match a disjoint-support star pair against the three patterns.
 
-    Tries all 144 hexagon relabelings of both stars against each pattern
-    and checks that exactly one pattern is ever achieved.  Raises
+    a and b are stars' curve ids in hexagon order, taken as given.  Tries
+    all 144 hexagon relabelings of both stars against each pattern and
+    checks that exactly one pattern is ever achieved.  Raises
     OverlappingStars when the supports meet: such pairs share a Bertini
     pair, their cross matrix contains a -1 and a 3, and no pattern can
     absorb that.
     """
-    shared = a.support & b.support
+    shared = frozenset(a) & frozenset(b)
     if shared:
-        raise OverlappingStars(frozenset(shared))
-    cross = curve_table().pairing_array[np.ix_(a.curve_ids, b.curve_ids)].tolist()
+        raise OverlappingStars(shared)
+    cross = curve_table().pairing_array[np.ix_(a, b)].tolist()
     relabelings = D6.tolist()
     # the first (ra, rb) relabeling, in loop order, that achieves each pattern
     hits: dict[PairType, tuple[int, int]] = {}
@@ -301,13 +277,13 @@ def classify_pair(a: StarConfiguration, b: StarConfiguration) -> PairClassificat
     if len(hits) != 1:
         raise TrichotomyViolation(
             f"pair matched {sorted(t.value for t in hits)} patterns: "
-            f"{a.text()} vs {b.text()}"
+            f"{star_text(a)} vs {star_text(b)}"
         )
     [(ptype, (ra, rb))] = hits.items()
     return PairClassification(
         ptype,
-        tuple(a.curve_ids[i] for i in relabelings[ra]),
-        tuple(b.curve_ids[i] for i in relabelings[rb]),
+        tuple(a[i] for i in relabelings[ra]),
+        tuple(b[i] for i in relabelings[rb]),
     )
 
 
@@ -411,7 +387,7 @@ def sample_pairs_by_type(per_type: int) -> dict[PairType, list]:
         for code, ptype in enumerate(PAIR_TYPES):
             need = per_type - len(found[ptype])
             for b in np.flatnonzero(codes == code)[:need].tolist():
-                found[ptype].append((table.star(a), table.star(a + 1 + b)))
+                found[ptype].append((table.stars[a], table.stars[a + 1 + b]))
         if all(len(v) >= per_type for v in found.values()):
             break
     return found
@@ -435,7 +411,7 @@ class IntersectionProfile:
     anchor: int | None = None
 
 
-def profile(a, star: StarConfiguration) -> IntersectionProfile:
+def profile(a, star: tuple[int, ...]) -> IntersectionProfile:
     """Pairing vector of an outside curve against a star's hexagon.
 
     The vector is (1,1,1,1,1,1) or a rotation of (0,0,1,2,2,1); the
@@ -443,9 +419,9 @@ def profile(a, star: StarConfiguration) -> IntersectionProfile:
     anchor + 1 of the star's own ordering.
     """
     cid = _resolve_curve_id(a)
-    if cid in star.support:
+    if cid in star:
         raise ValueError(f"curve {curve_table().curve(cid).name} lies on the star")
-    vec = tuple(curve_table().pairing_array[cid, list(star.curve_ids)].tolist())
+    vec = tuple(curve_table().pairing_array[cid, list(star)].tolist())
     if all(v == 1 for v in vec):
         return IntersectionProfile(ProfileKind.ALL_ONES, vec)
     for k in range(6):
@@ -453,7 +429,7 @@ def profile(a, star: StarConfiguration) -> IntersectionProfile:
             return IntersectionProfile(ProfileKind.TOUCHING, vec, anchor=k)
     raise TrichotomyViolation(
         f"profile {vec} of curve {curve_table().curve(cid).name} "
-        f"against {star.text()} fits neither shape"
+        f"against {star_text(star)} fits neither shape"
     )
 
 
@@ -467,7 +443,7 @@ class ActionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class StarAction:
-    star: StarConfiguration
+    star: tuple[int, ...]
     kind: ActionKind
 
 
@@ -505,7 +481,7 @@ def star_actions(perms: np.ndarray) -> tuple[StarAction, ...]:
     pointwise = pointwise.all(axis=0)
     return tuple(
         StarAction(
-            table.star(sid),
+            table.stars[sid],
             ActionKind.TRIVIAL if pointwise[sid] else ActionKind.FAITHFUL,
         )
         for sid in np.flatnonzero(setwise.all(axis=0))
@@ -517,7 +493,7 @@ def invariant_stars(g: GroupLike) -> tuple[StarAction, ...]:
     return star_actions(generator_permutations(g))
 
 
-def star_plane(star: StarConfiguration) -> tuple[DivisorClass, DivisorClass]:
+def star_plane(star: tuple[int, ...]) -> tuple[DivisorClass, DivisorClass]:
     """Two roots spanning the A2 plane of a star.
 
     H + K is a root for every member; opposite members give opposite
@@ -525,8 +501,8 @@ def star_plane(star: StarConfiguration) -> tuple[DivisorClass, DivisorClass]:
     1, whose rotation s_a s_b of the plane shifts the hexagon by two.
     """
     t = curve_table()
-    h0 = t.curve(star.curve_ids[0]).divisor
-    h2 = t.curve(star.curve_ids[2]).divisor
+    h0 = t.curve(star[0]).divisor
+    h2 = t.curve(star[2]).divisor
     return (h0 + CANONICAL_CLASS, h2 + CANONICAL_CLASS)
 
 
@@ -543,7 +519,7 @@ def star_graph_automorphisms(stars) -> int:
     at most as many rows as an induced subgraph has symmetries (288 for
     two stars).
     """
-    verts = sorted(set().union(*(s.support for s in stars)))
+    verts = sorted(set().union(*stars))
     n = len(verts)
     w = curve_table().pairing_array[np.ix_(verts, verts)]
     maps = np.zeros((1, 0), dtype=np.intp)

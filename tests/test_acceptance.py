@@ -2,6 +2,7 @@
 
 Time budgets are enforced where stated; the heavy censuses are invoked
 here first in the session, so the measured times are cold-cache times.
+A last check runs the README's Quickstart as written.
 """
 
 import time
@@ -35,6 +36,7 @@ from dpone.lattice import (
     solve_norm,
 )
 from dpone.stars import (
+    D6,
     ActionKind,
     PairType,
     ProfileKind,
@@ -127,7 +129,7 @@ def test_criterion_03_invariant_census(capsys):
 
         inv, triv, faith = census(CarterType3.A2)
         assert len(inv) == 72 and len(faith) == 1
-        assert {t.curve(c).name for c in faith[0].curve_ids} == {
+        assert {t.curve(c).name for c in faith[0]} == {
             "C1-2", "C3-2", "C3-1", "C2-1", "C2-3", "C1-3",
         }
         assert all(
@@ -136,13 +138,13 @@ def test_criterion_03_invariant_census(capsys):
 
         inv, triv, faith = census(CarterType3.A2x2)
         assert len(inv) == 12 and len(triv) == 2 and len(faith) == 2
-        assert set().union(*(s.support for s in triv)) == set(inv)
+        assert set().union(*triv) == set(inv)
         for a, b in combinations(triv + faith, 2):
             assert classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
 
         inv, triv, faith = census(CarterType3.A2x3)
         assert len(inv) == 6 and len(triv) == 1 and len(faith) == 12
-        assert triv[0].support == set(inv)
+        assert set(triv[0]) == set(inv)
         for s in faith:
             assert classify_pair(triv[0], s).pair_type is PairType.ASYNCHRONIZED
 
@@ -159,6 +161,7 @@ def test_criterion_04_star_totals(capsys):
     with criterion(capsys, 4, budget=5.0) as info:
         t = curve_table()
         keys = set()
+        relabelings = D6.tolist()
         membership = [0] * 240
         pairs = 0
         for a in range(240):
@@ -167,17 +170,18 @@ def test_criterion_04_star_totals(capsys):
                     continue
                 pairs += 1
                 s = star_through(t.curve(a), t.curve(b))
-                assert is_star([t.curve(c).divisor for c in s.curve_ids])
-                keys.add(s.canonical_key)
+                assert is_star([t.curve(c).divisor for c in s])
+                # the least of the star's 12 hexagon relabelings
+                keys.add(min(tuple(s[i] for i in order) for order in relabelings))
         assert pairs == 6720
         assert len(keys) == 1120 == pairs // 6
         # the array-built table agrees with star_through, the slow builder
         slow = sorted(keys)
         table = star_table()
-        assert [s.curve_ids for s in table.stars] == slow
+        assert list(table.stars) == slow
         assert table.ids_array.tolist() == [list(k) for k in slow]
         for s in table.stars:
-            for c in s.curve_ids:
+            for c in s:
                 membership[c] += 1
         assert set(membership) == {28}
         info["detail"] = (
@@ -319,3 +323,19 @@ def test_criterion_10_scope_and_caveats(capsys):
             "carry the lattice-level caveat and the README scope section "
             "states the limits"
         )
+
+
+def test_readme_quickstart_prints_its_comments(capsys):
+    # the first Python block of the README; each print line ends in a
+    # comment that is the line it prints
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    want = [
+        line.split("#", 1)[1].strip()
+        for line in code.splitlines()
+        if line.startswith("print(")
+    ]
+    assert len(want) == 3
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == want

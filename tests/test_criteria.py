@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -124,7 +125,7 @@ def test_even_rule_bertini():
     assert replay_even(gamma, w)
     p = curve_table().pairing_array
     perm = curve_table().permutation_of(w.elements[0])
-    for c in w.stars[0].curve_ids:
+    for c in w.stars[0]:
         assert p[c, perm[c]] == 3
 
 
@@ -180,6 +181,18 @@ def test_two_stars_rule():
     assert check_rational_two_stars(CANNED["A2^4"]) is None
 
 
+def forged_stars(stars):
+    """A witness's stars with the first one forged: reordered off the hexagon,
+    given an id of -1 or of 240, or repeated in place of another star."""
+    s = stars[0]
+    return [
+        ((s[1], s[0]) + s[2:],) + stars[1:],
+        ((-1,) + s[1:],) + stars[1:],
+        (s[:5] + (240,),) + stars[1:],
+        stars[:-1] + (s,) if len(stars) > 1 else (s, s),
+    ]
+
+
 def test_replay_rejects_tampered_witnesses():
     w = check_rational_triple(CANNED["A2"])
     tampered = TripleWitness(curves=(w.curves[0], w.curves[1], w.curves[1]))
@@ -187,6 +200,23 @@ def test_replay_rejects_tampered_witnesses():
     w4 = check_not_rational_carter(CANNED["A2^4"])
     assert not replay_carter(CANNED["A2^3"], w4)
     assert not replay_carter(CANNED["A2"], CarterWitness((REPS[CarterType3.A2],)))
+
+    # every replay that reads stars checks each one before trusting it
+    bertini = group_of(bertini_isometry())
+    cases = [
+        (replay_stars, CANNED["A2^3"], check_not_rational_stars(CANNED["A2^3"])),
+        (replay_even, bertini, check_not_rational_even(bertini)),
+        (replay_two_stars, CANNED["trivial"], check_rational_two_stars(CANNED["trivial"])),
+    ]
+    for replay, gamma, w in cases:
+        assert replay(gamma, w)
+        for stars in forged_stars(w.stars):
+            assert not replay(gamma, replace(w, stars=stars)), (replay.__name__, stars)
+    setup = ActionSetup(CANNED["A2^4"], TRIVIAL_GROUP)
+    cert = check_minimal_four_stars(setup)
+    assert replay_minimality(setup, cert)
+    for stars in forged_stars(cert.stars):
+        assert not replay_minimality(setup, replace(cert, stars=stars)), stars
 
 
 def test_minimality_a2x4():
@@ -226,8 +256,8 @@ def test_search_commuting_order3_a2x3():
     assert g @ h == h @ g
     perm = curve_table().permutation_of(h)
     s = pointwise[0]
-    assert {perm[c] for c in s.curve_ids} == s.support
-    assert any(perm[c] != c for c in s.curve_ids)
+    assert {perm[c] for c in s} == set(s)
+    assert any(perm[c] != c for c in s)
 
 
 def test_minimality_construction_a2x3():
@@ -243,8 +273,8 @@ def test_minimality_construction_a2x2():
     assert len(pointwise) == 2
     perm = curve_table().permutation_of(h)
     for s in pointwise:
-        assert {perm[c] for c in s.curve_ids} == s.support
-        assert any(perm[c] != c for c in s.curve_ids)
+        assert {perm[c] for c in s} == set(s)
+        assert any(perm[c] != c for c in s)
     setup = ActionSetup(group_of(g, h), TRIVIAL_GROUP)
     assert fixed_rank(setup.combined) == 1
     cert = check_minimal_four_stars(setup)
@@ -412,7 +442,7 @@ def test_report_permutes_each_generator_once_per_group(monkeypatch):
 # the star rules against object-level reference scans
 #
 # The rules read star-table rows and pair_codes.  The reference versions
-# below walk StarConfiguration objects instead: an all-ones cross test
+# below walk the stars of StarAction records instead: an all-ones cross test
 # confirmed by classify_pair, a clique search over those tests, and the
 # faithful-star list of StarAction objects.  The Carter reference builds
 # each order-3 element's matrix and types it by fixed rank, as the rule
@@ -422,13 +452,13 @@ def test_report_permutes_each_generator_once_per_group(monkeypatch):
 
 def all_ones_cross(a, b):
     p = curve_table().pairing_array
-    return all(p[x, y] == 1 for x in a.curve_ids for y in b.curve_ids)
+    return all(p[x, y] == 1 for x in a for y in b)
 
 
 def reference_two_stars(gamma):
     pointwise = [a.star for a in invariant_stars(gamma) if a.kind is ActionKind.TRIVIAL]
     for a, b in combinations(pointwise, 2):
-        if a.support & b.support:
+        if set(a) & set(b):
             continue
         if all_ones_cross(a, b):
             assert classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
@@ -461,7 +491,7 @@ def reference_four_stars(setup):
     if not len(order3):
         return None
     stars = [a.star for a in invariant_stars(setup.combined)]
-    ids = np.array([s.curve_ids for s in stars]).reshape(-1, 6)
+    ids = np.array(stars).reshape(-1, 6)
     setwise, pointwise = star_masks(g.perms[order3], ids)
     faithful = setwise & ~pointwise
     candidates = [
@@ -473,7 +503,7 @@ def reference_four_stars(setup):
 
     def compatible(s):
         return all(
-            not (s.support & prev.support) and all_ones_cross(s, prev)
+            not (set(s) & set(prev)) and all_ones_cross(s, prev)
             for prev, _ in chosen
         )
 
@@ -498,17 +528,13 @@ def reference_four_stars(setup):
     return MinimalityCertificate(stars, elements, fixed_rank(setup.combined))
 
 
-def same_stars(got, want):
-    return [s.curve_ids for s in got] == [s.curve_ids for s in want]
-
-
 @pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
 def test_star_rules_match_reference_scans(name):
     gamma = GroupSpec(ORACLE_GROUPS[name], "Gamma")
     got, want = check_rational_two_stars(gamma), reference_two_stars(gamma)
     assert (got is None) == (want is None)
     if got is not None:
-        assert same_stars(got.stars, want.stars)
+        assert got.stars == want.stars
         assert replay_two_stars(gamma, got)
     got, want = check_not_rational_carter(gamma), reference_carter(gamma)
     assert got == want
@@ -518,13 +544,13 @@ def test_star_rules_match_reference_scans(name):
     assert (got is None) == (want is None)
     if got is not None:
         assert got.elements == want.elements
-        assert same_stars(got.stars, want.stars)
+        assert got.stars == want.stars
         assert replay_stars(gamma, got)
     setup = ActionSetup(GroupSpec(gamma.generators, "G"), TRIVIAL_GROUP)
     got, want = check_minimal_four_stars(setup), reference_four_stars(setup)
     assert (got is None) == (want is None)
     if got is not None:
-        assert same_stars(got.stars, want.stars)
+        assert got.stars == want.stars
         assert got.elements == want.elements
         assert replay_minimality(setup, got)
 
@@ -552,7 +578,7 @@ def test_minimality_matches_reference_clique(g_name, with_bertini):
         setup = ActionSetup(GroupSpec(gens, "G"), GroupSpec(gamma, "Gamma"))
         got, want = check_minimal_four_stars(setup), reference_four_stars(setup)
         assert got is not None and want is not None
-        assert same_stars(got.stars, want.stars)
+        assert got.stars == want.stars
         assert got.elements == want.elements
         assert got.combined_rank == want.combined_rank == 1
         assert replay_minimality(setup, got)

@@ -16,7 +16,7 @@ from dpone.stars import (
     OverlappingStars,
     PairType,
     ProfileKind,
-    StarConfiguration,
+    STAR_GRAM,
     TrichotomyViolation,
     classify_pair,
     enumerate_stars,
@@ -29,16 +29,14 @@ from dpone.stars import (
     profile,
     sample_pairs_by_type,
     star_graph_automorphisms,
+    star_id,
     star_plane,
     star_table,
+    star_text,
     star_through,
     trichotomy_census,
 )
 from dpone.weyl import CarterType3, reflection_permutation, representative_order3
-
-
-def names_of(star):
-    return set(star.names)
 
 
 def star_of_names(*names):
@@ -53,7 +51,8 @@ def stars_containing(c):
 
 def test_star_through_example():
     s = star_through("E7", "E8")
-    assert s.names == ("E7", "E8", "C7-8", "bE7", "bE8", "C8-7")
+    names = tuple(curve_table().curve(i).name for i in s)
+    assert names == ("E7", "E8", "C7-8", "bE7", "bE8", "C8-7")
 
 
 def test_star_through_rejects_meeting_curves():
@@ -64,7 +63,7 @@ def test_star_through_rejects_meeting_curves():
 def test_star_pattern_invariants():
     s = star_through("E7", "E8")
     t = curve_table()
-    ids = s.curve_ids
+    ids = s
     for i in range(6):
         assert t.pairing_array[ids[i], ids[(i + 1) % 6]] == 0
         assert t.pairing_array[ids[i], ids[(i + 2) % 6]] == 2
@@ -81,10 +80,9 @@ def test_star_pattern_invariants():
 
 def test_is_star():
     s = star_through("E7", "E8")
-    assert is_star(s.curve_ids)
-    assert not is_star(s.curve_ids[:5] + (s.curve_ids[4],))
-    shuffled = (s.curve_ids[0], s.curve_ids[2], s.curve_ids[1],
-                s.curve_ids[3], s.curve_ids[4], s.curve_ids[5])
+    assert is_star(s)
+    assert not is_star(s[:5] + (s[4],))
+    shuffled = (s[0], s[2], s[1], s[3], s[4], s[5])
     assert not is_star(shuffled)
 
 
@@ -93,7 +91,7 @@ def test_star_rejects_out_of_range_ids(bad):
     # (0, 1, 120, 239, 238, 119) is a star; -1 must not index curve 239
     assert is_star((0, 1, 120, 239, 238, 119))
     with pytest.raises(ValueError, match="0..239"):
-        StarConfiguration((0, 1, 120, bad, 238, 119))
+        star_id((0, 1, 120, bad, 238, 119))
     assert not is_star((0, 1, 120, bad, 238, 119))
 
 
@@ -109,11 +107,10 @@ def loop_is_star(p, ids):
 
 
 def gram_is_star(ids):
-    try:
-        StarConfiguration(tuple(ids))
-    except ValueError:
+    """The Gram-block star check: six ids in 0..239 whose pairings are STAR_GRAM."""
+    if len(ids) != 6 or not all(0 <= c < 240 for c in ids):
         return False
-    return True
+    return curve_table().pairing_array[np.ix_(ids, ids)].tolist() == STAR_GRAM
 
 
 def test_gram_check_agrees_with_loop_oracle():
@@ -142,10 +139,13 @@ def test_gram_check_agrees_with_loop_oracle():
 
 def test_star_equality_ignores_labeling():
     s = star_through("E7", "E8")
-    rotated = StarConfiguration(s.curve_ids[2:] + s.curve_ids[:2])
-    reflected = StarConfiguration(tuple(reversed(s.curve_ids)))
-    assert s == rotated == reflected
-    assert len({s, rotated, reflected}) == 1
+    rotated = s[2:] + s[:2]
+    reflected = tuple(reversed(s))
+    assert star_id(s) == star_id(rotated) == star_id(reflected)
+    assert set(star_table().stars[star_id(s)]) == set(s)
+    swapped = (s[1], s[0]) + s[2:]
+    with pytest.raises(ValueError, match="do not form a star in this order"):
+        star_id(swapped)
 
 
 def test_enumerate_stars_totals():
@@ -162,7 +162,7 @@ def test_every_disjoint_pair_yields_its_star():
         for j in np.flatnonzero(t.pairing_array[i] == 0).tolist():
             if j > i:
                 s = star_through(i, j)
-                assert {i, j} <= s.support
+                assert {i, j} <= set(s)
                 count += 1
     assert count == 6720
 
@@ -173,20 +173,19 @@ def test_stars_stable_under_isometry():
     perm = t.permutation_of(g)
     table = star_table()
     for s in table.stars[:50]:
-        image = tuple(perm[c] for c in s.curve_ids)
+        image = tuple(perm[c] for c in s)
         assert is_star(image)
-        key = StarConfiguration(image).canonical_key
-        assert (table.ids_array == key).all(axis=1).any()
+        assert set(table.stars[star_id(image)]) == set(image)
 
 
 def test_star_table_builds_each_star_once_on_request():
+    # the id tuples are made on the first read of stars, once, as Python ints
     table = stars_module.StarTable()
-    assert table._built == {}
-    s = table.star(7)
-    assert s.curve_ids == tuple(table.ids_array[7].tolist())
-    assert table.star(7) is s
-    assert table.stars[7] is s
-    assert len(table._built) == len(table.stars) == 1120
+    assert "stars" not in vars(table)
+    stars = table.stars
+    assert table.stars is stars and len(stars) == 1120
+    assert [list(s) for s in stars] == table.ids_array.tolist()
+    assert {type(c) for s in stars for c in s} == {int}
 
 
 def test_star_table_checks_every_gram_block(monkeypatch):
@@ -199,23 +198,17 @@ def test_star_table_checks_every_gram_block(monkeypatch):
 
 
 def test_table_stars_skip_the_repeat_gram_check(monkeypatch):
-    # the table checks all Gram blocks at once; its objects do not repeat it,
-    # while a star built from outside ids still checks its own
-    checked = []
-    real = StarConfiguration.__post_init__
-
-    def counting(self):
-        checked.append(self.curve_ids)
-        real(self)
-
-    monkeypatch.setattr(StarConfiguration, "__post_init__", counting)
-    table = stars_module.StarTable()
-    built = table.stars
-    assert checked == []
-    for s, row in zip(built, table.ids_array.tolist()):
-        want = StarConfiguration(tuple(row))
-        assert s == want and s.curve_ids == want.curve_ids
-    assert len(checked) == len(built) == 1120
+    # the table checks all Gram blocks once, when built; star_id then looks
+    # ids up among the table's keys and reads no Gram block
+    table = star_table()
+    gram = np.array(STAR_GRAM)
+    gram[0, 1] = gram[1, 0] = 1
+    monkeypatch.setattr(stars_module, "STAR_GRAM", gram.tolist())
+    for sid, s in enumerate(table.stars):
+        assert star_id(s) == sid
+        assert star_id(s[3:] + s[:3]) == sid
+    with pytest.raises(AssertionError, match="1120 canonical hexagons"):
+        stars_module.StarTable()
 
 
 def test_bertini_fixes_every_star_antipodally():
@@ -225,8 +218,8 @@ def test_bertini_fixes_every_star_antipodally():
     t = curve_table()
     perm = t.permutation_of(b)
     for s in enumerate_stars():
-        for i, c in enumerate(s.curve_ids):
-            assert perm[c] == s.curve_ids[(i + 3) % 6]
+        for i, c in enumerate(s):
+            assert perm[c] == s[(i + 3) % 6]
 
 
 def test_classify_pair_overlap_raises_with_bertini_pair():
@@ -241,7 +234,7 @@ def test_classify_pair_overlap_raises_with_bertini_pair():
 def test_classify_pair_rejects_equal_stars():
     s = star_through("E7", "E8")
     with pytest.raises(OverlappingStars):
-        classify_pair(s, StarConfiguration(s.curve_ids[1:] + s.curve_ids[:1]))
+        classify_pair(s, s[1:] + s[:1])
 
 
 def test_classified_examples():
@@ -319,7 +312,7 @@ def brute_force_code(a, b):
 )
 def test_pair_codes_match_classify_pair(element):
     found = [a.star for a in invariant_stars(element)]
-    ids = np.array([s.curve_ids for s in found])
+    ids = np.array(found)
     for i in range(len(found) - 1):
         codes = pair_codes(ids[i], ids[i + 1 :]).tolist()
         assert codes == [brute_force_code(found[i], b) for b in found[i + 1 :]]
@@ -329,7 +322,7 @@ def test_sample_pairs_follow_the_combinations_walk():
     stars = enumerate_stars()
     walk = {p: [] for p in PairType}
     for a, b in combinations(stars, 2):
-        if a.support & b.support:
+        if set(a) & set(b):
             continue
         ptype = classify_pair(a, b).pair_type
         if len(walk[ptype]) < 10:
@@ -353,7 +346,7 @@ def test_pair_codes_reject_corrupted_key(monkeypatch):
     samples = sample_pairs_by_type(1)
     keys, codes = stars_module.pattern_keys()
     for ptype, [(a, b)] in samples.items():
-        cross = curve_table().pairing_array[np.ix_(a.curve_ids, b.curve_ids)]
+        cross = curve_table().pairing_array[np.ix_(a, b)]
         key = int(cross.ravel() @ 3 ** np.arange(36))
         assert key in keys.tolist()
         corrupted = np.where(keys == key, key + 1, keys)
@@ -362,25 +355,25 @@ def test_pair_codes_reject_corrupted_key(monkeypatch):
             stars_module, "pattern_keys", lambda: (corrupted[order], codes[order])
         )
         with pytest.raises(TrichotomyViolation, match="matched no pattern"):
-            pair_codes(np.array(a.curve_ids), np.array([b.curve_ids]))
+            pair_codes(np.array(a), np.array([b]))
 
 
 def test_pair_codes_reject_unpaired_shared_curves():
     # two shared curves that are neighbors on the hexagon, not partners
     a = star_through("E7", "E8")
     b = star_through("L78", "Q123")
-    forged = a.curve_ids[:2] + b.curve_ids[2:]
+    forged = a[:2] + b[2:]
     with pytest.raises(TrichotomyViolation, match="Bertini pair"):
-        pair_codes(np.array(a.curve_ids), np.array([forged]))
+        pair_codes(np.array(a), np.array([forged]))
 
 
 def test_pair_codes_reject_broken_overlap():
     # a hexagon sharing a curve but not its Bertini partner
     a = star_through("E7", "E8")
     b = star_through("L78", "Q123")
-    forged = (a.curve_ids[0],) + b.curve_ids[1:]
+    forged = (a[0],) + b[1:]
     with pytest.raises(TrichotomyViolation, match="Bertini pair"):
-        pair_codes(np.array(a.curve_ids), np.array([forged]))
+        pair_codes(np.array(a), np.array([forged]))
 
 
 def test_profile_shapes():
@@ -413,8 +406,8 @@ def test_touching_anchor_matches_adjacency():
     t = curve_table()
     i, j = res.anchor, (res.anchor + 1) % 6
     e6 = t.id_of_name("E6")
-    assert t.pairing_array[e6, s.curve_ids[i]] == 0
-    assert t.pairing_array[e6, s.curve_ids[j]] == 0
+    assert t.pairing_array[e6, s[i]] == 0
+    assert t.pairing_array[e6, s[j]] == 0
 
 
 def test_invariant_census_a2():
@@ -424,7 +417,7 @@ def test_invariant_census_a2():
     actions = invariant_stars(g)
     faithful = [a.star for a in actions if a.kind is ActionKind.FAITHFUL]
     assert len(faithful) == 1
-    assert faithful[0].support == star_of_names(
+    assert frozenset(faithful[0]) == star_of_names(
         "C1-2", "C3-2", "C3-1", "C2-1", "C2-3", "C1-3"
     )
     for c in inv:
@@ -439,11 +432,11 @@ def test_invariant_census_a2x2():
     faithful = [a.star for a in actions if a.kind is ActionKind.FAITHFUL]
     assert len(trivial) == 2
     assert len(faithful) == 2
-    assert {s.support for s in trivial} == {
+    assert {frozenset(s) for s in trivial} == {
         star_of_names("E7", "E8", "C7-8", "bE7", "bE8", "C8-7"),
         star_of_names("L78", "bQ123", "Q456", "bL78", "Q123", "bQ456"),
     }
-    assert {s.support for s in faithful} == {
+    assert {frozenset(s) for s in faithful} == {
         star_of_names("C1-2", "C3-2", "C3-1", "C2-1", "C2-3", "C1-3"),
         star_of_names("C4-5", "C6-5", "C6-4", "C5-4", "C5-6", "C4-6"),
     }
@@ -459,7 +452,7 @@ def test_invariant_census_a2x3():
     trivial = [a.star for a in actions if a.kind is ActionKind.TRIVIAL]
     faithful = [a.star for a in actions if a.kind is ActionKind.FAITHFUL]
     assert len(trivial) == 1
-    assert trivial[0].support == frozenset(inv)
+    assert frozenset(trivial[0]) == frozenset(inv)
     assert len(faithful) == 12
     for s in faithful:
         assert classify_pair(trivial[0], s).pair_type is PairType.ASYNCHRONIZED
@@ -480,7 +473,7 @@ def test_faithful_action_is_two_step_rotation():
     faithful = [
         a.star for a in invariant_stars(g) if a.kind is ActionKind.FAITHFUL
     ][0]
-    ids = faithful.curve_ids
+    ids = faithful
     shift = ids.index(perm[ids[0]])
     assert shift in (2, 4)
     for i in range(6):
@@ -495,7 +488,7 @@ def test_faithful_invariant_pairs_never_abnormal():
         others = [a.star for a in actions]
         for f in faithful:
             for s in others:
-                if f == s:
+                if star_id(f) == star_id(s):
                     continue
                 res = classify_pair(f, s)
                 assert res.pair_type in (
@@ -520,7 +513,7 @@ def test_star_graph_automorphism_orders():
 
 def backtrack_automorphisms(stars) -> int:
     """The recursive count that star_graph_automorphisms replaced."""
-    verts = sorted(set().union(*(s.support for s in stars)))
+    verts = sorted(set().union(*stars))
     n = len(verts)
     w = curve_table().pairing_array[np.ix_(verts, verts)].tolist()
     count = 0
@@ -566,11 +559,10 @@ def test_star_plane_and_rotation():
     assert pair(a, CANONICAL_CLASS) == 0
     perm = reflection_permutation(a)[reflection_permutation(b)]
     assert permutation_orders(perm[None])[0] == 3
-    ids = s.curve_ids
-    shift = ids.index(perm[ids[0]])
+    shift = s.index(perm[s[0]])
     assert shift in (2, 4)
 
 
 def test_star_text_format():
     s = star_through("E7", "E8")
-    assert s.text() == "{E7, E8, C7-8, bE7, bE8, C8-7}"
+    assert star_text(s) == "{E7, E8, C7-8, bE7, bE8, C8-7}"
