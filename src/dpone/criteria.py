@@ -14,10 +14,10 @@ conditions, so Inconclusive is an honest verdict.  Rational verdicts are
 a lattice-level statement: the lattice cannot see rational points, so
 they assume the surface has one where the geometric argument needs it.
 
-The rules read stars as rows of the star table and star pairs only
-through `pair_codes`.  The replays take no star on trust: each must be
-distinct and pass `star_id`, and star pairs are re-checked with
-`classify_pair`.
+The rules read stars as rows of the star table and test star pairs with
+`stars.asynchronized`, which counts cross pairings equal to 1.  The
+replays take no star on trust: each must be distinct and pass `star_id`,
+and star pairs are re-checked with `classify_pair`.
 Both order-3 rules take the first closure element of class A2^3 or A2^4,
 typed by `weyl.carter_types`; a 9x9 matrix is built only for a witness.
 """
@@ -43,20 +43,17 @@ from .lattice import (
     permutation_orders,
 )
 from .stars import (
-    PAIR_TYPES,
     PairType,
+    asynchronized,
     classify_pair,
     generator_permutations,
     invariant_curves,
-    pair_codes,
     star_id,
     star_masks,
     star_plane,
     star_table,
 )
 from .weyl import CarterType3, carter_types, reflection_permutation
-
-ASYNCHRONIZED = PAIR_TYPES.index(PairType.ASYNCHRONIZED)  # its pair code
 
 RATIONAL_CAVEAT = (
     "lattice-level verdict: assumes the surface has a suitable rational point, "
@@ -87,6 +84,11 @@ class ActionSetup:
 
     @cached_property
     def combined(self) -> GroupSpec:
+        """The group both generate; a side with no generators adds nothing."""
+        if not self.g_group.generators:
+            return self.gamma_group
+        if not self.gamma_group.generators:
+            return self.g_group
         return GroupSpec(
             self.g_group.generators + self.gamma_group.generators,
             label="combined",
@@ -228,16 +230,17 @@ def _verify_triple_sum(w: TripleWitness) -> None:
 def check_rational_two_stars(gamma: GroupSpec) -> TwoStarsWitness | None:
     """Two pointwise-fixed stars that are asynchronized.
 
-    Scans the pointwise-fixed stars' pairs in combinations order over star
-    ids and returns the first whose `pair_codes` code is asynchronized (all
-    36 cross pairings 1).
+    The pointwise-fixed stars are the table rows whose six curves are all
+    fixed.  Scans their pairs in combinations order over star ids and
+    returns the first that is asynchronized (all 36 cross pairings 1).
     """
     table = star_table()
-    _, pointwise = star_masks(generator_permutations(gamma), table.ids_array)
-    fixed = np.flatnonzero(pointwise.all(axis=0))
+    fixed_curve = np.zeros(240, dtype=bool)
+    fixed_curve[list(invariant_curves(gamma))] = True
+    fixed = np.flatnonzero(fixed_curve[table.ids_array].all(axis=1))
     rows = table.ids_array[fixed]
     for i in range(len(rows) - 1):
-        hits = np.flatnonzero(pair_codes(rows[i], rows[i + 1 :]) == ASYNCHRONIZED)
+        hits = np.flatnonzero(asynchronized(rows[i], rows[i + 1 :]))
         if len(hits):
             a, b = fixed[[i, i + 1 + hits[0]]].tolist()
             return TwoStarsWitness(stars=(table.stars[a], table.stars[b]))
@@ -300,14 +303,16 @@ def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None
     """Four pairwise-asynchronized invariant stars, each rotated by G.
 
     Stars must be setwise invariant under the combined group; each needs
-    an order-3 element of G acting faithfully on it.  The search reads the
-    candidates' pair codes, computed once, and takes the least clique of
-    candidate indices; the A2^4 representative has 40 candidates and
-    240, 160 and 40 cliques of sizes 2, 3 and 4.  When the clique exists
-    the fixed rank of the combined group is computed directly and must
-    equal 1.
+    an order-3 element of G acting faithfully on it, so a G with no
+    generators has none.  The search tests each pair of candidates once
+    for being asynchronized and takes the least clique of candidate
+    indices; the A2^4 representative has 40 candidates and 240, 160 and
+    40 cliques of sizes 2, 3 and 4.  When the clique exists the fixed rank
+    of the combined group, computed from its generators, must equal 1.
     """
     g = setup.g_group
+    if not g.generators:
+        return None
     order3 = g.of_order(3)
     if not len(order3):
         return None
@@ -321,11 +326,11 @@ def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None
     rotator = order3[faithful[:, rotated].argmax(axis=0)]
     rows = table.ids_array[candidates]
     n = len(rows)
-    asynchronized = np.zeros((n, n), dtype=bool)  # filled and read for i < j only
+    pairs = np.zeros((n, n), dtype=bool)  # filled and read for i < j only
     for i in range(n - 1):
-        asynchronized[i, i + 1 :] = pair_codes(rows[i], rows[i + 1 :]) == ASYNCHRONIZED
+        pairs[i, i + 1 :] = asynchronized(rows[i], rows[i + 1 :])
 
-    chosen = _first_four_clique(asynchronized)
+    chosen = _first_four_clique(pairs)
     if chosen is None:
         return None
     stars = tuple(table.stars[candidates[i]] for i in chosen)
@@ -342,6 +347,8 @@ def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None
 # replay
 
 def replay_carter(gamma: GroupSpec, w: CarterWitness) -> bool:
+    if len(w.elements) != 1:
+        return False
     (m,) = w.elements
     i = gamma.index_of(m)
     if i is None or gamma.orders[i] != 3:
@@ -358,6 +365,8 @@ def _distinct_stars(stars, n: int) -> bool:
 
 
 def replay_stars(gamma: GroupSpec, w: StarsWitness) -> bool:
+    if len(w.elements) != 1:
+        return False
     (m,) = w.elements
     i = gamma.index_of(m)
     if i is None or gamma.orders[i] != 3 or not _distinct_stars(w.stars, 3):
@@ -366,6 +375,8 @@ def replay_stars(gamma: GroupSpec, w: StarsWitness) -> bool:
 
 
 def replay_even(gamma: GroupSpec, w: EvenWitness) -> bool:
+    if len(w.elements) != 1:
+        return False
     (m,) = w.elements
     i = gamma.index_of(m)
     if i is None or gamma.orders[i] % 2 != 0 or not _distinct_stars(w.stars, 1):
@@ -374,6 +385,8 @@ def replay_even(gamma: GroupSpec, w: EvenWitness) -> bool:
 
 
 def replay_triple(gamma: GroupSpec, w: TripleWitness) -> bool:
+    if len(w.curves) != 3:
+        return False
     a, b, c = w.curves
     inv = set(invariant_curves(gamma))
     if not {a, b, c} <= inv:
@@ -447,10 +460,10 @@ def rationality_report(setup: ActionSetup) -> RationalityVerdict:
 
     Every rule reads the closure cached on ``setup.gamma_group``, so Gamma
     is closed at most once, and only if a rule needs more than its
-    generators.  Rational
-    rules run first because their witnesses are cheap to check;
-    the verdict also carries the fixed ranks of G, Gamma and the combined
-    group, and a minimality certificate when one exists.
+    generators.  Rational rules run first because their witnesses are
+    cheap to check; the verdict also carries the fixed ranks of G, Gamma
+    and the combined group, each computed once per group, and a
+    minimality certificate when one exists.
     """
     verdict, rule, witness = Verdict.INCONCLUSIVE, None, None
     for name, v, checker in RULES:

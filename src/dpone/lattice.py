@@ -260,10 +260,11 @@ class GroupSpec:
 
     Rows of ``generator_perms`` are the generators as curve permutations,
     rows of ``perms`` the closure in ``group_closure`` order, identity
-    first, and ``orders`` their orders.  All are computed on first use and
-    kept for the object's lifetime, so each generator is permuted once, a
-    caller that needs only the generators closes nothing, and every rule,
-    search and replay handed the same object shares one closure.
+    first, and ``orders`` their orders.  These and the fixed rank are
+    computed on first use and kept for the object's lifetime, so each
+    generator is permuted once, a caller that needs only the generators
+    closes nothing, and every rule, search and replay handed the same
+    object shares one closure and one rank.
     ``cap`` bounds that closure (see ``group_closure``).  ``index_of``
     finds an isometry's closure index, and ``element(i)`` builds the 9x9
     matrix of index i, only for an element that is handed out.
@@ -295,6 +296,10 @@ class GroupSpec:
     @cached_property
     def orders(self) -> np.ndarray:
         return permutation_orders(self.perms)
+
+    @cached_property
+    def _fixed_rank(self) -> int:
+        return _rank_fixed_by(self.generators)
 
     @cached_property
     def _index(self) -> dict[bytes, int]:
@@ -362,9 +367,15 @@ def fixed_rank(g: GroupLike) -> int:
     """Rank of the common fixed subspace {v : Mv = v for every generator M}.
 
     Computed over the rationals; the fixed sublattice is saturated, so
-    this equals the rank of the invariant Picard lattice.
+    this equals the rank of the invariant Picard lattice.  A GroupSpec
+    computes it once and keeps it.
     """
-    gens = _generators_of(g)
+    if isinstance(g, GroupSpec):
+        return g._fixed_rank
+    return _rank_fixed_by(_generators_of(g))
+
+
+def _rank_fixed_by(gens: tuple[LatticeIsometry, ...]) -> int:
     if not gens:
         return RANK
     rows: list[list[int]] = []

@@ -22,11 +22,13 @@ Two stars with twelve distinct curves interact in exactly one of three
 ways (asynchronized, synchronized, abnormal).  `classify_pair` recognizes
 one pair by brute force over hexagon relabelings and returns the matching
 orderings; it is the single-pair API and the check behind the witness
-replays.  The censuses and the decision rules use `pair_codes`, which
-looks each cross-pairing matrix up, as one base-3 key, among the
-precomputed keys of every relabeled pattern.  Stars with overlapping
-supports share exactly one Bertini pair and fit no pattern;
-`classify_pair` refuses them and `pair_codes` gives them their own code.
+replays.  The censuses use `pair_codes`, which looks each cross-pairing
+matrix up, as one base-3 key, among the precomputed keys of every
+relabeled pattern.  Stars with overlapping supports share exactly one
+Bertini pair and fit no pattern; `classify_pair` refuses them and
+`pair_codes` gives them their own code.  The decision rules ask only
+whether pairs are asynchronized, and `asynchronized` answers that by
+counting cross pairings equal to 1.
 
 The star table itself is built with array operations on the curve
 table; `star_through` is the one-star construction it vectorizes.
@@ -288,7 +290,7 @@ def classify_pair(a: tuple[int, ...], b: tuple[int, ...]) -> PairClassification:
 
 
 # ---------------------------------------------------------------------------
-# the pair kernel shared by the censuses and the decision rules
+# the pair kernel of the censuses
 #
 # A disjoint pair's 6x6 cross-pairing matrix has entries 0..2, so its
 # cells read as one base-3 number.  The pair matches a pattern up to
@@ -358,6 +360,18 @@ def pair_codes(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
     codes = np.full(len(rest), OVERLAPPING)
     codes[~over] = table_codes[at]
     return codes
+
+
+def asynchronized(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """Whether the star with curve ids a is asynchronized with each row of rest.
+
+    A pair is asynchronized exactly when all 36 of its cross pairings are
+    1.  That pattern is the same under every relabeling, so none is tried,
+    and a shared curve pairs -1 with itself, so overlapping pairs fail the
+    test.  Unlike `pair_codes`, nothing else about the pairs is checked.
+    """
+    ones = (curve_table().pairing_array[a] == 1).sum(axis=0)
+    return ones[rest].sum(axis=1) == 36
 
 
 def pair_counts(ids) -> dict[str, int]:

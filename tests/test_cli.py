@@ -371,6 +371,43 @@ def test_elements_compose_without_matrix_products():
         assert rc == want and same == "True", lines
 
 
+# runs every verdict-pool report, plain and under one seeded relabelling,
+# with the census pair kernel refused: the rules must not need it
+NO_PAIR_CODES = """
+import random, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+import dpone.stars as stars
+
+def refuse(*args):
+    raise AssertionError("pair_codes on the report path")
+
+stars.pair_codes = refuse
+from dpone.criteria import ActionSetup, rationality_report
+from dpone.lattice import GroupSpec
+
+rng = random.Random(0)
+reports = 0
+for _, _, g, gamma in workloads.verdict_pool():
+    _, p, p_inv = workloads._relabelling(rng)
+    relabelled = [workloads._conjugate(x, p, p_inv) for x in (g, gamma)]
+    for gens in ((g, gamma), relabelled):
+        g_spec, gamma_spec = GroupSpec(gens[0], "G"), GroupSpec(gens[1], "Gamma")
+        rationality_report(ActionSetup(g_spec, gamma_spec))
+        reports += 1
+print(reports, "reports")
+try:
+    stars.trichotomy_census()
+except AssertionError:
+    print("census refused")
+"""
+
+
+def test_report_path_never_calls_pair_codes():
+    lines = fresh_python(NO_PAIR_CODES, str(PERFBENCH)).splitlines()
+    assert lines == ["114 reports", "census refused"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -525,8 +562,8 @@ def test_certificate_violation_in_report_exits_1(capsys, monkeypatch):
         raise stars.TrichotomyViolation("planted trichotomy violation")
 
     monkeypatch.undo()
-    monkeypatch.setattr(stars, "pair_codes", broken)
-    monkeypatch.setattr(criteria, "pair_codes", broken)
+    monkeypatch.setattr(stars, "asynchronized", broken)
+    monkeypatch.setattr(criteria, "asynchronized", broken)
     code, out, err = run(capsys, "report", "-gamma", "(1 2 3)")
     assert code == 1
     assert out == ""
@@ -540,9 +577,11 @@ def test_overlapping_stars_exit_2(capsys, monkeypatch, argv):
     def overlapping(*args):
         raise stars.OverlappingStars(frozenset({0}))
 
-    # census and the report's rules both find invariant stars with star_masks
-    monkeypatch.setattr(stars, "star_masks", overlapping)
-    monkeypatch.setattr("dpone.criteria.star_masks", overlapping)
+    # census finds invariant stars with star_masks; the report's first rule
+    # tests its star pairs with asynchronized
+    name = "star_masks" if argv[0] == "census" else "asynchronized"
+    monkeypatch.setattr(stars, name, overlapping)
+    monkeypatch.setattr(f"dpone.criteria.{name}", overlapping)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -212,6 +212,15 @@ def test_replay_rejects_tampered_witnesses():
         assert replay(gamma, w)
         for stars in forged_stars(w.stars):
             assert not replay(gamma, replace(w, stars=stars)), (replay.__name__, stars)
+
+    # a witness of the wrong size is rejected, not unpacked into an error
+    cases = [(replay_carter, CANNED["A2^4"], w4)] + cases[:2]
+    for replay, gamma, w in cases:
+        (m,) = w.elements
+        for elements in ((), (m, m)):
+            assert not replay(gamma, replace(w, elements=elements)), replay.__name__
+    for curves in ((), w.curves[:2], w.curves + w.curves[:1]):
+        assert not replay_triple(CANNED["A2"], TripleWitness(curves=curves)), curves
     setup = ActionSetup(CANNED["A2^4"], TRIVIAL_GROUP)
     cert = check_minimal_four_stars(setup)
     assert replay_minimality(setup, cert)
@@ -391,8 +400,9 @@ def test_minimality_cert_included_in_report():
 
 def test_report_closes_each_group_once(monkeypatch):
     # Gamma = <Bertini>: no rule hits before the even rule, so all three
-    # closure-reading rules run; the minimality search closes G, and the
-    # replays of the witness and the certificate reuse both closures.
+    # closure-reading rules run; the minimality search closes G unless G
+    # has no generators, and the replays of the witness and the
+    # certificate reuse both closures.
     # Bertini is central, so it commutes with the A2^2 pair, whose
     # certificate survives the combined group.
     import dpone.lattice as lattice
@@ -416,7 +426,7 @@ def test_report_closes_each_group_once(monkeypatch):
         assert (report.minimality is not None) == bool(g_gens)
         if g_gens:
             assert replay_minimality(setup, report.minimality)
-        assert sorted(closed) == ["G", "Gamma"]
+        assert sorted(closed) == (["G", "Gamma"] if g_gens else ["Gamma"])
 
 
 def test_report_permutes_each_generator_once_per_group(monkeypatch):
@@ -441,9 +451,9 @@ def test_report_permutes_each_generator_once_per_group(monkeypatch):
 # ---------------------------------------------------------------------------
 # the star rules against object-level reference scans
 #
-# The rules read star-table rows and pair_codes.  The reference versions
-# below walk the stars of StarAction records instead: an all-ones cross test
-# confirmed by classify_pair, a clique search over those tests, and the
+# The rules read star-table rows and count unit pairings.  The reference
+# versions below walk the stars of StarAction records instead: an all-ones
+# cross test confirmed by classify_pair, a clique search over those tests, and the
 # faithful-star list of StarAction objects.  The Carter reference builds
 # each order-3 element's matrix and types it by fixed rank, as the rule
 # did before it typed closure rows by fixed curves.  Witnesses are the
@@ -618,7 +628,7 @@ def test_clique_search_matches_dfs_and_reads_upper_triangle():
 
 
 def test_report_path_never_calls_brute_force(monkeypatch):
-    # classify_pair stays the replays' check; the rules read pair_codes
+    # classify_pair stays the replays' check; the rules count unit pairings
     import dpone.criteria as criteria
     import dpone.stars as stars
 
@@ -640,8 +650,10 @@ def test_report_path_never_calls_brute_force(monkeypatch):
 
 
 def test_swapped_kernel_table_is_caught_at_replay(monkeypatch):
-    # a kernel table that files synchronized pairs as asynchronized makes
+    # a pair test that files synchronized pairs as asynchronized, here
+    # pair_codes reading a kernel table with the two patterns swapped, makes
     # the rule report a wrong pair; the brute-force replay must reject it
+    import dpone.criteria as criteria
     import dpone.stars as stars
 
     swapped = dict(stars.PATTERNS)
@@ -649,6 +661,10 @@ def test_swapped_kernel_table_is_caught_at_replay(monkeypatch):
     swapped[PairType.SYNCHRONIZED] = stars.PATTERNS[PairType.ASYNCHRONIZED]
     table = stars.pattern_key_table(swapped)
     monkeypatch.setattr(stars, "pattern_keys", lambda: table)
+    code = stars.PAIR_TYPES.index(PairType.ASYNCHRONIZED)
+    monkeypatch.setattr(
+        criteria, "asynchronized", lambda a, rest: stars.pair_codes(a, rest) == code
+    )
     gamma = group_of(s8_action("(1 2 3)"))
     w = check_rational_two_stars(gamma)
     assert w is not None
