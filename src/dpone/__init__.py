@@ -20,8 +20,7 @@ _EXPORTS = {
         "group_closure", "is_isometry", "pair", "simple_roots",
     ),
     "curves": (
-        "ExceptionalCurve", "bertini", "bertini_isometry", "curve_table",
-        "disjoint_partners", "enumerate_curves", "s8_action",
+        "ExceptionalCurve", "bertini_isometry", "curve_table", "s8_action",
     ),
     "weyl": (
         "CarterType3", "carter_type_order3", "element_order",
@@ -29,11 +28,11 @@ _EXPORTS = {
         "representative_order3",
     ),
     "stars": (
-        "ActionKind", "IntersectionProfile", "OverlappingStars", "PairType",
-        "ProfileKind", "StarAction", "TrichotomyViolation", "classify_pair",
-        "enumerate_stars", "intersection_profile_census", "invariant_curves",
-        "invariant_stars", "is_star", "profile", "star_graph_automorphisms",
-        "star_id", "star_text", "star_through", "trichotomy_census",
+        "ActionKind", "OverlappingStars", "PairType", "StarAction",
+        "TrichotomyViolation", "classify_pair", "intersection_profile_census",
+        "invariant_curves", "invariant_stars", "is_star", "profile",
+        "star_graph_automorphisms", "star_id", "star_text", "star_through",
+        "trichotomy_census",
     ),
     "criteria": (
         "ActionSetup", "CertificateViolation", "MinimalityCertificate",

@@ -46,7 +46,6 @@ from .stars import (
     PairType,
     asynchronized,
     classify_pair,
-    generator_permutations,
     invariant_curves,
     star_id,
     star_masks,
@@ -235,9 +234,7 @@ def check_rational_two_stars(gamma: GroupSpec) -> TwoStarsWitness | None:
     returns the first that is asynchronized (all 36 cross pairings 1).
     """
     table = star_table()
-    fixed_curve = np.zeros(240, dtype=bool)
-    fixed_curve[list(invariant_curves(gamma))] = True
-    fixed = np.flatnonzero(fixed_curve[table.ids_array].all(axis=1))
+    fixed = np.flatnonzero(gamma.fixed_curves[table.ids_array].all(axis=1))
     rows = table.ids_array[fixed]
     for i in range(len(rows) - 1):
         hits = np.flatnonzero(asynchronized(rows[i], rows[i + 1 :]))
@@ -317,7 +314,7 @@ def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None
     if not len(order3):
         return None
     table = star_table()
-    setwise, _ = star_masks(generator_permutations(setup.combined), table.ids_array)
+    setwise, _ = star_masks(setup.combined.generator_perms, table.ids_array)
     invariant = np.flatnonzero(setwise.all(axis=0))
     faithful = _faithful(g.perms[order3], table.ids_array[invariant])
     rotated = faithful.any(axis=0)
@@ -384,13 +381,18 @@ def replay_even(gamma: GroupSpec, w: EvenWitness) -> bool:
     return bool(_antipodal(gamma.perms[i], np.array(w.stars))[0])
 
 
+def _all_fixed(gamma: GroupSpec, ids) -> bool:
+    """Whether ids are curve ids, each fixed by every generator of gamma."""
+    ids = list(ids)
+    if not all(isinstance(c, (int, np.integer)) and 0 <= c < 240 for c in ids):
+        return False
+    return bool(gamma.fixed_curves[ids].all())
+
+
 def replay_triple(gamma: GroupSpec, w: TripleWitness) -> bool:
-    if len(w.curves) != 3:
+    if len(w.curves) != 3 or not _all_fixed(gamma, w.curves):
         return False
     a, b, c = w.curves
-    inv = set(invariant_curves(gamma))
-    if not {a, b, c} <= inv:
-        return False
     p = curve_table().pairing_array
     if not (p[a, b] == 1 and p[b, c] == 1 and p[a, c] == 0):
         return False
@@ -402,7 +404,7 @@ def replay_two_stars(gamma: GroupSpec, w: TwoStarsWitness) -> bool:
     if not _distinct_stars(w.stars, 2):
         return False
     a, b = w.stars
-    if not set(a) | set(b) <= set(invariant_curves(gamma)):
+    if not _all_fixed(gamma, a + b):
         return False
     return classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
 
@@ -411,7 +413,7 @@ def replay_minimality(setup: ActionSetup, cert: MinimalityCertificate) -> bool:
     if not _distinct_stars(cert.stars, 4) or len(cert.elements) != 4:
         return False
     g = setup.g_group
-    combined = generator_permutations(setup.combined)
+    combined = setup.combined.generator_perms
     for s, m in zip(cert.stars, cert.elements):
         i = g.index_of(m)
         if i is None or g.orders[i] != 3:

@@ -15,8 +15,11 @@ same loop that writes its class, with sorted indices ("L12", never
 "L21"), and a name is read back by lookup, not by parsing.
 
 Curves carry dense ids 0..239 assigned by lexicographic coefficient
-order; all higher modules speak ids and look pairings up in a
-precomputed 240x240 table.
+order; all higher modules speak ids.  The one table, `curve_table()`,
+is the entry point: ``curves`` holds the curves in id order,
+``id_of_name`` reads a name back, ``pairing_array`` is the 240x240
+pairing matrix (a row's zeros are the curve's 56 disjoint partners) and
+``bertini_ids`` maps each id to its Bertini partner's.
 """
 
 from __future__ import annotations
@@ -84,12 +87,6 @@ def _family_classes() -> dict[DivisorClass, tuple[str, str]]:
         if fam != "C":
             out[bertini_class(d)] = ("B" + fam[0], "b" + name)
     return out
-
-
-def class_of_name(name: str) -> DivisorClass:
-    """The class of a curve name such as "E1", "L12", "Q123", "C1-2", "bQ123"."""
-    table = curve_table()
-    return table.curve(table.id_of_name(name)).divisor
 
 
 class CurveTable:
@@ -185,22 +182,6 @@ class CurveTable:
 @cache
 def curve_table() -> CurveTable:
     return CurveTable()
-
-
-def enumerate_curves() -> tuple[ExceptionalCurve, ...]:
-    """All 240 exceptional curves in id order."""
-    return curve_table().curves
-
-
-def bertini(c: ExceptionalCurve) -> ExceptionalCurve:
-    """The Bertini partner -2K - c; an involution without fixed curves."""
-    table = curve_table()
-    return table.curve(table.bertini_ids[c.id])
-
-
-def disjoint_partners(c: ExceptionalCurve) -> frozenset[int]:
-    """Ids of all curves meeting c in zero points."""
-    return frozenset(np.flatnonzero(curve_table().pairing_array[c.id] == 0).tolist())
 
 
 def s8_action(perm: str) -> LatticeIsometry:

@@ -260,11 +260,12 @@ class GroupSpec:
 
     Rows of ``generator_perms`` are the generators as curve permutations,
     rows of ``perms`` the closure in ``group_closure`` order, identity
-    first, and ``orders`` their orders.  These and the fixed rank are
-    computed on first use and kept for the object's lifetime, so each
-    generator is permuted once, a caller that needs only the generators
-    closes nothing, and every rule, search and replay handed the same
-    object shares one closure and one rank.
+    first, and ``orders`` their orders; ``fixed_curves`` masks the curves
+    every generator fixes.  These and the fixed rank are computed on first
+    use and kept for the object's lifetime, so each generator is permuted
+    once, a caller that needs only the generators closes nothing, and
+    every rule, search and replay handed the same object shares one
+    closure, one rank and one mask.
     ``cap`` bounds that closure (see ``group_closure``).  ``index_of``
     finds an isometry's closure index, and ``element(i)`` builds the 9x9
     matrix of index i, only for an element that is handed out.
@@ -299,7 +300,19 @@ class GroupSpec:
 
     @cached_property
     def _fixed_rank(self) -> int:
-        return _rank_fixed_by(self.generators)
+        rows: list[list[int]] = []
+        for m in self.generators:
+            for i in range(RANK):
+                rows.append(
+                    [m.matrix[i][j] - (1 if i == j else 0) for j in range(RANK)]
+                )
+        return RANK - integer_rank(rows)
+
+    @cached_property
+    def fixed_curves(self) -> np.ndarray:
+        fixed = (self.generator_perms == np.arange(240)).all(axis=0)
+        fixed.flags.writeable = False  # every caller shares this array
+        return fixed
 
     @cached_property
     def _index(self) -> dict[bytes, int]:
@@ -363,6 +376,11 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+def _group_of(g: GroupLike) -> GroupSpec:
+    """g itself if it is a GroupSpec, else a new one on its generators."""
+    return g if isinstance(g, GroupSpec) else GroupSpec(_generators_of(g))
+
+
 def fixed_rank(g: GroupLike) -> int:
     """Rank of the common fixed subspace {v : Mv = v for every generator M}.
 
@@ -370,21 +388,7 @@ def fixed_rank(g: GroupLike) -> int:
     this equals the rank of the invariant Picard lattice.  A GroupSpec
     computes it once and keeps it.
     """
-    if isinstance(g, GroupSpec):
-        return g._fixed_rank
-    return _rank_fixed_by(_generators_of(g))
-
-
-def _rank_fixed_by(gens: tuple[LatticeIsometry, ...]) -> int:
-    if not gens:
-        return RANK
-    rows: list[list[int]] = []
-    for m in gens:
-        for i in range(RANK):
-            rows.append(
-                [m.matrix[i][j] - (1 if i == j else 0) for j in range(RANK)]
-            )
-    return RANK - integer_rank(rows)
+    return _group_of(g)._fixed_rank
 
 
 def group_closure(g: GroupSpec) -> np.ndarray:

@@ -9,10 +9,11 @@ each curve on 28 of them.  Every check reads the curve table's one
 pairing matrix, `pairing_array`.
 
 A star is the tuple of its six curve ids in hexagon order, wherever this
-module takes or returns one; the star table holds all 1120, one row
-each.  Ids from outside the table are checked once, by `star_id`, which
-looks their canonical form up among the table's rows; `star_text`
-names a star's curves.
+module takes or returns one.  The one table, `star_table()`, is the
+entry point: ``stars`` holds all 1120 as tuples in canonical order and
+``ids_array`` the same rows as a (1120, 6) array.  Ids from outside the
+table are checked once, by `star_id`, which looks their canonical form
+up among the table's rows; `star_text` names a star's curves.
 
 Adding K to each member turns a star into a hexagon of E8 roots spanning
 an A2 plane, which is how stars talk to the Weyl group: rotating the
@@ -50,8 +51,7 @@ from .lattice import (
     CheckViolation,
     DivisorClass,
     GroupLike,
-    GroupSpec,
-    _generators_of,
+    _group_of,
 )
 
 
@@ -211,11 +211,6 @@ class StarTable:
 @cache
 def star_table() -> StarTable:
     return StarTable()
-
-
-def enumerate_stars() -> tuple[tuple[int, ...], ...]:
-    """All 1120 stars as curve-id tuples, each once, in canonical order."""
-    return star_table().stars
 
 
 # ---------------------------------------------------------------------------
@@ -410,37 +405,28 @@ def sample_pairs_by_type(per_type: int) -> dict[PairType, list]:
 # ---------------------------------------------------------------------------
 # star versus outside curve
 
-class ProfileKind(enum.Enum):
-    ALL_ONES = "all-ones"
-    TOUCHING = "touching"
-
-
 TOUCHING_BASE = (0, 0, 1, 2, 2, 1)
 
 
-@dataclass(frozen=True)
-class IntersectionProfile:
-    kind: ProfileKind
-    vector: tuple[int, ...]
-    anchor: int | None = None
+def profile(a, star: tuple[int, ...]) -> int | None:
+    """Where an outside curve touches a star's hexagon, or None if nowhere.
 
-
-def profile(a, star: tuple[int, ...]) -> IntersectionProfile:
-    """Pairing vector of an outside curve against a star's hexagon.
-
-    The vector is (1,1,1,1,1,1) or a rotation of (0,0,1,2,2,1); the
-    anchor is the rotation offset, so zeros sit at positions anchor and
-    anchor + 1 of the star's own ordering.
+    The curve's pairings with the star, in the star's own order, are
+    (1,1,1,1,1,1), the all-ones profile, which gives None, or the
+    touching profile (0,0,1,2,2,1) rotated by k, which gives the anchor
+    k: the zeros sit at positions k and k + 1.  The pairings themselves
+    are the curve's row of ``curve_table().pairing_array``, read at the
+    star's ids.
     """
     cid = _resolve_curve_id(a)
     if cid in star:
         raise ValueError(f"curve {curve_table().curve(cid).name} lies on the star")
     vec = tuple(curve_table().pairing_array[cid, list(star)].tolist())
     if all(v == 1 for v in vec):
-        return IntersectionProfile(ProfileKind.ALL_ONES, vec)
+        return None
     for k in range(6):
         if all(vec[(i + k) % 6] == TOUCHING_BASE[i] for i in range(6)):
-            return IntersectionProfile(ProfileKind.TOUCHING, vec, anchor=k)
+            return k
     raise TrichotomyViolation(
         f"profile {vec} of curve {curve_table().curve(cid).name} "
         f"against {star_text(star)} fits neither shape"
@@ -461,15 +447,6 @@ class StarAction:
     kind: ActionKind
 
 
-def generator_permutations(g: GroupLike) -> np.ndarray:
-    """Curve permutations of a group's generators, one row each.
-
-    A GroupSpec keeps its own; any other group is permuted afresh.
-    """
-    spec = g if isinstance(g, GroupSpec) else GroupSpec(_generators_of(g))
-    return spec.generator_perms
-
-
 def star_masks(perms: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which stars each permutation maps to itself, and which it fixes pointwise.
 
@@ -483,15 +460,14 @@ def star_masks(perms: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def invariant_curves(g: GroupLike) -> tuple[int, ...]:
-    """Ids of curves fixed by every generator."""
-    fixed = (generator_permutations(g) == np.arange(240)).all(axis=0)
-    return tuple(np.flatnonzero(fixed).tolist())
+    """Ids of curves fixed by every generator: the group's ``fixed_curves``."""
+    return tuple(np.flatnonzero(_group_of(g).fixed_curves).tolist())
 
 
-def star_actions(perms: np.ndarray) -> tuple[StarAction, ...]:
-    """Stars invariant under every row of perms, flagged trivial or faithful."""
+def invariant_stars(g: GroupLike) -> tuple[StarAction, ...]:
+    """Setwise-invariant stars, flagged trivial (pointwise) or faithful."""
     table = star_table()
-    setwise, pointwise = star_masks(perms, table.ids_array)
+    setwise, pointwise = star_masks(_group_of(g).generator_perms, table.ids_array)
     pointwise = pointwise.all(axis=0)
     return tuple(
         StarAction(
@@ -500,11 +476,6 @@ def star_actions(perms: np.ndarray) -> tuple[StarAction, ...]:
         )
         for sid in np.flatnonzero(setwise.all(axis=0))
     )
-
-
-def invariant_stars(g: GroupLike) -> tuple[StarAction, ...]:
-    """Setwise-invariant stars, flagged trivial (pointwise) or faithful."""
-    return star_actions(generator_permutations(g))
 
 
 def star_plane(star: tuple[int, ...]) -> tuple[DivisorClass, DivisorClass]:
@@ -565,7 +536,7 @@ def trichotomy_census() -> Mapping[str, int]:
 
 @cache
 def intersection_profile_census() -> Mapping[str, int]:
-    """Count (outside curve, star) profiles by ProfileKind value.
+    """Count (outside curve, star) profiles as "all-ones" and "touching".
 
     Raises TrichotomyViolation unless every profile is all-ones or touching.
     """
@@ -590,6 +561,6 @@ def intersection_profile_census() -> Mapping[str, int]:
     if not np.all(ones[outside] | touching[outside]):
         raise TrichotomyViolation("outside curve with an unrecognized profile")
     return MappingProxyType({
-        ProfileKind.ALL_ONES.value: int((ones & outside).sum()),
-        ProfileKind.TOUCHING.value: int((touching & outside).sum()),
+        "all-ones": int((ones & outside).sum()),
+        "touching": int((touching & outside).sum()),
     })

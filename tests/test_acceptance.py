@@ -26,7 +26,7 @@ from dpone.criteria import (
     replay_two_stars,
     search_commuting_order3,
 )
-from dpone.curves import curve_table, enumerate_curves
+from dpone.curves import curve_table
 from dpone.lattice import (
     GroupSpec,
     TRIVIAL_GROUP,
@@ -39,7 +39,6 @@ from dpone.stars import (
     D6,
     ActionKind,
     PairType,
-    ProfileKind,
     classify_pair,
     intersection_profile_census,
     invariant_curves,
@@ -81,7 +80,7 @@ def criterion(capsys, n, budget=None):
 
 def test_criterion_01_curve_census(capsys):
     with criterion(capsys, 1, budget=1.0) as info:
-        curves = enumerate_curves()
+        curves = curve_table().curves
         assert len(curves) == 240
         sizes = [
             sum(1 for c in curves if c.family == fam)
@@ -132,9 +131,7 @@ def test_criterion_03_invariant_census(capsys):
         assert {t.curve(c).name for c in faith[0]} == {
             "C1-2", "C3-2", "C3-1", "C2-1", "C2-3", "C1-3",
         }
-        assert all(
-            profile(c, faith[0]).kind is ProfileKind.ALL_ONES for c in inv
-        )
+        assert all(profile(c, faith[0]) is None for c in inv)
 
         inv, triv, faith = census(CarterType3.A2x2)
         assert len(inv) == 12 and len(triv) == 2 and len(faith) == 2

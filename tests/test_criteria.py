@@ -47,7 +47,6 @@ from dpone.stars import (
     PairType,
     classify_pair,
     invariant_stars,
-    star_actions,
     star_masks,
 )
 from dpone.weyl import (
@@ -194,8 +193,9 @@ def forged_stars(stars):
 
 
 def test_replay_rejects_tampered_witnesses():
-    w = check_rational_triple(CANNED["A2"])
-    tampered = TripleWitness(curves=(w.curves[0], w.curves[1], w.curves[1]))
+    triple = check_rational_triple(CANNED["A2"])
+    t = triple.curves
+    tampered = TripleWitness(curves=(t[0], t[1], t[1]))
     assert not replay_triple(CANNED["A2"], tampered)
     w4 = check_not_rational_carter(CANNED["A2^4"])
     assert not replay_carter(CANNED["A2^3"], w4)
@@ -219,7 +219,7 @@ def test_replay_rejects_tampered_witnesses():
         (m,) = w.elements
         for elements in ((), (m, m)):
             assert not replay(gamma, replace(w, elements=elements)), replay.__name__
-    for curves in ((), w.curves[:2], w.curves + w.curves[:1]):
+    for curves in ((), t[:2], t + t[:1], (-1,) + t[1:], t[:2] + (240,), t[:2] + ("E1",)):
         assert not replay_triple(CANNED["A2"], TripleWitness(curves=curves)), curves
     setup = ActionSetup(CANNED["A2^4"], TRIVIAL_GROUP)
     cert = check_minimal_four_stars(setup)
@@ -487,7 +487,7 @@ def reference_carter(gamma):
 def reference_not_rational_stars(gamma):
     for i in gamma.of_order(3):
         faithful = [
-            a.star for a in star_actions(gamma.perms[i][None])
+            a.star for a in invariant_stars(gamma.element(i))
             if a.kind is ActionKind.FAITHFUL
         ]
         if len(faithful) >= 3:

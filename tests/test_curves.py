@@ -1,17 +1,9 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from dpone.curves import (
-    bertini,
-    bertini_class,
-    bertini_isometry,
-    class_of_name,
-    curve_table,
-    disjoint_partners,
-    enumerate_curves,
-    s8_action,
-)
+from dpone.curves import bertini_class, bertini_isometry, curve_table, s8_action
 from dpone.lattice import (
     CANONICAL_CLASS,
     LatticeIsometry,
@@ -24,14 +16,20 @@ from dpone.lattice import (
 FAMILY_SIZES = {"E": 8, "L2": 28, "Q": 56, "C": 56, "BQ": 56, "BL": 28, "BE": 8}
 
 
+def named(name):
+    """The class of a curve name, read back through the table."""
+    t = curve_table()
+    return t.curve(t.id_of_name(name)).divisor
+
+
 def test_census_240():
-    curves = enumerate_curves()
+    curves = curve_table().curves
     assert len(curves) == 240
     assert Counter(c.family for c in curves) == FAMILY_SIZES
 
 
 def test_all_exceptional():
-    for c in enumerate_curves():
+    for c in curve_table().curves:
         assert pair(c.divisor, c.divisor) == -1
         assert pair(c.divisor, CANONICAL_CLASS) == -1
 
@@ -39,23 +37,23 @@ def test_all_exceptional():
 def test_independent_solver_agrees():
     solved = solve_norm(-1, -1)
     assert len(solved) == 240
-    assert sorted(solved) == sorted(c.divisor for c in enumerate_curves())
+    assert sorted(solved) == sorted(c.divisor for c in curve_table().curves)
 
 
 def test_ids_are_dense_and_sorted():
-    curves = enumerate_curves()
+    curves = curve_table().curves
     assert [c.id for c in curves] == list(range(240))
     assert [c.divisor for c in curves] == sorted(c.divisor for c in curves)
 
 
 def test_named_classes():
-    assert class_of_name("E1") == exceptional(1)
-    assert class_of_name("L12") == divisor(1, -1, -1, 0, 0, 0, 0, 0, 0)
-    assert class_of_name("Q123") == divisor(2, 0, 0, 0, -1, -1, -1, -1, -1)
-    assert class_of_name("C1-2") == divisor(3, -2, 0, -1, -1, -1, -1, -1, -1)
-    assert class_of_name("bQ123") == divisor(4, -2, -2, -2, -1, -1, -1, -1, -1)
-    assert class_of_name("bL12") == divisor(5, -1, -1, -2, -2, -2, -2, -2, -2)
-    assert class_of_name("bE1") == divisor(6, -3, -2, -2, -2, -2, -2, -2, -2)
+    assert named("E1") == exceptional(1)
+    assert named("L12") == divisor(1, -1, -1, 0, 0, 0, 0, 0, 0)
+    assert named("Q123") == divisor(2, 0, 0, 0, -1, -1, -1, -1, -1)
+    assert named("C1-2") == divisor(3, -2, 0, -1, -1, -1, -1, -1, -1)
+    assert named("bQ123") == divisor(4, -2, -2, -2, -1, -1, -1, -1, -1)
+    assert named("bL12") == divisor(5, -1, -1, -2, -2, -2, -2, -2, -2)
+    assert named("bE1") == divisor(6, -3, -2, -2, -2, -2, -2, -2, -2)
 
 
 def name_from_class(d, family):
@@ -81,7 +79,7 @@ def name_from_class(d, family):
 
 def test_name_round_trip():
     t = curve_table()
-    for c in enumerate_curves():
+    for c in curve_table().curves:
         assert c.name == name_from_class(c.divisor, c.family)
         assert t.id_of_name(c.name) == c.id
 
@@ -89,7 +87,7 @@ def test_name_round_trip():
 def test_name_rejects_malformed():
     for bad in ("E9", "L11", "Q122", "C1-1", "bC1-2", "X12", "L1", "L21", "Q213"):
         with pytest.raises(ValueError, match="not a curve name"):
-            class_of_name(bad)
+            curve_table().id_of_name(bad)
 
 
 def test_pairing_examples():
@@ -104,24 +102,26 @@ def test_pairing_examples():
 
 
 def test_bertini_involution():
-    for c in enumerate_curves():
-        image = bertini(c)
+    t = curve_table()
+    for c in t.curves:
+        image = t.curve(t.bertini_ids[c.id])
         assert image.id != c.id
-        assert bertini(image).id == c.id
+        assert t.bertini_ids[image.id] == c.id
         assert image.divisor == -2 * CANONICAL_CLASS - c.divisor
-        assert curve_table().pairing_array[c.id, image.id] == 3
+        assert t.pairing_array[c.id, image.id] == 3
 
 
 def test_bertini_family_swap():
     swap = {"E": "BE", "BE": "E", "L2": "BL", "BL": "L2", "Q": "BQ", "BQ": "Q", "C": "C"}
-    for c in enumerate_curves():
-        assert bertini(c).family == swap[c.family]
+    t = curve_table()
+    for c in t.curves:
+        assert t.curve(t.bertini_ids[c.id]).family == swap[c.family]
 
 
 def test_bertini_names():
     t = curve_table()
-    assert bertini(t.curve(t.id_of_name("E1"))).name == "bE1"
-    assert bertini(t.curve(t.id_of_name("C1-2"))).name == "C2-1"
+    assert t.curve(t.bertini_ids[t.id_of_name("E1")]).name == "bE1"
+    assert t.curve(t.bertini_ids[t.id_of_name("C1-2")]).name == "C2-1"
 
 
 def test_bertini_isometry_realizes_class_map():
@@ -135,8 +135,9 @@ def test_bertini_isometry_realizes_class_map():
 
 
 def test_disjoint_partners_count():
-    for c in enumerate_curves():
-        partners = disjoint_partners(c)
+    t = curve_table()
+    for c in t.curves:
+        partners = np.flatnonzero(t.pairing_array[c.id] == 0)
         assert len(partners) == 56
         assert c.id not in partners
 
@@ -182,4 +183,4 @@ def test_permutation_of_rejects_forged_matrix():
 
 def test_bertini_class_of_cubic():
     # the cubic family is closed under the involution with indices swapped
-    assert bertini_class(class_of_name("C1-2")) == class_of_name("C2-1")
+    assert bertini_class(named("C1-2")) == named("C2-1")

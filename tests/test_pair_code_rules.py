@@ -30,7 +30,6 @@ from dpone.stars import (
     PAIR_TYPES,
     PairType,
     asynchronized,
-    generator_permutations,
     pair_codes,
     star_masks,
     star_table,
@@ -43,7 +42,7 @@ ASYNCHRONIZED = PAIR_TYPES.index(PairType.ASYNCHRONIZED)  # its pair code
 
 def pair_code_two_stars(gamma):
     table = star_table()
-    _, pointwise = star_masks(generator_permutations(gamma), table.ids_array)
+    _, pointwise = star_masks(gamma.generator_perms, table.ids_array)
     fixed = np.flatnonzero(pointwise.all(axis=0))
     rows = table.ids_array[fixed]
     for i in range(len(rows) - 1):
@@ -61,7 +60,7 @@ def pair_code_four_stars(setup):
     if not len(order3):
         return None
     table = star_table()
-    setwise, _ = star_masks(generator_permutations(combined), table.ids_array)
+    setwise, _ = star_masks(combined.generator_perms, table.ids_array)
     invariant = np.flatnonzero(setwise.all(axis=0))
     faithful = _faithful(g.perms[order3], table.ids_array[invariant])
     rotated = faithful.any(axis=0)

@@ -4,7 +4,8 @@ Each of 200 words in s1..s8 (random.Random(2), lengths 60 and 61 in
 turn) gives Gamma = <w> and Gamma = <w b>, with b the Bertini involution.
 Every rule is called directly on every group, so a group on which a
 Rational rule and a NotRational rule both fire would show here even
-where the report stops at its first hit.
+where the report stops at its first hit.  The last two tests pin the
+abstract's rank-one statement on one cyclic group of order 5.
 """
 
 import random
@@ -12,6 +13,7 @@ from collections import Counter
 from functools import cache
 
 import numpy as np
+import pytest
 
 from dpone.criteria import (
     RULES,
@@ -30,7 +32,7 @@ from dpone.criteria import (
 )
 from dpone.curves import bertini_isometry, curve_table
 from dpone.lattice import GroupSpec, fixed_rank, permutation_isometry, simple_roots
-from dpone.weyl import reflection_permutation
+from dpone.weyl import element_order, parse_element, reflection_permutation
 
 REPLAYS = {
     check_rational_two_stars: replay_two_stars,
@@ -108,3 +110,26 @@ def test_report_is_invariant_under_relabelling():
         rank = fixed_rank(gamma)
         assert (report.verdict, report.rule) == (verdict, rule), gamma
         assert report.ranks == {"G": 9, "Gamma": rank, "combined": rank}, gamma
+
+
+@cache
+def coxeter_power_report():
+    """gamma_report for Gamma = <c^6>, c = s1 s2 ... s8 a Coxeter element."""
+    c6 = parse_element("s " + "1 2 3 4 5 6 7 8 " * 6)
+    assert element_order(c6) == 5
+    return gamma_report(GroupSpec((c6,)))
+
+
+def test_coxeter_power_has_invariant_picard_number_one():
+    assert coxeter_power_report().ranks == {"G": 9, "Gamma": 1, "combined": 1}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: no rule reads rank one yet; a sixth rule waits on "
+    "the spans.install KeyError that perfbench raises for it",
+)
+def test_rank_one_gamma_is_not_rational():
+    # the abstract: with G trivial and invariant Picard number 1, X is not
+    # k-rational
+    assert coxeter_power_report().verdict is Verdict.NOT_RATIONAL

@@ -4,8 +4,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from dpone.curves import bertini, curve_table, s8_action
-from dpone.lattice import CANONICAL_CLASS, pair, permutation_orders
+from dpone.curves import curve_table, s8_action
+from dpone.lattice import (
+    CANONICAL_CLASS,
+    TRIVIAL_GROUP,
+    GroupSpec,
+    pair,
+    permutation_orders,
+)
 import dpone.stars as stars_module
 from dpone.stars import (
     D6,
@@ -15,11 +21,9 @@ from dpone.stars import (
     ActionKind,
     OverlappingStars,
     PairType,
-    ProfileKind,
     STAR_GRAM,
     TrichotomyViolation,
     classify_pair,
-    enumerate_stars,
     intersection_profile_census,
     invariant_curves,
     invariant_stars,
@@ -68,7 +72,7 @@ def test_star_pattern_invariants():
         assert t.pairing_array[ids[i], ids[(i + 1) % 6]] == 0
         assert t.pairing_array[ids[i], ids[(i + 2) % 6]] == 2
         assert t.pairing_array[ids[i], ids[(i + 3) % 6]] == 3
-        assert bertini(t.curve(ids[i])).id == ids[(i + 3) % 6]
+        assert t.bertini_ids[ids[i]] == ids[(i + 3) % 6]
     k = CANONICAL_CLASS
     divisors = [t.curve(i).divisor for i in ids]
     for i in range(6):
@@ -149,7 +153,7 @@ def test_star_equality_ignores_labeling():
 
 
 def test_enumerate_stars_totals():
-    stars = enumerate_stars()
+    stars = star_table().stars
     assert len(stars) == 1120
     for c in range(240):
         assert len(stars_containing(c)) == 28
@@ -217,7 +221,7 @@ def test_bertini_fixes_every_star_antipodally():
     b = bertini_isometry()
     t = curve_table()
     perm = t.permutation_of(b)
-    for s in enumerate_stars():
+    for s in star_table().stars:
         for i, c in enumerate(s):
             assert perm[c] == s[(i + 3) % 6]
 
@@ -319,7 +323,7 @@ def test_pair_codes_match_classify_pair(element):
 
 
 def test_sample_pairs_follow_the_combinations_walk():
-    stars = enumerate_stars()
+    stars = star_table().stars
     walk = {p: [] for p in PairType}
     for a, b in combinations(stars, 2):
         if set(a) & set(b):
@@ -379,15 +383,12 @@ def test_pair_codes_reject_broken_overlap():
 def test_profile_shapes():
     s = star_through("E7", "E8")
     t = curve_table()
-    res = profile("E6", s)
-    assert res.kind is ProfileKind.TOUCHING
-    assert res.vector[res.anchor] == 0
-    assert res.vector[(res.anchor + 1) % 6] == 0
-    base = (0, 0, 1, 2, 2, 1)
-    assert tuple(res.vector[(i + res.anchor) % 6] for i in range(6)) == base
-    ones = profile("L78", s)
-    assert ones.kind is ProfileKind.ALL_ONES
-    assert sum(ones.vector) == 6
+    vector = lambda name: t.pairing_array[t.id_of_name(name), list(s)].tolist()
+    anchor = profile("E6", s)
+    base = [0, 0, 1, 2, 2, 1]
+    assert [vector("E6")[(i + anchor) % 6] for i in range(6)] == base
+    assert profile("L78", s) is None
+    assert vector("L78") == [1] * 6
     with pytest.raises(ValueError):
         profile("E7", s)
 
@@ -402,9 +403,9 @@ def test_profile_census():
 def test_touching_anchor_matches_adjacency():
     # a curve disjoint from two neighbors of a star anchors at that edge
     s = star_through("E7", "E8")
-    res = profile("E6", s)
+    anchor = profile("E6", s)
     t = curve_table()
-    i, j = res.anchor, (res.anchor + 1) % 6
+    i, j = anchor, (anchor + 1) % 6
     e6 = t.id_of_name("E6")
     assert t.pairing_array[e6, s[i]] == 0
     assert t.pairing_array[e6, s[j]] == 0
@@ -421,7 +422,7 @@ def test_invariant_census_a2():
         "C1-2", "C3-2", "C3-1", "C2-1", "C2-3", "C1-3"
     )
     for c in inv:
-        assert profile(c, faithful[0]).kind is ProfileKind.ALL_ONES
+        assert profile(c, faithful[0]) is None
 
 
 def test_invariant_census_a2x2():
@@ -466,6 +467,16 @@ def test_invariant_census_a2x4():
     assert all(a.kind is ActionKind.FAITHFUL for a in actions)
 
 
+def test_invariant_curves_read_the_kept_mask():
+    g = GroupSpec((representative_order3(CarterType3.A2x2),))
+    mask = g.fixed_curves
+    assert mask is g.fixed_curves and not mask.flags.writeable
+    assert invariant_curves(g) == tuple(np.flatnonzero(mask).tolist())
+    assert invariant_curves(g) == invariant_curves(g.generators[0])
+    assert len(invariant_curves(g)) == 12
+    assert TRIVIAL_GROUP.fixed_curves.all()
+
+
 def test_faithful_action_is_two_step_rotation():
     g = representative_order3(CarterType3.A2)
     t = curve_table()
@@ -498,7 +509,7 @@ def test_faithful_invariant_pairs_never_abnormal():
 
 
 def test_star_graph_automorphism_orders():
-    stars = enumerate_stars()
+    stars = star_table().stars
     assert star_graph_automorphisms([stars[0]]) == 12
     samples = sample_pairs_by_type(2)
     expected = {
@@ -538,7 +549,7 @@ def backtrack_automorphisms(stars) -> int:
 
 
 def test_automorphisms_match_backtracking():
-    stars = enumerate_stars()
+    stars = star_table().stars
     graphs = [[s] for s in stars[:10]]
     graphs += [list(p) for pairs in sample_pairs_by_type(10).values() for p in pairs]
     ids = star_table().ids_array
