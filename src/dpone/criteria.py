@@ -256,11 +256,14 @@ def search_commuting_order3(
     (exponents 1 and 2); a rotation of a star whose curves g fixes
     commutes with g automatically, but every condition is checked rather
     than assumed.  The search runs on curve permutations; only the hit
-    becomes a matrix.
+    becomes a matrix.  Raises ValueError unless each requested star passes
+    `star_id`.
     """
     stars = list(faithful_on)
     if not stars:
         raise ValueError("need at least one star to act on")
+    for s in stars:
+        star_id(s)
     t = curve_table()
     g_perm = t.permutation_of(g)
     planes = map(star_plane, stars)

@@ -17,8 +17,9 @@ same loop that writes its class, with sorted indices ("L12", never
 Curves carry dense ids 0..239 assigned by lexicographic coefficient
 order; all higher modules speak ids.  The one table, `curve_table()`,
 is the entry point: ``curves`` holds the curves in id order,
-``id_of_name`` reads a name back, ``pairing_array`` is the 240x240
-pairing matrix (a row's zeros are the curve's 56 disjoint partners) and
+``id_of_name`` reads a name back, ``ids_of`` finds classes by packed
+key (``id_of`` one class), ``pairing_array`` is the 240x240 pairing
+matrix (a row's zeros are the curve's 56 disjoint partners) and
 ``bertini_ids`` maps each id to its Bertini partner's.
 """
 
@@ -101,9 +102,6 @@ class CurveTable:
             for cid, d in enumerate(sorted(families))
         ]
         self.curves: tuple[ExceptionalCurve, ...] = tuple(curves)
-        self.id_by_class: dict[tuple[int, ...], int] = {
-            c.divisor.coeffs: c.id for c in curves
-        }
         self.id_by_name: dict[str, int] = {c.name: c.id for c in curves}
 
         coeff_matrix = np.array([c.divisor.coeffs for c in curves], dtype=np.int64)
@@ -125,9 +123,10 @@ class CurveTable:
         return self.curves[cid]
 
     def id_of(self, d: DivisorClass) -> int:
+        """The curve id of a class by `ids_of`; a coefficient past int64 is none."""
         try:
-            return self.id_by_class[d.coeffs]
-        except KeyError:
+            return int(self.ids_of(np.array([d.coeffs], dtype=np.int64))[0])
+        except (ValueError, OverflowError):
             raise ValueError(f"not an exceptional class: {d!r}") from None
 
     def id_of_name(self, name: str) -> int:
@@ -142,7 +141,7 @@ class CurveTable:
         Raises ValueError naming the first row that is not one of the
         240 classes.
         """
-        ids = np.searchsorted(self._keys, _packed_keys(coeffs)).clip(max=239)
+        ids = np.minimum(np.searchsorted(self._keys, _packed_keys(coeffs)), 239)
         missed = (self.coeff_array[ids] != coeffs).any(axis=1)
         if missed.any():
             row = int(np.argmax(missed))

@@ -336,15 +336,11 @@ class GroupSpec:
 
 TRIVIAL_GROUP = GroupSpec((), "trivial")
 
-GroupLike = Union[GroupSpec, LatticeIsometry, Sequence[LatticeIsometry]]
+GroupLike = Union[GroupSpec, LatticeIsometry]
 
 
 def _generators_of(g: GroupLike) -> tuple[LatticeIsometry, ...]:
-    if isinstance(g, GroupSpec):
-        return g.generators
-    if isinstance(g, LatticeIsometry):
-        return (g,)
-    return tuple(g)
+    return g.generators if isinstance(g, GroupSpec) else (g,)
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:

@@ -10,10 +10,11 @@ pairing matrix, `pairing_array`.
 
 A star is the tuple of its six curve ids in hexagon order, wherever this
 module takes or returns one.  The one table, `star_table()`, is the
-entry point: ``stars`` holds all 1120 as tuples in canonical order and
-``ids_array`` the same rows as a (1120, 6) array.  Ids from outside the
-table are checked once, by `star_id`, which looks their canonical form
-up among the table's rows; `star_text` names a star's curves.
+entry point: ``stars`` holds all 1120 as tuples in canonical order,
+``ids_array`` the same rows as a (1120, 6) array and ``edge_star`` the row
+through any edge.  Ids from outside the table are checked once, by
+`star_id`, against the row through their first edge; `star_text` names a
+star's curves.
 
 Adding K to each member turns a star into a hexagon of E8 roots spanning
 an A2 plane, which is how stars talk to the Weyl group: rotating the
@@ -62,6 +63,7 @@ def _circulant(row) -> np.ndarray:
 
 # Gram matrix of a star in hexagon order
 STAR_GRAM = _circulant((-1, 0, 2, 3, 2, 0)).tolist()
+_K = np.array(CANONICAL_CLASS.coeffs, dtype=np.int64)  # K as a coefficient row
 
 
 class OverlappingStars(ValueError):
@@ -99,8 +101,6 @@ D6 = np.array([
     for k in range(6)
     for order in ([(i + k) % 6 for i in range(6)], [(k - i) % 6 for i in range(6)])
 ])
-# packs six curve ids into one int that orders like the id tuple
-_KEY_WEIGHTS = 256 ** np.arange(5, -1, -1)
 
 
 def star_text(ids) -> str:
@@ -112,21 +112,19 @@ def star_text(ids) -> str:
 def star_id(ids) -> int:
     """The star-table row of the star with these curve ids in this cyclic order.
 
-    The least of the ids' 12 relabelings, packed as the table packs its
-    rows, is looked up among the table's sorted keys: it is found exactly
-    when the ids are a relabeling of a row, which are the orders whose
-    Gram block is STAR_GRAM.  Raises ValueError unless ids are six ints
-    in 0..239 that form a star in this order.
+    The row through the first two ids, read from ``edge_star``, is the only
+    candidate; the ids are accepted when they are one of its 12 relabelings,
+    the orders whose Gram block is STAR_GRAM.  Raises ValueError unless ids
+    are six ints in 0..239 that form a star in this order.
     """
     ids = tuple(ids)
     if len(ids) != 6 or not all(
         isinstance(c, (int, np.integer)) and 0 <= c < 240 for c in ids
     ):
         raise ValueError(f"a star needs six curve ids in 0..239, got {ids!r}")
-    keys = star_table().keys
-    key = (np.array(ids, dtype=np.int64)[D6] @ _KEY_WEIGHTS).min()
-    sid = int(np.searchsorted(keys, key))
-    if sid == len(keys) or keys[sid] != key:
+    table = star_table()
+    sid = int(table.edge_star[ids[0], ids[1]])
+    if sid < 0 or not (table.ids_array[sid][D6] == ids).all(axis=1).any():
         raise ValueError("curves do not form a star in this order")
     return sid
 
@@ -152,10 +150,9 @@ def star_through(a, b) -> tuple[int, ...]:
         raise ValueError(
             f"curves {t.curve(ia).name} and {t.curve(ib).name} are not disjoint"
         )
-    k = CANONICAL_CLASS
-    va, vb = t.curve(ia).divisor, t.curve(ib).divisor
-    seq = (va, vb, -1 * k - va + vb, -2 * k - va, -2 * k - vb, -1 * k + va - vb)
-    ids = tuple(t.id_of(d) for d in seq)
+    va, vb = t.coeff_array[ia], t.coeff_array[ib]
+    seq = (va, vb, -_K - va + vb, -2 * _K - va, -2 * _K - vb, -_K + va - vb)
+    ids = tuple(t.ids_of(np.array(seq)).tolist())
     star_id(ids)
     return ids
 
@@ -163,45 +160,47 @@ def star_through(a, b) -> tuple[int, ...]:
 class StarTable:
     """All 1120 stars in canonical order, as a (1120, 6) id array and as tuples.
 
-    Built with array operations from the 6720 disjoint pairs (A, B),
-    A < B, of the pairing table: the hexagon is A, B, B - A - K and the
-    Bertini images of those three.  Each star arises from its six edges;
-    the row kept is the one already in canonical form, starting at the
-    smallest id and stepping to the smaller neighbor.
+    Built with array operations from the 6720 disjoint pairs (A, B), A < B,
+    of the pairing table: the hexagon is A, B, B - A - K and the Bertini
+    images of those three.  Each star arises from its six edges; the row
+    kept is in canonical form, from the smallest id A to its smaller
+    neighbor B, so the rows come sorted.
 
-    The constructor checks every row's Gram block against STAR_GRAM in
-    one array comparison, once.  ``keys`` holds each row packed base 256,
-    sorted, the keys that `star_id` looks ids from outside up in, and
-    ``stars`` the rows as tuples of ints.
+    ``edge_star[a, b]`` is the row with a and b as hexagon neighbors, -1
+    when a and b meet.  The constructor checks once that every row's Gram
+    block is STAR_GRAM and every disjoint ordered pair an edge of exactly
+    one row.  ``stars`` holds the rows as tuples of ints.
     """
 
     def __init__(self) -> None:
         t = curve_table()
         a, b = np.nonzero(np.triu(t.pairing_array == 0, 1))
-        k = np.array(CANONICAL_CLASS.coeffs, dtype=np.int64)
-        third = t.ids_of(t.coeff_array[b] - t.coeff_array[a] - k)
+        third = t.ids_of(t.coeff_array[b] - t.coeff_array[a] - _K)
         half = np.stack([a, b, third], axis=1)
         hexagons = np.hstack([half, t.bertini_ids[half]])
         keep = (hexagons[:, 0] == hexagons.min(axis=1)) & (
             hexagons[:, 1] < hexagons[:, 5]
         )
         rows = hexagons[keep]
-        rows = rows[np.lexsort(rows.T[::-1])]
 
-        # each row must be a star, the least of its 12 relabelings, and all
-        # distinct
-        keys = rows[:, D6] @ _KEY_WEIGHTS
+        # each row must be a star and read back its own edges, which must
+        # cover the disjoint ordered pairs: each is then an edge of one row
+        tails = np.concatenate([rows, np.roll(rows, 1, axis=1)]).ravel()
+        heads = np.concatenate([np.roll(rows, 1, axis=1), rows]).ravel()
+        owner = np.tile(np.arange(len(rows)).repeat(6), 2)
+        edge_star = np.full((240, 240), -1, dtype=np.int16)
+        edge_star[tails, heads] = owner
         gram = t.pairing_array[rows[:, :, None], rows[:, None, :]]
         if (
             len(rows) != 1120
             or np.any(gram != STAR_GRAM)
-            or np.any(keys[:, 0] != keys.min(axis=1))
-            or np.any(np.diff(keys[:, 0]) <= 0)
+            or np.any(edge_star[tails, heads] != owner)
+            or np.any((edge_star >= 0) != (t.pairing_array == 0))
         ):
             raise AssertionError("star table rows are not 1120 canonical hexagons")
 
         self.ids_array = rows.astype(np.int16)
-        self.keys = keys[:, 0]
+        self.edge_star = edge_star
 
     @cached_property
     def stars(self) -> tuple[tuple[int, ...], ...]:
@@ -405,32 +404,45 @@ def sample_pairs_by_type(per_type: int) -> dict[PairType, list]:
 # ---------------------------------------------------------------------------
 # star versus outside curve
 
-TOUCHING_BASE = (0, 0, 1, 2, 2, 1)
+# row k < 6 is the touching profile anchored at k, its zeros at slots k and
+# k + 1; the last row is the all-ones profile
+PROFILE_SHAPES = np.array(
+    [np.roll((0, 0, 1, 2, 2, 1), k) for k in range(6)] + [[1] * 6], dtype=np.int8
+)
+ALL_ONES = 6
+NO_SHAPE = len(PROFILE_SHAPES)
+
+
+def _profile_shapes(vecs: np.ndarray) -> np.ndarray:
+    """The PROFILE_SHAPES row each slot-first (6, ...) profile equals, or NO_SHAPE."""
+    # each match is built one slot at a time: no array is larger than a slot's
+    shape = np.full(vecs.shape[1:], NO_SHAPE, dtype=np.int8)
+    for s, row in enumerate(PROFILE_SHAPES.tolist()):
+        match = vecs[0] == row[0]
+        for i in range(1, 6):
+            match &= vecs[i] == row[i]
+        shape[match] = s
+    return shape
 
 
 def profile(a, star: tuple[int, ...]) -> int | None:
     """Where an outside curve touches a star's hexagon, or None if nowhere.
 
-    The curve's pairings with the star, in the star's own order, are
-    (1,1,1,1,1,1), the all-ones profile, which gives None, or the
-    touching profile (0,0,1,2,2,1) rotated by k, which gives the anchor
-    k: the zeros sit at positions k and k + 1.  The pairings themselves
-    are the curve's row of ``curve_table().pairing_array``, read at the
-    star's ids.
+    The curve's pairings with the star, in the star's order, are one row of
+    PROFILE_SHAPES: all ones gives None, and the touching profile
+    (0,0,1,2,2,1) anchored at k gives k.
     """
     cid = _resolve_curve_id(a)
     if cid in star:
         raise ValueError(f"curve {curve_table().curve(cid).name} lies on the star")
-    vec = tuple(curve_table().pairing_array[cid, list(star)].tolist())
-    if all(v == 1 for v in vec):
-        return None
-    for k in range(6):
-        if all(vec[(i + k) % 6] == TOUCHING_BASE[i] for i in range(6)):
-            return k
-    raise TrichotomyViolation(
-        f"profile {vec} of curve {curve_table().curve(cid).name} "
-        f"against {star_text(star)} fits neither shape"
-    )
+    vec = curve_table().pairing_array[list(star), cid]
+    shape = int(_profile_shapes(vec))
+    if shape == NO_SHAPE:
+        raise TrichotomyViolation(
+            f"profile {tuple(vec.tolist())} of curve {curve_table().curve(cid).name} "
+            f"against {star_text(star)} fits neither shape"
+        )
+    return None if shape == ALL_ONES else shape
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +462,14 @@ class StarAction:
 def star_masks(perms: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which stars each permutation maps to itself, and which it fixes pointwise.
 
-    perms is (k, 240) curve permutations and ids is (m, 6) star curve ids;
-    both masks are (k, m).
+    perms is (k, 240) curve permutations of isometries and ids is (m, 6)
+    star curve ids, table rows or ids `star_id` accepted; both masks are
+    (k, m).  A star is mapped to itself when its first edge's image has
+    its own ``edge_star`` row (a row whose first curves meet would pass).
     """
+    edge_star = star_table().edge_star
     images = perms[:, ids]
-    setwise = (np.sort(images, axis=2) == np.sort(ids, axis=1)).all(axis=2)
+    setwise = edge_star[images[..., 0], images[..., 1]] == edge_star[ids[:, 0], ids[:, 1]]
     pointwise = (images == ids).all(axis=2)
     return setwise, pointwise
 
@@ -540,27 +555,13 @@ def intersection_profile_census() -> Mapping[str, int]:
 
     Raises TrichotomyViolation unless every profile is all-ones or touching.
     """
-    p = curve_table().pairing_array
     s = star_table().ids_array
-    n = len(s)
-
-    vecs = p[s]  # (n, 6, 240): pairing of each hexagon slot with each curve
-    member = np.zeros((n, 240), dtype=bool)
-    member[np.arange(n)[:, None], s] = True
-
-    ones = (vecs == 1).all(axis=1)
-    base = np.array(TOUCHING_BASE, dtype=np.int8)
-    touching = np.zeros((n, 240), dtype=bool)
-    for k in range(6):
-        rot = np.roll(base, k)[None, :, None]
-        touching |= (vecs == rot).all(axis=1)
-
-    outside = ~member
-    if np.any(ones & touching):
-        raise TrichotomyViolation("profile matched both shapes")
-    if not np.all(ones[outside] | touching[outside]):
+    # (6, 1120, 240): pairing of each hexagon slot of each star with each curve
+    shape = _profile_shapes(curve_table().pairing_array[s.T])
+    # a member pairs -1 with itself, so the six members of a star fit no shape
+    if np.count_nonzero(shape == NO_SHAPE) != s.size:
         raise TrichotomyViolation("outside curve with an unrecognized profile")
     return MappingProxyType({
-        "all-ones": int((ones & outside).sum()),
-        "touching": int((touching & outside).sum()),
+        "all-ones": int(np.count_nonzero(shape == ALL_ONES)),
+        "touching": int(np.count_nonzero(shape < ALL_ONES)),
     })

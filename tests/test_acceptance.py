@@ -47,6 +47,7 @@ from dpone.stars import (
     profile,
     sample_pairs_by_type,
     star_graph_automorphisms,
+    star_id,
     star_table,
     star_through,
     trichotomy_census,
@@ -157,6 +158,7 @@ def test_criterion_03_invariant_census(capsys):
 def test_criterion_04_star_totals(capsys):
     with criterion(capsys, 4, budget=5.0) as info:
         t = curve_table()
+        table = star_table()
         keys = set()
         relabelings = D6.tolist()
         membership = [0] * 240
@@ -170,11 +172,12 @@ def test_criterion_04_star_totals(capsys):
                 assert is_star([t.curve(c).divisor for c in s])
                 # the least of the star's 12 hexagon relabelings
                 keys.add(min(tuple(s[i] for i in order) for order in relabelings))
+                assert table.edge_star[a, b] == star_id(s)
+                assert table.edge_star[b, a] == star_id(star_through(b, a))
         assert pairs == 6720
         assert len(keys) == 1120 == pairs // 6
         # the array-built table agrees with star_through, the slow builder
         slow = sorted(keys)
-        table = star_table()
         assert list(table.stars) == slow
         assert table.ids_array.tolist() == [list(k) for k in slow]
         for s in table.stars:

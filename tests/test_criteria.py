@@ -295,6 +295,17 @@ def test_search_commuting_requires_stars():
         search_commuting_order3(REPS[CarterType3.A2], [])
 
 
+@pytest.mark.parametrize("which", ["non-star", "out of hexagon order"])
+def test_search_commuting_rejects_what_is_not_a_star(which):
+    # star_masks reads a row by its first edge, so a row whose first two
+    # curves meet would pass as invariant; the search checks every row first
+    g = REPS[CarterType3.A2x2]
+    s = next(a.star for a in invariant_stars(g) if a.kind is ActionKind.TRIVIAL)
+    row = (0, 1, 2, 3, 4, 5) if which == "non-star" else (s[0], s[2], s[1]) + s[3:]
+    with pytest.raises(ValueError, match="do not form a star"):
+        search_commuting_order3(g, [s, row])
+
+
 def test_canned_verdicts():
     expected = {
         "trivial": Verdict.RATIONAL,

@@ -12,6 +12,7 @@ from dpone.lattice import (
     pair,
     solve_norm,
 )
+from dpone.stars import is_star
 
 FAMILY_SIZES = {"E": 8, "L2": 28, "Q": 56, "C": 56, "BQ": 56, "BL": 28, "BE": 8}
 
@@ -157,8 +158,17 @@ def test_s8_action_on_names():
 
 def test_id_of_rejects_non_curve_class():
     t = curve_table()
-    with pytest.raises(ValueError):
-        t.id_of(divisor(1, 0, 0, 0, 0, 0, 0, 0, 0))
+    others = [t.curve(c).divisor for c in range(5)]
+    for coeffs in [
+        (1, 0, 0, 0, 0, 0, 0, 0, 0),
+        (0, -1, 0, 0, 0, 0, 0, 0, 0),  # -E1
+        (2 ** 62, 0, 0, 0, 0, 0, 0, 0, -1),  # its packed key wraps around
+        (10 ** 30, 0, 0, 0, 0, 0, 0, 0, 0),  # beyond int64
+        (0, 0, 0, 0, 0, 0, 0, 0, -(10 ** 30)),
+    ]:
+        with pytest.raises(ValueError, match="not an exceptional class"):
+            t.id_of(divisor(*coeffs))
+        assert not is_star([divisor(*coeffs)] + others)
 
 
 def forged_isometry(rows) -> LatticeIsometry:

@@ -1,8 +1,11 @@
-"""Every name a dpone module imports is read in that module.
+"""Every name a dpone module imports, and every private name it defines, is read.
 
 A name counts as used only where it is loaded, so an import whose name
 is only assigned (say, a dataclass field of the same name) is reported.
-Function-local imports count like module-level ones.
+Function-local imports count like module-level ones.  A private
+module-level name or private method (one underscore, not a dunder) must
+be read in the module that defines it, by name or as an attribute, so a
+helper left behind by a rewrite is reported.
 """
 
 import ast
@@ -54,4 +57,62 @@ def test_unused_import_is_reported():
     )
     assert unused_imports(source) == [
         "divisor (line 3)", "dumps (line 2)", "os (line 1)", "unused_here (line 8)",
+    ]
+
+
+def unread_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    defined[item.name] = item.lineno
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return sorted(
+        f"{name} (line {line})"
+        for name, line in defined.items()
+        if name.startswith("_") and not name.endswith("__") and name not in read
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_unread_private_name_is_reported():
+    source = (
+        "_WEIGHTS = 3\n"
+        "_USED, _PAIRED = 1, 2\n"
+        "__all__ = []\n"
+        "def _helper():\n"
+        "    _local = 1\n"
+        "    return _USED\n"
+        "class _Tag:\n"
+        "    def __init__(self):\n"
+        "        self._cache = None\n"
+        "    def _used(self):\n"
+        "        return self._cache\n"
+        "    def _unused(self):\n"
+        "        return _PAIRED\n"
+        "def run():\n"
+        "    return _Tag()._used()\n"
+        '"""_WEIGHTS and _helper are named only in this docstring."""\n'
+    )
+    assert unread_private_names(source) == [
+        "_WEIGHTS (line 1)", "_helper (line 4)", "_unused (line 12)",
     ]

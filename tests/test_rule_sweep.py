@@ -32,6 +32,7 @@ from dpone.criteria import (
 )
 from dpone.curves import bertini_isometry, curve_table
 from dpone.lattice import GroupSpec, fixed_rank, permutation_isometry, simple_roots
+from dpone.stars import star_masks, star_table
 from dpone.weyl import element_order, parse_element, reflection_permutation
 
 REPLAYS = {
@@ -72,6 +73,19 @@ def sweep() -> tuple[dict[str, Verdict], ...]:
                 hit[name] = verdict
         hits.append(hit)
     return tuple(hits)
+
+
+def sorted_row_setwise(perms, ids):
+    """The setwise test star_masks replaced: each image row, sorted, is the row."""
+    return (np.sort(perms[:, ids], axis=2) == np.sort(ids, axis=1)).all(axis=2)
+
+
+def test_edge_lookup_setwise_matches_sorted_rows():
+    perms = np.concatenate([gamma.generator_perms for gamma in family()])
+    ids = star_table().ids_array
+    setwise, _ = star_masks(perms, ids)
+    assert np.array_equal(setwise, sorted_row_setwise(perms, ids))
+    assert setwise.any(axis=1).sum() == 270  # groups with an invariant star
 
 
 def test_family_hits():

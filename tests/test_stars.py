@@ -117,8 +117,8 @@ def gram_is_star(ids):
     return curve_table().pairing_array[np.ix_(ids, ids)].tolist() == STAR_GRAM
 
 
-def test_gram_check_agrees_with_loop_oracle():
-    p = tuple(map(tuple, curve_table().pairing_array.tolist()))
+def star_candidates():
+    """All 1120 x 12 relabeled table rows, seeded near misses, wrong lengths."""
     stars = star_table().ids_array.tolist()
     relabeled = [[row[i] for i in order] for row in stars for order in D6.tolist()]
     rng = random.Random(0)
@@ -133,12 +133,59 @@ def test_gram_check_agrees_with_loop_oracle():
     short_or_long = [row[:5] for row in stars[:50]] + [
         row + [c] for row in stars[:50] for c in (row[0], (row[0] + 1) % 240)
     ]
+    return relabeled, near_misses, short_or_long
+
+
+def test_gram_check_agrees_with_loop_oracle():
+    p = tuple(map(tuple, curve_table().pairing_array.tolist()))
+    relabeled, near_misses, short_or_long = star_candidates()
     for ids in relabeled + near_misses + short_or_long:
         expected = loop_is_star(p, ids)
         assert gram_is_star(ids) == expected == is_star(ids), ids
     assert all(gram_is_star(ids) for ids in relabeled)
     assert {gram_is_star(ids) for ids in near_misses} == {True, False}
     assert not any(gram_is_star(ids) for ids in short_or_long)
+
+
+def packed_key_star_id():
+    """The star_id that the edge lookup replaced, with its table check.
+
+    Each row packed base 256 orders like its id tuple; the table's keys are
+    its rows' keys, each the least of its 12 relabelings, strictly
+    increasing.  Ids are the row whose key is the least of theirs.
+    """
+    weights = 256 ** np.arange(5, -1, -1)
+    relabeled = star_table().ids_array.astype(np.int64)[:, D6] @ weights
+    keys = relabeled[:, 0]
+    assert np.array_equal(keys, relabeled.min(axis=1))
+    assert np.all(np.diff(keys) > 0)
+
+    def star_id(ids):
+        if len(ids) != 6 or not all(0 <= c < 240 for c in ids):
+            raise ValueError("not six curve ids")
+        key = (np.array(ids, dtype=np.int64)[D6] @ weights).min()
+        sid = int(np.searchsorted(keys, key))
+        if sid == len(keys) or keys[sid] != key:
+            raise ValueError("curves do not form a star in this order")
+        return sid
+
+    return star_id
+
+
+def test_edge_lookup_matches_packed_keys():
+    oracle = packed_key_star_id()
+    relabeled, near_misses, short_or_long = star_candidates()
+
+    def found(lookup, ids):
+        try:
+            return lookup(ids)
+        except ValueError:
+            return None
+
+    for sid, ids in enumerate(relabeled):
+        assert star_id(ids) == oracle(ids) == sid // 12
+    for ids in near_misses + short_or_long:
+        assert found(star_id, ids) == found(oracle, ids), ids
 
 
 def test_star_equality_ignores_labeling():
@@ -202,8 +249,8 @@ def test_star_table_checks_every_gram_block(monkeypatch):
 
 
 def test_table_stars_skip_the_repeat_gram_check(monkeypatch):
-    # the table checks all Gram blocks once, when built; star_id then looks
-    # ids up among the table's keys and reads no Gram block
+    # the table checks all Gram blocks once, when built; star_id then reads
+    # the row through the ids' first edge and reads no Gram block
     table = star_table()
     gram = np.array(STAR_GRAM)
     gram[0, 1] = gram[1, 0] = 1
@@ -391,6 +438,39 @@ def test_profile_shapes():
     assert vector("L78") == [1] * 6
     with pytest.raises(ValueError):
         profile("E7", s)
+
+
+def rotation_loop_profile(cid, star):
+    """The scalar loop that profile's shape table replaced."""
+    vec = tuple(curve_table().pairing_array[cid, list(star)].tolist())
+    if all(v == 1 for v in vec):
+        return None
+    for k in range(6):
+        if all(vec[(i + k) % 6] == (0, 0, 1, 2, 2, 1)[i] for i in range(6)):
+            return k
+    raise TrichotomyViolation("fits neither shape")
+
+
+def test_profile_matches_rotation_loop():
+    for star in star_table().stars[:50]:
+        for c in range(240):
+            if c in star:
+                with pytest.raises(ValueError, match="lies on the star"):
+                    profile(c, star)
+            else:
+                assert profile(c, star) == rotation_loop_profile(c, star)
+
+
+def test_profile_rejects_an_unknown_shape(monkeypatch):
+    s = star_through("E7", "E8")
+    # no profile is all nines
+    shapes = stars_module.PROFILE_SHAPES.copy()
+    shapes[stars_module.ALL_ONES] = 9
+    monkeypatch.setattr(stars_module, "PROFILE_SHAPES", shapes)
+    with pytest.raises(TrichotomyViolation, match="fits neither shape"):
+        profile("L78", s)
+    with pytest.raises(TrichotomyViolation, match="unrecognized profile"):
+        stars_module.intersection_profile_census.__wrapped__()
 
 
 def test_profile_census():
