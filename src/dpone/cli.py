@@ -88,13 +88,15 @@ def load_element(value: str) -> LatticeIsometry:
 def load_group(value: str | None, label: str, cap: int) -> GroupSpec:
     """Group from blocks of element text separated by blank lines.
 
-    No value, or no element in it, gives the trivial group.  ``cap``
-    bounds the group's closure, and is checked even for the trivial group.
+    No value, or no element in it, gives the trivial group.  A repeated
+    block is parsed once.  ``cap`` bounds the group's closure, and is
+    checked even for the trivial group.
     """
     if value is None:
         return GroupSpec((), label, cap)
-    blocks = _strip_comments(_read_source(value)).split("\n\n")
-    generators = tuple(_parse(b, value) for b in blocks if b.strip())
+    text = _strip_comments(_read_source(value))
+    blocks = dict.fromkeys(b.strip() for b in text.split("\n\n"))
+    generators = tuple(_parse(b, value) for b in blocks if b)
     return GroupSpec(generators, label, cap)
 
 
@@ -167,9 +169,9 @@ def cmd_list_stars(args):
 
 
 def cmd_classify_element(args):
-    m = load_element(args.element)
-    perm = curve_table().permutation_of(m)[None]  # read for the order and type
-    order, rank = int(permutation_orders(perm)[0]), fixed_rank(m)
+    g = GroupSpec((load_element(args.element),))  # permuted once for all three
+    perm = g.generator_perms
+    order, rank = int(permutation_orders(perm)[0]), fixed_rank(g)
     doc = {"order": order, "fixed_rank": rank}
     line = f"order {order}, rank {rank}"
     if order == 3:

@@ -111,8 +111,8 @@ class CurveTable:
         self._keys = _packed_keys(coeff_matrix)
         if not np.all(np.diff(self._keys) > 0):
             raise AssertionError("packed curve keys are not strictly increasing")
-        # E1..E8 and L12, whose images fix an isometry (L = L12 + E1 + E2)
-        self._basis_ids = np.array(
+        # E1..E8 and L12, a basis whose images fix an isometry (L = L12 + E1 + E2)
+        self.basis_ids = np.array(
             [self.id_by_name[f"E{i}"] for i in range(1, 9)] + [self.id_by_name["L12"]]
         )
         self.pairing_array = (coeff_matrix * FORM_DIAG @ coeff_matrix.T).astype(np.int8)
@@ -172,7 +172,7 @@ class CurveTable:
         Its columns are the images of L, E1, ..., E8, read off the images
         of the curves E1..E8 and L12 = L - E1 - E2.
         """
-        e1_to_e8_l12 = self.coeff_array[perm[self._basis_ids]]
+        e1_to_e8_l12 = self.coeff_array[perm[self.basis_ids]]
         line = e1_to_e8_l12[8] + e1_to_e8_l12[0] + e1_to_e8_l12[1]
         columns = np.vstack([line, e1_to_e8_l12[:8]])
         return LatticeIsometry(tuple(tuple(row) for row in columns.T.tolist()))

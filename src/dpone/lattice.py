@@ -161,33 +161,36 @@ def _as_matrix(rows: Iterable[Iterable[int]]) -> Matrix:
     return m
 
 
+# Every entry of a K-fixing isometry lies in -17..17 (see is_isometry)
+ENTRY_BOUND = 17
+
+
 def is_isometry(matrix: Iterable[Iterable[int]]) -> bool:
-    """Whether the matrix preserves the pairing on all basis pairs and fixes K."""
+    """Whether the matrix preserves the pairing, M^T J M = J, and fixes K.
+
+    The int64 products are exact only for small entries (M = I + 2^32 A,
+    A antisymmetric on E1..E3 with AK = 0, wraps to M^T J M = J), so an
+    entry past ENTRY_BOUND is rejected first.  No isometry has one: its
+    columns are curves (entries -3..6) and the image v of L, with v*v = 1
+    and v*K = -3, so 1 <= c_L <= 17 and c_i^2 < c_L^2 by solve_norm's bound.
+    """
     try:
-        m = _as_matrix(matrix)
-    except (ValueError, TypeError):
+        m = np.array(_as_matrix(matrix), dtype=np.int64)
+    except (ValueError, TypeError, OverflowError):  # OverflowError: past int64
         return False
-    # M^T G M == G checks preservation on every basis pair at once.
-    for i in range(RANK):
-        col_i = [m[r][i] for r in range(RANK)]
-        for j in range(i, RANK):
-            val = sum(FORM_DIAG[r] * col_i[r] * m[r][j] for r in range(RANK))
-            expected = FORM_DIAG[i] if i == j else 0
-            if val != expected:
-                return False
-    k = CANONICAL_CLASS.coeffs
-    for r in range(RANK):
-        if sum(m[r][c] * k[c] for c in range(RANK)) != k[r]:
-            return False
-    return True
+    if ((m < -ENTRY_BOUND) | (m > ENTRY_BOUND)).any():
+        return False
+    j, k = np.diag(FORM_DIAG), np.array(CANONICAL_CLASS.coeffs)
+    return bool((m.T @ j @ m == j).all() and (m @ k == k).all())
 
 
 @dataclass(frozen=True)
 class LatticeIsometry:
     """A 9x9 integer matrix acting on coefficient column vectors.
 
-    Validated at construction: it must preserve the pairing and fix K
-    (which forces determinant +-1).  Invalid matrices are rejected.
+    Validated once, at construction, by `is_isometry`: it must preserve
+    the pairing and fix K (which forces determinant +-1).  The matrix is
+    the element's text form; groups compute with its curve permutation.
     """
 
     matrix: Matrix
@@ -236,13 +239,6 @@ class LatticeIsometry:
         )
         return LatticeIsometry._unchecked(inv)
 
-    def is_identity(self) -> bool:
-        return all(
-            self.matrix[i][j] == (1 if i == j else 0)
-            for i in range(RANK)
-            for j in range(RANK)
-        )
-
     def __repr__(self) -> str:
         return f"LatticeIsometry({self.matrix[0]}, ...)"
 
@@ -250,6 +246,8 @@ class LatticeIsometry:
 # W(E8) has order 696,729,600, and two generators typed by a user can
 # generate a subgroup far too large to list: a closure raises past its cap
 CLOSURE_CAP = 10000
+# W(E6) and W(A7) peaked at 3.9 KiB per closure element with its order
+MAX_CAP = 250_000  # about 1 GiB
 # W(E8) elements have order at most 30, so a larger order means a bad input
 ORDER_CAP = 60
 
@@ -265,10 +263,12 @@ class GroupSpec:
     use and kept for the object's lifetime, so each generator is permuted
     once, a caller that needs only the generators closes nothing, and
     every rule, search and replay handed the same object shares one
-    closure, one rank and one mask.
-    ``cap`` bounds that closure (see ``group_closure``).  ``index_of``
-    finds an isometry's closure index, and ``element(i)`` builds the 9x9
-    matrix of index i, only for an element that is handed out.
+    closure, one rank and one mask.  All read only the generators' curve
+    permutations, and each generator is kept once, at its first
+    occurrence: a repeat yields no element the closure has not seen.
+    ``cap``, at most MAX_CAP, bounds that closure (see ``group_closure``).
+    ``index_of`` finds an isometry's closure index, and ``element(i)``
+    builds the 9x9 matrix of index i, only for an element handed out.
     """
 
     generators: tuple[LatticeIsometry, ...]
@@ -276,9 +276,11 @@ class GroupSpec:
     cap: int = CLOSURE_CAP
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "generators", tuple(dict.fromkeys(self.generators)))
         if self.cap < 1:
             raise ValueError("cap must be >= 1")
+        if self.cap > MAX_CAP:
+            raise ValueError(f"cap must be <= {MAX_CAP}, about 1 GiB of closure")
 
     @cached_property
     def generator_perms(self) -> np.ndarray:
@@ -300,13 +302,14 @@ class GroupSpec:
 
     @cached_property
     def _fixed_rank(self) -> int:
-        rows: list[list[int]] = []
-        for m in self.generators:
-            for i in range(RANK):
-                rows.append(
-                    [m.matrix[i][j] - (1 if i == j else 0) for j in range(RANK)]
-                )
-        return RANK - integer_rank(rows)
+        from .curves import curve_table
+
+        # for an isometry g, ker(g - I) is the orthogonal complement of
+        # im(g - I), which the moves g(c) - c of the basis curves span
+        t = curve_table()
+        basis = t.basis_ids
+        moves = t.coeff_array[self.generator_perms[:, basis]] - t.coeff_array[basis]
+        return RANK - integer_rank(moves.reshape(-1, RANK).tolist())
 
     @cached_property
     def fixed_curves(self) -> np.ndarray:
@@ -503,17 +506,12 @@ def permutation_isometry(mapping: dict[int, int]) -> LatticeIsometry:
 
 
 def permutation_of_isometry(m: LatticeIsometry) -> dict[int, int] | None:
-    """Inverse of :func:`permutation_isometry`; None if m is not of that shape."""
-    mat = m.matrix
-    cols = []
-    for j in range(RANK):
-        col = tuple(mat[i][j] for i in range(RANK))
-        if sum(col) != 1 or any(x not in (0, 1) for x in col):
-            return None
-        cols.append(col.index(1))
-    if cols[0] != 0 or sorted(cols[1:]) != list(range(1, RANK)):
+    """Inverse of :func:`permutation_isometry`; None if m moves L.  An isometry
+    fixing L permutes the E_i, the only curves orthogonal to L."""
+    line, *images = zip(*m.matrix)
+    if line != (1,) + (0,) * (RANK - 1):
         return None
-    return {i: cols[i] for i in range(1, RANK) if cols[i] != i}
+    return {i: col.index(1) for i, col in enumerate(images, 1) if col[i] != 1}
 
 
 def isometry_to_text(m: LatticeIsometry) -> str:

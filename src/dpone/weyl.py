@@ -18,7 +18,7 @@ from functools import cache, reduce
 
 import numpy as np
 
-from .curves import curve_table
+from .curves import curve_table, s8_action
 from .lattice import (
     CANONICAL_CLASS,
     FORM_DIAG,
@@ -27,8 +27,6 @@ from .lattice import (
     LatticeIsometry,
     isometry_from_text,
     pair,
-    parse_cycles,
-    permutation_isometry,
     permutation_orders,
     simple_roots,
     solve_norm,
@@ -147,9 +145,9 @@ def representative_order3(ctype: CarterType3) -> LatticeIsometry:
     A2^4 compose the rotations s_a s_b of pairwise-orthogonal A2 planes.
     """
     if ctype is CarterType3.A2:
-        return permutation_isometry(parse_cycles("(1 2 3)"))
+        return s8_action("(1 2 3)")
     if ctype is CarterType3.A2x2:
-        return permutation_isometry(parse_cycles("(1 2 3)(4 5 6)"))
+        return s8_action("(1 2 3)(4 5 6)")
     perm = np.arange(240, dtype=np.int16)
     for a, b in orthogonal_a2_planes(ctype.value):
         perm = perm[reflection_permutation(a)[reflection_permutation(b)]]
@@ -171,7 +169,7 @@ def parse_element(text: str) -> LatticeIsometry:
         raise ValueError("empty element text")
     first = stripped.split()[0]
     if stripped.startswith("(") or stripped in ("id", "()"):
-        return permutation_isometry(parse_cycles(stripped))
+        return s8_action(stripped)
     if first == "s":
         simples = simple_roots()
         word = stripped.split()[1:]

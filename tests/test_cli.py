@@ -10,8 +10,9 @@ import pytest
 
 import dpone
 from dpone.cli import main
-from dpone.lattice import isometry_to_text
+from dpone.lattice import MAX_CAP, isometry_to_text
 from dpone.weyl import CarterType3, representative_order3
+from test_lattice import FORGED
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PERFBENCH = SRC.parent / "perfbench"
@@ -624,12 +625,20 @@ def test_endless_input_exits_2(capsys):
 
 
 @pytest.mark.parametrize("gamma", [(), ("-gamma", "(1 2 3)")], ids=["trivial", "A2"])
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_cap_below_one_exits_2(capsys, cap, gamma):
+@pytest.mark.parametrize("cap", ["0", "-1", "10000000"])
+def test_cap_below_one_exits_2(capsys, monkeypatch, cap, gamma):
+    # past the ceiling too: --cap 10000000 would let a closure take about 37 GiB
+    def no_closure(g):
+        raise AssertionError("a closure was built")
+
+    monkeypatch.setattr("dpone.lattice.group_closure", no_closure)
     code, out, err = run(capsys, "--cap", cap, "report", *gamma)
     assert code == 2
     assert out == ""
-    assert err == "error: cap must be >= 1\n"
+    if int(cap) < 1:
+        assert err == "error: cap must be >= 1\n"
+    else:
+        assert err == f"error: cap must be <= {MAX_CAP}, about 1 GiB of closure\n"
 
 
 def test_cap_exceeded_exits_2(capsys):
@@ -645,6 +654,27 @@ def test_non_isometry_matrix_exits_2(capsys, tmp_path):
     path.write_text("\n".join(rows))
     code, _, err = run(capsys, "classify-element", "-e", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("name", sorted(FORGED))
+def test_forged_matrix_exits_2(capsys, tmp_path, name):
+    path = tmp_path / "forged.txt"
+    path.write_text("\n".join(" ".join(map(str, row)) for row in FORGED[name]))
+    code, out, err = run(capsys, "classify-element", "-e", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: matrix does not preserve the pairing and fix K\n"
+
+
+def test_repeated_blocks_are_read_once(capsys, tmp_path):
+    path = tmp_path / "repeated.txt"
+    path.write_text("(1 2)\n\n" * 149_795)  # 1,048,565 bytes, inside the read limit
+    started = time.perf_counter()
+    code, out, err = run(capsys, "report", "-gamma", str(path))
+    elapsed = time.perf_counter() - started
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "report", "-gamma", "(1 2)")[1]
+    assert elapsed < 10, elapsed
 
 
 def test_missing_subcommand_exits_2(capsys):

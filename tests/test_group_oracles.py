@@ -6,11 +6,13 @@ apply-per-curve loop.  Closure order must agree element by element, since
 witnesses are the first hit in that order.
 """
 
+import numpy as np
 import pytest
 
 from dpone.curves import bertini_isometry, curve_table, s8_action
-from dpone.lattice import GroupSpec, LatticeIsometry, group_closure
+from dpone.lattice import GroupSpec, LatticeIsometry, fixed_rank, group_closure
 from dpone.weyl import CarterType3, element_order, representative_order3
+from test_lattice import matrix_fixed_rank
 
 
 def slow_permutation_of(m: LatticeIsometry) -> tuple[int, ...]:
@@ -36,7 +38,7 @@ def slow_group_closure(gens, cap: int = 10000) -> list[LatticeIsometry]:
 
 def slow_order(m: LatticeIsometry) -> int:
     acc, n = m, 1
-    while not acc.is_identity():
+    while acc != LatticeIsometry.identity():
         acc, n = acc @ m, n + 1
     return n
 
@@ -116,3 +118,18 @@ def test_s8_closes_at_its_order():
     assert len({row.tobytes() for row in elements}) == 40320
     with pytest.raises(ValueError, match="exceeds cap 10000"):
         group_closure(GroupSpec(gens))
+
+
+@pytest.mark.parametrize("name", ["S4", "S3wrC2", "<A2^3 rep>"])
+def test_repeated_generators_change_nothing(name):
+    """A repeat adds no element to the matrix BFS, which keeps every repeat,
+    so the closure rows, their order, the rank and the fixed curves stay."""
+    gens = GROUPS[name]
+    repeated = gens + gens[::-1] + gens[:1]
+    g = GroupSpec(repeated)
+    assert g.generators == gens
+    slow = [slow_permutation_of(m) for m in slow_group_closure(repeated)]
+    assert [tuple(row) for row in g.perms.tolist()] == slow
+    assert fixed_rank(g) == matrix_fixed_rank(repeated) == fixed_rank(GroupSpec(gens))
+    perms = [curve_table().permutation_of(m) for m in repeated]
+    assert g.fixed_curves.tolist() == (perms == np.arange(240)).all(axis=0).tolist()

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
+from dpone.curves import bertini_isometry
 from dpone.lattice import (
     CANONICAL_CLASS,
+    FORM_DIAG,
     DivisorClass,
     GroupSpec,
     LatticeIsometry,
@@ -21,6 +24,7 @@ from dpone.lattice import (
     simple_roots,
     solve_norm,
 )
+from dpone.weyl import reflection
 
 
 def test_pairing_diagonal_form():
@@ -146,6 +150,62 @@ def test_solve_norm_at_and_past_the_edge():
     assert solve_norm(2, 0) == []
 
 
+def loop_is_isometry(matrix) -> bool:
+    """The pure-Python check is_isometry replaced: exact on Python ints."""
+    try:
+        m = tuple(tuple(int(x) for x in row) for row in matrix)
+    except (ValueError, TypeError):
+        return False
+    if len(m) != 9 or any(len(row) != 9 for row in m):
+        return False
+    for i in range(9):
+        for j in range(i, 9):
+            val = sum(FORM_DIAG[r] * m[r][i] * m[r][j] for r in range(9))
+            if val != (FORM_DIAG[i] if i == j else 0):
+                return False
+    k = CANONICAL_CLASS.coeffs
+    return all(sum(m[r][c] * k[c] for c in range(9)) == k[r] for r in range(9))
+
+
+def matrix_fixed_rank(generators) -> int:
+    """The fixed rank from the (g - I) matrix rows, as before permutations."""
+    rows = [
+        [m.matrix[i][j] - (i == j) for j in range(9)] for m in generators for i in range(9)
+    ]
+    return 9 - integer_rank(rows)
+
+
+def loop_permutation_of_isometry(m):
+    """The column shape test permutation_of_isometry replaced."""
+    cols = []
+    for j in range(9):
+        col = tuple(m.matrix[i][j] for i in range(9))
+        if sum(col) != 1 or any(x not in (0, 1) for x in col):
+            return None
+        cols.append(col.index(1))
+    if cols[0] != 0 or sorted(cols[1:]) != list(range(1, 9)):
+        return None
+    return {i: cols[i] for i in range(1, 9) if cols[i] != i}
+
+
+def _identity_plus(entries):
+    rows = [[int(i == j) for j in range(9)] for i in range(9)]
+    for (i, j), x in entries.items():
+        rows[i][j] += x
+    return tuple(tuple(r) for r in rows)
+
+
+# M = I + 2^32 A with A antisymmetric on E1, E2, E3 (A12 = A23 = 1,
+# A13 = -1, so AK = 0): int64 products wrap to M^T J M = J and MK = K
+_A = {(1, 2): 1, (2, 3): 1, (1, 3): -1}
+_A.update({(j, i): -x for (i, j), x in _A.items()})
+FORGED = {
+    "wrapping": _identity_plus({ij: x << 32 for ij, x in _A.items()}),
+    "past int64": _identity_plus({(0, 0): 10**30}),
+    "int64 min": _identity_plus({(4, 4): -(2**63) - 1}),  # the entry is -2**63
+}
+
+
 def test_is_isometry_rejects_form_breakers():
     ident = tuple(tuple(int(i == j) for j in range(9)) for i in range(9))
     assert is_isometry(ident)
@@ -158,6 +218,31 @@ def test_is_isometry_rejects_form_breakers():
     neg = tuple(tuple(-int(i == j) for j in range(9)) for i in range(9))
     assert not is_isometry(neg)
     assert not is_isometry(((1, 2), (3, 4)))
+    for name, m in FORGED.items():
+        assert not is_isometry(m), name
+        with pytest.raises(ValueError):
+            LatticeIsometry(m)
+
+
+def test_forged_matrix_would_wrap_an_int64_product():
+    m = np.array(FORGED["wrapping"], dtype=np.int64)
+    form = np.diag(FORM_DIAG)
+    k = np.array(CANONICAL_CLASS.coeffs)
+    assert (m.T @ form @ m == form).all() and (m @ k == k).all()
+
+
+def test_is_isometry_matches_loop_on_forged_matrices():
+    candidates = [
+        *FORGED.values(),
+        bertini_isometry().matrix,  # an entry of 17, the bound
+        _identity_plus({(0, 0): 16}),
+        _identity_plus({(1, 2): 1 << 31, (2, 1): -(1 << 31)}),
+        ((1, 2), (3, 4)),
+        [["1"] * 9] * 9,
+        [[0.5] * 9] * 9,
+    ]
+    for m in candidates:
+        assert is_isometry(m) == loop_is_isometry(m), m
 
 
 def test_isometry_constructor_validates():
@@ -167,7 +252,7 @@ def test_isometry_constructor_validates():
 
 def test_isometry_inverse_and_composition():
     g = permutation_isometry(parse_cycles("(1 2 3)(4 5)"))
-    assert (g @ g.inverse()).is_identity()
+    assert g @ g.inverse() == LatticeIsometry.identity()
     h = permutation_isometry(parse_cycles("(6 7 8)"))
     v = divisor(2, 1, -1, 3, 0, 0, 1, 1, -2)
     assert (g @ h).apply(v) == g.apply(h.apply(v))
@@ -178,6 +263,22 @@ def test_fixed_rank_values():
     g = permutation_isometry(parse_cycles("(1 2)"))
     assert fixed_rank(g) == 8
     assert fixed_rank(GroupSpec(())) == 9
+
+
+# parabolic subgroups by simple_roots() index, with their fixed ranks
+PARABOLICS = {
+    "W(A7)": (range(1, 8), 2),
+    "W(D6)": ((0, 2, 3, 4, 5, 6), 3),
+    "W(E6)": (range(6), 3),
+    "W(E8)": (range(8), 1),
+}
+
+
+@pytest.mark.parametrize("name", PARABOLICS)
+def test_fixed_rank_matches_matrix_rows_on_parabolics(name):
+    indices, rank = PARABOLICS[name]
+    gens = tuple(reflection(simple_roots()[i]) for i in indices)
+    assert fixed_rank(GroupSpec(gens)) == matrix_fixed_rank(gens) == rank
 
 
 def test_integer_rank():

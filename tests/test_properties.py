@@ -14,11 +14,13 @@ from dpone.lattice import (
     DivisorClass,
     LatticeIsometry,
     cycles_string,
+    is_isometry,
     isometry_from_text,
     isometry_to_text,
     pair,
     parse_cycles,
     permutation_isometry,
+    permutation_of_isometry,
     simple_roots,
 )
 from dpone.stars import is_star, profile, star_id, star_table, star_through
@@ -31,6 +33,7 @@ from dpone.weyl import (
     reflection,
     representative_order3,
 )
+from test_lattice import loop_is_isometry, loop_permutation_of_isometry
 
 coeffs9 = st.tuples(*[st.integers(-9, 9)] * 9)
 divisors = coeffs9.map(DivisorClass)
@@ -92,6 +95,14 @@ def test_pairing_symmetric(a, b):
 @given(divisors, divisors, divisors, st.integers(-5, 5), st.integers(-5, 5))
 def test_pairing_bilinear(a, b, c, m, n):
     assert pair(a * m + b * n, c) == m * pair(a, c) + n * pair(b, c)
+
+
+# is_isometry and permutation_of_isometry against the loops they replaced
+@given(words)
+def test_word_isometry_matches_loop_oracles(word):
+    m = word_isometry(word)
+    assert is_isometry(m.matrix) and loop_is_isometry(m.matrix)
+    assert permutation_of_isometry(m) == loop_permutation_of_isometry(m)
 
 
 @given(words)

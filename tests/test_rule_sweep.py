@@ -31,9 +31,17 @@ from dpone.criteria import (
     replay_two_stars,
 )
 from dpone.curves import bertini_isometry, curve_table
-from dpone.lattice import GroupSpec, fixed_rank, permutation_isometry, simple_roots
+from dpone.lattice import (
+    GroupSpec,
+    fixed_rank,
+    is_isometry,
+    permutation_isometry,
+    permutation_of_isometry,
+    simple_roots,
+)
 from dpone.stars import star_masks, star_table
 from dpone.weyl import element_order, parse_element, reflection_permutation
+from test_lattice import loop_is_isometry, loop_permutation_of_isometry, matrix_fixed_rank
 
 REPLAYS = {
     check_rational_two_stars: replay_two_stars,
@@ -109,6 +117,16 @@ def test_fixed_rank_one_is_never_rational():
     for gamma, hit in zip(family(), sweep()):
         if fixed_rank(gamma) == 1:
             assert Verdict.RATIONAL not in hit.values(), gamma
+
+
+def test_matrix_checks_match_their_loop_oracles():
+    """is_isometry, the fixed rank and permutation_of_isometry on the 400
+    generators, each against the matrix loop it replaced."""
+    for gamma in family():
+        (m,) = gamma.generators
+        assert is_isometry(m.matrix) and loop_is_isometry(m.matrix), gamma
+        assert fixed_rank(gamma) == matrix_fixed_rank(gamma.generators), gamma
+        assert permutation_of_isometry(m) == loop_permutation_of_isometry(m), gamma
 
 
 def test_report_is_invariant_under_relabelling():
