@@ -179,11 +179,12 @@ def check_not_rational_stars(gamma: GroupSpec) -> StarsWitness | None:
 def _antipodal(perm: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(m,) mask: a curve permutation acts on star row m as the antipode.
 
-    Pairing 3 with the image forces H -> H_{i+3} on every member, the
-    Bertini flip of the hexagon (only a Bertini pair pairs to 3), so such
-    a star is invariant.
+    It sends every member to its Bertini partner, H -> H_{i+3}, the flip
+    of the hexagon, so such a star is invariant.  Two curves pair to 3
+    exactly when they are Bertini partners (E + E' = -2K), so this is the
+    test that every member pairs to 3 with its image.
     """
-    return (curve_table().pairing_array[rows, perm[rows]] == 3).all(axis=1)
+    return (perm[rows] == curve_table().bertini_ids[rows]).all(axis=1)
 
 
 def check_not_rational_even(gamma: GroupSpec) -> EvenWitness | None:

@@ -11,7 +11,6 @@ fixing K.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt
@@ -155,7 +154,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def _as_matrix(rows: Iterable[Iterable[int]]) -> Matrix:
-    m = tuple(tuple(int(x) for x in row) for row in rows)
+    m = tuple(tuple(map(int, row)) for row in rows)
     if len(m) != RANK or any(len(row) != RANK for row in m):
         raise ValueError(f"expected a {RANK}x{RANK} integer matrix")
     return m
@@ -163,6 +162,7 @@ def _as_matrix(rows: Iterable[Iterable[int]]) -> Matrix:
 
 # Every entry of a K-fixing isometry lies in -17..17 (see is_isometry)
 ENTRY_BOUND = 17
+_J, _K_COLUMN = np.diag(FORM_DIAG), np.array(CANONICAL_CLASS.coeffs)
 
 
 def is_isometry(matrix: Iterable[Iterable[int]]) -> bool:
@@ -175,22 +175,30 @@ def is_isometry(matrix: Iterable[Iterable[int]]) -> bool:
     and v*K = -3, so 1 <= c_L <= 17 and c_i^2 < c_L^2 by solve_norm's bound.
     """
     try:
-        m = np.array(_as_matrix(matrix), dtype=np.int64)
-    except (ValueError, TypeError, OverflowError):  # OverflowError: past int64
+        return _is_isometry_matrix(_as_matrix(matrix))
+    except (ValueError, TypeError):
         return False
-    if ((m < -ENTRY_BOUND) | (m > ENTRY_BOUND)).any():
+
+
+def _is_isometry_matrix(m: Matrix) -> bool:
+    """`is_isometry` of a matrix that `_as_matrix` has already converted."""
+    try:
+        a = np.array(m, dtype=np.int64)
+    except OverflowError:  # past int64
         return False
-    j, k = np.diag(FORM_DIAG), np.array(CANONICAL_CLASS.coeffs)
-    return bool((m.T @ j @ m == j).all() and (m @ k == k).all())
+    if ((a < -ENTRY_BOUND) | (a > ENTRY_BOUND)).any():
+        return False
+    return bool((a.T @ _J @ a == _J).all() and (a @ _K_COLUMN == _K_COLUMN).all())
 
 
 @dataclass(frozen=True)
 class LatticeIsometry:
     """A 9x9 integer matrix acting on coefficient column vectors.
 
-    Validated once, at construction, by `is_isometry`: it must preserve
-    the pairing and fix K (which forces determinant +-1).  The matrix is
-    the element's text form; groups compute with its curve permutation.
+    Converted and validated once, at construction, as `is_isometry`
+    checks: it must preserve the pairing and fix K (which forces
+    determinant +-1).  The matrix is the element's text form; groups
+    compute with its curve permutation.
     """
 
     matrix: Matrix
@@ -198,7 +206,7 @@ class LatticeIsometry:
     def __post_init__(self) -> None:
         m = _as_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if not is_isometry(m):
+        if not _is_isometry_matrix(m):
             raise ValueError("matrix does not preserve the pairing and fix K")
 
     @classmethod
@@ -396,47 +404,60 @@ def group_closure(g: GroupSpec) -> np.ndarray:
     One int16 row of 240 curve ids per element, breadth-first from the
     identity: each element's products with the generators follow in
     generator order, composed as perm(A @ B) = perm_A[perm_B].  W(E8)
-    acts faithfully on the 240 curves, so a row determines its isometry.
+    acts faithfully on the 240 curves, and an element is fixed by its
+    images of the basis curves E1..E8, L12 (``curve_table().basis_ids``;
+    L = L12 + E1 + E2), so the closure keys each element on those nine
+    ids, 18 bytes: one gather per element gives the keys of all its
+    products, and a full row is built only for a new element.
 
     ``g.cap`` bounds the time and memory a closure may take: past that
     many elements the closure raises.
     """
+    from .curves import curve_table
+
+    basis = curve_table().basis_ids
     gens = g.generator_perms
+    gen_basis, width = gens[:, basis], 2 * len(basis)  # int16 ids: 2 bytes each
     identity = np.arange(240, dtype=np.int16)
-    seen = {identity.tobytes(): identity}
-    queue = deque([identity])
-    while queue:
-        current = queue.popleft()
-        for gen in gens:
-            nxt = current[gen]
-            key = nxt.tobytes()
+    seen = {identity[basis].tobytes()}
+    rows = [identity]
+    for current in rows:  # rows grows while it is read: the BFS queue
+        keys = current[gen_basis].tobytes()
+        for i, gen in enumerate(gens):
+            key = keys[width * i : width * (i + 1)]
             if key not in seen:
                 if len(seen) >= g.cap:
                     name = f"group {g.label}" if g.label else "group"
                     raise ValueError(f"{name} closure exceeds cap {g.cap}")
-                seen[key] = nxt
-                queue.append(nxt)
-    return np.stack(list(seen.values()))
+                seen.add(key)
+                rows.append(current[gen])
+    return np.stack(rows)
 
 
 def permutation_orders(perms: np.ndarray) -> np.ndarray:
-    """Orders of curve permutations, one per row of perms; raises past ORDER_CAP.
+    """Orders of curve permutations of W(E8) elements, one per row of perms;
+    raises past ORDER_CAP.
 
-    The order is the lcm of the cycle lengths, and a curve's cycle length
-    is the least k with perm^k(c) = c; the powers of all rows are taken
-    together.
+    An element is fixed by its images of the basis curves E1..E8, L12
+    (``curve_table().basis_ids``), so g^k = 1 exactly when g^k fixes
+    those nine curves, and the order is the lcm of their cycle lengths.
+    A curve's cycle length is the least k with perm^k(c) = c; the powers
+    of all rows are taken together, on the nine basis columns only.
     """
-    ids = np.arange(perms.shape[1])
-    lengths = np.zeros(perms.shape, dtype=np.int64)
-    power = perms
+    from .curves import curve_table
+
+    basis = curve_table().basis_ids
+    rows = np.arange(len(perms))[:, None]
+    lengths = np.zeros((len(perms), len(basis)), dtype=np.int64)
+    power = perms[:, basis]
     for k in range(1, ORDER_CAP + 1):
-        lengths[(power == ids) & (lengths == 0)] = k
+        lengths[(power == basis) & (lengths == 0)] = k
         if lengths.all():
             orders = np.lcm.reduce(lengths, axis=1)
             if orders.max(initial=1) > ORDER_CAP:
                 break
             return orders
-        power = np.take_along_axis(perms, power, axis=1)
+        power = perms[rows, power]
     raise ValueError(f"element order exceeds cap {ORDER_CAP}")
 
 

@@ -1,18 +1,36 @@
-"""The permutation fast paths against the matrix slow paths they replaced.
+"""The permutation fast paths against the slow paths they replaced.
 
 `group_closure` works on curve-id permutations and `permutation_of` on one
 numpy product; the reference versions below are the matrix BFS and the
-apply-per-curve loop.  Closure order must agree element by element, since
-witnesses are the first hit in that order.
+apply-per-curve loop.  `group_closure` keys an element on its images of
+the nine basis curves and `permutation_orders` powers only those nine;
+their references are the BFS keyed on full 240-id rows and the power
+loop over all 240 columns.  `criteria._antipodal` reads Bertini partners;
+its reference gathers pairings equal to 3.  Closure order must agree
+element by element, since witnesses are the first hit in that order.
 """
+
+from collections import deque
+from functools import cache
 
 import numpy as np
 import pytest
 
+from dpone.criteria import _antipodal
 from dpone.curves import bertini_isometry, curve_table, s8_action
-from dpone.lattice import GroupSpec, LatticeIsometry, fixed_rank, group_closure
-from dpone.weyl import CarterType3, element_order, representative_order3
+from dpone.lattice import (
+    ORDER_CAP,
+    GroupSpec,
+    LatticeIsometry,
+    fixed_rank,
+    group_closure,
+    permutation_orders,
+    simple_roots,
+)
+from dpone.stars import star_table
+from dpone.weyl import CarterType3, element_order, reflection, representative_order3
 from test_lattice import matrix_fixed_rank
+from test_rule_sweep import family
 
 
 def slow_permutation_of(m: LatticeIsometry) -> tuple[int, ...]:
@@ -34,6 +52,46 @@ def slow_group_closure(gens, cap: int = 10000) -> list[LatticeIsometry]:
                 seen[nxt.matrix] = nxt
                 queue.append(nxt)
     return list(seen.values())
+
+
+def row_keyed_closure(g: GroupSpec) -> np.ndarray:
+    """The closure BFS keyed on full 240-id rows."""
+    gens = g.generator_perms
+    identity = np.arange(240, dtype=np.int16)
+    seen = {identity.tobytes(): identity}
+    queue = deque([identity])
+    while queue:
+        current = queue.popleft()
+        for gen in gens:
+            nxt = current[gen]
+            key = nxt.tobytes()
+            if key not in seen:
+                if len(seen) >= g.cap:
+                    raise ValueError(f"group closure exceeds cap {g.cap}")
+                seen[key] = nxt
+                queue.append(nxt)
+    return np.stack(list(seen.values()))
+
+
+def all_column_orders(perms: np.ndarray) -> np.ndarray:
+    """Orders as the lcm of the cycle lengths of all 240 curves."""
+    ids = np.arange(perms.shape[1])
+    lengths = np.zeros(perms.shape, dtype=np.int64)
+    power = perms
+    for k in range(1, ORDER_CAP + 1):
+        lengths[(power == ids) & (lengths == 0)] = k
+        if lengths.all():
+            orders = np.lcm.reduce(lengths, axis=1)
+            if orders.max(initial=1) > ORDER_CAP:
+                break
+            return orders
+        power = np.take_along_axis(perms, power, axis=1)
+    raise ValueError(f"element order exceeds cap {ORDER_CAP}")
+
+
+def pairing_three_antipodal(perm: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Star rows on which every member pairs to 3 with its image."""
+    return (curve_table().pairing_array[rows, perm[rows]] == 3).all(axis=1)
 
 
 def slow_order(m: LatticeIsometry) -> int:
@@ -133,3 +191,62 @@ def test_repeated_generators_change_nothing(name):
     assert fixed_rank(g) == matrix_fixed_rank(repeated) == fixed_rank(GroupSpec(gens))
     perms = [curve_table().permutation_of(m) for m in repeated]
     assert g.fixed_curves.tolist() == (perms == np.arange(240)).all(axis=0).tolist()
+
+
+def assert_matches_full_rows(g: GroupSpec) -> None:
+    assert np.array_equal(g.perms, row_keyed_closure(g))
+    orders = all_column_orders(g.perms)
+    assert np.array_equal(g.orders, orders) and g.orders.dtype == orders.dtype
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_basis_keyed_closure_matches_full_rows(name):
+    assert_matches_full_rows(GroupSpec(GROUPS[name]))
+
+
+def test_sweep_closures_match_full_rows():
+    for gamma in family():
+        assert_matches_full_rows(gamma)
+
+
+# parabolic subgroups of W(E8) by simple_roots() indices, with their orders
+WEYL_SUBGROUPS = {"A7": (range(1, 8), 40320), "D6": ((0, 2, 3, 4, 5, 6), 23040),
+                  "E6": (range(6), 51840)}
+
+
+@cache
+def weyl_subgroup(name: str) -> GroupSpec:
+    roots = simple_roots()
+    indices, order = WEYL_SUBGROUPS[name]
+    return GroupSpec(tuple(reflection(roots[i]) for i in indices), name, cap=order)
+
+
+@pytest.mark.parametrize("name", sorted(WEYL_SUBGROUPS))
+def test_weyl_subgroup_closure_matches_full_rows(name):
+    g = weyl_subgroup(name)
+    assert len(g.perms) == WEYL_SUBGROUPS[name][1]
+    assert_matches_full_rows(g)
+
+
+def test_basis_images_key_the_e6_closure():
+    """The closure key, a row's images of E1..E8 and L12, is one per element."""
+    perms = weyl_subgroup("E6").perms
+    keys = {row.tobytes() for row in perms[:, curve_table().basis_ids]}
+    assert len(keys) == len(perms) == 51840
+
+
+def test_pairing_three_exactly_at_bertini_partners():
+    t = curve_table()
+    cells = np.argwhere(t.pairing_array == 3)
+    assert cells.tolist() == [[c, b] for c, b in enumerate(t.bertini_ids.tolist())]
+
+
+def test_antipodal_matches_pairing_gather():
+    rows = star_table().ids_array
+    elements = flips = 0
+    for gamma in family():
+        for i in np.flatnonzero(gamma.orders % 2 == 0):
+            antipodal = _antipodal(gamma.perms[i], rows)
+            assert np.array_equal(antipodal, pairing_three_antipodal(gamma.perms[i], rows))
+            elements, flips = elements + 1, flips + int(antipodal.sum())
+    assert elements and flips  # the sweep has even elements that flip stars

@@ -160,6 +160,8 @@ def cycles_on_240(*lengths):
 def test_element_order_cap():
     assert element_order(s8_action("(1 2 3 4 5 6 7)")) == 7
     assert ORDER_CAP == 60
+    # the cycles start at ids 0..8, which are the basis curves E8..E1, L12
+    # (curve_table().basis_ids), the only curves permutation_orders follows
     assert permutation_orders(cycles_on_240(3, 4, 5)[None]).tolist() == [60]
     # order 77 is the lcm of short cycles; a 61-cycle outruns the power loop
     for perm in (cycles_on_240(7, 11), cycles_on_240(61)):
