@@ -16,6 +16,10 @@ they assume the surface has one where the geometric argument needs it.
 
 The rules read stars as rows of the star table and test star pairs with
 `stars.asynchronized`, which counts cross pairings equal to 1.  The
+scans test many candidates per numpy call in the order a one-at-a-time
+loop would, so each finds that loop's first hit: the two-stars rule tests
+doubling blocks of rows, the even rule counts Bertini flips before any
+star test, and the four-star search tests all its pairs at once.  The
 replays take no star on trust: each must be distinct and pass `star_id`,
 and star pairs are re-checked with `classify_pair`.
 Both order-3 rules take the first closure element of class A2^3 or A2^4,
@@ -188,8 +192,16 @@ def _antipodal(perm: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def check_not_rational_even(gamma: GroupSpec) -> EvenWitness | None:
-    """An even-order element acting on an invariant star as the antipode."""
-    for i in np.flatnonzero(gamma.orders % 2 == 0):
+    """An even-order element acting on an invariant star as the antipode.
+
+    Takes the first such element in closure order and its first such
+    star.  An element flips a star only if it sends at least its six
+    curves to their Bertini partners, so the flips of all even elements
+    are counted at once and only those with six or more get the star test.
+    """
+    even = np.flatnonzero(gamma.orders % 2 == 0)
+    flips = (gamma.perms[even] == curve_table().bertini_ids).sum(axis=1)
+    for i in even[flips >= 6]:
         hits = np.flatnonzero(_antipodal(gamma.perms[i], star_table().ids_array))
         if len(hits):
             star = star_table().stars[hits[0]]
@@ -227,22 +239,42 @@ def _verify_triple_sum(w: TripleWitness) -> None:
         raise CertificateViolation(f"triple sum fails the plane-model check: {w}")
 
 
+def _first_asynchronized(rows: np.ndarray) -> tuple[int, int] | None:
+    """The first asynchronized row pair (i, j), i < j, in combinations order.
+
+    Tests blocks of 1, 2, 4, ... rows, rows lo .. lo+size-1 against every
+    row after lo, and takes the first hit of a block in row-major order,
+    so k rows take at most ceil(log2 k) `asynchronized` calls.  That hit
+    (i, j) is the first pair in combinations order: rows before lo had no
+    partner at all, and j > i, since a star is never asynchronized with
+    itself and, asynchronized being symmetric, a partner j < i would have
+    given the earlier block row j a hit.
+    """
+    lo, size = 0, 1
+    while lo < len(rows) - 1:
+        block = asynchronized(rows[lo : lo + size], rows[lo + 1 :])
+        hit = int(block.argmax())
+        if block.flat[hit]:
+            i, j = divmod(hit, block.shape[1])
+            return lo + i, lo + 1 + j
+        lo, size = lo + size, 2 * size
+    return None
+
+
 def check_rational_two_stars(gamma: GroupSpec) -> TwoStarsWitness | None:
     """Two pointwise-fixed stars that are asynchronized.
 
     The pointwise-fixed stars are the table rows whose six curves are all
-    fixed.  Scans their pairs in combinations order over star ids and
-    returns the first that is asynchronized (all 36 cross pairings 1).
+    fixed.  Returns the first of their pairs, in combinations order over
+    star ids, that is asynchronized (all 36 cross pairings 1).
     """
     table = star_table()
     fixed = np.flatnonzero(gamma.fixed_curves[table.ids_array].all(axis=1))
-    rows = table.ids_array[fixed]
-    for i in range(len(rows) - 1):
-        hits = np.flatnonzero(asynchronized(rows[i], rows[i + 1 :]))
-        if len(hits):
-            a, b = fixed[[i, i + 1 + hits[0]]].tolist()
-            return TwoStarsWitness(stars=(table.stars[a], table.stars[b]))
-    return None
+    found = _first_asynchronized(table.ids_array[fixed])
+    if found is None:
+        return None
+    a, b = fixed[list(found)].tolist()
+    return TwoStarsWitness(stars=(table.stars[a], table.stars[b]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +337,8 @@ def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None
 
     Stars must be setwise invariant under the combined group; each needs
     an order-3 element of G acting faithfully on it, so a G with no
-    generators has none.  The search tests each pair of candidates once
-    for being asynchronized and takes the least clique of candidate
+    generators has none.  The search tests every pair of candidates in
+    one `asynchronized` call and takes the least clique of candidate
     indices; the A2^4 representative has 40 candidates and 240, 160 and
     40 cliques of sizes 2, 3 and 4.  When the clique exists the fixed rank
     of the combined group, computed from its generators, must equal 1.
@@ -326,12 +358,7 @@ def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None
     # each star takes the first order-3 element, in closure order, that rotates it
     rotator = order3[faithful[:, rotated].argmax(axis=0)]
     rows = table.ids_array[candidates]
-    n = len(rows)
-    pairs = np.zeros((n, n), dtype=bool)  # filled and read for i < j only
-    for i in range(n - 1):
-        pairs[i, i + 1 :] = asynchronized(rows[i], rows[i + 1 :])
-
-    chosen = _first_four_clique(pairs)
+    chosen = _first_four_clique(asynchronized(rows, rows))
     if chosen is None:
         return None
     stars = tuple(table.stars[candidates[i]] for i in chosen)

@@ -310,6 +310,8 @@ class GroupSpec:
 
     @cached_property
     def _fixed_rank(self) -> int:
+        if not self.generators:
+            return RANK  # the empty group fixes everything
         from .curves import curve_table
 
         # for an isometry g, ker(g - I) is the orthogonal complement of

@@ -365,15 +365,18 @@ def pair_codes(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
 
 
 def asynchronized(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """Whether the star with curve ids a is asynchronized with each row of rest.
+    """Whether a star, or each star of a block, is asynchronized with each row of rest.
 
-    A pair is asynchronized exactly when all 36 of its cross pairings are
-    1.  That pattern is the same under every relabeling, so none is tried,
-    and a shared curve pairs -1 with itself, so overlapping pairs fail the
-    test.  Unlike `pair_codes`, nothing else about the pairs is checked.
+    a is six curve ids, giving an (m,) mask against the (m, 6) rest, or a
+    (b, 6) block of stars, giving a (b, m) mask.  A pair is asynchronized
+    exactly when all 36 of its cross pairings are 1.  That pattern is the
+    same under every relabeling, so none is tried, and a shared curve
+    pairs -1 with itself, so overlapping pairs fail the test.  Unlike
+    `pair_codes`, nothing else about the pairs is checked.  The counts,
+    at most 6 per curve and 36 per pair, are summed in int8.
     """
-    ones = (curve_table().pairing_array[a] == 1).sum(axis=0)
-    return ones[rest].sum(axis=1) == 36
+    ones = (curve_table().pairing_array[a] == 1).sum(axis=-2, dtype=np.int8)
+    return ones[..., rest].sum(axis=-1, dtype=np.int8) == 36
 
 
 def pair_counts(ids) -> dict[str, int]:

@@ -673,9 +673,12 @@ def test_swapped_kernel_table_is_caught_at_replay(monkeypatch):
     table = stars.pattern_key_table(swapped)
     monkeypatch.setattr(stars, "pattern_keys", lambda: table)
     code = stars.PAIR_TYPES.index(PairType.ASYNCHRONIZED)
-    monkeypatch.setattr(
-        criteria, "asynchronized", lambda a, rest: stars.pair_codes(a, rest) == code
-    )
+
+    def swapped_asynchronized(block, rest):
+        # the rule passes a block of rows; each row is filed by pair_codes
+        return np.array([stars.pair_codes(a, rest) == code for a in block])
+
+    monkeypatch.setattr(criteria, "asynchronized", swapped_asynchronized)
     gamma = group_of(s8_action("(1 2 3)"))
     w = check_rational_two_stars(gamma)
     assert w is not None

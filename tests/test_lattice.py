@@ -265,6 +265,14 @@ def test_fixed_rank_values():
     assert fixed_rank(GroupSpec(())) == 9
 
 
+def test_empty_group_rank_reads_no_permutations():
+    # the rank of a group with no generators is 9 without an empty
+    # permutation array; a report with a trivial G asks for it every time
+    g = GroupSpec(())
+    assert fixed_rank(g) == 9
+    assert "generator_perms" not in vars(g)
+
+
 # parabolic subgroups by simple_roots() index, with their fixed ranks
 PARABOLICS = {
     "W(A7)": (range(1, 8), 2),
