@@ -186,9 +186,11 @@ def _antipodal(perm: np.ndarray, rows: np.ndarray) -> np.ndarray:
     It sends every member to its Bertini partner, H -> H_{i+3}, the flip
     of the hexagon, so such a star is invariant.  Two curves pair to 3
     exactly when they are Bertini partners (E + E' = -2K), so this is the
-    test that every member pairs to 3 with its image.
+    test that every member pairs to 3 with its image.  The rows are read
+    slot-first, through ``rows.T``.
     """
-    return (perm[rows] == curve_table().bertini_ids[rows]).all(axis=1)
+    slots = rows.T
+    return (perm[slots] == curve_table().bertini_ids[slots]).all(axis=0)
 
 
 def check_not_rational_even(gamma: GroupSpec) -> EvenWitness | None:
@@ -265,11 +267,12 @@ def check_rational_two_stars(gamma: GroupSpec) -> TwoStarsWitness | None:
     """Two pointwise-fixed stars that are asynchronized.
 
     The pointwise-fixed stars are the table rows whose six curves are all
-    fixed.  Returns the first of their pairs, in combinations order over
-    star ids, that is asynchronized (all 36 cross pairings 1).
+    fixed, read slot by slot.  Returns the first of their pairs, in
+    combinations order over star ids, that is asynchronized (all 36 cross
+    pairings 1).
     """
     table = star_table()
-    fixed = np.flatnonzero(gamma.fixed_curves[table.ids_array].all(axis=1))
+    fixed = np.flatnonzero(gamma.fixed_curves[table.ids_array.T].all(axis=0))
     found = _first_asynchronized(table.ids_array[fixed])
     if found is None:
         return None

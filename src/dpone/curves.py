@@ -20,7 +20,8 @@ is the entry point: ``curves`` holds the curves in id order,
 ``id_of_name`` reads a name back, ``ids_of`` finds classes by packed
 key (``id_of`` one class), ``pairing_array`` is the 240x240 pairing
 matrix (a row's zeros are the curve's 56 disjoint partners) and
-``bertini_ids`` maps each id to its Bertini partner's.
+``bertini_ids`` maps each id to its Bertini partner's.  The table is
+shared by the whole process, so its arrays are read-only.
 """
 
 from __future__ import annotations
@@ -47,12 +48,13 @@ FAMILIES = ("E", "L2", "Q", "C", "BQ", "BL", "BE")
 
 # Curve coefficients lie in -3..6, so shifted by 8 they are base-16 digits;
 # with c_L most significant, packed keys sort like the coefficient tuples.
-_KEY_SHIFT = 8
+# The key is linear in the class: key(c) = c . w + 8 sum(w).
 _KEY_WEIGHTS = 16 ** np.arange(RANK - 1, -1, -1, dtype=np.int64)
+_KEY_OFFSET = 8 * int(_KEY_WEIGHTS.sum())
 
 
 def _packed_keys(coeffs: np.ndarray) -> np.ndarray:
-    return (coeffs + _KEY_SHIFT) @ _KEY_WEIGHTS
+    return coeffs @ _KEY_WEIGHTS + _KEY_OFFSET
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,10 @@ class CurveTable:
         self.pairing_array = (coeff_matrix * FORM_DIAG @ coeff_matrix.T).astype(np.int8)
         k = np.array(CANONICAL_CLASS.coeffs, dtype=np.int64)
         self.bertini_ids = self.ids_of(-2 * k - coeff_matrix)
+        # one stray in-place write would corrupt every later answer
+        for shared in (self.coeff_array, self._keys, self.basis_ids,
+                       self.pairing_array, self.bertini_ids):
+            shared.flags.writeable = False
 
     def curve(self, cid: int) -> ExceptionalCurve:
         return self.curves[cid]
@@ -153,17 +159,23 @@ class CurveTable:
     def permutation_of(self, m: LatticeIsometry) -> np.ndarray:
         """The curve-id permutation induced by an isometry, as int16.
 
-        perm[c] is the id of the image of curve c.  Every validated
-        isometry maps the 240-class set to itself; a miss here would mean
-        the matrix is not an isometry.
+        perm[c] is the id of the image of curve c, found by its packed key.
+        The key is linear, key(M c) = c . (M^T w) + 8 sum(w), so the keys
+        of all 240 images are one matrix-vector product, and the images
+        themselves are never formed.  A key match is exact here: every
+        LatticeIsometry is validated at construction or is a product or
+        inverse of validated ones, so it maps the 240-class set to itself
+        and its images have coefficients in -3..6, where the packing is
+        injective.  A key that matches no curve would mean the matrix is
+        not an isometry, and raises AssertionError.
         """
-        images = self.coeff_array @ np.array(m.matrix, dtype=np.int64).T
-        try:
-            ids = self.ids_of(images)
-        except ValueError as exc:
-            raise AssertionError(
-                f"isometry maps a curve outside the curve set ({exc})"
-            ) from None
+        weights = np.array(m.matrix, dtype=np.int64).T @ _KEY_WEIGHTS
+        keys = self.coeff_array @ weights + _KEY_OFFSET
+        ids = np.minimum(np.searchsorted(self._keys, keys), 239)
+        missed = self._keys[ids] != keys
+        if missed.any():
+            name = self.curves[int(np.argmax(missed))].name
+            raise AssertionError(f"isometry maps curve {name} outside the curve set")
         return ids.astype(np.int16)
 
     def isometry_of(self, perm: np.ndarray) -> LatticeIsometry:

@@ -410,7 +410,10 @@ def group_closure(g: GroupSpec) -> np.ndarray:
     images of the basis curves E1..E8, L12 (``curve_table().basis_ids``;
     L = L12 + E1 + E2), so the closure keys each element on those nine
     ids, 18 bytes: one gather per element gives the keys of all its
-    products, and a full row is built only for a new element.
+    products, and a full row is built only for a new element.  The
+    generator rows, the indices of every gather, are cast to intp once,
+    so no gather casts them again; the closure rows stay int16, a quarter
+    of the memory of int64 rows at MAX_CAP.
 
     ``g.cap`` bounds the time and memory a closure may take: past that
     many elements the closure raises.
@@ -418,7 +421,7 @@ def group_closure(g: GroupSpec) -> np.ndarray:
     from .curves import curve_table
 
     basis = curve_table().basis_ids
-    gens = g.generator_perms
+    gens = g.generator_perms.astype(np.intp)
     gen_basis, width = gens[:, basis], 2 * len(basis)  # int16 ids: 2 bytes each
     identity = np.arange(240, dtype=np.int16)
     seen = {identity[basis].tobytes()}

@@ -11,8 +11,9 @@ pairing matrix, `pairing_array`.
 A star is the tuple of its six curve ids in hexagon order, wherever this
 module takes or returns one.  The one table, `star_table()`, is the
 entry point: ``stars`` holds all 1120 as tuples in canonical order,
-``ids_array`` the same rows as a (1120, 6) array and ``edge_star`` the row
-through any edge.  Ids from outside the table are checked once, by
+``ids_array`` the same rows as a (1120, 6) intp array, stored slot-first
+(``ids_array.T`` is a contiguous (6, 1120) view), and ``edge_star`` the
+row through any edge.  Ids from outside the table are checked once, by
 `star_id`, against the row through their first edge; `star_text` names a
 star's curves.
 
@@ -168,6 +169,13 @@ def star_through(a, b) -> tuple[int, ...]:
 class StarTable:
     """All 1120 stars in canonical order, as a (1120, 6) id array and as tuples.
 
+    ``ids_array`` is intp, so it indexes without a cast, and Fortran-ordered:
+    ``ids_array.T`` is a C-contiguous (6, 1120) view whose row i holds every
+    star's slot i.  The kernels gather and reduce slot by slot through it,
+    since numpy reduces over a short first axis far faster than over a
+    short last one.  The table is shared by the whole process, so
+    ``ids_array`` and ``edge_star`` are read-only.
+
     Built with array operations from the 6720 disjoint pairs (A, B), A < B,
     of the pairing table: the hexagon is A, B, B - A - K and the Bertini
     images of those three.  Each star arises from its six edges; the row
@@ -207,8 +215,10 @@ class StarTable:
         ):
             raise AssertionError("star table rows are not 1120 canonical hexagons")
 
-        self.ids_array = rows.astype(np.int16)
+        self.ids_array = np.asfortranarray(rows, dtype=np.intp)
         self.edge_star = edge_star
+        self.ids_array.flags.writeable = False
+        self.edge_star.flags.writeable = False
 
     @cached_property
     def stars(self) -> tuple[tuple[int, ...], ...]:
@@ -373,10 +383,11 @@ def asynchronized(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
     same under every relabeling, so none is tried, and a shared curve
     pairs -1 with itself, so overlapping pairs fail the test.  Unlike
     `pair_codes`, nothing else about the pairs is checked.  The counts,
-    at most 6 per curve and 36 per pair, are summed in int8.
+    at most 6 per curve and 36 per pair, are summed in int8, slot-first:
+    ``rest.T`` gathers (6, m) counts, reduced over their short first axis.
     """
     ones = (curve_table().pairing_array[a] == 1).sum(axis=-2, dtype=np.int8)
-    return ones[..., rest].sum(axis=-1, dtype=np.int8) == 36
+    return ones[..., rest.T].sum(axis=-2, dtype=np.int8) == 36
 
 
 def pair_counts(ids) -> dict[str, int]:
@@ -477,11 +488,13 @@ def star_masks(perms: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarr
     star curve ids, table rows or ids `star_id` accepted; both masks are
     (k, m).  A star is mapped to itself when its first edge's image has
     its own ``edge_star`` row (a row whose first curves meet would pass).
+    The images are gathered slot-first, (k, 6, m), through ``ids.T``.
     """
     edge_star = star_table().edge_star
-    images = perms[:, ids]
-    setwise = edge_star[images[..., 0], images[..., 1]] == edge_star[ids[:, 0], ids[:, 1]]
-    pointwise = (images == ids).all(axis=2)
+    slots = ids.T
+    images = perms[:, slots]
+    setwise = edge_star[images[:, 0], images[:, 1]] == edge_star[slots[0], slots[1]]
+    pointwise = (images == slots).all(axis=1)
     return setwise, pointwise
 
 

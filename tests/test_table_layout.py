@@ -1,0 +1,156 @@
+"""The shared tables' layout and the per-report kernels that rely on it.
+
+`CurveTable.permutation_of` finds the images of the 240 curves by one
+packed-key product, and the star kernels read the star table slot-first,
+through the intp, Fortran-ordered ``ids_array``.  The references below
+are the code they replaced: the coefficient-row `permutation_of`, which
+forms every image row and looks it up with `ids_of`, and the row-major
+kernels, which gather (m, 6) rows from the old C-ordered int16 table and
+reduce over the last axis.  Their answers must agree exactly on the
+oracle groups, the 400 sweep groups, every element of the sweep closures
+and hypothesis words.  The shared tables are read-only, so a stray write
+raises instead of corrupting every later answer.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dpone.criteria as criteria
+from dpone.criteria import _antipodal, check_rational_two_stars
+from dpone.curves import bertini_isometry, curve_table
+from dpone.lattice import GroupSpec, LatticeIsometry
+from dpone.stars import asynchronized, star_masks, star_table
+from test_group_oracles import GROUPS
+from test_properties import word_isometry, words
+from test_rule_sweep import family
+
+# the star table as it was: C-ordered int16 rows
+ROWS16 = np.ascontiguousarray(star_table().ids_array, dtype=np.int16)
+
+
+def coefficient_row_permutation_of(m: LatticeIsometry) -> np.ndarray:
+    """Each curve's image row, looked up by `ids_of`, which compares rows."""
+    t = curve_table()
+    images = t.coeff_array @ np.array(m.matrix, dtype=np.int64).T
+    try:
+        ids = t.ids_of(images)
+    except ValueError as exc:
+        raise AssertionError(f"isometry maps a curve outside the curve set ({exc})")
+    return ids.astype(np.int16)
+
+
+def row_major_fixed_stars(fixed_curves: np.ndarray) -> np.ndarray:
+    return fixed_curves[ROWS16].all(axis=1)
+
+
+def row_major_asynchronized(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    ones = (curve_table().pairing_array[a] == 1).sum(axis=-2, dtype=np.int8)
+    return ones[..., rest].sum(axis=-1, dtype=np.int8) == 36
+
+
+def row_major_antipodal(perm: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    return (perm[rows] == curve_table().bertini_ids[rows]).all(axis=1)
+
+
+def row_major_star_masks(perms: np.ndarray, ids: np.ndarray):
+    edge_star = star_table().edge_star
+    images = perms[:, ids]
+    setwise = edge_star[images[..., 0], images[..., 1]] == edge_star[ids[:, 0], ids[:, 1]]
+    return setwise, (images == ids).all(axis=2)
+
+
+def assert_same_permutation(m: LatticeIsometry) -> None:
+    perm = curve_table().permutation_of(m)
+    assert perm.dtype == np.int16
+    assert np.array_equal(perm, coefficient_row_permutation_of(m))
+
+
+def test_key_product_matches_coefficient_rows_on_oracle_groups():
+    gens = [m for group in GROUPS.values() for m in group]
+    assert len(gens) == 58  # 52 groups, four of them with two or three generators
+    for m in gens:
+        assert_same_permutation(m)
+
+
+def test_key_product_matches_coefficient_rows_on_sweep_generators():
+    for gamma in family():
+        (m,) = gamma.generators
+        assert_same_permutation(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words, st.booleans())
+def test_key_product_matches_coefficient_rows_on_words(word, bertini):
+    m = word_isometry(word)
+    assert_same_permutation(m @ bertini_isometry() if bertini else m)
+
+
+def test_slot_first_kernels_match_row_major_on_sweep_closures(monkeypatch):
+    """Every element of the 400 sweep closures, as a group of its own: its
+    permutation, the stars the two-stars rule scans, and its antipodal and
+    invariant stars, each against the replaced kernel on all 1120 rows."""
+    t, ids = curve_table(), star_table().ids_array
+    scanned = []
+    monkeypatch.setattr(criteria, "_first_asynchronized", scanned.append)
+    fixed_stars = flipped = 0
+    for gamma in family():
+        for perm in gamma.perms:
+            m = t.isometry_of(perm)
+            assert np.array_equal(t.permutation_of(m), perm)
+            assert np.array_equal(coefficient_row_permutation_of(m), perm)
+            assert check_rational_two_stars(GroupSpec((m,))) is None
+            mask = row_major_fixed_stars(perm == np.arange(240))
+            assert np.array_equal(scanned.pop(), ROWS16[mask])
+            antipodal = _antipodal(perm, ids)
+            assert np.array_equal(antipodal, row_major_antipodal(perm, ROWS16))
+            fixed_stars, flipped = fixed_stars + mask.sum(), flipped + antipodal.sum()
+        new, old = star_masks(gamma.perms, ids), row_major_star_masks(gamma.perms, ROWS16)
+        assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
+    assert fixed_stars and flipped  # neither check is vacuous
+
+
+def test_slot_first_asynchronized_matches_row_major_on_all_pairs():
+    ids = star_table().ids_array
+    block = asynchronized(ids, ids)
+    assert np.array_equal(block, row_major_asynchronized(ROWS16, ROWS16))
+    assert np.array_equal(asynchronized(ROWS16, ROWS16), block)  # C-ordered rows too
+    assert block.sum() == 2 * 67200  # each asynchronized pair, both ways
+    for i in range(len(ids)):
+        assert np.array_equal(asynchronized(ids[i], ids), block[i])
+
+
+def test_star_table_is_slot_first_intp():
+    ids = star_table().ids_array
+    assert ids.shape == (1120, 6) and ids.dtype == np.intp
+    assert ids.T.flags.c_contiguous
+    assert np.array_equal(ids, ROWS16)
+
+
+def test_closure_rows_stay_int16():
+    g = GroupSpec(GROUPS["S5"])
+    assert g.generator_perms.dtype == g.perms.dtype == np.int16
+    assert g.perms.shape == (120, 240)
+
+
+SHARED_ARRAYS = {
+    "coeff_array": lambda: curve_table().coeff_array,
+    "pairing_array": lambda: curve_table().pairing_array,
+    "bertini_ids": lambda: curve_table().bertini_ids,
+    "basis_ids": lambda: curve_table().basis_ids,
+    "_keys": lambda: curve_table()._keys,
+    "ids_array": lambda: star_table().ids_array,
+    "edge_star": lambda: star_table().edge_star,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_ARRAYS))
+def test_shared_tables_are_read_only(name):
+    arr = SHARED_ARRAYS[name]()
+    before = arr.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        arr[0] = arr[-1]
+    with pytest.raises(ValueError, match="read-only"):
+        arr.T[0] = 0
+    assert np.array_equal(arr, before)
