@@ -367,7 +367,9 @@ def _lemma_davidmin_pair(ctype: CarterType3, rotations: str) -> list[str]:
     setup = ActionSetup(GroupSpec((g, h), "G"), TRIVIAL_GROUP)
     cert = check_minimal_four_stars(setup)
     _require(cert is not None, f"no certificate for the {ctype.display} pair")
-    rank = fixed_rank(setup.combined)
+    # the certificate's rank is the closure's average trace; this one is
+    # eliminated on the generators of a fresh group
+    rank = fixed_rank(GroupSpec(setup.combined.generators))
     _require(rank == 1, f"direct rank {rank}")
     return [
         f"{ctype.display} with commuting {rotations}: rank {rank}, certificate found",

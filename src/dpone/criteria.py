@@ -344,7 +344,9 @@ def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None
     one `asynchronized` call and takes the least clique of candidate
     indices; the A2^4 representative has 40 candidates and 240, 160 and
     40 cliques of sizes 2, 3 and 4.  When the clique exists the fixed rank
-    of the combined group, computed from its generators, must equal 1.
+    of the combined group must equal 1: its average trace when the
+    combined group is G itself, whose closure the search holds, and
+    otherwise the elimination on its generators.
     """
     g = setup.g_group
     if not g.generators:
@@ -460,7 +462,10 @@ def replay_minimality(setup: ActionSetup, cert: MinimalityCertificate) -> bool:
     for a, b in combinations(cert.stars, 2):
         if classify_pair(a, b).pair_type is not PairType.ASYNCHRONIZED:
             return False
-    return fixed_rank(setup.combined) == 1 == cert.combined_rank
+    # a fresh group, so the rank is eliminated anew, not read from the
+    # object the certificate was built on
+    rank = fixed_rank(GroupSpec(setup.combined.generators))
+    return rank == 1 == cert.combined_rank
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +502,13 @@ def rationality_report(setup: ActionSetup) -> RationalityVerdict:
     Every rule reads the closure cached on ``setup.gamma_group``, so Gamma
     is closed at most once, and only if a rule needs more than its
     generators.  Rational rules run first because their witnesses are
-    cheap to check; the verdict also carries the fixed ranks of G, Gamma
-    and the combined group, each computed once per group, and a
-    minimality certificate when one exists.
+    cheap to check; the verdict also carries a minimality certificate
+    when one exists, and the fixed ranks of G, Gamma and the combined
+    group, each computed once per group.  The ranks are read after the
+    minimality search, which closes every G with generators, so a group
+    closed by then takes the average trace over its closure, and only a
+    group left unclosed, such as the Gamma of an early Rational hit, is
+    eliminated on its generators.
     """
     verdict, rule, witness = Verdict.INCONCLUSIVE, None, None
     for name, v, checker in RULES:
@@ -507,12 +516,12 @@ def rationality_report(setup: ActionSetup) -> RationalityVerdict:
         if w is not None:
             verdict, rule, witness = v, name, w
             break
+    minimality = check_minimal_four_stars(setup)
     ranks = {
         "G": fixed_rank(setup.g_group),
         "Gamma": fixed_rank(setup.gamma_group),
         "combined": fixed_rank(setup.combined),
     }
-    minimality = check_minimal_four_stars(setup)
     caveat = RATIONAL_CAVEAT if verdict is Verdict.RATIONAL else None
     return RationalityVerdict(verdict, rule, witness, ranks, minimality, caveat)
 

@@ -19,9 +19,10 @@ order; all higher modules speak ids.  The one table, `curve_table()`,
 is the entry point: ``curves`` holds the curves in id order,
 ``id_of_name`` reads a name back, ``ids_of`` finds classes by packed
 key (``id_of`` one class), ``pairing_array`` is the 240x240 pairing
-matrix (a row's zeros are the curve's 56 disjoint partners) and
-``bertini_ids`` maps each id to its Bertini partner's.  The table is
-shared by the whole process, so its arrays are read-only.
+matrix (a row's zeros are the curve's 56 disjoint partners),
+``bertini_ids`` maps each id to its Bertini partner's, and
+``trace_array`` reads an isometry's trace off its basis images.  The
+table is shared by the whole process, so its arrays are read-only.
 """
 
 from __future__ import annotations
@@ -120,9 +121,15 @@ class CurveTable:
         self.pairing_array = (coeff_matrix * FORM_DIAG @ coeff_matrix.T).astype(np.int8)
         k = np.array(CANONICAL_CLASS.coeffs, dtype=np.int64)
         self.bertini_ids = self.ids_of(-2 * k - coeff_matrix)
+        # trace_array[c, s] is the diagonal entry curve c gives an isometry
+        # sending basis slot s to it: its E-coefficient for E1..E8, its
+        # L-coefficient for L12, and both for E1 and E2 (L = L12 + E1 + E2)
+        trace = coeff_matrix[:, [*range(1, RANK), 0]]
+        trace[:, :2] += coeff_matrix[:, :1]
+        self.trace_array = trace
         # one stray in-place write would corrupt every later answer
         for shared in (self.coeff_array, self._keys, self.basis_ids,
-                       self.pairing_array, self.bertini_ids):
+                       self.pairing_array, self.bertini_ids, self.trace_array):
             shared.flags.writeable = False
 
     def curve(self, cid: int) -> ExceptionalCurve:

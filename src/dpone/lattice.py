@@ -271,7 +271,10 @@ class GroupSpec:
     use and kept for the object's lifetime, so each generator is permuted
     once, a caller that needs only the generators closes nothing, and
     every rule, search and replay handed the same object shares one
-    closure, one rank and one mask.  All read only the generators' curve
+    closure, one rank and one mask.  The rank is the average trace over
+    the closure when the closure is already held, and otherwise comes
+    from the generators by elimination (``integer_rank``); no group is
+    closed only to read its rank.  All read only the generators' curve
     permutations, and each generator is kept once, at its first
     occurrence: a repeat yields no element the closure has not seen.
     ``cap``, at most MAX_CAP, bounds that closure (see ``group_closure``).
@@ -314,10 +317,21 @@ class GroupSpec:
             return RANK  # the empty group fixes everything
         from .curves import curve_table
 
-        # for an isometry g, ker(g - I) is the orthogonal complement of
-        # im(g - I), which the moves g(c) - c of the basis curves span
         t = curve_table()
         basis = t.basis_ids
+        if "perms" in self.__dict__:
+            # dim Fix(G) = (1/|G|) sum of tr(g) over the closure: the
+            # multiplicity of the trivial character
+            total = int(t.trace_array[self.perms[:, basis], np.arange(RANK)].sum())
+            rank, rest = divmod(total, len(self.perms))
+            if rest:
+                raise CheckViolation(
+                    f"closure traces sum to {total}, not a multiple of "
+                    f"its {len(self.perms)} rows: they are not a group"
+                )
+            return rank
+        # for an isometry g, ker(g - I) is the orthogonal complement of
+        # im(g - I), which the moves g(c) - c of the basis curves span
         moves = t.coeff_array[self.generator_perms[:, basis]] - t.coeff_array[basis]
         return RANK - integer_rank(moves.reshape(-1, RANK).tolist())
 
@@ -395,7 +409,11 @@ def fixed_rank(g: GroupLike) -> int:
 
     Computed over the rationals; the fixed sublattice is saturated, so
     this equals the rank of the invariant Picard lattice.  A GroupSpec
-    computes it once and keeps it.
+    computes it once and keeps it.  A group whose closure is held gets
+    it as (1/|G|) sum tr(g) over the closure, the multiplicity of the
+    trivial character, and raises CheckViolation if that sum is not a
+    multiple of |G|; any other group gets 9 minus the rank of its
+    generators' moves, by ``integer_rank``.  Both are exact.
     """
     return _group_of(g)._fixed_rank
 

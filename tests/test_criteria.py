@@ -362,6 +362,63 @@ def test_order3_rules_build_matrices_only_for_witnesses(monkeypatch):
         assert calls == {"isometry_of": 1}
 
 
+def test_reports_read_a_closed_groups_rank_off_its_closure(monkeypatch):
+    # Gamma = <(1 2 3) b> is closed by the even rule, and G = S4 by the
+    # minimality search, so neither report eliminates
+    import dpone.lattice as lattice
+
+    def integer_rank(rows):
+        raise AssertionError("a closed group's rank was eliminated")
+
+    monkeypatch.setattr(lattice, "integer_rank", integer_rank)
+    report = gamma_report(group_of(s8_action("(1 2 3)") @ bertini_isometry()))
+    assert report.rule == "not_rational_even"
+    assert report.ranks == {"G": 9, "Gamma": 1, "combined": 1}
+    s4 = group_of(s8_action("(1 2)"), s8_action("(1 2 3 4)"))
+    report = rationality_report(ActionSetup(s4, TRIVIAL_GROUP))
+    assert report.ranks == {"G": 6, "Gamma": 9, "combined": 6}
+
+
+def test_early_hit_report_eliminates_its_unclosed_gamma_once(monkeypatch):
+    import dpone.lattice as lattice
+
+    calls, real_rank = [], lattice.integer_rank
+
+    def integer_rank(rows):
+        calls.append(len(rows))
+        return real_rank(rows)
+
+    monkeypatch.setattr(lattice, "integer_rank", integer_rank)
+    gamma = group_of(s8_action("(1 2 3)"))
+    report = gamma_report(gamma)
+    assert report.rule == "rational_two_stars"
+    assert report.ranks == {"G": 9, "Gamma": 7, "combined": 7}
+    assert calls == [9]  # the nine basis moves of the one generator
+    assert "perms" not in vars(gamma)
+
+
+def test_replay_minimality_recomputes_the_rank(monkeypatch):
+    # four faithful stars of the A2^3 representative, whose fixed rank is
+    # 3, and a classify_pair that files every pair as asynchronized: every
+    # other check passes, so only a recomputed rank refuses the certificate
+    import dpone.criteria as criteria
+
+    class Asynchronized:
+        pair_type = PairType.ASYNCHRONIZED
+
+    monkeypatch.setattr(criteria, "classify_pair", lambda a, b: Asynchronized)
+    m = REPS[CarterType3.A2x3]
+    g = group_of(m, label="G")
+    setup = ActionSetup(g, TRIVIAL_GROUP)
+    stars = [a.star for a in invariant_stars(g) if a.kind is ActionKind.FAITHFUL]
+    cert = MinimalityCertificate(tuple(stars[:4]), (m,) * 4, 1)
+    vars(setup.combined)["_fixed_rank"] = 1  # a false cached rank
+    assert fixed_rank(setup.combined) == 1
+    assert not replay_minimality(setup, cert)
+    monkeypatch.setattr(criteria, "fixed_rank", lambda group: 1)
+    assert replay_minimality(setup, cert)  # the rank is the only refusal
+
+
 def test_exclusivity_on_canned_setups():
     for name, gamma in CANNED.items():
         rational = (

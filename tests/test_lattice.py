@@ -5,6 +5,7 @@ from dpone.curves import bertini_isometry
 from dpone.lattice import (
     CANONICAL_CLASS,
     FORM_DIAG,
+    CheckViolation,
     DivisorClass,
     GroupSpec,
     LatticeIsometry,
@@ -287,6 +288,32 @@ def test_fixed_rank_matches_matrix_rows_on_parabolics(name):
     indices, rank = PARABOLICS[name]
     gens = tuple(reflection(simple_roots()[i]) for i in indices)
     assert fixed_rank(GroupSpec(gens)) == matrix_fixed_rank(gens) == rank
+
+
+# parabolics whose closures a test can list: indices, order, fixed rank
+CLOSABLE_PARABOLICS = {
+    "W(A4)": (range(1, 5), 120, 5),
+    "W(D4)": ((0, 2, 3, 4), 192, 5),
+    "W(A2xA2)": ((1, 2, 4, 5), 36, 5),
+}
+
+
+@pytest.mark.parametrize("name", CLOSABLE_PARABOLICS)
+def test_trace_rank_matches_elimination_on_closed_parabolics(name):
+    indices, order, rank = CLOSABLE_PARABOLICS[name]
+    gens = tuple(reflection(simple_roots()[i]) for i in indices)
+    closed, unclosed = GroupSpec(gens), GroupSpec(gens)
+    assert len(closed.perms) == order
+    assert fixed_rank(closed) == matrix_fixed_rank(gens) == fixed_rank(unclosed) == rank
+    assert "perms" not in vars(unclosed)  # no group is closed for its rank
+
+
+def test_trace_rank_rejects_rows_that_are_not_a_group():
+    g = GroupSpec((permutation_isometry(parse_cycles("(1 2 3)")),))
+    # the identity and (1 2 3) have traces 9 and 6, and 15 is odd
+    vars(g)["perms"] = np.stack([np.arange(240, dtype=np.int16), g.generator_perms[0]])
+    with pytest.raises(CheckViolation, match="not a group"):
+        fixed_rank(g)
 
 
 def test_integer_rank():

@@ -4,7 +4,8 @@ Each of 200 words in s1..s8 (random.Random(2), lengths 60 and 61 in
 turn) gives Gamma = <w> and Gamma = <w b>, with b the Bertini involution.
 Every rule is called directly on every group, so a group on which a
 Rational rule and a NotRational rule both fire would show here even
-where the report stops at its first hit.  The last two tests pin the
+where the report stops at its first hit.  Every group's rank read off
+its closure must match elimination.  The last two tests pin the
 abstract's rank-one statement on one cyclic group of order 5.
 """
 
@@ -33,6 +34,7 @@ from dpone.criteria import (
 from dpone.curves import bertini_isometry, curve_table
 from dpone.lattice import (
     GroupSpec,
+    LatticeIsometry,
     fixed_rank,
     is_isometry,
     permutation_isometry,
@@ -145,11 +147,27 @@ def test_report_is_invariant_under_relabelling():
 
 
 @cache
-def coxeter_power_report():
-    """gamma_report for Gamma = <c^6>, c = s1 s2 ... s8 a Coxeter element."""
+def coxeter_power() -> LatticeIsometry:
+    """c^6, c = s1 s2 ... s8 a Coxeter element."""
     c6 = parse_element("s " + "1 2 3 4 5 6 7 8 " * 6)
     assert element_order(c6) == 5
-    return gamma_report(GroupSpec((c6,)))
+    return c6
+
+
+@cache
+def coxeter_power_report():
+    """gamma_report for Gamma = <c^6>."""
+    return gamma_report(GroupSpec((coxeter_power(),)))
+
+
+def test_trace_rank_matches_elimination_on_every_group():
+    """A closed group's rank, read off its closure, against the matrix rows
+    and the moves of its generators, each eliminated."""
+    for gens in [gamma.generators for gamma in family()] + [(coxeter_power(),)]:
+        closed, unclosed = GroupSpec(gens), GroupSpec(gens)
+        closed.perms
+        assert fixed_rank(closed) == matrix_fixed_rank(gens) == fixed_rank(unclosed), gens
+        assert "perms" not in vars(unclosed)
 
 
 def test_coxeter_power_has_invariant_picard_number_one():

@@ -134,11 +134,21 @@ def test_closure_rows_stay_int16():
     assert g.perms.shape == (120, 240)
 
 
+def test_trace_array_gives_each_closure_elements_trace():
+    t = curve_table()
+    for gens in GROUPS.values():
+        perms = GroupSpec(gens).perms
+        traces = t.trace_array[perms[:, t.basis_ids], np.arange(9)].sum(axis=1)
+        matrices = np.array([t.isometry_of(p).matrix for p in perms])
+        assert np.array_equal(traces, np.trace(matrices, axis1=1, axis2=2))
+
+
 SHARED_ARRAYS = {
     "coeff_array": lambda: curve_table().coeff_array,
     "pairing_array": lambda: curve_table().pairing_array,
     "bertini_ids": lambda: curve_table().bertini_ids,
     "basis_ids": lambda: curve_table().basis_ids,
+    "trace_array": lambda: curve_table().trace_array,
     "_keys": lambda: curve_table()._keys,
     "ids_array": lambda: star_table().ids_array,
     "edge_star": lambda: star_table().edge_star,
