@@ -108,13 +108,21 @@ def element_text(m: LatticeIsometry) -> str:
     return " / ".join(" ".join(str(x) for x in row) for row in m.matrix)
 
 
+def _elements_text(elements) -> list[str]:
+    """The text of witness or certificate elements, each a closure row's
+    bytes that becomes a validated 9x9 matrix only here."""
+    from .criteria import element_isometry
+
+    return [element_text(element_isometry(e)) for e in elements]
+
+
 def witness_to_dict(w) -> dict | None:
     from .stars import star_text
 
     if w is None:
         return None
     return {
-        "elements": [element_text(m) for m in w.elements],
+        "elements": _elements_text(w.elements),
         "curves": [curve_table().curve(i).name for i in w.curves],
         "stars": [star_text(s) for s in w.stars],
     }
@@ -127,7 +135,7 @@ def minimality_to_dict(cert) -> dict | None:
         return None
     return {
         "stars": [star_text(s) for s in cert.stars],
-        "elements": [element_text(m) for m in cert.elements],
+        "elements": _elements_text(cert.elements),
         "combined_rank": cert.combined_rank,
     }
 

@@ -8,11 +8,15 @@ of fixed curves, invariant stars, and order-3 conjugacy classes.
 
 Every check either returns None or a `Witness`: the group elements,
 curve ids and stars (curve-id tuples in hexagon order) it found, any of
-them empty.  Its subclass names the rule, and the matching replay_*
-function re-checks it from scratch.  The rules are sufficient
-conditions, so Inconclusive is an honest verdict.  Rational verdicts are
-a lattice-level statement: the lattice cannot see rational points, so
-they assume the surface has one where the geometric argument needs it.
+them empty.  An element is the bytes of its int16 closure row
+(`GroupSpec.element`), and becomes a 9x9 matrix, by `element_isometry`,
+only to be printed or replayed.  Its subclass names the rule, and the
+matching replay_* function re-checks it from scratch: an element's
+order comes from its own row, not from the group's cached orders.  The
+rules are sufficient conditions, so Inconclusive is an honest verdict.
+Rational verdicts are a lattice-level statement: the lattice cannot see
+rational points, so they assume the surface has one where the geometric
+argument needs it.
 
 The rules read stars as rows of the star table and test star pairs with
 `stars.asynchronized`, which counts cross pairings equal to 1.  The
@@ -23,7 +27,7 @@ star test, and the four-star search tests all its pairs at once.  The
 replays take no star on trust: each must be distinct and pass `star_id`,
 and star pairs are re-checked with `classify_pair`.
 Both order-3 rules take the first closure element of class A2^3 or A2^4,
-typed by `weyl.carter_types`; a 9x9 matrix is built only for a witness.
+typed by `weyl.carter_types`; no rule builds a 9x9 matrix.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ class ActionSetup:
 class Witness:
     """What a rule found: group elements, curve ids and stars."""
 
-    elements: tuple[LatticeIsometry, ...] = ()
+    elements: tuple[bytes, ...] = ()
     curves: tuple[int, ...] = ()
     stars: tuple[tuple[int, ...], ...] = ()
 
@@ -134,8 +138,13 @@ class TwoStarsWitness(Witness):
 @dataclass(frozen=True)
 class MinimalityCertificate:
     stars: tuple[tuple[int, ...], ...]
-    elements: tuple[LatticeIsometry, ...]
+    elements: tuple[bytes, ...]
     combined_rank: int
+
+
+def element_isometry(element: bytes) -> LatticeIsometry:
+    """The validated 9x9 matrix of a witness or certificate element."""
+    return curve_table().isometry_of(np.frombuffer(element, np.int16))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +230,8 @@ def check_rational_triple(gamma: GroupSpec) -> TripleWitness | None:
     plane model; both equalities are re-checked on the found triple.
     """
     inv = invariant_curves(gamma)
-    p = curve_table().pairing_array[np.ix_(inv, inv)].tolist()
+    ids = np.array(inv, dtype=np.intp)
+    p = curve_table().pairing_array[ids[:, None], ids].tolist()
     for i, a in enumerate(inv):
         for j, b in enumerate(inv):
             if p[i][j] != 1:
@@ -379,14 +389,26 @@ def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None
 # ---------------------------------------------------------------------------
 # replay
 
+def _witness_row(g: GroupSpec, elements) -> np.ndarray | None:
+    """The closure row of a witness's one element, or None."""
+    if len(elements) != 1:
+        return None
+    i = g.index_of(elements[0])
+    return None if i is None else g.perms[i]
+
+
+def _order(row: np.ndarray) -> int:
+    """A row's order from the row itself, not from a group's cached orders."""
+    return int(permutation_orders(row[None])[0])
+
+
 def replay_carter(gamma: GroupSpec, w: CarterWitness) -> bool:
-    if len(w.elements) != 1:
+    row = _witness_row(gamma, w.elements)
+    if row is None or _order(row) != 3:
         return False
-    (m,) = w.elements
-    i = gamma.index_of(m)
-    if i is None or gamma.orders[i] != 3:
-        return False
-    return fixed_rank(m) in {t.fixed_rank for t in _MANY_FAITHFUL}
+    # the rank is eliminated on a fresh group of the validated matrix
+    rank = fixed_rank(GroupSpec((element_isometry(row.tobytes()),)))
+    return rank in {t.fixed_rank for t in _MANY_FAITHFUL}
 
 
 def _distinct_stars(stars, n: int) -> bool:
@@ -398,23 +420,17 @@ def _distinct_stars(stars, n: int) -> bool:
 
 
 def replay_stars(gamma: GroupSpec, w: StarsWitness) -> bool:
-    if len(w.elements) != 1:
+    row = _witness_row(gamma, w.elements)
+    if row is None or _order(row) != 3 or not _distinct_stars(w.stars, 3):
         return False
-    (m,) = w.elements
-    i = gamma.index_of(m)
-    if i is None or gamma.orders[i] != 3 or not _distinct_stars(w.stars, 3):
-        return False
-    return bool(_faithful(gamma.perms[i][None], np.array(w.stars)).all())
+    return bool(_faithful(row[None], np.array(w.stars)).all())
 
 
 def replay_even(gamma: GroupSpec, w: EvenWitness) -> bool:
-    if len(w.elements) != 1:
+    row = _witness_row(gamma, w.elements)
+    if row is None or _order(row) % 2 != 0 or not _distinct_stars(w.stars, 1):
         return False
-    (m,) = w.elements
-    i = gamma.index_of(m)
-    if i is None or gamma.orders[i] % 2 != 0 or not _distinct_stars(w.stars, 1):
-        return False
-    return bool(_antipodal(gamma.perms[i], np.array(w.stars))[0])
+    return bool(_antipodal(row, np.array(w.stars))[0])
 
 
 def _all_fixed(gamma: GroupSpec, ids) -> bool:
@@ -451,13 +467,13 @@ def replay_minimality(setup: ActionSetup, cert: MinimalityCertificate) -> bool:
     g = setup.g_group
     combined = setup.combined.generator_perms
     for s, m in zip(cert.stars, cert.elements):
-        i = g.index_of(m)
-        if i is None or g.orders[i] != 3:
+        row = _witness_row(g, (m,))
+        if row is None or _order(row) != 3:
             return False
         setwise, _ = star_masks(combined, np.array([s]))
         if not setwise.all():
             return False
-        if not _faithful(g.perms[i][None], np.array([s])).all():
+        if not _faithful(row[None], np.array([s])).all():
             return False
     for a, b in combinations(cert.stars, 2):
         if classify_pair(a, b).pair_type is not PairType.ASYNCHRONIZED:

@@ -266,7 +266,9 @@ class GroupSpec:
 
     Rows of ``generator_perms`` are the generators as curve permutations,
     rows of ``perms`` the closure in ``group_closure`` order, identity
-    first, and ``orders`` their orders; ``fixed_curves`` masks the curves
+    first, and ``orders`` their orders: n / gcd(n, k) for row k of a
+    one-generator closure of n rows, which is g^k, and
+    ``permutation_orders`` for any other; ``fixed_curves`` masks the curves
     every generator fixes.  These and the fixed rank are computed on first
     use and kept for the object's lifetime, so each generator is permuted
     once, a caller that needs only the generators closes nothing, and
@@ -278,8 +280,10 @@ class GroupSpec:
     permutations, and each generator is kept once, at its first
     occurrence: a repeat yields no element the closure has not seen.
     ``cap``, at most MAX_CAP, bounds that closure (see ``group_closure``).
-    ``index_of`` finds an isometry's closure index, and ``element(i)``
-    builds the 9x9 matrix of index i, only for an element handed out.
+    ``element(i)`` hands out element i as the bytes of its closure row,
+    exact, hashable and independent of generator order, and ``index_of``
+    finds such bytes, or an isometry's permutation, in the closure; no
+    9x9 matrix is built.
     """
 
     generators: tuple[LatticeIsometry, ...]
@@ -309,7 +313,14 @@ class GroupSpec:
 
     @cached_property
     def orders(self) -> np.ndarray:
-        return permutation_orders(self.perms)
+        if len(self.generators) != 1:
+            return permutation_orders(self.perms)
+        # the closure of <g> is g^0, g^1, ..., g^(n-1) in that order, and
+        # g^k has order n / gcd(n, k)
+        n = len(self.perms)
+        if n > ORDER_CAP:
+            raise ValueError(f"element order exceeds cap {ORDER_CAP}")
+        return n // np.gcd(n, np.arange(n))
 
     @cached_property
     def _fixed_rank(self) -> int:
@@ -349,16 +360,18 @@ class GroupSpec:
         """Closure indices of the elements of order n, in closure order."""
         return np.flatnonzero(self.orders == n)
 
-    def element(self, i: int) -> LatticeIsometry:
-        from .curves import curve_table
+    def element(self, i: int) -> bytes:
+        """Element i as the bytes of its int16 closure row."""
+        return self.perms[i].tobytes()
 
-        return curve_table().isometry_of(self.perms[i])
+    def index_of(self, m: bytes | LatticeIsometry) -> int | None:
+        """The closure index of an element or an isometry, or None if it is
+        not in the group."""
+        if not isinstance(m, bytes):
+            from .curves import curve_table
 
-    def index_of(self, m: LatticeIsometry) -> int | None:
-        """The closure index of an isometry, or None if it is not in the group."""
-        from .curves import curve_table
-
-        return self._index.get(curve_table().permutation_of(m).tobytes())
+            m = curve_table().permutation_of(m).tobytes()
+        return self._index.get(m)
 
 
 TRIVIAL_GROUP = GroupSpec((), "trivial")

@@ -9,6 +9,7 @@ import pytest
 from dpone.criteria import (
     ActionSetup,
     CarterWitness,
+    EvenWitness,
     MinimalityCertificate,
     StarsWitness,
     TripleWitness,
@@ -21,6 +22,7 @@ from dpone.criteria import (
     check_not_rational_stars,
     check_rational_triple,
     check_rational_two_stars,
+    element_isometry,
     gamma_report,
     rationality_report,
     replay_carter,
@@ -92,10 +94,12 @@ def test_action_setup_requires_commuting():
 
 def test_carter_rule():
     w = check_not_rational_carter(CANNED["A2^4"])
-    assert w is not None and carter_type_order3(w.elements[0]) is CarterType3.A2x4
+    assert w is not None
+    assert carter_type_order3(element_isometry(w.elements[0])) is CarterType3.A2x4
     assert replay_carter(CANNED["A2^4"], w)
     w3 = check_not_rational_carter(CANNED["A2^3"])
-    assert w3 is not None and carter_type_order3(w3.elements[0]) is CarterType3.A2x3
+    assert w3 is not None
+    assert carter_type_order3(element_isometry(w3.elements[0])) is CarterType3.A2x3
     assert check_not_rational_carter(CANNED["A2"]) is None
     assert check_not_rational_carter(CANNED["trivial"]) is None
 
@@ -120,10 +124,11 @@ def test_even_rule_bertini():
     gamma = group_of(bertini_isometry())
     w = check_not_rational_even(gamma)
     assert w is not None
-    assert element_order(w.elements[0]) == 2
+    m = element_isometry(w.elements[0])
+    assert element_order(m) == 2
     assert replay_even(gamma, w)
     p = curve_table().pairing_array
-    perm = curve_table().permutation_of(w.elements[0])
+    perm = curve_table().permutation_of(m)
     for c in w.stars[0]:
         assert p[c, perm[c]] == 3
 
@@ -331,9 +336,10 @@ def test_report_ranks():
 
 
 def test_order3_rules_build_matrices_only_for_witnesses(monkeypatch):
-    # the rules type closure rows by fixed curves; no element becomes a
-    # 9x9 matrix, and no rank is taken, unless it is the witness
+    # no rule, search or report builds a 9x9 matrix, witnesses included,
+    # and no rule takes a rank; printing builds one per printed element
     import dpone.lattice as lattice
+    from dpone.cli import verdict_to_dict
 
     table = curve_table()
     calls = Counter()
@@ -350,16 +356,68 @@ def test_order3_rules_build_matrices_only_for_witnesses(monkeypatch):
     monkeypatch.setattr(type(table), "isometry_of", isometry_of)
     monkeypatch.setattr(lattice, "integer_rank", integer_rank)
     s5 = group_of(s8_action("(1 2)"), s8_action("(1 2 3 4 5)"))
-    a2x4 = CANNED["A2^4"]
-    for gamma in (s5, a2x4):
+    a2x4, bertini = CANNED["A2^4"], group_of(bertini_isometry())
+    for gamma in (s5, a2x4, bertini):
         gamma.perms  # close outside the count
     assert len(s5.of_order(3)) == 20
-    for rule in (check_not_rational_carter, check_not_rational_stars):
+    for rule, hit in (
+        (check_not_rational_carter, a2x4),
+        (check_not_rational_stars, a2x4),
+        (check_not_rational_even, bertini),
+    ):
         calls.clear()
         assert rule(s5) is None
-        assert calls == {}
-        assert rule(a2x4) is not None
-        assert calls == {"isometry_of": 1}
+        assert rule(hit) is not None
+        assert calls == {}, rule.__name__
+    calls.clear()
+    assert check_minimal_four_stars(ActionSetup(a2x4, TRIVIAL_GROUP)) is not None
+    assert calls == {}
+
+    # G = Gamma = <A2^4 rep>: one witness element and four certificate elements
+    report = rationality_report(ActionSetup(a2x4, a2x4))
+    assert calls["isometry_of"] == 0
+    doc = verdict_to_dict(report)
+    printed = doc["witness"]["elements"] + doc["minimality"]["elements"]
+    assert len(printed) == 5
+    assert calls["isometry_of"] == 5
+
+    calls.clear()
+    assert gamma_report(group_of(s8_action("(1 2 3)") @ bertini_isometry())).witness
+    s4 = group_of(s8_action("(1 2)"), s8_action("(1 2 3 4)"))
+    assert rationality_report(ActionSetup(s4, TRIVIAL_GROUP)).ranks["G"] == 6
+    assert calls["isometry_of"] == 0
+
+
+def forged_orders(m, orders):
+    """The closed group <m> with its cached orders overwritten."""
+    group = group_of(m)
+    group.perms
+    group.__dict__["orders"] = np.array(orders)
+    return group
+
+
+def test_replays_read_no_cached_orders():
+    # with forged orders, the Bertini involution b passes as an order-3
+    # element of class A2^4 (it fixes no curve) and as a rotation of every
+    # star it flips, so three rules hand out b; each replay takes b's order
+    # from its own row and refuses it
+    b = bertini_isometry()
+    gamma = forged_orders(b, [1, 3])
+    w = check_not_rational_carter(gamma)
+    assert w is not None and not replay_carter(gamma, w)
+    w = check_not_rational_stars(gamma)
+    assert w is not None and not replay_stars(gamma, w)
+    setup = ActionSetup(gamma, TRIVIAL_GROUP)
+    cert = check_minimal_four_stars(setup)
+    assert cert is not None and not replay_minimality(setup, cert)
+    # no odd element flips a star, so the even rule hands none out; an
+    # order-3 element forged as even is refused all the same
+    gamma = forged_orders(REPS[CarterType3.A2x4], [1, 2, 2])
+    star = check_not_rational_stars(CANNED["A2^4"]).stars[0]
+    assert not replay_even(gamma, EvenWitness((gamma.element(1),), stars=(star,)))
+    # and b's witness replays on a group whose forged orders call b odd
+    w = check_not_rational_even(group_of(b))
+    assert replay_even(forged_orders(b, [2, 1]), w)
 
 
 def test_reports_read_a_closed_groups_rank_off_its_closure(monkeypatch):
@@ -546,16 +604,16 @@ def reference_two_stars(gamma):
 
 def reference_carter(gamma):
     for i in gamma.of_order(3):
-        m = gamma.element(i)
+        m = element_isometry(gamma.element(i))
         if rank_carter_type(m) in (CarterType3.A2x3, CarterType3.A2x4):
-            return CarterWitness((m,))
+            return CarterWitness((gamma.element(i),))
     return None
 
 
 def reference_not_rational_stars(gamma):
     for i in gamma.of_order(3):
         faithful = [
-            a.star for a in invariant_stars(gamma.element(i))
+            a.star for a in invariant_stars(element_isometry(gamma.element(i)))
             if a.kind is ActionKind.FAITHFUL
         ]
         if len(faithful) >= 3:

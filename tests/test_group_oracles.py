@@ -6,15 +6,19 @@ apply-per-curve loop.  `group_closure` keys an element on its images of
 the nine basis curves and `permutation_orders` powers only those nine;
 their references are the BFS keyed on full 240-id rows and the power
 loop over all 240 columns.  `criteria._antipodal` reads Bertini partners;
-its reference gathers pairings equal to 3.  Closure order must agree
+its reference gathers pairings equal to 3.  A one-generator group reads
+its orders off its closure length by gcd; `permutation_orders` is the
+reference.  Closure order must agree
 element by element, since witnesses are the first hit in that order.
 """
 
 from collections import deque
 from functools import cache
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from dpone.criteria import _antipodal
 from dpone.curves import bertini_isometry, curve_table, s8_action
@@ -30,6 +34,7 @@ from dpone.lattice import (
 from dpone.stars import star_table
 from dpone.weyl import CarterType3, element_order, reflection, representative_order3
 from test_lattice import matrix_fixed_rank
+from test_properties import word_isometry, words
 from test_rule_sweep import family
 
 
@@ -250,3 +255,38 @@ def test_antipodal_matches_pairing_gather():
             assert np.array_equal(antipodal, pairing_three_antipodal(gamma.perms[i], rows))
             elements, flips = elements + 1, flips + int(antipodal.sum())
     assert elements and flips  # the sweep has even elements that flip stars
+
+
+def assert_gcd_orders(g: GroupSpec) -> None:
+    assert len(g.generators) == 1
+    orders = permutation_orders(g.perms)
+    assert np.array_equal(g.orders, orders) and g.orders.dtype == orders.dtype
+
+
+def test_cyclic_orders_match_permutation_orders():
+    identity, b = GroupSpec((LatticeIsometry.identity(),)), GroupSpec((bertini_isometry(),))
+    groups = [identity, b, *(GroupSpec(g) for g in GROUPS.values() if len(g) == 1)]
+    for g in groups + list(family()):
+        assert_gcd_orders(g)
+    assert identity.orders.tolist() == [1] and b.orders.tolist() == [1, 2]
+    assert len(groups) == 2 + 22 * 2 + 4
+
+
+@settings(max_examples=50, deadline=None)
+@given(words, st.booleans())
+def test_cyclic_orders_of_words(word, with_bertini):
+    m = word_isometry(word)
+    assert_gcd_orders(GroupSpec((m @ bertini_isometry() if with_bertini else m,)))
+
+
+def test_cyclic_orders_raise_past_order_cap(monkeypatch):
+    import dpone.lattice as lattice
+
+    monkeypatch.setattr(lattice, "ORDER_CAP", 5)
+    five, six = (GroupSpec((s8_action(c),)) for c in ("(1 2 3 4 5)", "(1 2 3 4 5 6)"))
+    assert five.orders.tolist() == [1, 5, 5, 5, 5]
+    assert len(six.perms) == 6
+    with pytest.raises(ValueError, match="exceeds cap 5"):
+        six.orders
+    with pytest.raises(ValueError, match="exceeds cap 5"):
+        permutation_orders(six.perms)

@@ -1,11 +1,12 @@
 """The block scans of the first-hit rules against the loops they replaced.
 
 `check_rational_two_stars` tests doubling blocks of pointwise-fixed star
-rows (`criteria._first_asynchronized`), and `check_not_rational_even`
-counts each even element's Bertini flips before any star test.  The
+rows (`criteria._first_asynchronized`), `check_not_rational_even`
+counts each even element's Bertini flips before any star test, and
+`check_rational_triple` reads its pairing block by outer indexing.  The
 references below are the scans they replaced: one `asynchronized` call
-per row, and `_antipodal` on every even element in closure order.  Both
-rules report the first hit in a fixed order, so the witnesses must agree
+per row, `_antipodal` on every even element in closure order, and the
+`np.ix_` block read.  The rules report the first hit in a fixed order, so the witnesses must agree
 exactly, on the oracle groups, the 400 sweep groups, and hand-built row
 sets whose first pair sits at every row.
 """
@@ -18,15 +19,23 @@ import pytest
 import dpone.criteria as criteria
 from dpone.criteria import (
     EvenWitness,
+    TripleWitness,
     TwoStarsWitness,
     _antipodal,
     _first_asynchronized,
     check_not_rational_even,
+    check_rational_triple,
     check_rational_two_stars,
 )
 from dpone.curves import curve_table, s8_action
 from dpone.lattice import GroupSpec
-from dpone.stars import PairType, asynchronized, classify_pair, star_table
+from dpone.stars import (
+    PairType,
+    asynchronized,
+    classify_pair,
+    invariant_curves,
+    star_table,
+)
 from test_group_oracles import GROUPS
 from test_rule_sweep import family
 
@@ -60,26 +69,41 @@ def element_loop_even(gamma: GroupSpec) -> EvenWitness | None:
     return None
 
 
-def test_witnesses_match_the_loops_on_oracle_groups():
-    hits = 0
-    for gens in GROUPS.values():
-        gamma = GroupSpec(gens)
+def ix_triple(gamma: GroupSpec) -> TripleWitness | None:
+    """The triple scan over a pairing block read with `np.ix_`."""
+    inv = invariant_curves(gamma)
+    p = curve_table().pairing_array[np.ix_(inv, inv)].tolist()
+    for i, a in enumerate(inv):
+        for j, b in enumerate(inv):
+            if p[i][j] != 1:
+                continue
+            for k, c in enumerate(inv):
+                if c > a and p[j][k] == 1 and p[i][k] == 0:
+                    return TripleWitness(curves=(a, b, c))
+    return None
+
+
+def assert_witnesses_match(groups) -> dict[str, int]:
+    """Each rule equals its loop on every group; the hits of each."""
+    hits = {"two": 0, "even": 0, "triple": 0}
+    for gamma in groups:
         two, even = check_rational_two_stars(gamma), check_not_rational_even(gamma)
+        triple = check_rational_triple(gamma)
         assert two == row_loop_two_stars(gamma)
         assert even == element_loop_even(gamma)
-        hits += (two is not None) + (even is not None)
-    assert hits
+        assert triple == ix_triple(gamma)
+        hits["two"] += two is not None
+        hits["even"] += even is not None
+        hits["triple"] += triple is not None
+    return hits
+
+
+def test_witnesses_match_the_loops_on_oracle_groups():
+    assert all(assert_witnesses_match(GroupSpec(g) for g in GROUPS.values()).values())
 
 
 def test_witnesses_match_the_loops_on_sweep_groups():
-    hits = {"two": 0, "even": 0}
-    for gamma in family():
-        two, even = check_rational_two_stars(gamma), check_not_rational_even(gamma)
-        assert two == row_loop_two_stars(gamma)
-        assert even == element_loop_even(gamma)
-        hits["two"] += two is not None
-        hits["even"] += even is not None
-    assert all(hits.values())
+    assert all(assert_witnesses_match(family()).values())
 
 
 def pair_free_rows() -> np.ndarray:
