@@ -18,11 +18,11 @@ Rational verdicts are a lattice-level statement: the lattice cannot see
 rational points, so they assume the surface has one where the geometric
 argument needs it.
 
-The rules read stars as rows of the star table and test star pairs with
-`stars.asynchronized`, which counts cross pairings equal to 1.  The
-scans test many candidates per numpy call in the order a one-at-a-time
-loop would, so each finds that loop's first hit: the two-stars rule tests
-doubling blocks of rows, the even rule counts Bertini flips before any
+The rules read stars as rows of the star table, and asynchronized star
+pairs off its ``partners`` or with `stars.asynchronized`.  The scans
+test many candidates per numpy call in the order a one-at-a-time loop
+would, so each finds that loop's first hit: the two-stars rule looks up
+doubling blocks of stars, the even rule counts Bertini flips before any
 star test, and the four-star search tests all its pairs at once.  The
 replays take no star on trust: each must be distinct and pass `star_id`,
 and star pairs are re-checked with `classify_pair`.
@@ -189,34 +189,32 @@ def check_not_rational_stars(gamma: GroupSpec) -> StarsWitness | None:
     return StarsWitness((gamma.element(i),), stars=stars)
 
 
-def _antipodal(perm: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(m,) mask: a curve permutation acts on star row m as the antipode.
+def _flipped_stars(flipped: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(m,) mask: an element acts on star row m as the antipode.
 
-    It sends every member to its Bertini partner, H -> H_{i+3}, the flip
-    of the hexagon, so such a star is invariant.  Two curves pair to 3
-    exactly when they are Bertini partners (E + E' = -2K), so this is the
-    test that every member pairs to 3 with its image.  The rows are read
-    slot-first, through ``rows.T``.
+    flipped is the element's (240,) mask of curves sent to their Bertini
+    partners, the curves they pair to 3 with (E + E' = -2K).  The antipode
+    sends every member H_i to H_{i+3}, its partner, so the star is
+    invariant.  The rows are read slot-first, through ``rows.T``.
     """
-    slots = rows.T
-    return (perm[slots] == curve_table().bertini_ids[slots]).all(axis=0)
+    return flipped[rows.T].all(axis=0)
 
 
 def check_not_rational_even(gamma: GroupSpec) -> EvenWitness | None:
     """An even-order element acting on an invariant star as the antipode.
 
     Takes the first such element in closure order and its first such
-    star.  An element flips a star only if it sends at least its six
-    curves to their Bertini partners, so the flips of all even elements
-    are counted at once and only those with six or more get the star test.
+    star.  One comparison gives every even element's mask of Bertini
+    flips.  An element flips a star only if it flips its six curves, so
+    only those with six or more get the star test, on their own mask.
     """
     even = np.flatnonzero(gamma.orders % 2 == 0)
-    flips = (gamma.perms[even] == curve_table().bertini_ids).sum(axis=1)
-    for i in even[flips >= 6]:
-        hits = np.flatnonzero(_antipodal(gamma.perms[i], star_table().ids_array))
+    flipped = gamma.perms[even] == curve_table().bertini_ids
+    for k in np.flatnonzero(flipped.sum(axis=1) >= 6):
+        hits = np.flatnonzero(_flipped_stars(flipped[k], star_table().ids_array))
         if len(hits):
             star = star_table().stars[hits[0]]
-            return EvenWitness((gamma.element(i),), stars=(star,))
+            return EvenWitness((gamma.element(even[k]),), stars=(star,))
     return None
 
 
@@ -251,24 +249,28 @@ def _verify_triple_sum(w: TripleWitness) -> None:
         raise CertificateViolation(f"triple sum fails the plane-model check: {w}")
 
 
-def _first_asynchronized(rows: np.ndarray) -> tuple[int, int] | None:
-    """The first asynchronized row pair (i, j), i < j, in combinations order.
+def _first_asynchronized(fixed: np.ndarray, mask: np.ndarray) -> tuple[int, int] | None:
+    """The first asynchronized pair of star ids (a, b), a < b, in combinations order.
 
-    Tests blocks of 1, 2, 4, ... rows, rows lo .. lo+size-1 against every
-    row after lo, and takes the first hit of a block in row-major order,
-    so k rows take at most ceil(log2 k) `asynchronized` calls.  That hit
-    (i, j) is the first pair in combinations order: rows before lo had no
-    partner at all, and j > i, since a star is never asynchronized with
-    itself and, asynchronized being symmetric, a partner j < i would have
-    given the earlier block row j a hit.
+    fixed holds ascending star ids and mask is their (1120,) mask.  Looks
+    up blocks of 1, 2, 4, ... ids as ``mask[partners[block]]`` and takes
+    a block's first hit in row-major order, so k ids take at most
+    ceil(log2 k) lookups.  That hit (a, b) is the first pair: a is the
+    least id with a partner in fixed, and b its least one, since partner
+    rows ascend.  And b > a: a star is not its own partner and, partners
+    being symmetric, a partner b < a would have given b a hit first.
+    Fewer than two ids need no lookup, so they leave the table unbuilt.
     """
+    if len(fixed) < 2:
+        return None
+    partners = star_table().partners
     lo, size = 0, 1
-    while lo < len(rows) - 1:
-        block = asynchronized(rows[lo : lo + size], rows[lo + 1 :])
+    while lo < len(fixed) - 1:
+        block = mask[partners[fixed[lo : lo + size]]]
         hit = int(block.argmax())
         if block.flat[hit]:
             i, j = divmod(hit, block.shape[1])
-            return lo + i, lo + 1 + j
+            return int(fixed[lo + i]), int(partners[fixed[lo + i], j])
         lo, size = lo + size, 2 * size
     return None
 
@@ -279,14 +281,14 @@ def check_rational_two_stars(gamma: GroupSpec) -> TwoStarsWitness | None:
     The pointwise-fixed stars are the table rows whose six curves are all
     fixed, read slot by slot.  Returns the first of their pairs, in
     combinations order over star ids, that is asynchronized (all 36 cross
-    pairings 1).
+    pairings 1), read off the star table's ``partners``.
     """
     table = star_table()
-    fixed = np.flatnonzero(gamma.fixed_curves[table.ids_array.T].all(axis=0))
-    found = _first_asynchronized(table.ids_array[fixed])
+    mask = gamma.fixed_curves[table.ids_array.T].all(axis=0)
+    found = _first_asynchronized(np.flatnonzero(mask), mask)
     if found is None:
         return None
-    a, b = fixed[list(found)].tolist()
+    a, b = found
     return TwoStarsWitness(stars=(table.stars[a], table.stars[b]))
 
 
@@ -430,7 +432,8 @@ def replay_even(gamma: GroupSpec, w: EvenWitness) -> bool:
     row = _witness_row(gamma, w.elements)
     if row is None or _order(row) % 2 != 0 or not _distinct_stars(w.stars, 1):
         return False
-    return bool(_antipodal(row, np.array(w.stars))[0])
+    flipped = row == curve_table().bertini_ids
+    return bool(_flipped_stars(flipped, np.array(w.stars))[0])
 
 
 def _all_fixed(gamma: GroupSpec, ids) -> bool:

@@ -31,7 +31,8 @@ relabeled pattern.  Stars with overlapping supports share exactly one
 Bertini pair and fit no pattern; `classify_pair` refuses them and
 `pair_codes` gives them their own code.  The decision rules ask only
 whether pairs are asynchronized, and `asynchronized` answers that by
-counting cross pairings equal to 1.
+counting cross pairings equal to 1; the table's ``partners`` holds its
+answer for every star.
 
 The star table itself is built with array operations on the curve
 table; `star_through` is the one-star construction it vectorizes.
@@ -186,6 +187,10 @@ class StarTable:
     when a and b meet.  The constructor checks once that every row's Gram
     block is STAR_GRAM and every disjoint ordered pair an edge of exactly
     one row.  ``stars`` holds the rows as tuples of ints.
+
+    ``partners``, read-only int16 (1120, 120), is built on first use by
+    `asynchronized`, a block of rows at a time: row s holds the stars
+    asynchronized with star s, ascending, exactly 120 (67200 pairs in all).
     """
 
     def __init__(self) -> None:
@@ -223,6 +228,18 @@ class StarTable:
     @cached_property
     def stars(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.ids_array.tolist()))
+
+    @cached_property
+    def partners(self) -> np.ndarray:
+        ids, rows = self.ids_array, []
+        for lo in range(0, len(ids), 56):  # a (56, 6, 1120) int8 gather, 376 KB
+            block = asynchronized(ids[lo : lo + 56], ids)
+            if np.any(block.sum(axis=1) != 120):
+                raise AssertionError("a star without exactly 120 asynchronized partners")
+            rows.append(np.nonzero(block)[1].astype(np.int16))
+        partners = np.concatenate(rows).reshape(len(ids), 120)
+        partners.flags.writeable = False
+        return partners
 
 
 @cache

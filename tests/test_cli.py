@@ -564,8 +564,9 @@ def test_certificate_violation_in_report_exits_1(capsys, monkeypatch):
         raise stars.TrichotomyViolation("planted trichotomy violation")
 
     monkeypatch.undo()
+    # the first rule reads the star partner table, built with asynchronized
+    monkeypatch.delitem(stars.star_table().__dict__, "partners", raising=False)
     monkeypatch.setattr(stars, "asynchronized", broken)
-    monkeypatch.setattr(criteria, "asynchronized", broken)
     code, out, err = run(capsys, "report", "-gamma", "(1 2 3)")
     assert code == 1
     assert out == ""
@@ -580,10 +581,13 @@ def test_overlapping_stars_exit_2(capsys, monkeypatch, argv):
         raise stars.OverlappingStars(frozenset({0}))
 
     # census finds invariant stars with star_masks; the report's first rule
-    # tests its star pairs with asynchronized
-    name = "star_masks" if argv[0] == "census" else "asynchronized"
-    monkeypatch.setattr(stars, name, overlapping)
-    monkeypatch.setattr(f"dpone.criteria.{name}", overlapping)
+    # reads the star partner table, built with asynchronized
+    if argv[0] == "census":
+        monkeypatch.setattr(stars, "star_masks", overlapping)
+        monkeypatch.setattr("dpone.criteria.star_masks", overlapping)
+    else:
+        monkeypatch.delitem(stars.star_table().__dict__, "partners", raising=False)
+        monkeypatch.setattr(stars, "asynchronized", overlapping)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -50,6 +50,7 @@ from dpone.stars import (
     classify_pair,
     invariant_stars,
     star_masks,
+    star_table,
 )
 from dpone.weyl import (
     CarterType3,
@@ -776,10 +777,9 @@ def test_report_path_never_calls_brute_force(monkeypatch):
 
 
 def test_swapped_kernel_table_is_caught_at_replay(monkeypatch):
-    # a pair test that files synchronized pairs as asynchronized, here
-    # pair_codes reading a kernel table with the two patterns swapped, makes
-    # the rule report a wrong pair; the brute-force replay must reject it
-    import dpone.criteria as criteria
+    # a partner table of synchronized pairs, here filed by pair_codes
+    # reading a kernel table with the two patterns swapped, makes the rule
+    # report a wrong pair; the brute-force replay must reject it
     import dpone.stars as stars
 
     swapped = dict(stars.PATTERNS)
@@ -788,12 +788,14 @@ def test_swapped_kernel_table_is_caught_at_replay(monkeypatch):
     table = stars.pattern_key_table(swapped)
     monkeypatch.setattr(stars, "pattern_keys", lambda: table)
     code = stars.PAIR_TYPES.index(PairType.ASYNCHRONIZED)
+    ids = star_table().ids_array
 
-    def swapped_asynchronized(block, rest):
-        # the rule passes a block of rows; each row is filed by pair_codes
-        return np.array([stars.pair_codes(a, rest) == code for a in block])
+    def filed_asynchronized(s):
+        others = np.delete(np.arange(len(ids)), s)  # a star overlaps itself
+        return others[stars.pair_codes(ids[s], ids[others]) == code]
 
-    monkeypatch.setattr(criteria, "asynchronized", swapped_asynchronized)
+    planted = np.array([filed_asynchronized(s) for s in range(len(ids))])
+    monkeypatch.setitem(star_table().__dict__, "partners", planted)
     gamma = group_of(s8_action("(1 2 3)"))
     w = check_rational_two_stars(gamma)
     assert w is not None

@@ -5,10 +5,10 @@ numpy product; the reference versions below are the matrix BFS and the
 apply-per-curve loop.  `group_closure` keys an element on its images of
 the nine basis curves and `permutation_orders` powers only those nine;
 their references are the BFS keyed on full 240-id rows and the power
-loop over all 240 columns.  `criteria._antipodal` reads Bertini partners;
-its reference gathers pairings equal to 3.  A one-generator group reads
-its orders off its closure length by gcd; `permutation_orders` is the
-reference.  Closure order must agree
+loop over all 240 columns.  `criteria._flipped_stars` reads an element's
+mask of Bertini flips; its reference gathers pairings equal to 3.  A
+one-generator group reads its orders off its closure length by gcd;
+`permutation_orders` is the reference.  Closure order must agree
 element by element, since witnesses are the first hit in that order.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from dpone.criteria import _antipodal
+from dpone.criteria import _flipped_stars
 from dpone.curves import bertini_isometry, curve_table, s8_action
 from dpone.lattice import (
     ORDER_CAP,
@@ -251,7 +251,8 @@ def test_antipodal_matches_pairing_gather():
     elements = flips = 0
     for gamma in family():
         for i in np.flatnonzero(gamma.orders % 2 == 0):
-            antipodal = _antipodal(gamma.perms[i], rows)
+            flipped = gamma.perms[i] == curve_table().bertini_ids
+            antipodal = _flipped_stars(flipped, rows)
             assert np.array_equal(antipodal, pairing_three_antipodal(gamma.perms[i], rows))
             elements, flips = elements + 1, flips + int(antipodal.sum())
     assert elements and flips  # the sweep has even elements that flip stars

@@ -1,14 +1,18 @@
-"""The block scans of the first-hit rules against the loops they replaced.
+"""The scans of the first-hit rules against the loops they replaced.
 
-`check_rational_two_stars` tests doubling blocks of pointwise-fixed star
-rows (`criteria._first_asynchronized`), `check_not_rational_even`
-counts each even element's Bertini flips before any star test, and
-`check_rational_triple` reads its pairing block by outer indexing.  The
-references below are the scans they replaced: one `asynchronized` call
-per row, `_antipodal` on every even element in closure order, and the
-`np.ix_` block read.  The rules report the first hit in a fixed order, so the witnesses must agree
-exactly, on the oracle groups, the 400 sweep groups, and hand-built row
-sets whose first pair sits at every row.
+`check_rational_two_stars` looks up doubling blocks of pointwise-fixed
+star ids in the star table's partner rows (`criteria._first_asynchronized`),
+`check_not_rational_even` runs the star test only on each even element's
+mask of Bertini flips, and only for elements that flip six curves or
+more, and `check_rational_triple` reads its pairing block by outer
+indexing.  The references below are the scans they replaced: one
+`asynchronized` call per row, the doubling blocks of rows tested with
+`asynchronized` against every later row, the antipode test that gathers
+the permutation and the Bertini partners on every even element in
+closure order, and the `np.ix_` block read.  The rules report the first
+hit in a fixed order, so the witnesses must agree exactly, on the oracle
+groups, the 400 sweep groups, and hand-built star sets whose first pair
+sits at every row of the scan.
 """
 
 import math
@@ -17,12 +21,13 @@ import numpy as np
 import pytest
 
 import dpone.criteria as criteria
+import dpone.stars as stars
 from dpone.criteria import (
     EvenWitness,
     TripleWitness,
     TwoStarsWitness,
-    _antipodal,
     _first_asynchronized,
+    _flipped_stars,
     check_not_rational_even,
     check_rational_triple,
     check_rational_two_stars,
@@ -49,20 +54,52 @@ def row_loop_first_pair(rows: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
-def row_loop_two_stars(gamma: GroupSpec) -> TwoStarsWitness | None:
+def block_scan_first_pair(rows: np.ndarray) -> tuple[int, int] | None:
+    """The first asynchronized pair of rows, testing blocks of 1, 2, 4, ...
+    rows against every later row with `asynchronized`."""
+    lo, size = 0, 1
+    while lo < len(rows) - 1:
+        block = asynchronized(rows[lo : lo + size], rows[lo + 1 :])
+        hit = int(block.argmax())
+        if block.flat[hit]:
+            i, j = divmod(hit, block.shape[1])
+            return lo + i, lo + 1 + j
+        lo, size = lo + size, 2 * size
+    return None
+
+
+def first_pair_ids(scan, fixed: np.ndarray) -> tuple[int, int] | None:
+    """A row scan's first pair of the ascending star ids fixed, as star ids."""
+    found = scan(star_table().ids_array[fixed])
+    return None if found is None else tuple(fixed[list(found)].tolist())
+
+
+def mask_of(fixed) -> np.ndarray:
+    mask = np.zeros(1120, dtype=bool)
+    mask[fixed] = True
+    return mask
+
+
+def row_scan_two_stars(gamma: GroupSpec, scan) -> TwoStarsWitness | None:
     table = star_table()
     fixed = np.flatnonzero(gamma.fixed_curves[table.ids_array].all(axis=1))
-    found = row_loop_first_pair(table.ids_array[fixed])
+    found = first_pair_ids(scan, fixed)
     if found is None:
         return None
-    a, b = fixed[list(found)].tolist()
+    a, b = found
     return TwoStarsWitness(stars=(table.stars[a], table.stars[b]))
+
+
+def antipodal(perm: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The antipode test on a permutation: every member goes to its partner."""
+    slots = rows.T
+    return (perm[slots] == curve_table().bertini_ids[slots]).all(axis=0)
 
 
 def element_loop_even(gamma: GroupSpec) -> EvenWitness | None:
     """The first even element, in closure order, that flips a star."""
     for i in np.flatnonzero(gamma.orders % 2 == 0):
-        hits = np.flatnonzero(_antipodal(gamma.perms[i], star_table().ids_array))
+        hits = np.flatnonzero(antipodal(gamma.perms[i], star_table().ids_array))
         if len(hits):
             star = star_table().stars[hits[0]]
             return EvenWitness((gamma.element(i),), stars=(star,))
@@ -89,7 +126,8 @@ def assert_witnesses_match(groups) -> dict[str, int]:
     for gamma in groups:
         two, even = check_rational_two_stars(gamma), check_not_rational_even(gamma)
         triple = check_rational_triple(gamma)
-        assert two == row_loop_two_stars(gamma)
+        assert two == row_scan_two_stars(gamma, row_loop_first_pair)
+        assert two == row_scan_two_stars(gamma, block_scan_first_pair)
         assert even == element_loop_even(gamma)
         assert triple == ix_triple(gamma)
         hits["two"] += two is not None
@@ -106,45 +144,70 @@ def test_witnesses_match_the_loops_on_sweep_groups():
     assert all(assert_witnesses_match(family()).values())
 
 
-def pair_free_rows() -> np.ndarray:
-    """The 40 pointwise-fixed stars of <(1 2 3 4)>, no two asynchronized."""
+def pair_free_ids() -> np.ndarray:
+    """The ids of the 40 pointwise-fixed stars of <(1 2 3 4)>, no two asynchronized."""
     table = star_table()
     gamma = GroupSpec((s8_action("(1 2 3 4)"),))
-    rows = table.ids_array[gamma.fixed_curves[table.ids_array].all(axis=1)]
-    assert len(rows) == 40 and not asynchronized(rows, rows).any()
-    return rows
+    fixed = np.flatnonzero(gamma.fixed_curves[table.ids_array].all(axis=1))
+    rows = table.ids_array[fixed]
+    assert len(fixed) == 40 and not asynchronized(rows, rows).any()
+    return fixed
 
 
-def first_partner(rows: np.ndarray, p: int) -> np.ndarray:
-    """The lowest-id star asynchronized with row p and with no row before it."""
-    table = star_table()
-    mask = asynchronized(rows, table.ids_array)
-    ids = np.flatnonzero(mask[p] & ~mask[:p].any(axis=0))
-    return table.ids_array[ids[0]]
+def ids_with_first_pair_at(r: int, after: bool) -> tuple[np.ndarray, int, int]:
+    """41 ascending star ids whose first asynchronized pair (a, b) has a at
+    position r, and the pair.
+
+    Stars 0..40 are pairwise not asynchronized, so 0..r-1 come first.  a
+    is the least later star with a partner above it, both with no partner
+    among 0..r-1, and b is its least such partner (b next after a) or its
+    greatest (b last); the filler stars have no partner among 0..r-1 and
+    lie past b, or between a and b without being a's partners.
+    """
+    partners = star_table().partners
+    assert not mask_of(np.arange(41))[partners[:41]].any()
+    free = np.ones(1120, dtype=bool)
+    free[:r] = False
+    free[partners[:r]] = False
+
+    def free_above(s):
+        return partners[s][free[partners[s]] & (partners[s] > s)]
+
+    a = next(s for s in np.flatnonzero(free) if len(free_above(s)))
+    b = int(free_above(a)[0 if after else -1])
+    filler = free & ~mask_of(partners[a])
+    if after:
+        filler[: b + 1] = False
+    else:
+        filler[: a + 1] = filler[b:] = False
+    fill = np.flatnonzero(filler)[: 39 - r]
+    fixed = np.sort(np.concatenate([np.arange(r), [a, b], fill]))
+    assert len(fixed) == 41 and fixed[r] == a
+    return fixed, int(a), b
 
 
 @pytest.mark.parametrize("after", [True, False], ids=["partner-next", "partner-last"])
 def test_block_scan_finds_the_first_pair_at_every_row(after):
-    # rows 0..39 cover blocks 1, 2, 4, 8, 16 and 32 of the scan, so the hit
-    # lands at the start, inside and at the end of each
-    rows = pair_free_rows()
-    for p in range(len(rows)):
-        partner = first_partner(rows, p)
-        at = p + 1 if after else len(rows)
-        built = np.insert(rows, at, partner, axis=0)
-        found = _first_asynchronized(built)
-        assert found == row_loop_first_pair(built) == (p, at)
-        pair = classify_pair(*built[list(found)].tolist())
+    # 41 ids cover blocks 1, 2, 4, 8, 16 and 10 of the scan, so the hit
+    # lands at the start, inside and at the end of each; the last id can
+    # only be a partner
+    for r in range(40):
+        fixed, a, b = ids_with_first_pair_at(r, after)
+        found = _first_asynchronized(fixed, mask_of(fixed))
+        assert found == (a, b)
+        assert first_pair_ids(block_scan_first_pair, fixed) == found
+        assert first_pair_ids(row_loop_first_pair, fixed) == found
+        pair = classify_pair(*star_table().ids_array[list(found)].tolist())
         assert pair.pair_type is PairType.ASYNCHRONIZED
 
 
 def test_block_scan_edge_sizes():
-    rows = pair_free_rows()
-    assert _first_asynchronized(rows[:0]) is None
-    assert _first_asynchronized(rows[:1]) is None
-    assert _first_asynchronized(rows) is None
-    pair = np.stack([rows[0], first_partner(rows, 0)])
-    assert _first_asynchronized(pair) == (0, 1)
+    ids = pair_free_ids()
+    for fixed in (ids[:0], ids[:1], ids):
+        assert _first_asynchronized(fixed, mask_of(fixed)) is None
+    partner = star_table().partners[ids[0], 0]
+    pair = np.array(sorted([ids[0], partner]))
+    assert _first_asynchronized(pair, mask_of(pair)) == tuple(pair.tolist())
 
 
 def test_block_mask_matches_row_masks():
@@ -158,16 +221,28 @@ def test_block_mask_matches_row_masks():
 
 
 def test_two_stars_scan_calls_asynchronized_log_times(monkeypatch):
-    calls = []
+    # once the partner table is built, the scan makes no asynchronized call
+    # and looks up partner rows in doubling blocks
+    table = star_table()
+    partners = table.partners
+    calls, blocks = [], []
 
     def counted(a, rest):
         calls.append(len(a))
         return asynchronized(a, rest)
 
+    class Watched:
+        def __getitem__(self, index):
+            blocks.append(len(index))
+            return partners[index]
+
+    monkeypatch.setattr(stars, "asynchronized", counted)
     monkeypatch.setattr(criteria, "asynchronized", counted)
+    monkeypatch.setitem(table.__dict__, "partners", Watched())
     assert check_rational_two_stars(GroupSpec((s8_action("(1 2 3 4)"),))) is None
-    assert len(calls) <= math.ceil(math.log2(40)) == 6
-    assert calls == [1, 2, 4, 8, 16, 9]  # the last block stops at row 39
+    assert calls == []
+    assert len(blocks) <= math.ceil(math.log2(40)) == 6
+    assert blocks == [1, 2, 4, 8, 16, 9]  # the last block stops at star 39
 
 
 # per group: even elements, and those the rule runs the star test on
@@ -182,15 +257,15 @@ def test_even_rule_tests_stars_only_for_six_flips(monkeypatch, name):
     even = np.flatnonzero(gamma.orders % 2 == 0)
     tested = []
 
-    def watched(perm, rows):
-        tested.append(perm)
-        return _antipodal(perm, rows)
+    def watched(flipped, rows):
+        tested.append(flipped)
+        return _flipped_stars(flipped, rows)
 
-    monkeypatch.setattr(criteria, "_antipodal", watched)
+    monkeypatch.setattr(criteria, "_flipped_stars", watched)
     witness = check_not_rational_even(gamma)
     assert (len(even), len(tested)) == FLIP_TESTS[name]
-    # the tested elements are, in closure order, the even ones with six or
-    # more flips, up to the hit
-    flipping = [p for p in gamma.perms[even] if (p == bertini).sum() >= 6]
+    # the tested flip masks are, in closure order, those of the even
+    # elements with six or more flips, up to the hit
+    flipping = [p == bertini for p in gamma.perms[even] if (p == bertini).sum() >= 6]
     assert np.array_equal(tested, flipping[: len(tested)])
     assert witness == element_loop_even(gamma)

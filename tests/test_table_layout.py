@@ -12,13 +12,21 @@ and hypothesis words.  The shared tables are read-only, so a stray write
 raises instead of corrupting every later answer.
 """
 
+import os
+import shlex
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpone
 import dpone.criteria as criteria
-from dpone.criteria import _antipodal, check_rational_two_stars
+from dpone.criteria import _flipped_stars, check_rational_two_stars
 from dpone.curves import bertini_isometry, curve_table
 from dpone.lattice import GroupSpec, LatticeIsometry
 from dpone.stars import asynchronized, star_masks, star_table
@@ -93,7 +101,7 @@ def test_slot_first_kernels_match_row_major_on_sweep_closures(monkeypatch):
     invariant stars, each against the replaced kernel on all 1120 rows."""
     t, ids = curve_table(), star_table().ids_array
     scanned = []
-    monkeypatch.setattr(criteria, "_first_asynchronized", scanned.append)
+    monkeypatch.setattr(criteria, "_first_asynchronized", lambda *args: scanned.append(args))
     fixed_stars = flipped = 0
     for gamma in family():
         for perm in gamma.perms:
@@ -102,8 +110,10 @@ def test_slot_first_kernels_match_row_major_on_sweep_closures(monkeypatch):
             assert np.array_equal(coefficient_row_permutation_of(m), perm)
             assert check_rational_two_stars(GroupSpec((m,))) is None
             mask = row_major_fixed_stars(perm == np.arange(240))
-            assert np.array_equal(scanned.pop(), ROWS16[mask])
-            antipodal = _antipodal(perm, ids)
+            fixed, fixed_mask = scanned.pop()
+            assert np.array_equal(fixed_mask, mask)
+            assert np.array_equal(fixed, np.flatnonzero(mask))
+            antipodal = _flipped_stars(perm == t.bertini_ids, ids)
             assert np.array_equal(antipodal, row_major_antipodal(perm, ROWS16))
             fixed_stars, flipped = fixed_stars + mask.sum(), flipped + antipodal.sum()
         new, old = star_masks(gamma.perms, ids), row_major_star_masks(gamma.perms, ROWS16)
@@ -119,6 +129,91 @@ def test_slot_first_asynchronized_matches_row_major_on_all_pairs():
     assert block.sum() == 2 * 67200  # each asynchronized pair, both ways
     for i in range(len(ids)):
         assert np.array_equal(asynchronized(ids[i], ids), block[i])
+
+
+def test_partner_table_matches_asynchronized_on_all_pairs():
+    ids = star_table().ids_array
+    partners = star_table().partners
+    assert partners.shape == (1120, 120) and partners.dtype == np.int16
+    assert (np.diff(partners, axis=1) > 0).all()  # each row ascends
+    block = asynchronized(ids, ids)
+    table = np.zeros_like(block)
+    table[np.arange(1120)[:, None], partners] = True
+    assert np.array_equal(table, block)
+    assert np.array_equal(table, table.T)  # symmetric
+
+
+def test_partner_table_build_stays_small(monkeypatch):
+    # the build works in blocks of rows: one (1120, 6, 1120) gather is 7.5 MB
+    table = star_table()
+    built = table.partners
+    monkeypatch.delitem(table.__dict__, "partners")
+    tracemalloc.start()
+    try:
+        rebuilt = table.partners
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rebuilt, built)
+    assert peak < 2 * 2**20
+
+
+def test_partner_table_build_checks_every_row(monkeypatch):
+    # a pair test that loses one pair must not yield a table
+    table = star_table()
+
+    def lossy(a, rest):
+        block = asynchronized(a, rest)
+        block[0, block[0].argmax()] = False
+        return block
+
+    monkeypatch.delitem(table.__dict__, "partners", raising=False)
+    monkeypatch.setattr("dpone.stars.asynchronized", lossy)
+    with pytest.raises(AssertionError, match="120 asynchronized partners"):
+        table.partners
+
+
+# counts StarTable.partners builds in a fresh interpreter running one command
+BUILD_COUNT = """
+import sys
+from functools import cached_property
+from dpone import cli, stars
+
+build, builds = stars.StarTable.partners.func, []
+
+def counted(self):
+    builds.append(1)
+    return build(self)
+
+stars.StarTable.partners = cached_property(counted)
+stars.StarTable.partners.__set_name__(stars.StarTable, "partners")
+code = cli.main(sys.argv[1:])
+print(code, len(builds), file=sys.stderr)
+"""
+
+
+# a report builds the table once, unless its Gamma fixes fewer than two
+# stars, as (1 2 3 4 5 6 7 8) does
+BUILDS = {
+    "list-curves": 0,
+    'classify-element -e "(1 2 3)"': 0,
+    "list-stars": 0,
+    "verify-lemma A2A22": 0,
+    "report": 1,
+    'report -gamma "(1 2 3 4)"': 1,
+    'report -gamma "(1 2 3 4 5 6 7 8)"': 0,
+}
+
+
+@pytest.mark.parametrize("command", BUILDS)
+def test_partner_table_is_built_only_by_reports(command):
+    env = {**os.environ, "PYTHONPATH": str(Path(dpone.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", BUILD_COUNT, *shlex.split(command)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    # the exit code and the number of builds
+    assert done.stderr.split()[-2:] == ["0", str(BUILDS[command])]
 
 
 def test_star_table_is_slot_first_intp():
@@ -152,6 +247,7 @@ SHARED_ARRAYS = {
     "_keys": lambda: curve_table()._keys,
     "ids_array": lambda: star_table().ids_array,
     "edge_star": lambda: star_table().edge_star,
+    "partners": lambda: star_table().partners,
 }
 
 
