@@ -27,6 +27,7 @@ from .lattice import (
     LatticeIsometry,
     TRIVIAL_GROUP,
     cycles_string,
+    eliminated_group,
     fixed_rank,
     permutation_of_isometry,
     permutation_orders,
@@ -377,7 +378,7 @@ def _lemma_davidmin_pair(ctype: CarterType3, rotations: str) -> list[str]:
     _require(cert is not None, f"no certificate for the {ctype.display} pair")
     # the certificate's rank is the closure's average trace; this one is
     # eliminated on the generators of a fresh group
-    rank = fixed_rank(GroupSpec(setup.combined.generators))
+    rank = fixed_rank(eliminated_group(setup.combined.generators))
     _require(rank == 1, f"direct rank {rank}")
     return [
         f"{ctype.display} with commuting {rotations}: rank {rank}, certificate found",

@@ -27,7 +27,8 @@ star test, and the four-star search tests all its pairs at once.  The
 replays take no star on trust: each must be distinct and pass `star_id`,
 and star pairs are re-checked with `classify_pair`.
 Both order-3 rules take the first closure element of class A2^3 or A2^4,
-typed by `weyl.carter_types`; no rule builds a 9x9 matrix.
+typed by `weyl.carter_types` once per group (`GroupSpec.order3_types`);
+no rule builds a 9x9 matrix.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .lattice import (
     GroupSpec,
     LatticeIsometry,
     TRIVIAL_GROUP,
+    eliminated_group,
     fixed_rank,
     pair,
     permutation_orders,
@@ -60,7 +62,7 @@ from .stars import (
     star_plane,
     star_table,
 )
-from .weyl import CarterType3, carter_types, reflection_permutation
+from .weyl import CarterType3, reflection_permutation
 
 RATIONAL_CAVEAT = (
     "lattice-level verdict: assumes the surface has a suitable rational point, "
@@ -156,10 +158,13 @@ _MANY_FAITHFUL = (CarterType3.A2x3, CarterType3.A2x4)
 
 
 def _first_many_faithful(gamma: GroupSpec) -> int | None:
-    """Closure index of the first order-3 element of class A2^3 or A2^4."""
-    order3 = gamma.of_order(3)
-    types = carter_types(gamma.perms[order3])
-    return next((int(i) for i, t in zip(order3, types) if t in _MANY_FAITHFUL), None)
+    """Closure index of the first order-3 element of class A2^3 or A2^4.
+
+    The elements are typed once per group, in ``gamma.order3_types``, so
+    the stars rule reads the Carter rule's typing.
+    """
+    pairs = zip(gamma.of_order(3).tolist(), gamma.order3_types)
+    return next((i for i, t in pairs if t in _MANY_FAITHFUL), None)
 
 
 def check_not_rational_carter(gamma: GroupSpec) -> CarterWitness | None:
@@ -358,7 +363,7 @@ def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None
     40 cliques of sizes 2, 3 and 4.  When the clique exists the fixed rank
     of the combined group must equal 1: its average trace when the
     combined group is G itself, whose closure the search holds, and
-    otherwise the elimination on its generators.
+    otherwise the route `fixed_rank` takes on its generators.
     """
     g = setup.g_group
     if not g.generators:
@@ -409,7 +414,7 @@ def replay_carter(gamma: GroupSpec, w: CarterWitness) -> bool:
     if row is None or _order(row) != 3:
         return False
     # the rank is eliminated on a fresh group of the validated matrix
-    rank = fixed_rank(GroupSpec((element_isometry(row.tobytes()),)))
+    rank = fixed_rank(eliminated_group((element_isometry(row.tobytes()),)))
     return rank in {t.fixed_rank for t in _MANY_FAITHFUL}
 
 
@@ -483,7 +488,7 @@ def replay_minimality(setup: ActionSetup, cert: MinimalityCertificate) -> bool:
             return False
     # a fresh group, so the rank is eliminated anew, not read from the
     # object the certificate was built on
-    rank = fixed_rank(GroupSpec(setup.combined.generators))
+    rank = fixed_rank(eliminated_group(setup.combined.generators))
     return rank == 1 == cert.combined_rank
 
 
@@ -525,9 +530,11 @@ def rationality_report(setup: ActionSetup) -> RationalityVerdict:
     when one exists, and the fixed ranks of G, Gamma and the combined
     group, each computed once per group.  The ranks are read after the
     minimality search, which closes every G with generators, so a group
-    closed by then takes the average trace over its closure, and only a
-    group left unclosed, such as the Gamma of an early Rational hit, is
-    eliminated on its generators.
+    closed by then takes the average trace over its closure.  A group
+    left unclosed, such as the Gamma of an early Rational hit, takes the
+    cycle sums of its basis curves if it has one generator, as a Galois
+    image over a finite field does, and elimination on its generators
+    otherwise.  No group is closed for its rank.
     """
     verdict, rule, witness = Verdict.INCONCLUSIVE, None, None
     for name, v, checker in RULES:

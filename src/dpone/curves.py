@@ -127,6 +127,8 @@ class CurveTable:
         trace = coeff_matrix[:, [*range(1, RANK), 0]]
         trace[:, :2] += coeff_matrix[:, :1]
         self.trace_array = trace
+        # its columns as tuples, for walks that read one entry at a time
+        self.trace_columns = tuple(map(tuple, trace.T.tolist()))
         # one stray in-place write would corrupt every later answer
         for shared in (self.coeff_array, self._keys, self.basis_ids,
                        self.pairing_array, self.bertini_ids, self.trace_array):

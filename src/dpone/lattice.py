@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -269,16 +269,19 @@ class GroupSpec:
     first, and ``orders`` their orders: n / gcd(n, k) for row k of a
     one-generator closure of n rows, which is g^k, and
     ``permutation_orders`` for any other; ``fixed_curves`` masks the curves
-    every generator fixes.  These and the fixed rank are computed on first
-    use and kept for the object's lifetime, so each generator is permuted
-    once, a caller that needs only the generators closes nothing, and
-    every rule, search and replay handed the same object shares one
-    closure, one rank and one mask.  The rank is the average trace over
-    the closure when the closure is already held, and otherwise comes
-    from the generators by elimination (``integer_rank``); no group is
-    closed only to read its rank.  All read only the generators' curve
-    permutations, and each generator is kept once, at its first
-    occurrence: a repeat yields no element the closure has not seen.
+    every generator fixes, and ``order3_types`` holds the Carter classes
+    of the order-3 elements.  These and the fixed rank are computed on
+    first use and kept for the object's lifetime, so each generator is
+    permuted once, a caller that needs only the generators closes
+    nothing, and every rule, search and replay handed the same object
+    shares one closure, one rank, one mask and one typing.  The rank is
+    the average trace over the closure when the closure is already
+    held, else the cycle sums of the one generator's basis curves, else
+    elimination on the generators (``integer_rank``); no group is
+    closed only to read its rank (see ``fixed_rank``).  All read only
+    the generators' curve permutations, and each generator is kept
+    once, at its first occurrence: a repeat yields no element the
+    closure has not seen.
     ``cap``, at most MAX_CAP, bounds that closure (see ``group_closure``).
     ``element(i)`` hands out element i as the bytes of its closure row,
     exact, hashable and independent of generator order, and ``index_of``
@@ -326,25 +329,18 @@ class GroupSpec:
     def _fixed_rank(self) -> int:
         if not self.generators:
             return RANK  # the empty group fixes everything
-        from .curves import curve_table
-
-        t = curve_table()
-        basis = t.basis_ids
         if "perms" in self.__dict__:
-            # dim Fix(G) = (1/|G|) sum of tr(g) over the closure: the
-            # multiplicity of the trivial character
-            total = int(t.trace_array[self.perms[:, basis], np.arange(RANK)].sum())
-            rank, rest = divmod(total, len(self.perms))
-            if rest:
-                raise CheckViolation(
-                    f"closure traces sum to {total}, not a multiple of "
-                    f"its {len(self.perms)} rows: they are not a group"
-                )
-            return rank
-        # for an isometry g, ker(g - I) is the orthogonal complement of
-        # im(g - I), which the moves g(c) - c of the basis curves span
-        moves = t.coeff_array[self.generator_perms[:, basis]] - t.coeff_array[basis]
-        return RANK - integer_rank(moves.reshape(-1, RANK).tolist())
+            return _closure_rank(self.perms)
+        if len(self.generators) == 1:
+            return _cycle_rank(self.generator_perms[0])
+        return _eliminated_rank(self.generator_perms)
+
+    @cached_property
+    def order3_types(self) -> tuple:
+        """The Carter classes of the order-3 elements, in ``of_order(3)`` order."""
+        from .weyl import carter_types
+
+        return tuple(carter_types(self.perms[self.of_order(3)]))
 
     @cached_property
     def fixed_curves(self) -> np.ndarray:
@@ -412,6 +408,85 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+def _closure_rank(perms: np.ndarray) -> int:
+    """dim Fix(G) = (1/|G|) sum of tr(g) over the closure rows, the
+    multiplicity of the trivial character; raises CheckViolation if the
+    sum is not a multiple of |G|."""
+    from .curves import curve_table
+
+    t = curve_table()
+    total = int(t.trace_array[perms[:, t.basis_ids], np.arange(RANK)].sum())
+    rank, rest = divmod(total, len(perms))
+    if rest:
+        raise CheckViolation(
+            f"closure traces sum to {total}, not a multiple of "
+            f"its {len(perms)} rows: they are not a group"
+        )
+    return rank
+
+
+def _cycle_rank(perm: np.ndarray) -> int:
+    """dim Fix(<g>) off the cycles of g's nine basis curves, no power formed.
+
+    tr(g^k) is the sum over basis slots s of trace_array[g^k(b_s), s],
+    and as k runs over 0..n-1, g^k(b_s) runs n / L_s times round the
+    cycle of b_s, of length L_s.  So the average trace (1/n) sum_k tr(g^k)
+    is sum_s (1/L_s) times the trace sum of that cycle, taken in integers
+    with n = lcm(L_s).  A total that is not a multiple of n raises
+    CheckViolation, and a walk that is not back at its basis curve after
+    ORDER_CAP steps raises ValueError, so a row that is not a permutation
+    fails and never hangs.
+    """
+    from .curves import curve_table
+
+    t = curve_table()
+    step, lengths, sums = perm.tolist(), [], []
+    for b, column in zip(t.basis_ids.tolist(), t.trace_columns):
+        c, length, cycle_sum = step[b], 1, column[b]
+        while c != b:
+            if length == ORDER_CAP:
+                raise ValueError(f"element order exceeds cap {ORDER_CAP}")
+            c, length, cycle_sum = step[c], length + 1, cycle_sum + column[c]
+        lengths.append(length)
+        sums.append(cycle_sum)
+    n = lcm(*lengths)
+    total = sum(n // length * s for length, s in zip(lengths, sums))
+    rank, rest = divmod(total, n)
+    if rest:
+        raise CheckViolation(
+            f"basis cycle traces sum to {total}, not a multiple of "
+            f"the order {n}: the row is not an isometry"
+        )
+    return rank
+
+
+def _eliminated_rank(generator_perms: np.ndarray) -> int:
+    """9 minus the rank of the generators' basis moves, by ``integer_rank``.
+
+    For an isometry g, ker(g - I) is the orthogonal complement of
+    im(g - I), which the moves g(c) - c of the basis curves span.
+    """
+    from .curves import curve_table
+
+    t = curve_table()
+    basis = t.basis_ids
+    moves = t.coeff_array[generator_perms[:, basis]] - t.coeff_array[basis]
+    return RANK - integer_rank(moves.reshape(-1, RANK).tolist())
+
+
+def eliminated_group(generators: Iterable[LatticeIsometry]) -> GroupSpec:
+    """A fresh group on the generators whose fixed rank is eliminated now.
+
+    The rank is 9 minus the rank of the generators' basis moves, by
+    ``integer_rank``, whatever route ``fixed_rank`` would take: the
+    replays recompute a rank this way, independently of the closure
+    trace and the cycle sums that the rules' groups read.
+    """
+    group = GroupSpec(tuple(generators))
+    vars(group)["_fixed_rank"] = _eliminated_rank(group.generator_perms)
+    return group
+
+
 def _group_of(g: GroupLike) -> GroupSpec:
     """g itself if it is a GroupSpec, else a new one on its generators."""
     return g if isinstance(g, GroupSpec) else GroupSpec(_generators_of(g))
@@ -422,11 +497,20 @@ def fixed_rank(g: GroupLike) -> int:
 
     Computed over the rationals; the fixed sublattice is saturated, so
     this equals the rank of the invariant Picard lattice.  A GroupSpec
-    computes it once and keeps it.  A group whose closure is held gets
-    it as (1/|G|) sum tr(g) over the closure, the multiplicity of the
-    trivial character, and raises CheckViolation if that sum is not a
-    multiple of |G|; any other group gets 9 minus the rank of its
-    generators' moves, by ``integer_rank``.  Both are exact.
+    computes it once and keeps it, by the first of three exact routes
+    that applies:
+
+    - a group whose closure is held: (1/|G|) sum tr(g) over the closure,
+      the multiplicity of the trivial character;
+    - an unclosed group with one generator g: the same average over <g>,
+      read off the cycles of g on the nine basis curves
+      (``_cycle_rank``), with no power of g formed;
+    - any other group: 9 minus the rank of its generators' basis moves,
+      by ``integer_rank``.
+
+    A trace sum that is not a multiple of the group's order raises
+    CheckViolation.  No group is closed for its rank.
+    ``eliminated_group`` takes the third route on any generators.
     """
     return _group_of(g)._fixed_rank
 

@@ -544,6 +544,18 @@ def test_failed_lemma_exits_1(capsys, monkeypatch):
     }
 
 
+@pytest.mark.parametrize("name", ["Davidmin1", "Davidmin2"])
+def test_davidmin_pair_lemmas_eliminate_their_direct_rank(capsys, monkeypatch, name):
+    # the certificate's rank is its closure's average trace; the direct
+    # rank is eliminated anew, so a wrong elimination fails the lemma
+    import dpone.lattice as lattice
+
+    monkeypatch.setattr(lattice, "integer_rank", lambda rows: 0)  # rank 9
+    code, out, _ = run(capsys, "verify-lemma", name)
+    assert code == 1
+    assert out == "FAIL: direct rank 9\n"
+
+
 def test_certificate_violation_in_report_exits_1(capsys, monkeypatch):
     import dpone.criteria as criteria
 

@@ -438,7 +438,9 @@ def test_reports_read_a_closed_groups_rank_off_its_closure(monkeypatch):
     assert report.ranks == {"G": 6, "Gamma": 9, "combined": 6}
 
 
-def test_early_hit_report_eliminates_its_unclosed_gamma_once(monkeypatch):
+def test_early_hit_report_reads_its_unclosed_gamma_rank_off_cycles(monkeypatch):
+    # the one generator's basis cycles give Gamma's rank: nothing is
+    # eliminated and Gamma stays unclosed
     import dpone.lattice as lattice
 
     calls, real_rank = [], lattice.integer_rank
@@ -452,8 +454,48 @@ def test_early_hit_report_eliminates_its_unclosed_gamma_once(monkeypatch):
     report = gamma_report(gamma)
     assert report.rule == "rational_two_stars"
     assert report.ranks == {"G": 9, "Gamma": 7, "combined": 7}
-    assert calls == [9]  # the nine basis moves of the one generator
+    assert calls == []
     assert "perms" not in vars(gamma)
+
+
+def test_replays_eliminate_their_ranks(monkeypatch):
+    # the replays rank a fresh group by elimination, never by the cycle
+    # sums a one-generator group would take: with those patched to raise
+    # the witnesses still replay, and a wrong elimination refuses them
+    import dpone.lattice as lattice
+
+    carter = [(CANNED[n], check_not_rational_carter(CANNED[n])) for n in ("A2^3", "A2^4")]
+    setup = ActionSetup(group_of(REPS[CarterType3.A2x4], label="G"), TRIVIAL_GROUP)
+    cert = check_minimal_four_stars(setup)
+    assert cert is not None and all(w is not None for _, w in carter)
+
+    def cycle_rank(perm):
+        raise AssertionError("a replay read a rank off basis cycles")
+
+    monkeypatch.setattr(lattice, "_cycle_rank", cycle_rank)
+    assert all(replay_carter(gamma, w) for gamma, w in carter)
+    assert replay_minimality(setup, cert)
+    monkeypatch.setattr(lattice, "integer_rank", lambda rows: 0)  # rank 9
+    assert not any(replay_carter(gamma, w) for gamma, w in carter)
+    assert not replay_minimality(setup, cert)
+
+
+def test_order3_rules_type_their_elements_once(monkeypatch):
+    # the Carter and stars rules both miss on <(1 2 3) b>, whose two
+    # order-3 elements are typed once, for the Carter rule
+    import dpone.weyl as weyl
+
+    calls, real_types = [], weyl.carter_types
+
+    def carter_types(perms):
+        calls.append(len(perms))
+        return real_types(perms)
+
+    monkeypatch.setattr(weyl, "carter_types", carter_types)
+    gamma = group_of(s8_action("(1 2 3)") @ bertini_isometry())
+    assert gamma_report(gamma).rule == "not_rational_even"
+    assert calls == [2]
+    assert check_not_rational_stars(gamma) is None and calls == [2]
 
 
 def test_replay_minimality_recomputes_the_rank(monkeypatch):

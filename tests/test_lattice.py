@@ -1,7 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
-from dpone.curves import bertini_isometry
+from dpone.curves import bertini_isometry, curve_table
 from dpone.lattice import (
     CANONICAL_CLASS,
     FORM_DIAG,
@@ -11,6 +13,7 @@ from dpone.lattice import (
     LatticeIsometry,
     cycles_string,
     divisor,
+    eliminated_group,
     exceptional,
     fixed_rank,
     group_closure,
@@ -25,7 +28,7 @@ from dpone.lattice import (
     simple_roots,
     solve_norm,
 )
-from dpone.weyl import reflection
+from dpone.weyl import reflection, reflection_permutation
 
 
 def test_pairing_diagonal_form():
@@ -313,6 +316,72 @@ def test_trace_rank_rejects_rows_that_are_not_a_group():
     # the identity and (1 2 3) have traces 9 and 6, and 15 is odd
     vars(g)["perms"] = np.stack([np.arange(240, dtype=np.int16), g.generator_perms[0]])
     with pytest.raises(CheckViolation, match="not a group"):
+        fixed_rank(g)
+
+
+def route_ranks(m: LatticeIsometry) -> tuple[int, int, int, int]:
+    """The fixed rank of <m> by each route: the cycle sums of a fresh
+    group, the average trace of a closed one, elimination on the basis
+    moves and the (m - I) matrix rows."""
+    cyclic, closed = GroupSpec((m,)), GroupSpec((m,))
+    closed.perms
+    ranks = (
+        fixed_rank(cyclic),
+        fixed_rank(closed),
+        fixed_rank(eliminated_group((m,))),
+        matrix_fixed_rank((m,)),
+    )
+    assert "perms" not in vars(cyclic)  # no group is closed for its rank
+    return ranks
+
+
+@pytest.mark.parametrize("name", CLOSABLE_PARABOLICS)
+def test_cycle_rank_matches_every_route_on_parabolic_elements(name):
+    indices, order, _ = CLOSABLE_PARABOLICS[name]
+    gens = tuple(reflection(simple_roots()[i]) for i in indices)
+    rows = GroupSpec(gens).perms
+    assert len(rows) == order
+    for row in rows:
+        m = curve_table().isometry_of(row)
+        assert len(set(route_ranks(m))) == 1, m
+
+
+def test_cycle_rank_matches_every_route_on_random_words():
+    # 300 seeded words in the simple reflections, every other one times
+    # the Bertini involution, of lengths 1..60
+    t = curve_table()
+    simple = [reflection_permutation(r) for r in simple_roots()]
+    b = t.permutation_of(bertini_isometry())
+    rng = random.Random(28)
+    ranks = set()
+    for k in range(300):
+        perm = np.arange(240, dtype=np.int16)
+        for _ in range(rng.randint(1, 60)):
+            perm = perm[rng.choice(simple)]
+        m = t.isometry_of(perm[b] if k % 2 else perm)
+        routes = route_ranks(m)
+        assert len(set(routes)) == 1, m
+        ranks.add(routes[0])
+    assert ranks == set(range(1, 10))  # every rank occurs
+
+
+def test_cycle_rank_rejects_forged_rows():
+    t = curve_table()
+    e1, e2, q123 = (t.id_of_name(n) for n in ("E1", "E2", "Q123"))
+    g = GroupSpec((permutation_isometry(parse_cycles("(1 2 3)")),))
+    # E1 -> E2 -> E2: not a permutation, so the walk from E1 never returns
+    row = np.arange(240, dtype=np.int16)
+    row[e1] = e2
+    vars(g)["generator_perms"] = row[None]
+    with pytest.raises(ValueError, match="exceeds cap"):
+        fixed_rank(g)
+    # swapping E1 and Q123 is a permutation but no isometry: its basis
+    # cycles give 2 * 7 (E2..E8) + 2 * 1 (L12) + (1 + 2) = 19, which is odd
+    g = GroupSpec((permutation_isometry(parse_cycles("(1 2 3)")),))
+    row = np.arange(240, dtype=np.int16)
+    row[[e1, q123]] = q123, e1
+    vars(g)["generator_perms"] = row[None]
+    with pytest.raises(CheckViolation, match="not a multiple of the order 2"):
         fixed_rank(g)
 
 

@@ -35,6 +35,7 @@ from dpone.curves import bertini_isometry, curve_table
 from dpone.lattice import (
     GroupSpec,
     LatticeIsometry,
+    eliminated_group,
     fixed_rank,
     is_isometry,
     permutation_isometry,
@@ -161,12 +162,15 @@ def coxeter_power_report():
 
 
 def test_trace_rank_matches_elimination_on_every_group():
-    """A closed group's rank, read off its closure, against the matrix rows
-    and the moves of its generators, each eliminated."""
+    """A closed group's rank, read off its closure, against the cycle sums
+    of an unclosed one, and the matrix rows and the moves of its
+    generators, each eliminated."""
     for gens in [gamma.generators for gamma in family()] + [(coxeter_power(),)]:
         closed, unclosed = GroupSpec(gens), GroupSpec(gens)
         closed.perms
-        assert fixed_rank(closed) == matrix_fixed_rank(gens) == fixed_rank(unclosed), gens
+        rank = fixed_rank(closed)
+        assert rank == matrix_fixed_rank(gens) == fixed_rank(unclosed), gens
+        assert rank == fixed_rank(eliminated_group(gens)), gens
         assert "perms" not in vars(unclosed)
 
 
