@@ -4,51 +4,40 @@ Element inputs (-e, -g, -gamma) take a file path or inline text in any of
 the three formats of the weyl module: cycle notation "(1 2 3)(4 5 6)",
 a reflection word "s 1 2 1", or nine rows of nine integers.  Group files
 may contain several elements separated by blank lines; # starts a
-comment.  A file is read up to MAX_INPUT_CHARS characters.
+comment.  A file is read up to MAX_INPUT_CHARS characters, and a group
+file's blocks one at a time, up to the cap on the group's closure.
 
 Each subcommand returns its JSON document and its text lines, and main
 alone writes one of them to stdout.  Exit codes: 0 ok, 1 check failed,
 2 usage error, 141 stdout closed before the output was written.
+
+A subcommand imports only what it runs: `stars` by list-stars, census
+and report; `criteria` by report; the lemma suite, `lemmas`, by
+verify-lemma alone; `json` only to write a JSON document.  A process
+that writes no bytecode cache compiles each module it imports, so a
+module left out saves its compile time too.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import chain
 
-from .curves import FAMILIES, curve_table
+from .curves import curve_table
 from .lattice import (
     CLOSURE_CAP,
     CheckViolation,
     GroupSpec,
     LatticeIsometry,
-    TRIVIAL_GROUP,
+    cap_exceeded,
     cycles_string,
-    eliminated_group,
     fixed_rank,
     permutation_of_isometry,
     permutation_orders,
-    solve_norm,
 )
-from .weyl import (
-    CarterType3,
-    carter_type_order3,
-    carter_types,
-    element_order,
-    enumerate_roots,
-    parse_element,
-    representative_order3,
-)
-
-# `stars` and `criteria` are imported where used: by list-stars, census,
-# report and every lemma but DP1lines and A2A22
-
-
-class CheckFailure(CheckViolation):
-    """A lemma check found a counterexample."""
+from .weyl import carter_types, enumerate_roots, parse_element
 
 
 MAX_INPUT_CHARS = 1 << 20  # a 9x9 matrix takes about 250
@@ -91,14 +80,23 @@ def load_group(value: str | None, label: str, cap: int) -> GroupSpec:
 
     No value, or no element in it, gives the trivial group.  A repeated
     block is parsed once.  ``cap`` bounds the group's closure, and is
-    checked even for the trivial group.
+    checked even for the trivial group.  The blocks are parsed one at a
+    time, and reading stops with the closure's own error once the
+    distinct elements, with the identity, outnumber ``cap``: they all lie
+    in the group, so its closure would fail.  A cap below 1 is refused
+    after the last block, as GroupSpec refuses it.
     """
     if value is None:
         return GroupSpec((), label, cap)
     text = _strip_comments(_read_source(value))
-    blocks = dict.fromkeys(b.strip() for b in text.split("\n\n"))
-    generators = tuple(_parse(b, value) for b in blocks if b)
-    return GroupSpec(generators, label, cap)
+    generators, distinct = [], {LatticeIsometry.identity()}
+    for block in dict.fromkeys(b.strip() for b in text.split("\n\n")):
+        if block:
+            generators.append(_parse(block, value))
+            distinct.add(generators[-1])
+            if 1 <= cap < len(distinct):
+                raise cap_exceeded(label, cap)
+    return GroupSpec(tuple(generators), label, cap)
 
 
 def element_text(m: LatticeIsometry) -> str:
@@ -189,23 +187,12 @@ def cmd_classify_element(args):
     return 0, doc, [line]
 
 
-def _split_stars(g) -> tuple[list, list]:
-    """The invariant stars of g: those it fixes pointwise, those it rotates."""
-    from .stars import ActionKind, invariant_stars
-
-    actions = invariant_stars(g)
-    return tuple(
-        [a.star for a in actions if a.kind is kind]
-        for kind in (ActionKind.TRIVIAL, ActionKind.FAITHFUL)
-    )
-
-
 def cmd_census(args):
-    from .stars import invariant_curves, pair_counts, star_text
+    from .stars import invariant_curves, pair_counts, split_invariant_stars, star_text
 
     m = GroupSpec((load_element(args.element),))  # permuted once for both scans
     inv = invariant_curves(m)
-    trivial, faithful = _split_stars(m)
+    trivial, faithful = split_invariant_stars(m)
     doc = {
         "invariant_curves": [curve_table().curve(i).name for i in inv],
         "trivial_stars": [star_text(s) for s in trivial],
@@ -230,216 +217,9 @@ def cmd_report(args):
     return 0, verdict_to_dict(rationality_report(ActionSetup(g, gamma))), None
 
 
-# ---------------------------------------------------------------------------
-# lemma suite
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise CheckFailure(message)
-
-
-def _lemma_dp1lines() -> list[str]:
-    curves = curve_table().curves
-    _require(len(curves) == 240, f"expected 240 curves, got {len(curves)}")
-    sizes = [sum(1 for c in curves if c.family == fam) for fam in FAMILIES]
-    _require(
-        sizes == [8, 28, 56, 56, 56, 28, 8],
-        f"family sizes {sizes}",
-    )
-    solved = solve_norm(-1, -1)
-    _require(
-        solved == sorted(c.divisor for c in curves),
-        "independent solver disagrees with the closed forms",
-    )
-    return ["240 curves; families 8/28/56/56/56/28/8; OK"]
-
-
-def _lemma_a2a22() -> list[str]:
-    out = []
-    for ctype, expected_rank in ((CarterType3.A2, 7), (CarterType3.A2x2, 5)):
-        m = representative_order3(ctype)
-        order, rank = element_order(m), fixed_rank(m)
-        _require(order == 3, f"{ctype.display} representative has order {order}")
-        _require(rank == expected_rank, f"{ctype.display} fixed rank {rank}")
-        _require(carter_type_order3(m) is ctype, f"{ctype.display} misclassified")
-        out.append(f"{ctype.display}: order 3, rank {rank}")
-    out.append("OK")
-    return out
-
-
-def _lemma_davidinv() -> list[str]:
-    from .stars import invariant_curves, profile
-
-    out = []
-    expected = {
-        CarterType3.A2: (72, 1),
-        CarterType3.A2x2: (12, 2),
-        CarterType3.A2x3: (6, 12),
-        CarterType3.A2x4: (0, 40),
-    }
-    for ctype, (n_inv, n_faithful) in expected.items():
-        m = representative_order3(ctype)
-        inv = invariant_curves(m)
-        _, faithful = _split_stars(m)
-        _require(
-            len(inv) == n_inv,
-            f"{ctype.display}: {len(inv)} invariant curves, expected {n_inv}",
-        )
-        _require(
-            len(faithful) == n_faithful,
-            f"{ctype.display}: {len(faithful)} faithful stars, expected {n_faithful}",
-        )
-        out.append(
-            f"{ctype.display}: invariant curves {len(inv)}, faithful stars {len(faithful)}"
-        )
-    # the A2 representative: every invariant curve meets its faithful star all-ones
-    m = representative_order3(CarterType3.A2)
-    faithful = _split_stars(m)[1][0]
-    for c in invariant_curves(m):
-        _require(
-            profile(c, faithful) is None,
-            f"invariant curve {curve_table().curve(c).name} touches the star",
-        )
-    out.append("OK")
-    return out
-
-
-def _count_lines(census, total: int, what: str, note: str = "") -> list[str]:
-    """The census's count line, once its counts add up to total."""
-    _require(sum(census.values()) == total, f"census misses some of the {total} {what}")
-    counts = ", ".join(f"{count} {kind}" for kind, count in census.items())
-    return [f"{total} {what}: {counts}{note}", "OK"]
-
-
-def _lemma_davidintersection() -> list[str]:
-    from .stars import intersection_profile_census, star_table
-
-    outside = len(star_table().ids_array) * (240 - 6)
-    return _count_lines(
-        intersection_profile_census(), outside, "outside (curve, star) pairs"
-    )
-
-
-def _lemma_2daviddef() -> list[str]:
-    from .stars import star_table, trichotomy_census
-
-    n = len(star_table().ids_array)
-    return _count_lines(
-        trichotomy_census(), n * (n - 1) // 2, "star pairs", " (share a Bertini pair)"
-    )
-
-
-def _lemma_davidauto() -> list[str]:
-    from .stars import (
-        PairType, sample_pairs_by_type, star_graph_automorphisms, star_table,
-    )
-
-    expected = {
-        PairType.ASYNCHRONIZED: 288,
-        PairType.SYNCHRONIZED: 24,
-        PairType.ABNORMAL: 16,
-    }
-    out = []
-    for s in star_table().stars[:10]:
-        n = star_graph_automorphisms([s])
-        _require(n == 12, f"single star automorphisms {n} != 12")
-    out.append("single star: 12")
-    samples = sample_pairs_by_type(10)
-    for ptype, pairs in samples.items():
-        for sa, sb in pairs:
-            n = star_graph_automorphisms([sa, sb])
-            _require(
-                n == expected[ptype],
-                f"{ptype.value} pair automorphisms {n} != {expected[ptype]}",
-            )
-        out.append(f"{ptype.value} pairs ({len(pairs)} sampled): {expected[ptype]}")
-    out.append("OK")
-    return out
-
-
-def _lemma_davidmin() -> list[str]:
-    from .criteria import ActionSetup, check_minimal_four_stars
-
-    g = representative_order3(CarterType3.A2x4)
-    setup = ActionSetup(GroupSpec((g,), "G"), TRIVIAL_GROUP)
-    cert = check_minimal_four_stars(setup)
-    _require(cert is not None, "no four-star certificate for the A2^4 element")
-    _require(cert.combined_rank == 1, f"combined rank {cert.combined_rank}")
-    return [f"four-star certificate, combined rank {cert.combined_rank}", "OK"]
-
-
-def _lemma_davidmin_pair(ctype: CarterType3, rotations: str) -> list[str]:
-    from .criteria import ActionSetup, check_minimal_four_stars, search_commuting_order3
-
-    g = representative_order3(ctype)
-    h = search_commuting_order3(g, _split_stars(g)[0])
-    setup = ActionSetup(GroupSpec((g, h), "G"), TRIVIAL_GROUP)
-    cert = check_minimal_four_stars(setup)
-    _require(cert is not None, f"no certificate for the {ctype.display} pair")
-    # the certificate's rank is the closure's average trace; this one is
-    # eliminated on the generators of a fresh group
-    rank = fixed_rank(eliminated_group(setup.combined.generators))
-    _require(rank == 1, f"direct rank {rank}")
-    return [
-        f"{ctype.display} with commuting {rotations}: rank {rank}, certificate found",
-        "OK",
-    ]
-
-
-def _lemma_ratcor() -> list[str]:
-    from .criteria import Verdict, Witness, gamma_report, replay_triple
-    from .stars import PairType, sample_pairs_by_type
-
-    out = []
-    expected = {
-        "trivial": (TRIVIAL_GROUP, Verdict.RATIONAL),
-        "A2": (GroupSpec((representative_order3(CarterType3.A2),)), Verdict.RATIONAL),
-        "A2^2": (GroupSpec((representative_order3(CarterType3.A2x2),)), Verdict.RATIONAL),
-        "A2^3": (GroupSpec((representative_order3(CarterType3.A2x3),)), Verdict.NOT_RATIONAL),
-        "A2^4": (GroupSpec((representative_order3(CarterType3.A2x4),)), Verdict.NOT_RATIONAL),
-    }
-    for name, (gamma, want) in expected.items():
-        report = gamma_report(gamma)
-        _require(
-            report.verdict is want,
-            f"{name}: verdict {report.verdict.value}, expected {want.value}",
-        )
-        out.append(f"{name}: {report.verdict.value} via {report.rule}")
-        if report.rule == "rational_two_stars":
-            a, b = report.witness.stars
-            triple = Witness(curves=(a[0], b[0], a[1]))
-            _require(
-                replay_triple(gamma, triple),
-                f"{name}: two-stars witness gives no triple",
-            )
-    # any asynchronized pair contains a qualifying triple
-    for sa, sb in sample_pairs_by_type(25)[PairType.ASYNCHRONIZED]:
-        a, b, c = sa[0], sb[0], sa[1]
-        p = curve_table().pairing_array
-        _require(
-            p[a, b] == 1 and p[b, c] == 1 and p[a, c] == 0,
-            "asynchronized pair without an adjacent-plus-cross triple",
-        )
-    out.append("every sampled asynchronized pair yields a triple")
-    out.append("OK")
-    return out
-
-
-LEMMAS = {
-    "DP1lines": _lemma_dp1lines,
-    "A2A22": _lemma_a2a22,
-    "Davidinv": _lemma_davidinv,
-    "Davidintersection": _lemma_davidintersection,
-    "2Daviddef": _lemma_2daviddef,
-    "Davidauto": _lemma_davidauto,
-    "Davidmin": _lemma_davidmin,
-    "Davidmin1": lambda: _lemma_davidmin_pair(CarterType3.A2x3, "rotation"),
-    "Davidmin2": lambda: _lemma_davidmin_pair(CarterType3.A2x2, "rotations"),
-    "RatCor-consistency": _lemma_ratcor,
-}
-
-
 def cmd_verify_lemma(args):
+    from .lemmas import LEMMAS
+
     checker = LEMMAS.get(args.name)
     if checker is None:
         raise ValueError(
@@ -483,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-e", "--element", required=True, help="element file or inline")
 
     p = command("verify-lemma", cmd_verify_lemma, "replay a named check")
-    p.add_argument("name", help=", ".join(sorted(LEMMAS)))
+    p.add_argument("name", help="the check's name; any other name lists them")
 
     p = command("report", cmd_report, "rationality verdict as JSON")
     p.add_argument("-g", dest="g_group", default=None, help="G generators file or inline")
@@ -508,6 +288,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         if args.json or lines is None:
+            import json  # the text lines need none of it
+
             print(json.dumps(doc, indent=2))
         else:
             print("\n".join(lines))

@@ -27,7 +27,6 @@ table is shared by the whole process, so its arrays are read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
 
@@ -36,11 +35,10 @@ import numpy as np
 from .lattice import (
     CANONICAL_CLASS,
     FORM_DIAG,
-    LINE,
     RANK,
     DivisorClass,
     LatticeIsometry,
-    exceptional,
+    _frozen,
     parse_cycles,
     permutation_isometry,
 )
@@ -58,12 +56,27 @@ def _packed_keys(coeffs: np.ndarray) -> np.ndarray:
     return coeffs @ _KEY_WEIGHTS + _KEY_OFFSET
 
 
-@dataclass(frozen=True)
 class ExceptionalCurve:
-    id: int
-    divisor: DivisorClass
-    family: str
-    name: str
+    """One of the 240 curves: its id, class, family and name.  Immutable,
+    and equal to a curve with the same four fields."""
+
+    __slots__ = ("id", "divisor", "family", "name")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, id: int, divisor: DivisorClass, family: str, name: str) -> None:
+        for field, value in zip(self.__slots__, (id, divisor, family, name)):
+            object.__setattr__(self, field, value)
+
+    def _fields(self) -> tuple:
+        return (self.id, self.divisor, self.family, self.name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ExceptionalCurve:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def __repr__(self) -> str:
         return f"ExceptionalCurve({self.id}, {self.name})"
@@ -74,46 +87,63 @@ def bertini_class(d: DivisorClass) -> DivisorClass:
     return -2 * CANONICAL_CLASS - d
 
 
-def _family_classes() -> dict[DivisorClass, tuple[str, str]]:
-    """Closed-form generator of the seven families: class -> (family, name)."""
-    out: dict[DivisorClass, tuple[str, str]] = {}
-    e = [None] + [exceptional(i) for i in range(1, 9)]
-    total = sum((e[i] for i in range(2, 9)), e[1])
-    for i in range(1, 9):
-        out[e[i]] = ("E", f"E{i}")
-    for i, j in combinations(range(1, 9), 2):
-        out[LINE - e[i] - e[j]] = ("L2", f"L{i}{j}")
-    for i, j, k in combinations(range(1, 9), 3):
-        out[2 * LINE + e[i] + e[j] + e[k] - total] = ("Q", f"Q{i}{j}{k}")
-    for i, j in permutations(range(1, 9), 2):
-        out[3 * LINE - e[i] + e[j] - total] = ("C", f"C{i}-{j}")
-    for d, (fam, name) in list(out.items()):
-        if fam != "C":
-            out[bertini_class(d)] = ("B" + fam[0], "b" + name)
-    return out
+def _family_rows() -> list[tuple[tuple[int, ...], str, str]]:
+    """The seven families in closed form: (coefficient row, family, name).
+
+    A row is c_L, then the eight E-coefficients: ``rest`` at every index
+    but the ones set.  The Bertini image -2K - D of (c_L; c_i) is
+    (6 - c_L; -2 - c_i), and maps C_i-j to C_j-i.
+    """
+    def row(c_l: int, rest: int, *set_to: tuple[int, int]) -> tuple[int, ...]:
+        e = [rest] * 8
+        for i, c in set_to:
+            e[i - 1] = c
+        return (c_l, *e)
+
+    points = range(1, 9)
+    rows = [(row(0, 0, (i, 1)), "E", f"E{i}") for i in points]
+    rows += [
+        (row(1, 0, (i, -1), (j, -1)), "L2", f"L{i}{j}")
+        for i, j in combinations(points, 2)
+    ]
+    rows += [
+        (row(2, -1, (i, 0), (j, 0), (k, 0)), "Q", f"Q{i}{j}{k}")
+        for i, j, k in combinations(points, 3)
+    ]
+    rows += [
+        ((6 - r[0], *(-2 - c for c in r[1:])), "B" + fam[0], "b" + name)
+        for r, fam, name in rows
+    ]
+    rows += [
+        (row(3, -1, (i, -2), (j, 0)), "C", f"C{i}-{j}")
+        for i, j in permutations(points, 2)
+    ]
+    return rows
 
 
 class CurveTable:
     """Immutable table of the 240 exceptional curves and their pairings."""
 
     def __init__(self) -> None:
-        families = _family_classes()
-        if len(families) != 240:
-            raise AssertionError(f"family generator produced {len(families)} classes")
+        rows = _family_rows()
+        if len(rows) != 240:
+            raise AssertionError(f"family generator produced {len(rows)} classes")
+        # ids follow coefficient order, which is packed-key order, so the
+        # keys sorted are strictly increasing exactly when the classes are
+        # distinct, and a key's position is its curve id
+        coeffs = np.array([r for r, _, _ in rows], dtype=np.int64)
+        keys = _packed_keys(coeffs)
+        order = np.argsort(keys)
+        self._keys = keys[order]
+        if not np.all(np.diff(self._keys) > 0):
+            raise AssertionError("packed curve keys are not strictly increasing")
+        coeff_matrix = self.coeff_array = coeffs[order]
         curves = [
-            ExceptionalCurve(cid, d, *families[d])
-            for cid, d in enumerate(sorted(families))
+            ExceptionalCurve(cid, DivisorClass(r), family, name)
+            for cid, (r, family, name) in enumerate(rows[i] for i in order.tolist())
         ]
         self.curves: tuple[ExceptionalCurve, ...] = tuple(curves)
         self.id_by_name: dict[str, int] = {c.name: c.id for c in curves}
-
-        coeff_matrix = np.array([c.divisor.coeffs for c in curves], dtype=np.int64)
-        self.coeff_array = coeff_matrix
-        # ids follow coefficient order, so the keys are sorted and a key's
-        # position is its curve id
-        self._keys = _packed_keys(coeff_matrix)
-        if not np.all(np.diff(self._keys) > 0):
-            raise AssertionError("packed curve keys are not strictly increasing")
         # E1..E8 and L12, a basis whose images fix an isometry (L = L12 + E1 + E2)
         self.basis_ids = np.array(
             [self.id_by_name[f"E{i}"] for i in range(1, 9)] + [self.id_by_name["L12"]]

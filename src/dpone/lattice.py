@@ -11,8 +11,7 @@ fixing K.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
@@ -29,17 +28,42 @@ class CheckViolation(RuntimeError):
 FORM_DIAG = (1, -1, -1, -1, -1, -1, -1, -1, -1)
 
 
-@dataclass(frozen=True, order=True)
+# The value classes of this module and of `curves` are written out, not
+# made frozen dataclasses: generating a dataclass's methods at import
+# costs every command several milliseconds.  As frozen dataclasses do,
+# they refuse attribute writes and compare and hash by their fields, with
+# objects of their own class only.
+
+def _frozen(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+
+@total_ordering
 class DivisorClass:
-    """An integer divisor class (c_L; c_1, ..., c_8)."""
+    """An integer divisor class (c_L; c_1, ..., c_8), ordered by coefficients."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != RANK:
-            raise ValueError(f"expected {RANK} coefficients, got {len(self.coeffs)}")
-        if not all(isinstance(c, int) for c in self.coeffs):
-            raise ValueError(f"coefficients must be integers: {self.coeffs!r}")
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if len(coeffs) != RANK:
+            raise ValueError(f"expected {RANK} coefficients, got {len(coeffs)}")
+        if not all(isinstance(c, int) for c in coeffs):
+            raise ValueError(f"coefficients must be integers: {coeffs!r}")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DivisorClass:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __lt__(self, other: "DivisorClass") -> bool:
+        if other.__class__ is not DivisorClass:
+            return NotImplemented
+        return self.coeffs < other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -191,23 +215,32 @@ def _is_isometry_matrix(m: Matrix) -> bool:
     return bool((a.T @ _J @ a == _J).all() and (a @ _K_COLUMN == _K_COLUMN).all())
 
 
-@dataclass(frozen=True)
 class LatticeIsometry:
     """A 9x9 integer matrix acting on coefficient column vectors.
 
     Converted and validated once, at construction, as `is_isometry`
     checks: it must preserve the pairing and fix K (which forces
     determinant +-1).  The matrix is the element's text form; groups
-    compute with its curve permutation.
+    compute with its curve permutation.  Immutable, and equal exactly
+    when the matrices are.
     """
 
-    matrix: Matrix
+    __slots__ = ("matrix",)
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        m = _as_matrix(self.matrix)
+    def __init__(self, matrix: Matrix) -> None:
+        m = _as_matrix(matrix)
         object.__setattr__(self, "matrix", m)
         if not _is_isometry_matrix(m):
             raise ValueError("matrix does not preserve the pairing and fix K")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LatticeIsometry:
+            return NotImplemented
+        return self.matrix == other.matrix
+
+    def __hash__(self) -> int:
+        return hash(self.matrix)
 
     @classmethod
     def _unchecked(cls, matrix: Matrix) -> "LatticeIsometry":
@@ -260,7 +293,6 @@ MAX_CAP = 250_000  # about 1 GiB
 ORDER_CAP = 60
 
 
-@dataclass(frozen=True)
 class GroupSpec:
     """A finitely generated group of lattice isometries, closed at most once.
 
@@ -286,19 +318,41 @@ class GroupSpec:
     ``element(i)`` hands out element i as the bytes of its closure row,
     exact, hashable and independent of generator order, and ``index_of``
     finds such bytes, or an isometry's permutation, in the closure; no
-    9x9 matrix is built.
+    9x9 matrix is built.  The fields are immutable, and two groups are
+    equal when their generators, label and cap are.
     """
 
-    generators: tuple[LatticeIsometry, ...]
-    label: str = ""
-    cap: int = CLOSURE_CAP
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(dict.fromkeys(self.generators)))
-        if self.cap < 1:
+    def __init__(
+        self,
+        generators: Iterable[LatticeIsometry],
+        label: str = "",
+        cap: int = CLOSURE_CAP,
+    ) -> None:
+        if cap < 1:
             raise ValueError("cap must be >= 1")
-        if self.cap > MAX_CAP:
+        if cap > MAX_CAP:
             raise ValueError(f"cap must be <= {MAX_CAP}, about 1 GiB of closure")
+        fields = vars(self)  # cached_property fills the same dict
+        fields["generators"] = tuple(dict.fromkeys(generators))
+        fields["label"], fields["cap"] = label, cap
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GroupSpec:
+            return NotImplemented
+        return (self.generators, self.label, self.cap) == (
+            other.generators, other.label, other.cap,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.generators, self.label, self.cap))
+
+    def __repr__(self) -> str:
+        return (
+            f"GroupSpec({len(self.generators)} generators, "
+            f"label={self.label!r}, cap={self.cap})"
+        )
 
     @cached_property
     def generator_perms(self) -> np.ndarray:
@@ -515,6 +569,12 @@ def fixed_rank(g: GroupLike) -> int:
     return _group_of(g)._fixed_rank
 
 
+def cap_exceeded(label: str, cap: int) -> ValueError:
+    """The error of a closure of the group named label past cap elements."""
+    name = f"group {label}" if label else "group"
+    return ValueError(f"{name} closure exceeds cap {cap}")
+
+
 def group_closure(g: GroupSpec) -> np.ndarray:
     """Curve permutations of all distinct products of the generators.
 
@@ -547,8 +607,7 @@ def group_closure(g: GroupSpec) -> np.ndarray:
             key = keys[width * i : width * (i + 1)]
             if key not in seen:
                 if len(seen) >= g.cap:
-                    name = f"group {g.label}" if g.label else "group"
-                    raise ValueError(f"{name} closure exceeds cap {g.cap}")
+                    raise cap_exceeded(g.label, g.cap)
                 seen.add(key)
                 rows.append(current[gen])
     return np.stack(rows)

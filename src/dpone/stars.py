@@ -29,10 +29,12 @@ replays.  The censuses use `pair_codes`, which looks each cross-pairing
 matrix up, as one base-3 key, among the precomputed keys of every
 relabeled pattern.  Stars with overlapping supports share exactly one
 Bertini pair and fit no pattern; `classify_pair` refuses them and
-`pair_codes` gives them their own code.  The decision rules ask only
+`pair_codes` gives them their own code.  The census of all 1120 stars
+runs `pair_codes` on star 0 alone and proves, by `star_orbit`, that the
+Weyl group moves star 0 to every star.  The decision rules ask only
 whether pairs are asynchronized, and `asynchronized` answers that by
-counting cross pairings equal to 1; the table's ``partners`` holds its
-answer for every star.
+counting cross pairings equal to 1 (`cross_ones`); the table's
+``partners`` holds its answer for every star.
 
 The star table itself is built with array operations on the curve
 table; `star_through` is the one-star construction it vectorizes.
@@ -55,7 +57,9 @@ from .lattice import (
     DivisorClass,
     GroupLike,
     _group_of,
+    simple_roots,
 )
+from .weyl import reflection_permutation
 
 
 def _circulant(row) -> np.ndarray:
@@ -330,6 +334,8 @@ def classify_pair(a: tuple[int, ...], b: tuple[int, ...]) -> PairClassification:
 PAIR_TYPES = tuple(PairType)
 # pair code of stars whose supports meet; code i < OVERLAPPING is PAIR_TYPES[i]
 OVERLAPPING = len(PAIR_TYPES)
+# the census keys, in pair-code order
+PAIR_KINDS = tuple(p.value for p in PAIR_TYPES) + ("overlapping",)
 _CELL_WEIGHTS = 3 ** np.arange(36, dtype=np.int64)
 
 
@@ -391,20 +397,28 @@ def pair_codes(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
     return codes
 
 
+def cross_ones(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """How many cross pairings of a star, or of each star of a block, with
+    each row of rest equal 1.
+
+    a is six curve ids, giving (m,) counts against the (m, 6) rest, or a
+    (b, 6) block of stars, giving (b, m) counts.  The counts, at most 6 per
+    curve and 36 per pair, are summed in int8, slot-first: ``rest.T``
+    gathers (6, m) counts, reduced over their short first axis.
+    """
+    ones = (curve_table().pairing_array[a] == 1).sum(axis=-2, dtype=np.int8)
+    return ones[..., rest.T].sum(axis=-2, dtype=np.int8)
+
+
 def asynchronized(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
     """Whether a star, or each star of a block, is asynchronized with each row of rest.
 
-    a is six curve ids, giving an (m,) mask against the (m, 6) rest, or a
-    (b, 6) block of stars, giving a (b, m) mask.  A pair is asynchronized
-    exactly when all 36 of its cross pairings are 1.  That pattern is the
-    same under every relabeling, so none is tried, and a shared curve
-    pairs -1 with itself, so overlapping pairs fail the test.  Unlike
-    `pair_codes`, nothing else about the pairs is checked.  The counts,
-    at most 6 per curve and 36 per pair, are summed in int8, slot-first:
-    ``rest.T`` gathers (6, m) counts, reduced over their short first axis.
+    A pair is asynchronized exactly when all 36 of its `cross_ones` are 1.
+    That pattern is the same under every relabeling, so none is tried, and
+    a shared curve pairs -1 with itself, so overlapping pairs fail the
+    test.  Unlike `pair_codes`, nothing else about the pairs is checked.
     """
-    ones = (curve_table().pairing_array[a] == 1).sum(axis=-2, dtype=np.int8)
-    return ones[..., rest.T].sum(axis=-2, dtype=np.int8) == 36
+    return cross_ones(a, rest) == 36
 
 
 def pair_counts(ids) -> dict[str, int]:
@@ -417,8 +431,7 @@ def pair_counts(ids) -> dict[str, int]:
     counts = np.zeros(OVERLAPPING + 1, dtype=np.int64)
     for a in range(len(ids) - 1):
         counts += np.bincount(pair_codes(ids[a], ids[a + 1 :]), minlength=len(counts))
-    kinds = [p.value for p in PAIR_TYPES] + ["overlapping"]
-    return dict(zip(kinds, counts.tolist()))
+    return dict(zip(PAIR_KINDS, counts.tolist()))
 
 
 def sample_pairs_by_type(per_type: int) -> dict[PairType, list]:
@@ -534,6 +547,15 @@ def invariant_stars(g: GroupLike) -> tuple[StarAction, ...]:
     )
 
 
+def split_invariant_stars(g: GroupLike) -> tuple[list, list]:
+    """The invariant stars of g: those it fixes pointwise, those it rotates."""
+    actions = invariant_stars(g)
+    return tuple(
+        [a.star for a in actions if a.kind is kind]
+        for kind in (ActionKind.TRIVIAL, ActionKind.FAITHFUL)
+    )
+
+
 def star_plane(star: tuple[int, ...]) -> tuple[DivisorClass, DivisorClass]:
     """Two roots spanning the A2 plane of a star.
 
@@ -579,15 +601,67 @@ def star_graph_automorphisms(stars) -> int:
 
 # Both censuses are cached and shared, so they return read-only mappings.
 
+# the cross pairings equal to 1 of a pair of each code, in pair-code order:
+# asynchronized, synchronized, abnormal, overlapping
+CODE_ONES = (36, 12, 20, 8)
+
+
+def star_orbit(perms: np.ndarray) -> np.ndarray:
+    """Mask of the stars in the orbit of star 0 under the group that the
+    rows of perms, curve permutations of isometries, generate.
+
+    Breadth-first over star ids: the image of a star is the ``edge_star``
+    row through the images of its first edge, since an isometry keeps the
+    edge's curves disjoint neighbors.  Raises TrichotomyViolation when an
+    image edge's curves meet, which no isometry's permutation does.
+    """
+    table = star_table()
+    first, second = table.ids_array[:, 0], table.ids_array[:, 1]
+    seen = np.zeros(len(first), dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        images = table.edge_star[perms[:, first[frontier]], perms[:, second[frontier]]]
+        if images.min() < 0:
+            raise TrichotomyViolation("a permutation maps a star edge to curves that meet")
+        frontier = np.unique(images[~seen[images]])
+        seen[frontier] = True
+    return seen
+
+
 @cache
 def trichotomy_census() -> Mapping[str, int]:
-    """pair_counts of every unordered pair of the 1120 stars.
+    """pair_counts of every unordered pair of the 1120 stars, proved on one orbit.
 
-    Pairs with overlapping supports are checked to share exactly one
-    Bertini pair; all others are required to match exactly one pattern
-    up to relabeling.  Any exception raises.
+    W(E8) preserves pairings and acts transitively on the stars, so every
+    star meets the other 1119 as star 0 does, and the census is 1120 times
+    star 0's counts over 2.  Star 0's 1119 pairs run through `pair_codes`,
+    which raises on any trichotomy failure, and the same call proves the
+    transitivity: the simple reflections move star 0 to every star
+    (`star_orbit`).  A second route cross-checks the totals: the kind of
+    each of the 626,640 pairs is read off its number of `cross_ones`
+    (CODE_ONES), in blocks of 56 stars against all, with no 1120 x 1120
+    array.  Raises TrichotomyViolation when the orbit is not all stars or
+    the two routes disagree.
     """
-    return MappingProxyType(pair_counts(star_table().ids_array))
+    ids = star_table().ids_array
+    n = len(ids)
+    row = np.bincount(pair_codes(ids[0], ids[1:]), minlength=OVERLAPPING + 1)
+    counts = n * row // 2
+    reflections = np.array([reflection_permutation(r) for r in simple_roots()])
+    if not star_orbit(reflections).all():
+        raise TrichotomyViolation("the simple reflections do not move star 0 to every star")
+    ones = np.zeros(37, dtype=np.int64)
+    for lo in range(0, n, 56):  # a (56, 6, 1120) int8 gather, 376 KB
+        ones += np.bincount(cross_ones(ids[lo : lo + 56], ids).ravel(), minlength=37)
+    # each unordered pair is counted twice; a star against itself has no
+    # cross pairing 1, and a pair of no kind would also land outside
+    # CODE_ONES and break the equality
+    if ones[list(CODE_ONES)].tolist() != (2 * counts).tolist():
+        raise TrichotomyViolation(
+            "the census of cross pairings equal to 1 disagrees with star 0's orbit"
+        )
+    return MappingProxyType(dict(zip(PAIR_KINDS, counts.tolist())))
 
 
 @cache

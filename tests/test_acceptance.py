@@ -53,6 +53,7 @@ from dpone.stars import (
     trichotomy_census,
 )
 from dpone.weyl import CarterType3, representative_order3
+from oracles import all_pairs_census
 
 REPS = {c: representative_order3(c) for c in CarterType3}
 
@@ -218,6 +219,8 @@ def test_criterion_06_trichotomy(capsys):
         assert (census["asynchronized"], census["synchronized"], census["abnormal"]) == (
             67200, 151200, 362880,
         )
+        # the orbit count equals the sweep of pair_codes over every pair
+        assert census == all_pairs_census()
         a = star_through("E7", "E8")
         b = star_through("L78", "Q123")
         assert classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
@@ -225,7 +228,8 @@ def test_criterion_06_trichotomy(capsys):
             "626640 pairs: 581280 with disjoint supports classify uniquely "
             "(67200 async / 151200 sync / 362880 abnormal, zero multi- or "
             "non-matches); the other 45360 share exactly one Bertini pair "
-            "and fall outside the pattern trichotomy (documented deviation)"
+            "and fall outside the pattern trichotomy (documented deviation); "
+            "star 0's orbit count equals the all-pairs sweep"
         )
 
 

@@ -289,7 +289,7 @@ import contextlib, io, sys
 import dpone.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = dpone.cli.main(sys.argv[1:])
-loaded = ("dpone.stars", "dpone.criteria", "jsonschema")
+loaded = ("dpone.stars", "dpone.criteria", "dpone.lemmas", "json", "jsonschema")
 print(code, *(m for m in loaded if m in sys.modules))
 """
 
@@ -310,19 +310,25 @@ def fresh_python(code: str, *argv: str) -> str:
 def test_cli_import_leaves_out_jsonschema():
     code = "import sys, dpone.cli; print('jsonschema' in sys.modules)"
     assert fresh_python(code) == "False"
-    # the cheap commands load neither the star layer nor the rules
-    for argv, exit_code in (
-        (["list-curves"], 0),
-        (["--json", "list-roots"], 0),
-        (["classify-element", "-e", "(1 2 3)"], 0),
-        (["verify-lemma", "A2A22"], 0),
-        (["verify-lemma", "DP1lines"], 0),
-        (["classify-element", "-e", "(1 9)"], 2),
+    # the cheap commands load neither the star layer, nor the rules, nor
+    # the lemma suite, which only verify-lemma loads; json is loaded only
+    # to write a JSON document
+    for argv, loaded in (
+        (["list-curves"], "0"),
+        (["--json", "list-roots"], "0 json"),
+        (["classify-element", "-e", "(1 2 3)"], "0"),
+        (["classify-element", "-e", "(1 9)"], "2"),
+        (["classify-element", "-e", "s 1 9"], "2"),
+        (["verify-lemma", "A2A22"], "0 dpone.lemmas"),
+        (["verify-lemma", "DP1lines"], "0 dpone.lemmas"),
+        (["verify-lemma", "NoSuchLemma"], "2 dpone.lemmas"),
+        # so that the checks above cannot pass for want of a working
+        # probe; report, refused or not, loads the rules but not the
+        # lemma suite
+        (["report", "-gamma", "(1 2 3)"], "0 dpone.stars dpone.criteria json"),
+        (["report", "-g", "(1 2)", "-gamma", "(1 3)"], "2 dpone.stars dpone.criteria"),
     ):
-        assert fresh_python(LOADED_AFTER_MAIN, *argv) == str(exit_code), argv
-    # so that the check above cannot pass for want of a working probe
-    loaded = fresh_python(LOADED_AFTER_MAIN, "report", "-gamma", "(1 2 3)")
-    assert loaded == "0 dpone.stars dpone.criteria"
+        assert fresh_python(LOADED_AFTER_MAIN, *argv) == loaded, argv
     # a bare `import dpone` loads no submodule, yet every export resolves,
     # and no name is exported that the list above leaves out
     assert sorted(dpone.__all__) == sorted(PACKAGE_EXPORTS)
@@ -519,12 +525,12 @@ def test_verify_lemma_unknown(capsys):
 
 
 def test_failed_lemma_exits_1(capsys, monkeypatch):
-    import dpone.cli as cli
+    import dpone.lemmas as lemmas
 
     def failing():
-        raise cli.CheckFailure("planted counterexample")
+        raise lemmas.CheckFailure("planted counterexample")
 
-    monkeypatch.setitem(cli.LEMMAS, "A2A22", failing)
+    monkeypatch.setitem(lemmas.LEMMAS, "A2A22", failing)
     code, out, _ = run(capsys, "verify-lemma", "A2A22")
     assert code == 1
     assert out == "FAIL: planted counterexample\n"
@@ -662,6 +668,37 @@ def test_cap_exceeded_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "cap 5" in err
+
+
+@pytest.mark.parametrize("identity", [False, True], ids=["plain", "identity"])
+def test_group_file_is_read_up_to_the_cap(capsys, monkeypatch, tmp_path, identity):
+    import dpone.cli as cli
+
+    parsed = []
+    real = cli.parse_element
+    monkeypatch.setattr(cli, "parse_element", lambda text: parsed.append(text) or real(text))
+    # k = 3 distinct elements, (2 1) repeating (1 2) as a new block, and a
+    # bad block that only a full read reaches
+    k, head = 3, ["id"] if identity else []
+    path = tmp_path / "gamma.txt"
+    path.write_text("\n\n".join(head + ["(1 2)", "(1 3)", "(1 4)", "(2 1)", "(1 9)"]))
+
+    # cap k: the k elements and the identity outnumber it at the k-th element
+    with pytest.raises(ValueError, match="^group Gamma closure exceeds cap 3$"):
+        cli.load_group(str(path), "Gamma", k)
+    assert len(parsed) == len(head) + k
+    code, out, err = run(capsys, "--cap", str(k), "report", "-gamma", str(path))
+    assert (code, out, err) == (2, "", "error: group Gamma closure exceeds cap 3\n")
+
+    # cap k + 1: every block is read, and the closure, of S4, then fails the
+    # same way
+    path.write_text(path.read_text().rsplit("\n\n", 1)[0])
+    parsed.clear()
+    g = cli.load_group(str(path), "Gamma", k + 1)
+    assert len(parsed) == len(head) + k + 1
+    assert len(g.generators) == len(head) + k
+    with pytest.raises(ValueError, match="^group Gamma closure exceeds cap 4$"):
+        g.perms
 
 
 def test_non_isometry_matrix_exits_2(capsys, tmp_path):

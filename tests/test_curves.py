@@ -13,6 +13,7 @@ from dpone.lattice import (
     solve_norm,
 )
 from dpone.stars import is_star
+from oracles import divisor_family_classes
 
 FAMILY_SIZES = {"E": 8, "L2": 28, "Q": 56, "C": 56, "BQ": 56, "BL": 28, "BE": 8}
 
@@ -39,6 +40,18 @@ def test_independent_solver_agrees():
     solved = solve_norm(-1, -1)
     assert len(solved) == 240
     assert sorted(solved) == sorted(c.divisor for c in curve_table().curves)
+
+
+def test_table_matches_divisor_family_generator():
+    # the integer closed forms give every id, name, family and coefficient
+    # row that DivisorClass arithmetic gives
+    t = curve_table()
+    families = divisor_family_classes()
+    assert [(c.id, c.divisor, c.family, c.name) for c in t.curves] == [
+        (cid, d, *families[d]) for cid, d in enumerate(sorted(families))
+    ]
+    assert t.coeff_array.tolist() == [list(d.coeffs) for d in sorted(families)]
+    assert all(type(x) is int for c in t.curves for x in c.divisor.coeffs)
 
 
 def test_ids_are_dense_and_sorted():

@@ -34,6 +34,7 @@ from dpone.stars import (
     sample_pairs_by_type,
     star_graph_automorphisms,
     star_id,
+    star_orbit,
     star_plane,
     star_table,
     star_text,
@@ -41,6 +42,7 @@ from dpone.stars import (
     trichotomy_census,
 )
 from dpone.weyl import CarterType3, reflection_permutation, representative_order3
+from oracles import all_pairs_census
 
 
 def star_of_names(*names):
@@ -325,6 +327,45 @@ def test_trichotomy_census_totals():
         census["asynchronized"] + census["synchronized"] + census["abnormal"]
         == 1120 * 1119 // 2 - census["overlapping"]
     )
+
+
+def test_census_equals_all_pairs_sweep():
+    assert trichotomy_census() == all_pairs_census()
+
+
+def test_census_refuses_a_corrupted_reflection(monkeypatch):
+    # with the simple reflections forged to the identity, the orbit of
+    # star 0 is star 0 alone, so no orbit count proves the census
+    identity = np.arange(240, dtype=np.int16)
+    monkeypatch.setattr(stars_module, "reflection_permutation", lambda r: identity)
+    with pytest.raises(TrichotomyViolation, match="every star"):
+        trichotomy_census.__wrapped__()
+
+
+def test_star_orbit_refuses_an_edge_sent_to_meeting_curves():
+    table, t = star_table(), curve_table()
+    a, b = table.ids_array[0, :2]
+    c = int(np.flatnonzero(t.pairing_array[a] == 1)[0])
+    swap = np.arange(240, dtype=np.int16)  # b <-> c: not an isometry
+    swap[[b, c]] = swap[[c, b]]
+    with pytest.raises(TrichotomyViolation, match="meet"):
+        star_orbit(swap[None])
+    assert star_orbit(np.arange(240, dtype=np.int16)[None]).sum() == 1
+
+
+def test_census_refuses_a_wrong_row_zero_code(monkeypatch):
+    # star 0's first asynchronized pair forged synchronized: the orbit
+    # count moves and the count of cross pairings equal to 1 does not
+    real = stars_module.pair_codes
+
+    def forged(a, rest):
+        codes = real(a, rest)
+        codes[np.argmax(codes == 0)] = 1
+        return codes
+
+    monkeypatch.setattr(stars_module, "pair_codes", forged)
+    with pytest.raises(TrichotomyViolation, match="disagrees"):
+        trichotomy_census.__wrapped__()
 
 
 def test_overlap_count_closed_form():
