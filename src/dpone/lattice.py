@@ -11,7 +11,7 @@ fixing K.
 from __future__ import annotations
 
 import re
-from functools import cached_property, total_ordering
+from functools import cache, cached_property, total_ordering
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
@@ -109,11 +109,12 @@ def pair(a: DivisorClass, b: DivisorClass) -> int:
     return sum(d * x * y for d, x, y in zip(FORM_DIAG, a.coeffs, b.coeffs))
 
 
+@cache
 def simple_roots() -> tuple[DivisorClass, ...]:
     """The eight simple roots L-E1-E2-E3, E1-E2, ..., E7-E8, in this order.
 
     They generate the sublattice of classes orthogonal to K, which is the
-    E8 root lattice.
+    E8 root lattice.  Built once: the tuple and its classes are immutable.
     """
     first = divisor(1, -1, -1, -1, 0, 0, 0, 0, 0)
     chain = tuple(exceptional(i) - exceptional(i + 1) for i in range(1, 8))

@@ -1,14 +1,61 @@
-"""Slow routes that the library replaced, kept as test oracles.
+"""Slow routes that the library replaced, kept as test oracles, and the
+differential table that runs each fast kernel against them.
 
-Each gives the answer of a fast path by the construction it replaced:
-the tests compare the two.
+Each oracle gives the answer of a fast path by the construction it
+replaced, and is defined here once.  A change that replaces a fast path
+moves the old path into this module and adds one row to `DIFFERENTIAL`:
+the kernel, its oracles, and the families of `families.py` it walks.
+No test module imports another; they share only `conftest.py`,
+`families.py` and this module.
 """
 
+from collections import deque
+from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
+from typing import Callable
+from unittest.mock import patch
 
-from dpone.curves import bertini_class
-from dpone.lattice import LINE, DivisorClass, exceptional
-from dpone.stars import pair_counts, star_table
+import numpy as np
+
+import dpone.criteria as criteria
+from dpone.curves import bertini_class, curve_table
+from dpone.lattice import (
+    CANONICAL_CLASS,
+    FORM_DIAG,
+    LINE,
+    ORDER_CAP,
+    TRIVIAL_GROUP,
+    DivisorClass,
+    GroupSpec,
+    LatticeIsometry,
+    eliminated_group,
+    exceptional,
+    fixed_rank,
+    integer_rank,
+)
+from dpone.stars import (
+    OVERLAPPING,
+    PAIR_TYPES,
+    ActionKind,
+    OverlappingStars,
+    PairType,
+    asynchronized,
+    classify_pair,
+    invariant_curves,
+    invariant_stars,
+    pair_codes,
+    pair_counts,
+    star_masks,
+    star_table,
+)
+from dpone.weyl import CarterType3
+
+ASYNCHRONIZED = PAIR_TYPES.index(PairType.ASYNCHRONIZED)  # its pair code
+
+
+# ---------------------------------------------------------------------------
+# curves, isometries and the census
 
 
 def divisor_family_classes() -> dict[DivisorClass, tuple[str, str]]:
@@ -33,3 +80,596 @@ def divisor_family_classes() -> dict[DivisorClass, tuple[str, str]]:
 def all_pairs_census() -> dict[str, int]:
     """`pair_counts` of all 1120 stars: `pair_codes` on each of the 626,640 pairs."""
     return pair_counts(star_table().ids_array)
+
+
+def loop_is_isometry(matrix) -> bool:
+    """The pure-Python check is_isometry replaced: exact on Python ints."""
+    try:
+        m = tuple(tuple(int(x) for x in row) for row in matrix)
+    except (ValueError, TypeError):
+        return False
+    if len(m) != 9 or any(len(row) != 9 for row in m):
+        return False
+    for i in range(9):
+        for j in range(i, 9):
+            val = sum(FORM_DIAG[r] * m[r][i] * m[r][j] for r in range(9))
+            if val != (FORM_DIAG[i] if i == j else 0):
+                return False
+    k = CANONICAL_CLASS.coeffs
+    return all(sum(m[r][c] * k[c] for c in range(9)) == k[r] for r in range(9))
+
+
+def loop_permutation_of_isometry(m):
+    """The column shape test permutation_of_isometry replaced."""
+    cols = []
+    for j in range(9):
+        col = tuple(m.matrix[i][j] for i in range(9))
+        if sum(col) != 1 or any(x not in (0, 1) for x in col):
+            return None
+        cols.append(col.index(1))
+    if cols[0] != 0 or sorted(cols[1:]) != list(range(1, 9)):
+        return None
+    return {i: cols[i] for i in range(1, 9) if cols[i] != i}
+
+
+def matrix_fixed_rank(generators) -> int:
+    """The fixed rank from the (g - I) matrix rows, as before permutations."""
+    rows = [
+        [m.matrix[i][j] - (i == j) for j in range(9)] for m in generators for i in range(9)
+    ]
+    return 9 - integer_rank(rows)
+
+
+def rank_carter_type(m: LatticeIsometry) -> CarterType3:
+    """The class of an order-3 isometry by the rank of its fixed sublattice,
+    the typing that the fixed-curve count replaced."""
+    return {t.fixed_rank: t for t in CarterType3}[fixed_rank(m)]
+
+
+# ---------------------------------------------------------------------------
+# closure, permutations and orders
+
+
+@cache
+def curve_ids_by_class() -> dict[DivisorClass, int]:
+    return {c.divisor: i for i, c in enumerate(curve_table().curves)}
+
+
+def slow_permutation_of(m: LatticeIsometry) -> tuple[int, ...]:
+    """The image of each curve by `apply`, one curve at a time, looked up by
+    its class rather than by the table's packed keys."""
+    ids = curve_ids_by_class()
+    return tuple(ids[m.apply(c.divisor)] for c in curve_table().curves)
+
+
+def coefficient_row_permutation_of(m: LatticeIsometry) -> np.ndarray:
+    """Each curve's image row, looked up by `ids_of`, which compares rows."""
+    t = curve_table()
+    images = t.coeff_array @ np.array(m.matrix, dtype=np.int64).T
+    try:
+        ids = t.ids_of(images)
+    except ValueError as exc:
+        raise AssertionError(f"isometry maps a curve outside the curve set ({exc})")
+    return ids.astype(np.int16)
+
+
+def slow_group_closure(gens, cap: int = 10000) -> list[LatticeIsometry]:
+    """The closure BFS on 9x9 matrices."""
+    identity = LatticeIsometry.identity()
+    seen = {identity.matrix: identity}
+    queue = [identity]
+    while queue:
+        current = queue.pop(0)
+        for gen in gens:
+            nxt = current @ gen
+            if nxt.matrix not in seen:
+                if len(seen) >= cap:
+                    raise ValueError(f"group closure exceeds cap {cap}")
+                seen[nxt.matrix] = nxt
+                queue.append(nxt)
+    return list(seen.values())
+
+
+def row_keyed_closure(g: GroupSpec) -> np.ndarray:
+    """The closure BFS keyed on full 240-id rows."""
+    gens = g.generator_perms
+    identity = np.arange(240, dtype=np.int16)
+    seen = {identity.tobytes(): identity}
+    queue = deque([identity])
+    while queue:
+        current = queue.popleft()
+        for gen in gens:
+            nxt = current[gen]
+            key = nxt.tobytes()
+            if key not in seen:
+                if len(seen) >= g.cap:
+                    raise ValueError(f"group closure exceeds cap {g.cap}")
+                seen[key] = nxt
+                queue.append(nxt)
+    return np.stack(list(seen.values()))
+
+
+def all_column_orders(perms: np.ndarray) -> np.ndarray:
+    """Orders as the lcm of the cycle lengths of all 240 curves."""
+    ids = np.arange(perms.shape[1], dtype=perms.dtype)
+    lengths = np.zeros(perms.shape, dtype=np.int8)  # cycle lengths up to ORDER_CAP
+    rows, power = np.arange(len(perms)), perms  # rows with a cycle not yet closed
+    for k in range(1, ORDER_CAP + 1):
+        block = lengths[rows]
+        block[(block == 0) & (power == ids)] = k
+        lengths[rows] = block
+        open_rows = ~block.all(axis=1)
+        if not open_rows.any():
+            orders = np.lcm.reduce(lengths, axis=1, dtype=np.int64)
+            if orders.max(initial=1) > ORDER_CAP:
+                break
+            return orders
+        rows, power = rows[open_rows], power[open_rows]
+        power = np.take_along_axis(perms[rows], power, axis=1)
+    raise ValueError(f"element order exceeds cap {ORDER_CAP}")
+
+
+def slow_order(m: LatticeIsometry) -> int:
+    """The least n with m^n = 1, by matrix products."""
+    acc, n = m, 1
+    while acc != LatticeIsometry.identity():
+        acc, n = acc @ m, n + 1
+    return n
+
+
+# ---------------------------------------------------------------------------
+# star rows
+
+
+@cache
+def rows16() -> np.ndarray:
+    """The star table as it was: C-ordered int16 rows."""
+    return np.ascontiguousarray(star_table().ids_array, dtype=np.int16)
+
+
+def row_major_fixed_stars(fixed_curves: np.ndarray) -> np.ndarray:
+    return fixed_curves[rows16()].all(axis=1)
+
+
+def row_major_star_masks(perms: np.ndarray, ids: np.ndarray):
+    edge_star = star_table().edge_star
+    images = perms[:, ids]
+    setwise = edge_star[images[..., 0], images[..., 1]] == edge_star[ids[:, 0], ids[:, 1]]
+    return setwise, (images == ids).all(axis=2)
+
+
+def row_major_antipodal(perm: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The antipode test on a permutation: every member goes to its partner."""
+    return (perm[rows] == curve_table().bertini_ids[rows]).all(axis=1)
+
+
+def pairing_three_antipodal(perm: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Star rows on which every member pairs to 3 with its image."""
+    return (curve_table().pairing_array[rows, perm[rows]] == 3).all(axis=1)
+
+
+def brute_force_code(a, b) -> int:
+    """A pair's code by `classify_pair`, the 144-relabelling brute force."""
+    try:
+        return PAIR_TYPES.index(classify_pair(a, b).pair_type)
+    except OverlappingStars:
+        return OVERLAPPING
+
+
+@cache
+def invariant_pair_codes(m: LatticeIsometry) -> tuple[tuple, np.ndarray]:
+    """The invariant stars of <m>, and `brute_force_code` of each pair i < j
+    of them at [i, j] (-1 on and below the diagonal), once per test run."""
+    actions = invariant_stars(m)
+    codes = np.full((len(actions), len(actions)), -1)
+    for i, j in combinations(range(len(actions)), 2):
+        codes[i, j] = brute_force_code(actions[i].star, actions[j].star)
+    codes.flags.writeable = False  # shared by every test that reads it
+    return actions, codes
+
+
+# ---------------------------------------------------------------------------
+# two stars
+
+
+def row_loop_first_pair(rows: np.ndarray) -> tuple[int, int] | None:
+    """The first asynchronized pair of rows, one `asynchronized` call per row."""
+    for i in range(len(rows) - 1):
+        hits = np.flatnonzero(asynchronized(rows[i], rows[i + 1 :]))
+        if len(hits):
+            return i, i + 1 + int(hits[0])
+    return None
+
+
+def block_scan_first_pair(rows: np.ndarray) -> tuple[int, int] | None:
+    """The first asynchronized pair of rows, testing blocks of 1, 2, 4, ...
+    rows against every later row with `asynchronized`."""
+    lo, size = 0, 1
+    while lo < len(rows) - 1:
+        block = asynchronized(rows[lo : lo + size], rows[lo + 1 :])
+        hit = int(block.argmax())
+        if block.flat[hit]:
+            i, j = divmod(hit, block.shape[1])
+            return lo + i, lo + 1 + j
+        lo, size = lo + size, 2 * size
+    return None
+
+
+def first_pair_ids(scan, fixed: np.ndarray) -> tuple[int, int] | None:
+    """A row scan's first pair of the ascending star ids fixed, as star ids."""
+    found = scan(star_table().ids_array[fixed])
+    return None if found is None else tuple(fixed[list(found)].tolist())
+
+
+def all_ones_cross(a, b) -> bool:
+    p = curve_table().pairing_array
+    return all(p[x, y] == 1 for x in a for y in b)
+
+
+def reference_two_stars(gamma):
+    """The first asynchronized pair of StarAction records, by the all-ones
+    cross test, each hit confirmed by classify_pair."""
+    pointwise = [a.star for a in invariant_stars(gamma) if a.kind is ActionKind.TRIVIAL]
+    for a, b in combinations(pointwise, 2):
+        if set(a) & set(b):
+            continue
+        if all_ones_cross(a, b):
+            assert classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
+            return criteria.TwoStarsWitness(stars=(a, b))
+    return None
+
+
+def pair_code_two_stars(gamma):
+    """Pointwise-fixed stars from `star_masks`, pairs tested by `pair_codes`."""
+    table = star_table()
+    _, pointwise = star_masks(gamma.generator_perms, table.ids_array)
+    fixed = np.flatnonzero(pointwise.all(axis=0))
+    rows = table.ids_array[fixed]
+    for i in range(len(rows) - 1):
+        hits = np.flatnonzero(pair_codes(rows[i], rows[i + 1 :]) == ASYNCHRONIZED)
+        if len(hits):
+            a, b = fixed[[i, i + 1 + hits[0]]].tolist()
+            return criteria.TwoStarsWitness(stars=(table.stars[a], table.stars[b]))
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the order-3 rules and the triple
+
+
+def reference_carter(gamma):
+    """The first order-3 element whose matrix has the fixed rank of A2^3 or A2^4."""
+    for i in gamma.of_order(3):
+        m = criteria.element_isometry(gamma.element(i))
+        if rank_carter_type(m) in (CarterType3.A2x3, CarterType3.A2x4):
+            return criteria.CarterWitness((gamma.element(i),))
+    return None
+
+
+def reference_not_rational_stars(gamma):
+    """The first order-3 element with three faithful StarAction records."""
+    for i in gamma.of_order(3):
+        faithful = [
+            a.star for a in invariant_stars(criteria.element_isometry(gamma.element(i)))
+            if a.kind is ActionKind.FAITHFUL
+        ]
+        if len(faithful) >= 3:
+            return criteria.StarsWitness((gamma.element(i),), stars=tuple(faithful[:3]))
+    return None
+
+
+def ix_triple(gamma: GroupSpec) -> criteria.TripleWitness | None:
+    """The triple scan over a pairing block read with `np.ix_`."""
+    inv = invariant_curves(gamma)
+    p = curve_table().pairing_array[np.ix_(inv, inv)].tolist()
+    for i, a in enumerate(inv):
+        for j, b in enumerate(inv):
+            if p[i][j] != 1:
+                continue
+            for k, c in enumerate(inv):
+                if c > a and p[j][k] == 1 and p[i][k] == 0:
+                    return criteria.TripleWitness(curves=(a, b, c))
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the even rule
+
+
+def element_loop_even(gamma: GroupSpec) -> criteria.EvenWitness | None:
+    """The first even element, in closure order, that flips a star."""
+    for i in np.flatnonzero(gamma.orders % 2 == 0):
+        hits = np.flatnonzero(row_major_antipodal(gamma.perms[i], rows16()))
+        if len(hits):
+            star = star_table().stars[hits[0]]
+            return criteria.EvenWitness((gamma.element(i),), stars=(star,))
+    return None
+
+
+# ---------------------------------------------------------------------------
+# four stars
+
+
+def dfs_four_clique(asynchronized):
+    """The recursive search that _first_four_clique replaced."""
+    n = len(asynchronized)
+    chosen = []
+
+    def rec(start):
+        if len(chosen) == 4:
+            return True
+        for idx in range(start, n):
+            if asynchronized[chosen, idx].all():
+                chosen.append(idx)
+                if rec(idx + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return chosen if rec(0) else None
+
+
+def reference_four_stars(setup):
+    """Four faithful stars of the combined group's StarAction records, pairwise
+    asynchronized by the all-ones cross test, by depth-first search."""
+    g = setup.g_group
+    order3 = g.of_order(3)
+    if not len(order3):
+        return None
+    stars = [a.star for a in invariant_stars(setup.combined)]
+    ids = np.array(stars, dtype=np.intp).reshape(-1, 6)
+    setwise, pointwise = star_masks(g.perms[order3], ids)
+    faithful = setwise & ~pointwise
+    candidates = [
+        (s, int(order3[faithful[:, j].argmax()]))
+        for j, s in enumerate(stars)
+        if faithful[:, j].any()
+    ]
+    chosen = []
+
+    def compatible(s):
+        return all(
+            not (set(s) & set(prev)) and all_ones_cross(s, prev)
+            for prev, _ in chosen
+        )
+
+    def rec(start):
+        if len(chosen) == 4:
+            return True
+        for idx in range(start, len(candidates)):
+            s, m = candidates[idx]
+            if compatible(s):
+                chosen.append((s, m))
+                if rec(idx + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not rec(0):
+        return None
+    stars = tuple(s for s, _ in chosen)
+    for a, b in combinations(stars, 2):
+        assert classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
+    elements = tuple(g.element(i) for _, i in chosen)
+    return criteria.MinimalityCertificate(stars, elements, fixed_rank(setup.combined))
+
+
+def pair_code_four_stars(setup):
+    """The four-star search with pairs tested by their `pair_codes` code."""
+    g = setup.g_group
+    combined = GroupSpec(g.generators + setup.gamma_group.generators, label="combined")
+    order3 = g.of_order(3)
+    if not len(order3):
+        return None
+    table = star_table()
+    setwise, _ = star_masks(combined.generator_perms, table.ids_array)
+    invariant = np.flatnonzero(setwise.all(axis=0))
+    faithful = criteria._faithful(g.perms[order3], table.ids_array[invariant])
+    rotated = faithful.any(axis=0)
+    candidates = invariant[rotated]
+    rotator = order3[faithful[:, rotated].argmax(axis=0)]
+    rows = table.ids_array[candidates]
+    n = len(rows)
+    pairs = np.zeros((n, n), dtype=bool)
+    for i in range(n - 1):
+        pairs[i, i + 1 :] = pair_codes(rows[i], rows[i + 1 :]) == ASYNCHRONIZED
+    chosen = criteria._first_four_clique(pairs)
+    if chosen is None:
+        return None
+    stars = tuple(table.stars[candidates[i]] for i in chosen)
+    elements = tuple(g.element(int(rotator[i])) for i in chosen)
+    rank = fixed_rank(combined)
+    if rank != 1:
+        raise criteria.CertificateViolation(f"combined fixed rank is {rank}")
+    return criteria.MinimalityCertificate(stars, elements, rank)
+
+
+# ---------------------------------------------------------------------------
+# the differential table
+#
+# Each row runs a kernel and every oracle on one input, a group of the
+# families in `families.py`, and asserts that all answers agree exactly:
+# witnesses are the first hit in a fixed order and arrays match in dtype.
+# A rule row also replays each hit.
+
+
+@dataclass(frozen=True)
+class Row:
+    kernel: Callable
+    oracles: tuple[Callable, ...]
+    families: tuple[str, ...]
+    replay: Callable | None = None
+
+
+def as_g(g: GroupSpec) -> criteria.ActionSetup:
+    """The setup with g as G and Gamma trivial."""
+    return criteria.ActionSetup(g, TRIVIAL_GROUP)
+
+
+def per_element(f: Callable) -> Callable:
+    """f on each closure row of a group, stacked."""
+    return lambda g: np.array([f(p) for p in g.perms])
+
+
+def trace_rank(g):
+    """The rank of a closed copy of g: the average trace over its closure."""
+    closed = GroupSpec(g.generators, cap=g.cap)
+    closed.perms
+    return fixed_rank(closed)
+
+
+def unclosed_rank(g):
+    """The rank of an unclosed copy of g, left unclosed: the basis cycles of
+    one generator, else elimination."""
+    unclosed = GroupSpec(g.generators)
+    rank = fixed_rank(unclosed)
+    assert "perms" not in vars(unclosed)  # no group is closed for its rank
+    return rank
+
+
+def scanned_fixed_stars(perm):
+    """The pointwise-fixed star mask `check_rational_two_stars` hands its pair
+    scan when the permutation alone generates Gamma."""
+    masks = []
+
+    def scan(fixed, mask):
+        assert np.array_equal(fixed, np.flatnonzero(mask))
+        masks.append(mask)
+
+    with patch.object(criteria, "_first_asynchronized", scan):
+        gamma = GroupSpec((curve_table().isometry_of(perm),))
+        assert criteria.check_rational_two_stars(gamma) is None
+    return masks[0]
+
+
+def fixed_star_ids(g):
+    return np.flatnonzero(row_major_fixed_stars(g.fixed_curves))
+
+
+def partner_rows_first_pair(g):
+    """`criteria._first_asynchronized`, which reads the star table's partner
+    rows, on g's pointwise-fixed stars."""
+    mask = row_major_fixed_stars(g.fixed_curves)
+    return criteria._first_asynchronized(np.flatnonzero(mask), mask)
+
+
+def closure_permutations(f: Callable) -> Callable:
+    """f on the isometry of each closure row of a group, stacked."""
+    return per_element(lambda p: f(curve_table().isometry_of(p)))
+
+
+def flips(p):
+    """The permutation's mask of curves sent to their Bertini partners."""
+    return p == curve_table().bertini_ids
+
+
+RULES = ("groups", "family", "pool")
+SWEEP = ("groups", "family")
+RULE_ROWS = {
+    "rational_two_stars": Row(
+        criteria.check_rational_two_stars,
+        (reference_two_stars, pair_code_two_stars),
+        RULES,
+        criteria.replay_two_stars,
+    ),
+    "rational_triple": Row(
+        criteria.check_rational_triple, (ix_triple,), RULES, criteria.replay_triple
+    ),
+    "not_rational_carter": Row(
+        criteria.check_not_rational_carter,
+        (reference_carter,),
+        RULES,
+        criteria.replay_carter,
+    ),
+    "not_rational_stars": Row(
+        criteria.check_not_rational_stars,
+        (reference_not_rational_stars,),
+        RULES,
+        criteria.replay_stars,
+    ),
+    "not_rational_even": Row(
+        criteria.check_not_rational_even, (element_loop_even,), RULES, criteria.replay_even
+    ),
+    "minimal_four_stars": Row(
+        lambda g: criteria.check_minimal_four_stars(as_g(g)),
+        (lambda g: reference_four_stars(as_g(g)), lambda g: pair_code_four_stars(as_g(g))),
+        RULES,
+        lambda g, cert: criteria.replay_minimality(as_g(g), cert),
+    ),
+}
+GROUP_ROWS = {
+    "closure": Row(lambda g: g.perms, (row_keyed_closure,), SWEEP),
+    "orders": Row(lambda g: g.orders, (lambda g: all_column_orders(g.perms),), SWEEP),
+    "fixed_rank": Row(
+        trace_rank,
+        (
+            unclosed_rank,
+            lambda g: fixed_rank(eliminated_group(g.generators)),
+            lambda g: matrix_fixed_rank(g.generators),
+        ),
+        ("groups", "pool"),
+    ),
+    "permutation_of": Row(
+        closure_permutations(lambda m: curve_table().permutation_of(m)),
+        (lambda g: g.perms, closure_permutations(coefficient_row_permutation_of)),
+        SWEEP,
+    ),
+    "fixed_stars": Row(
+        per_element(scanned_fixed_stars),
+        (per_element(lambda p: row_major_fixed_stars(p == np.arange(240))),),
+        SWEEP,
+    ),
+    "partners": Row(
+        partner_rows_first_pair,
+        (
+            lambda g: first_pair_ids(row_loop_first_pair, fixed_star_ids(g)),
+            lambda g: first_pair_ids(block_scan_first_pair, fixed_star_ids(g)),
+        ),
+        SWEEP,
+    ),
+    "star_masks": Row(
+        lambda g: star_masks(g.perms, star_table().ids_array),
+        (lambda g: row_major_star_masks(g.perms, rows16()),),
+        SWEEP,
+    ),
+    "flipped_stars": Row(
+        per_element(lambda p: criteria._flipped_stars(flips(p), star_table().ids_array)),
+        (
+            per_element(lambda p: pairing_three_antipodal(p, star_table().ids_array)),
+            per_element(lambda p: row_major_antipodal(p, rows16())),
+        ),
+        SWEEP,
+    ),
+}
+DIFFERENTIAL = {**RULE_ROWS, **GROUP_ROWS}
+
+
+def same(a, b) -> bool:
+    """Exact agreement: arrays in value and dtype, tuples item by item."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+            and a.dtype == b.dtype and np.array_equal(a, b)
+        )
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def hit(answer) -> bool:
+    """A witness, or an answer with a true or nonzero entry."""
+    if isinstance(answer, tuple):
+        return any(hit(x) for x in answer)
+    return answer is not None and bool(np.any(answer))
+
+
+def assert_row(name: str, g: GroupSpec) -> bool:
+    """The row's kernel and each of its oracles agree on g; a hit replays.
+    Returns whether the kernel hit."""
+    row = DIFFERENTIAL[name]
+    got = row.kernel(g)
+    for i, oracle in enumerate(row.oracles):
+        assert same(got, oracle(g)), (name, f"oracle {i}", g)
+    if row.replay is not None and got is not None:
+        assert row.replay(g, got), (name, g)
+    return hit(got)

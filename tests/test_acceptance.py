@@ -52,10 +52,11 @@ from dpone.stars import (
     star_through,
     trichotomy_census,
 )
-from dpone.weyl import CarterType3, representative_order3
+from dpone.weyl import CarterType3
+from families import reps
 from oracles import all_pairs_census
 
-REPS = {c: representative_order3(c) for c in CarterType3}
+REPS = reps()
 
 
 @contextmanager

@@ -10,23 +10,13 @@ answer fails here and not only in a bench run.
 """
 
 import hashlib
-import importlib
 import json
 import random
-from pathlib import Path
 
-import pytest
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from families import workloads
 
 
-@pytest.fixture
-def workloads(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    return importlib.import_module("workloads")
-
-
-def test_cli_pool_matches_oracles(workloads):
+def test_cli_pool_matches_oracles():
     oracle = workloads.load_oracles()["cli"]
     pool = workloads.cli_pool()
     assert len(pool) == 34
@@ -38,7 +28,7 @@ def test_cli_pool_matches_oracles(workloads):
         assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"], label
 
 
-def test_verdict_ops_check(workloads):
+def test_verdict_ops_check():
     work = workloads.Verdicts()
     first = {}
     for op in work.make_ops(random.Random(0)):
@@ -48,7 +38,7 @@ def test_verdict_ops_check(workloads):
         assert work.check(op, work.run(op)) is None
 
 
-def test_star_pair_ops_check(workloads):
+def test_star_pair_ops_check():
     work = workloads.StarPairs()
     ops = work.make_ops(random.Random(0))
     census = [op for op in ops if op.kind == "census"]
@@ -63,7 +53,7 @@ def test_star_pair_ops_check(workloads):
 VERDICT_JSON_SHA256 = "4cac4d2bc348e09d4021a40637eacbb17af96f4d2d68eb62e982368ae859d3a1"
 
 
-def test_verdict_json_digest(workloads):
+def test_verdict_json_digest():
     from dpone.cli import verdict_to_dict
     from dpone.criteria import ActionSetup, rationality_report
     from dpone.lattice import GroupSpec

@@ -12,16 +12,9 @@ import dpone
 from dpone.cli import main
 from dpone.lattice import MAX_CAP, isometry_to_text
 from dpone.weyl import CarterType3, representative_order3
-from test_lattice import FORGED
+from families import FORGED, PERFBENCH, workloads
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-PERFBENCH = SRC.parent / "perfbench"
-
-# the Bertini involution D -> -2K - D as nine matrix rows
-BERTINI_ROWS = "\n".join(
-    ["17 6 6 6 6 6 6 6 6"]
-    + [" ".join(["-6"] + ["-3" if j == i else "-2" for j in range(8)]) for i in range(8)]
-)
 
 VERDICT_SCHEMA = {
     "type": "object",
@@ -234,7 +227,8 @@ def test_census_json(capsys):
 def test_census_bertini_all_stars(capsys):
     # every star is invariant, so the census covers all 626640 pairs
     t0 = time.monotonic()
-    code, out, _ = run(capsys, "--json", "census", "-e", BERTINI_ROWS)
+    # the Bertini involution D -> -2K - D as nine matrix rows
+    code, out, _ = run(capsys, "--json", "census", "-e", workloads.BERTINI_ROWS)
     elapsed = time.monotonic() - t0
     doc = json.loads(out)
     assert code == 0

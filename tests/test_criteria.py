@@ -1,7 +1,6 @@
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,9 +10,7 @@ from dpone.criteria import (
     CarterWitness,
     EvenWitness,
     MinimalityCertificate,
-    StarsWitness,
     TripleWitness,
-    TwoStarsWitness,
     Verdict,
     _first_four_clique,
     check_minimal_four_stars,
@@ -41,7 +38,6 @@ from dpone.lattice import (
     divisor,
     fixed_rank,
     pair,
-    permutation_isometry,
     simple_roots,
 )
 from dpone.stars import (
@@ -49,7 +45,6 @@ from dpone.stars import (
     PairType,
     classify_pair,
     invariant_stars,
-    star_masks,
     star_table,
 )
 from dpone.weyl import (
@@ -57,17 +52,16 @@ from dpone.weyl import (
     carter_type_order3,
     element_order,
     reflection,
-    representative_order3,
 )
-from test_group_oracles import GROUPS as ORACLE_GROUPS
-from test_weyl import rank_carter_type
+from families import group, groups, reps, workloads
+from oracles import RULE_ROWS, assert_row, dfs_four_clique, reference_four_stars
 
 
 def group_of(*elements, label=""):
     return GroupSpec(tuple(elements), label)
 
 
-REPS = {ctype: representative_order3(ctype) for ctype in CarterType3}
+REPS = reps()
 CANNED = {
     "trivial": TRIVIAL_GROUP,
     "A2": group_of(REPS[CarterType3.A2]),
@@ -617,121 +611,13 @@ def test_report_permutes_each_generator_once_per_group(monkeypatch):
     assert len(calls) <= 6
 
 
-# ---------------------------------------------------------------------------
-# the star rules against object-level reference scans
-#
-# The rules read star-table rows and count unit pairings.  The reference
-# versions below walk the stars of StarAction records instead: an all-ones
-# cross test confirmed by classify_pair, a clique search over those tests, and the
-# faithful-star list of StarAction objects.  The Carter reference builds
-# each order-3 element's matrix and types it by fixed rank, as the rule
-# did before it typed closure rows by fixed curves.  Witnesses are the
-# first hit in a fixed order, so they must agree exactly, labeling included.
-
-
-def all_ones_cross(a, b):
-    p = curve_table().pairing_array
-    return all(p[x, y] == 1 for x in a for y in b)
-
-
-def reference_two_stars(gamma):
-    pointwise = [a.star for a in invariant_stars(gamma) if a.kind is ActionKind.TRIVIAL]
-    for a, b in combinations(pointwise, 2):
-        if set(a) & set(b):
-            continue
-        if all_ones_cross(a, b):
-            assert classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
-            return TwoStarsWitness(stars=(a, b))
-    return None
-
-
-def reference_carter(gamma):
-    for i in gamma.of_order(3):
-        m = element_isometry(gamma.element(i))
-        if rank_carter_type(m) in (CarterType3.A2x3, CarterType3.A2x4):
-            return CarterWitness((gamma.element(i),))
-    return None
-
-
-def reference_not_rational_stars(gamma):
-    for i in gamma.of_order(3):
-        faithful = [
-            a.star for a in invariant_stars(element_isometry(gamma.element(i)))
-            if a.kind is ActionKind.FAITHFUL
-        ]
-        if len(faithful) >= 3:
-            return StarsWitness((gamma.element(i),), stars=tuple(faithful[:3]))
-    return None
-
-
-def reference_four_stars(setup):
-    g = setup.g_group
-    order3 = g.of_order(3)
-    if not len(order3):
-        return None
-    stars = [a.star for a in invariant_stars(setup.combined)]
-    ids = np.array(stars).reshape(-1, 6)
-    setwise, pointwise = star_masks(g.perms[order3], ids)
-    faithful = setwise & ~pointwise
-    candidates = [
-        (s, int(order3[faithful[:, j].argmax()]))
-        for j, s in enumerate(stars)
-        if faithful[:, j].any()
-    ]
-    chosen = []
-
-    def compatible(s):
-        return all(
-            not (set(s) & set(prev)) and all_ones_cross(s, prev)
-            for prev, _ in chosen
-        )
-
-    def rec(start):
-        if len(chosen) == 4:
-            return True
-        for idx in range(start, len(candidates)):
-            s, m = candidates[idx]
-            if compatible(s):
-                chosen.append((s, m))
-                if rec(idx + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not rec(0):
-        return None
-    stars = tuple(s for s, _ in chosen)
-    for a, b in combinations(stars, 2):
-        assert classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
-    elements = tuple(g.element(i) for _, i in chosen)
-    return MinimalityCertificate(stars, elements, fixed_rank(setup.combined))
-
-
-@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+@pytest.mark.parametrize("name", sorted(groups()))
 def test_star_rules_match_reference_scans(name):
-    gamma = GroupSpec(ORACLE_GROUPS[name], "Gamma")
-    got, want = check_rational_two_stars(gamma), reference_two_stars(gamma)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert got.stars == want.stars
-        assert replay_two_stars(gamma, got)
-    got, want = check_not_rational_carter(gamma), reference_carter(gamma)
-    assert got == want
-    if got is not None:
-        assert replay_carter(gamma, got)
-    got, want = check_not_rational_stars(gamma), reference_not_rational_stars(gamma)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert got.elements == want.elements
-        assert got.stars == want.stars
-        assert replay_stars(gamma, got)
-    setup = ActionSetup(GroupSpec(gamma.generators, "G"), TRIVIAL_GROUP)
-    got, want = check_minimal_four_stars(setup), reference_four_stars(setup)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert got.stars == want.stars
-        assert got.elements == want.elements
-        assert replay_minimality(setup, got)
+    """Every rule row of the differential table on one group: each rule,
+    and the minimality search with the group as G, against its reference
+    scans (`oracles.RULE_ROWS`), each hit replayed."""
+    for row in RULE_ROWS:
+        assert_row(row, group(name))
 
 
 MINIMALITY_GROUPS = {
@@ -750,10 +636,8 @@ def test_minimality_matches_reference_clique(g_name, with_bertini):
     for seed in (None, 0, 1, 2):
         gens = base
         if seed is not None:
-            images = list(range(1, 9))
-            random.Random(seed).shuffle(images)
-            p = permutation_isometry(dict(zip(range(1, 9), images)))
-            gens = tuple(p @ m @ p.inverse() for m in base)
+            _, p, p_inv = workloads._relabelling(random.Random(seed))
+            gens = workloads._conjugate(base, p, p_inv)
         setup = ActionSetup(GroupSpec(gens, "G"), GroupSpec(gamma, "Gamma"))
         got, want = check_minimal_four_stars(setup), reference_four_stars(setup)
         assert got is not None and want is not None
@@ -761,25 +645,6 @@ def test_minimality_matches_reference_clique(g_name, with_bertini):
         assert got.elements == want.elements
         assert got.combined_rank == want.combined_rank == 1
         assert replay_minimality(setup, got)
-
-
-def dfs_four_clique(asynchronized):
-    """The recursive search that _first_four_clique replaced."""
-    n = len(asynchronized)
-    chosen = []
-
-    def rec(start):
-        if len(chosen) == 4:
-            return True
-        for idx in range(start, n):
-            if asynchronized[chosen, idx].all():
-                chosen.append(idx)
-                if rec(idx + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return chosen if rec(0) else None
 
 
 def test_clique_search_matches_dfs_and_reads_upper_triangle():

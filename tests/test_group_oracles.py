@@ -1,173 +1,73 @@
 """The permutation fast paths against the slow paths they replaced.
 
 `group_closure` works on curve-id permutations and `permutation_of` on one
-numpy product; the reference versions below are the matrix BFS and the
-apply-per-curve loop.  `group_closure` keys an element on its images of
-the nine basis curves and `permutation_orders` powers only those nine;
-their references are the BFS keyed on full 240-id rows and the power
-loop over all 240 columns.  `criteria._flipped_stars` reads an element's
-mask of Bertini flips; its reference gathers pairings equal to 3.  A
+numpy product; their references in `oracles` are the matrix BFS and the
+apply-per-curve loop.  Each of the 52 groups of `families.groups()` also
+runs every group row of the differential table (`oracles.GROUP_ROWS`):
+the closure keyed on basis images against full 240-id rows, orders
+against all 240 columns, the three rank routes, the star kernels.  A
 one-generator group reads its orders off its closure length by gcd;
 `permutation_orders` is the reference.  Closure order must agree
 element by element, since witnesses are the first hit in that order.
 """
-
-from collections import deque
-from functools import cache
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from dpone.criteria import _flipped_stars
 from dpone.curves import bertini_isometry, curve_table, s8_action
 from dpone.lattice import (
-    ORDER_CAP,
     GroupSpec,
     LatticeIsometry,
     fixed_rank,
     group_closure,
     permutation_orders,
-    simple_roots,
 )
-from dpone.stars import star_table
-from dpone.weyl import CarterType3, element_order, reflection, representative_order3
-from test_lattice import matrix_fixed_rank
-from test_properties import word_isometry, words
-from test_rule_sweep import family
-
-
-def slow_permutation_of(m: LatticeIsometry) -> tuple[int, ...]:
-    t = curve_table()
-    return tuple(t.id_of(m.apply(c.divisor)) for c in t.curves)
-
-
-def slow_group_closure(gens, cap: int = 10000) -> list[LatticeIsometry]:
-    identity = LatticeIsometry.identity()
-    seen = {identity.matrix: identity}
-    queue = [identity]
-    while queue:
-        current = queue.pop(0)
-        for gen in gens:
-            nxt = current @ gen
-            if nxt.matrix not in seen:
-                if len(seen) >= cap:
-                    raise ValueError(f"group closure exceeds cap {cap}")
-                seen[nxt.matrix] = nxt
-                queue.append(nxt)
-    return list(seen.values())
-
-
-def row_keyed_closure(g: GroupSpec) -> np.ndarray:
-    """The closure BFS keyed on full 240-id rows."""
-    gens = g.generator_perms
-    identity = np.arange(240, dtype=np.int16)
-    seen = {identity.tobytes(): identity}
-    queue = deque([identity])
-    while queue:
-        current = queue.popleft()
-        for gen in gens:
-            nxt = current[gen]
-            key = nxt.tobytes()
-            if key not in seen:
-                if len(seen) >= g.cap:
-                    raise ValueError(f"group closure exceeds cap {g.cap}")
-                seen[key] = nxt
-                queue.append(nxt)
-    return np.stack(list(seen.values()))
-
-
-def all_column_orders(perms: np.ndarray) -> np.ndarray:
-    """Orders as the lcm of the cycle lengths of all 240 curves."""
-    ids = np.arange(perms.shape[1])
-    lengths = np.zeros(perms.shape, dtype=np.int64)
-    power = perms
-    for k in range(1, ORDER_CAP + 1):
-        lengths[(power == ids) & (lengths == 0)] = k
-        if lengths.all():
-            orders = np.lcm.reduce(lengths, axis=1)
-            if orders.max(initial=1) > ORDER_CAP:
-                break
-            return orders
-        power = np.take_along_axis(perms, power, axis=1)
-    raise ValueError(f"element order exceeds cap {ORDER_CAP}")
-
-
-def pairing_three_antipodal(perm: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Star rows on which every member pairs to 3 with its image."""
-    return (curve_table().pairing_array[rows, perm[rows]] == 3).all(axis=1)
-
-
-def slow_order(m: LatticeIsometry) -> int:
-    acc, n = m, 1
-    while acc != LatticeIsometry.identity():
-        acc, n = acc @ m, n + 1
-    return n
-
-
-def cycle_types() -> list[str]:
-    """One element of each of the 22 cycle types of S8, in cycle notation."""
-
-    def partitions(n, largest):
-        if n == 0:
-            yield ()
-            return
-        for k in range(min(n, largest), 0, -1):
-            for rest in partitions(n - k, k):
-                yield (k,) + rest
-
-    out = []
-    for parts in partitions(8, 8):
-        text, start = "", 1
-        for k in parts:
-            if k > 1:
-                text += "(" + " ".join(str(i) for i in range(start, start + k)) + ")"
-            start += k
-        out.append(text or "()")
-    return out
-
-
-def oracle_groups() -> dict[str, tuple[LatticeIsometry, ...]]:
-    b = bertini_isometry()
-    groups = {}
-    for ctype in cycle_types():
-        groups[f"<{ctype}>"] = (s8_action(ctype),)
-        groups[f"<{ctype}*b>"] = (s8_action(ctype) @ b,)
-    for ctype in CarterType3:
-        groups[f"<{ctype.display} rep>"] = (representative_order3(ctype),)
-    s5 = (s8_action("(1 2)"), s8_action("(1 2 3 4 5)"))
-    groups["S3wrC2"] = tuple(s8_action(c) for c in ("(1 2)", "(1 2 3)", "(1 4)(2 5)(3 6)"))
-    groups["S4"] = (s8_action("(1 2)"), s8_action("(1 2 3 4)"))
-    groups["S5"] = s5
-    groups["<S5,b>"] = s5 + (b,)
-    return groups
-
-
-GROUPS = oracle_groups()
+from dpone.weyl import element_order
+from families import (
+    CLOSABLE,
+    PARABOLICS,
+    cycle_types,
+    family,
+    group,
+    groups,
+    parabolic,
+    word_isometry,
+    words,
+)
+from oracles import (
+    GROUP_ROWS,
+    assert_row,
+    matrix_fixed_rank,
+    slow_group_closure,
+    slow_order,
+    slow_permutation_of,
+)
 
 
 def test_oracle_group_count():
     assert len(cycle_types()) == 22
-    assert len(GROUPS) == 22 * 2 + 4 + 4
+    assert len(groups()) == 22 * 2 + 4 + 4
 
 
-@pytest.mark.parametrize("name", sorted(GROUPS))
+@pytest.mark.parametrize("name", sorted(groups()))
 def test_closure_matches_matrix_bfs(name):
-    gens = GROUPS[name]
+    gens = groups()[name]
     t = curve_table()
     slow = slow_group_closure(gens)
-    fast = group_closure(GroupSpec(gens))
+    fast = group(name).perms
     assert len(fast) == len(slow)
     for row, m in zip(fast, slow):
-        assert t.permutation_of(m).tolist() == list(slow_permutation_of(m))
-        assert row.tolist() == list(slow_permutation_of(m))
+        perm = list(slow_permutation_of(m))
+        assert t.permutation_of(m).tolist() == perm
+        assert row.tolist() == perm
         assert t.isometry_of(row) == m
         assert element_order(m) == slow_order(m)
 
 
 def test_group_orders():
-    orders = {name: len(group_closure(GroupSpec(g))) for name, g in GROUPS.items()}
+    orders = {name: len(group(name).perms) for name in groups()}
     assert orders["S3wrC2"] == 72
     assert orders["S4"] == 24
     assert orders["S5"] == 120
@@ -186,56 +86,40 @@ def test_s8_closes_at_its_order():
 @pytest.mark.parametrize("name", ["S4", "S3wrC2", "<A2^3 rep>"])
 def test_repeated_generators_change_nothing(name):
     """A repeat adds no element to the matrix BFS, which keeps every repeat,
-    so the closure rows, their order, the rank and the fixed curves stay."""
-    gens = GROUPS[name]
+    so the closure rows, their order, the rank and the fixed curves stay.
+    The rows of the closure without repeats match the matrix BFS in
+    test_closure_matches_matrix_bfs."""
+    gens = groups()[name]
     repeated = gens + gens[::-1] + gens[:1]
     g = GroupSpec(repeated)
     assert g.generators == gens
-    slow = [slow_permutation_of(m) for m in slow_group_closure(repeated)]
-    assert [tuple(row) for row in g.perms.tolist()] == slow
+    assert slow_group_closure(repeated) == slow_group_closure(gens)
+    assert np.array_equal(g.perms, group(name).perms)
     assert fixed_rank(g) == matrix_fixed_rank(repeated) == fixed_rank(GroupSpec(gens))
     perms = [curve_table().permutation_of(m) for m in repeated]
     assert g.fixed_curves.tolist() == (perms == np.arange(240)).all(axis=0).tolist()
 
 
-def assert_matches_full_rows(g: GroupSpec) -> None:
-    assert np.array_equal(g.perms, row_keyed_closure(g))
-    orders = all_column_orders(g.perms)
-    assert np.array_equal(g.orders, orders) and g.orders.dtype == orders.dtype
-
-
-@pytest.mark.parametrize("name", sorted(GROUPS))
+@pytest.mark.parametrize("name", sorted(groups()))
 def test_basis_keyed_closure_matches_full_rows(name):
-    assert_matches_full_rows(GroupSpec(GROUPS[name]))
+    """Every group row of the differential table on one group: closure,
+    orders, rank, permutations, fixed and flipped stars, star masks and
+    the partner-row pair scan."""
+    for row in GROUP_ROWS:
+        assert_row(row, group(name))
 
 
-def test_sweep_closures_match_full_rows():
-    for gamma in family():
-        assert_matches_full_rows(gamma)
-
-
-# parabolic subgroups of W(E8) by simple_roots() indices, with their orders
-WEYL_SUBGROUPS = {"A7": (range(1, 8), 40320), "D6": ((0, 2, 3, 4, 5, 6), 23040),
-                  "E6": (range(6), 51840)}
-
-
-@cache
-def weyl_subgroup(name: str) -> GroupSpec:
-    roots = simple_roots()
-    indices, order = WEYL_SUBGROUPS[name]
-    return GroupSpec(tuple(reflection(roots[i]) for i in indices), name, cap=order)
-
-
-@pytest.mark.parametrize("name", sorted(WEYL_SUBGROUPS))
+@pytest.mark.parametrize("name", CLOSABLE)
 def test_weyl_subgroup_closure_matches_full_rows(name):
-    g = weyl_subgroup(name)
-    assert len(g.perms) == WEYL_SUBGROUPS[name][1]
-    assert_matches_full_rows(g)
+    g = parabolic(name)
+    assert len(g.perms) == PARABOLICS[name][1]
+    assert_row("closure", g)
+    assert_row("orders", g)
 
 
 def test_basis_images_key_the_e6_closure():
     """The closure key, a row's images of E1..E8 and L12, is one per element."""
-    perms = weyl_subgroup("E6").perms
+    perms = parabolic("E6").perms
     keys = {row.tobytes() for row in perms[:, curve_table().basis_ids]}
     assert len(keys) == len(perms) == 51840
 
@@ -246,18 +130,6 @@ def test_pairing_three_exactly_at_bertini_partners():
     assert cells.tolist() == [[c, b] for c, b in enumerate(t.bertini_ids.tolist())]
 
 
-def test_antipodal_matches_pairing_gather():
-    rows = star_table().ids_array
-    elements = flips = 0
-    for gamma in family():
-        for i in np.flatnonzero(gamma.orders % 2 == 0):
-            flipped = gamma.perms[i] == curve_table().bertini_ids
-            antipodal = _flipped_stars(flipped, rows)
-            assert np.array_equal(antipodal, pairing_three_antipodal(gamma.perms[i], rows))
-            elements, flips = elements + 1, flips + int(antipodal.sum())
-    assert elements and flips  # the sweep has even elements that flip stars
-
-
 def assert_gcd_orders(g: GroupSpec) -> None:
     assert len(g.generators) == 1
     orders = permutation_orders(g.perms)
@@ -266,11 +138,11 @@ def assert_gcd_orders(g: GroupSpec) -> None:
 
 def test_cyclic_orders_match_permutation_orders():
     identity, b = GroupSpec((LatticeIsometry.identity(),)), GroupSpec((bertini_isometry(),))
-    groups = [identity, b, *(GroupSpec(g) for g in GROUPS.values() if len(g) == 1)]
-    for g in groups + list(family()):
+    cyclic = [identity, b, *(group(n) for n, gens in groups().items() if len(gens) == 1)]
+    for g in cyclic + list(family()):
         assert_gcd_orders(g)
     assert identity.orders.tolist() == [1] and b.orders.tolist() == [1, 2]
-    assert len(groups) == 2 + 22 * 2 + 4
+    assert len(cyclic) == 2 + 22 * 2 + 4
 
 
 @settings(max_examples=50, deadline=None)

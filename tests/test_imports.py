@@ -1,11 +1,13 @@
-"""Every name a dpone module imports, and every private name it defines, is read.
+"""Every name a dpone module imports, and every private name it defines, is
+read; and no test module imports another.
 
 A name counts as used only where it is loaded, so an import whose name
 is only assigned (say, a dataclass field of the same name) is reported.
 Function-local imports count like module-level ones.  A private
 module-level name or private method (one underscore, not a dunder) must
 be read in the module that defines it, by name or as an attribute, so a
-helper left behind by a rewrite is reported.
+helper left behind by a rewrite is reported.  Test modules share inputs
+and oracles only through `conftest.py`, `families.py` and `oracles.py`.
 """
 
 import ast
@@ -16,6 +18,7 @@ import pytest
 import dpone
 
 MODULES = sorted(Path(dpone.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -116,3 +119,31 @@ def test_unread_private_name_is_reported():
     assert unread_private_names(source) == [
         "_WEIGHTS (line 1)", "_helper (line 4)", "_unused (line 12)",
     ]
+
+
+def imported_test_modules(source: str) -> list[str]:
+    """The test_* modules a source imports, by any import form."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.append(node.module)
+    return sorted(n for n in names if n.split(".")[-1].startswith("test_"))
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_no_test_module_imports_another(path):
+    assert imported_test_modules(path.read_text(encoding="utf-8")) == []
+
+
+def test_imported_test_module_is_reported():
+    source = (
+        "import test_lattice\n"
+        "from test_rule_sweep import family\n"
+        "from families import groups\n"
+        "def f():\n"
+        "    import tests.test_cli as cli\n"
+        "    from oracles import slow_order\n"
+    )
+    assert imported_test_modules(source) == ["test_lattice", "test_rule_sweep", "tests.test_cli"]

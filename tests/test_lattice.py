@@ -13,7 +13,6 @@ from dpone.lattice import (
     LatticeIsometry,
     cycles_string,
     divisor,
-    eliminated_group,
     exceptional,
     fixed_rank,
     group_closure,
@@ -28,7 +27,9 @@ from dpone.lattice import (
     simple_roots,
     solve_norm,
 )
-from dpone.weyl import reflection, reflection_permutation
+from dpone.weyl import reflection_permutation
+from families import FORGED, PARABOLICS, identity_plus, parabolic, parabolic_generators
+from oracles import assert_row, loop_is_isometry, matrix_fixed_rank
 
 
 def test_pairing_diagonal_form():
@@ -154,62 +155,6 @@ def test_solve_norm_at_and_past_the_edge():
     assert solve_norm(2, 0) == []
 
 
-def loop_is_isometry(matrix) -> bool:
-    """The pure-Python check is_isometry replaced: exact on Python ints."""
-    try:
-        m = tuple(tuple(int(x) for x in row) for row in matrix)
-    except (ValueError, TypeError):
-        return False
-    if len(m) != 9 or any(len(row) != 9 for row in m):
-        return False
-    for i in range(9):
-        for j in range(i, 9):
-            val = sum(FORM_DIAG[r] * m[r][i] * m[r][j] for r in range(9))
-            if val != (FORM_DIAG[i] if i == j else 0):
-                return False
-    k = CANONICAL_CLASS.coeffs
-    return all(sum(m[r][c] * k[c] for c in range(9)) == k[r] for r in range(9))
-
-
-def matrix_fixed_rank(generators) -> int:
-    """The fixed rank from the (g - I) matrix rows, as before permutations."""
-    rows = [
-        [m.matrix[i][j] - (i == j) for j in range(9)] for m in generators for i in range(9)
-    ]
-    return 9 - integer_rank(rows)
-
-
-def loop_permutation_of_isometry(m):
-    """The column shape test permutation_of_isometry replaced."""
-    cols = []
-    for j in range(9):
-        col = tuple(m.matrix[i][j] for i in range(9))
-        if sum(col) != 1 or any(x not in (0, 1) for x in col):
-            return None
-        cols.append(col.index(1))
-    if cols[0] != 0 or sorted(cols[1:]) != list(range(1, 9)):
-        return None
-    return {i: cols[i] for i in range(1, 9) if cols[i] != i}
-
-
-def _identity_plus(entries):
-    rows = [[int(i == j) for j in range(9)] for i in range(9)]
-    for (i, j), x in entries.items():
-        rows[i][j] += x
-    return tuple(tuple(r) for r in rows)
-
-
-# M = I + 2^32 A with A antisymmetric on E1, E2, E3 (A12 = A23 = 1,
-# A13 = -1, so AK = 0): int64 products wrap to M^T J M = J and MK = K
-_A = {(1, 2): 1, (2, 3): 1, (1, 3): -1}
-_A.update({(j, i): -x for (i, j), x in _A.items()})
-FORGED = {
-    "wrapping": _identity_plus({ij: x << 32 for ij, x in _A.items()}),
-    "past int64": _identity_plus({(0, 0): 10**30}),
-    "int64 min": _identity_plus({(4, 4): -(2**63) - 1}),  # the entry is -2**63
-}
-
-
 def test_is_isometry_rejects_form_breakers():
     ident = tuple(tuple(int(i == j) for j in range(9)) for i in range(9))
     assert is_isometry(ident)
@@ -239,8 +184,8 @@ def test_is_isometry_matches_loop_on_forged_matrices():
     candidates = [
         *FORGED.values(),
         bertini_isometry().matrix,  # an entry of 17, the bound
-        _identity_plus({(0, 0): 16}),
-        _identity_plus({(1, 2): 1 << 31, (2, 1): -(1 << 31)}),
+        identity_plus({(0, 0): 16}),
+        identity_plus({(1, 2): 1 << 31, (2, 1): -(1 << 31)}),
         ((1, 2), (3, 4)),
         [["1"] * 9] * 9,
         [[0.5] * 9] * 9,
@@ -277,38 +222,22 @@ def test_empty_group_rank_reads_no_permutations():
     assert "generator_perms" not in vars(g)
 
 
-# parabolic subgroups by simple_roots() index, with their fixed ranks
-PARABOLICS = {
-    "W(A7)": (range(1, 8), 2),
-    "W(D6)": ((0, 2, 3, 4, 5, 6), 3),
-    "W(E6)": (range(6), 3),
-    "W(E8)": (range(8), 1),
-}
-
-
-@pytest.mark.parametrize("name", PARABOLICS)
+@pytest.mark.parametrize("name", PARABOLICS, ids=lambda name: f"W({name})")
 def test_fixed_rank_matches_matrix_rows_on_parabolics(name):
-    indices, rank = PARABOLICS[name]
-    gens = tuple(reflection(simple_roots()[i]) for i in indices)
-    assert fixed_rank(GroupSpec(gens)) == matrix_fixed_rank(gens) == rank
+    gens = parabolic_generators(name)
+    assert fixed_rank(GroupSpec(gens)) == matrix_fixed_rank(gens) == PARABOLICS[name][2]
 
 
-# parabolics whose closures a test can list: indices, order, fixed rank
-CLOSABLE_PARABOLICS = {
-    "W(A4)": (range(1, 5), 120, 5),
-    "W(D4)": ((0, 2, 3, 4), 192, 5),
-    "W(A2xA2)": ((1, 2, 4, 5), 36, 5),
-}
+# parabolics whose closures a test can walk element by element
+SMALL_PARABOLICS = [name for name, (_, order, _) in PARABOLICS.items() if order <= 200]
 
 
-@pytest.mark.parametrize("name", CLOSABLE_PARABOLICS)
+@pytest.mark.parametrize("name", SMALL_PARABOLICS, ids=lambda name: f"W({name})")
 def test_trace_rank_matches_elimination_on_closed_parabolics(name):
-    indices, order, rank = CLOSABLE_PARABOLICS[name]
-    gens = tuple(reflection(simple_roots()[i]) for i in indices)
-    closed, unclosed = GroupSpec(gens), GroupSpec(gens)
-    assert len(closed.perms) == order
-    assert fixed_rank(closed) == matrix_fixed_rank(gens) == fixed_rank(unclosed) == rank
-    assert "perms" not in vars(unclosed)  # no group is closed for its rank
+    _, order, rank = PARABOLICS[name]
+    assert len(parabolic(name).perms) == order
+    assert_row("fixed_rank", parabolic(name))
+    assert fixed_rank(parabolic(name)) == rank
 
 
 def test_trace_rank_rejects_rows_that_are_not_a_group():
@@ -319,31 +248,14 @@ def test_trace_rank_rejects_rows_that_are_not_a_group():
         fixed_rank(g)
 
 
-def route_ranks(m: LatticeIsometry) -> tuple[int, int, int, int]:
-    """The fixed rank of <m> by each route: the cycle sums of a fresh
-    group, the average trace of a closed one, elimination on the basis
-    moves and the (m - I) matrix rows."""
-    cyclic, closed = GroupSpec((m,)), GroupSpec((m,))
-    closed.perms
-    ranks = (
-        fixed_rank(cyclic),
-        fixed_rank(closed),
-        fixed_rank(eliminated_group((m,))),
-        matrix_fixed_rank((m,)),
-    )
-    assert "perms" not in vars(cyclic)  # no group is closed for its rank
-    return ranks
-
-
-@pytest.mark.parametrize("name", CLOSABLE_PARABOLICS)
+@pytest.mark.parametrize("name", SMALL_PARABOLICS, ids=lambda name: f"W({name})")
 def test_cycle_rank_matches_every_route_on_parabolic_elements(name):
-    indices, order, _ = CLOSABLE_PARABOLICS[name]
-    gens = tuple(reflection(simple_roots()[i]) for i in indices)
-    rows = GroupSpec(gens).perms
-    assert len(rows) == order
+    # each element generating a group of its own: cycle sums, trace,
+    # elimination and the matrix rows, as the differential table's rank row
+    rows = parabolic(name).perms
+    assert len(rows) == PARABOLICS[name][1]
     for row in rows:
-        m = curve_table().isometry_of(row)
-        assert len(set(route_ranks(m))) == 1, m
+        assert_row("fixed_rank", GroupSpec((curve_table().isometry_of(row),)))
 
 
 def test_cycle_rank_matches_every_route_on_random_words():
@@ -358,10 +270,9 @@ def test_cycle_rank_matches_every_route_on_random_words():
         perm = np.arange(240, dtype=np.int16)
         for _ in range(rng.randint(1, 60)):
             perm = perm[rng.choice(simple)]
-        m = t.isometry_of(perm[b] if k % 2 else perm)
-        routes = route_ranks(m)
-        assert len(set(routes)) == 1, m
-        ranks.add(routes[0])
+        g = GroupSpec((t.isometry_of(perm[b] if k % 2 else perm),))
+        assert_row("fixed_rank", g)
+        ranks.add(fixed_rank(g))
     assert ranks == set(range(1, 10))  # every rank occurs
 
 

@@ -12,7 +12,6 @@ from dpone.curves import bertini_isometry, curve_table
 from dpone.lattice import (
     CANONICAL_CLASS,
     DivisorClass,
-    LatticeIsometry,
     cycles_string,
     is_isometry,
     isometry_from_text,
@@ -21,7 +20,6 @@ from dpone.lattice import (
     parse_cycles,
     permutation_isometry,
     permutation_of_isometry,
-    simple_roots,
 )
 from dpone.stars import is_star, profile, star_id, star_table, star_through
 from dpone.weyl import (
@@ -33,11 +31,11 @@ from dpone.weyl import (
     reflection,
     representative_order3,
 )
-from test_lattice import loop_is_isometry, loop_permutation_of_isometry
+from families import word_isometry, words
+from oracles import loop_is_isometry, loop_permutation_of_isometry
 
 coeffs9 = st.tuples(*[st.integers(-9, 9)] * 9)
 divisors = coeffs9.map(DivisorClass)
-words = st.lists(st.integers(0, 7), max_size=8)
 perms = st.permutations(list(range(1, 9)))
 curve_ids = st.integers(0, 239)
 star_ids = st.integers(0, 1119)
@@ -48,17 +46,6 @@ disjoint_curve_pairs = curve_ids.flatmap(
         st.sampled_from(np.flatnonzero(curve_table().pairing_array[a] == 0).tolist()),
     )
 )
-
-ROOT_REFLECTIONS = None
-
-
-def word_isometry(word):
-    global ROOT_REFLECTIONS
-    if ROOT_REFLECTIONS is None:
-        ROOT_REFLECTIONS = tuple(reflection(r) for r in simple_roots())
-    gens = [ROOT_REFLECTIONS[i] for i in word]
-    return reduce(lambda a, b: a @ b, gens, LatticeIsometry.identity())
-
 
 def word_text(word):
     return "s " + " ".join(str(i + 1) for i in word)

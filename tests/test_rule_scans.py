@@ -1,18 +1,14 @@
-"""The scans of the first-hit rules against the loops they replaced.
+"""The first-hit scans of the rules, on hand-built inputs and call counts.
 
 `check_rational_two_stars` looks up doubling blocks of pointwise-fixed
 star ids in the star table's partner rows (`criteria._first_asynchronized`),
-`check_not_rational_even` runs the star test only on each even element's
-mask of Bertini flips, and only for elements that flip six curves or
-more, and `check_rational_triple` reads its pairing block by outer
-indexing.  The references below are the scans they replaced: one
-`asynchronized` call per row, the doubling blocks of rows tested with
-`asynchronized` against every later row, the antipode test that gathers
-the permutation and the Bertini partners on every even element in
-closure order, and the `np.ix_` block read.  The rules report the first
-hit in a fixed order, so the witnesses must agree exactly, on the oracle
-groups, the 400 sweep groups, and hand-built star sets whose first pair
-sits at every row of the scan.
+and `check_not_rational_even` runs the star test only on each even
+element's mask of Bertini flips, and only for elements that flip six
+curves or more.  The references are in `oracles`: one `asynchronized`
+call per row, and the doubling blocks of rows tested with `asynchronized`
+against every later row.  Their agreement on the group families is a row
+of the differential table; here the first pair sits at every row of the
+scan of hand-built star sets, and the scans are counted.
 """
 
 import math
@@ -23,13 +19,9 @@ import pytest
 import dpone.criteria as criteria
 import dpone.stars as stars
 from dpone.criteria import (
-    EvenWitness,
-    TripleWitness,
-    TwoStarsWitness,
     _first_asynchronized,
     _flipped_stars,
     check_not_rational_even,
-    check_rational_triple,
     check_rational_two_stars,
 )
 from dpone.curves import curve_table, s8_action
@@ -38,110 +30,16 @@ from dpone.stars import (
     PairType,
     asynchronized,
     classify_pair,
-    invariant_curves,
     star_table,
 )
-from test_group_oracles import GROUPS
-from test_rule_sweep import family
-
-
-def row_loop_first_pair(rows: np.ndarray) -> tuple[int, int] | None:
-    """The first asynchronized pair of rows, one `asynchronized` call per row."""
-    for i in range(len(rows) - 1):
-        hits = np.flatnonzero(asynchronized(rows[i], rows[i + 1 :]))
-        if len(hits):
-            return i, i + 1 + int(hits[0])
-    return None
-
-
-def block_scan_first_pair(rows: np.ndarray) -> tuple[int, int] | None:
-    """The first asynchronized pair of rows, testing blocks of 1, 2, 4, ...
-    rows against every later row with `asynchronized`."""
-    lo, size = 0, 1
-    while lo < len(rows) - 1:
-        block = asynchronized(rows[lo : lo + size], rows[lo + 1 :])
-        hit = int(block.argmax())
-        if block.flat[hit]:
-            i, j = divmod(hit, block.shape[1])
-            return lo + i, lo + 1 + j
-        lo, size = lo + size, 2 * size
-    return None
-
-
-def first_pair_ids(scan, fixed: np.ndarray) -> tuple[int, int] | None:
-    """A row scan's first pair of the ascending star ids fixed, as star ids."""
-    found = scan(star_table().ids_array[fixed])
-    return None if found is None else tuple(fixed[list(found)].tolist())
+from families import group
+from oracles import block_scan_first_pair, element_loop_even, first_pair_ids, row_loop_first_pair
 
 
 def mask_of(fixed) -> np.ndarray:
     mask = np.zeros(1120, dtype=bool)
     mask[fixed] = True
     return mask
-
-
-def row_scan_two_stars(gamma: GroupSpec, scan) -> TwoStarsWitness | None:
-    table = star_table()
-    fixed = np.flatnonzero(gamma.fixed_curves[table.ids_array].all(axis=1))
-    found = first_pair_ids(scan, fixed)
-    if found is None:
-        return None
-    a, b = found
-    return TwoStarsWitness(stars=(table.stars[a], table.stars[b]))
-
-
-def antipodal(perm: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The antipode test on a permutation: every member goes to its partner."""
-    slots = rows.T
-    return (perm[slots] == curve_table().bertini_ids[slots]).all(axis=0)
-
-
-def element_loop_even(gamma: GroupSpec) -> EvenWitness | None:
-    """The first even element, in closure order, that flips a star."""
-    for i in np.flatnonzero(gamma.orders % 2 == 0):
-        hits = np.flatnonzero(antipodal(gamma.perms[i], star_table().ids_array))
-        if len(hits):
-            star = star_table().stars[hits[0]]
-            return EvenWitness((gamma.element(i),), stars=(star,))
-    return None
-
-
-def ix_triple(gamma: GroupSpec) -> TripleWitness | None:
-    """The triple scan over a pairing block read with `np.ix_`."""
-    inv = invariant_curves(gamma)
-    p = curve_table().pairing_array[np.ix_(inv, inv)].tolist()
-    for i, a in enumerate(inv):
-        for j, b in enumerate(inv):
-            if p[i][j] != 1:
-                continue
-            for k, c in enumerate(inv):
-                if c > a and p[j][k] == 1 and p[i][k] == 0:
-                    return TripleWitness(curves=(a, b, c))
-    return None
-
-
-def assert_witnesses_match(groups) -> dict[str, int]:
-    """Each rule equals its loop on every group; the hits of each."""
-    hits = {"two": 0, "even": 0, "triple": 0}
-    for gamma in groups:
-        two, even = check_rational_two_stars(gamma), check_not_rational_even(gamma)
-        triple = check_rational_triple(gamma)
-        assert two == row_scan_two_stars(gamma, row_loop_first_pair)
-        assert two == row_scan_two_stars(gamma, block_scan_first_pair)
-        assert even == element_loop_even(gamma)
-        assert triple == ix_triple(gamma)
-        hits["two"] += two is not None
-        hits["even"] += even is not None
-        hits["triple"] += triple is not None
-    return hits
-
-
-def test_witnesses_match_the_loops_on_oracle_groups():
-    assert all(assert_witnesses_match(GroupSpec(g) for g in GROUPS.values()).values())
-
-
-def test_witnesses_match_the_loops_on_sweep_groups():
-    assert all(assert_witnesses_match(family()).values())
 
 
 def pair_free_ids() -> np.ndarray:
@@ -252,7 +150,7 @@ FLIP_TESTS = {"S5": (75, 0), "S4": (15, 0), "S3wrC2": (63, 6), "<S5,b>": (195, 1
 
 @pytest.mark.parametrize("name", FLIP_TESTS)
 def test_even_rule_tests_stars_only_for_six_flips(monkeypatch, name):
-    gamma = GroupSpec(GROUPS[name])
+    gamma = group(name)
     bertini = curve_table().bertini_ids
     even = np.flatnonzero(gamma.orders % 2 == 0)
     tested = []

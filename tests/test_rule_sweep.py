@@ -1,4 +1,4 @@
-"""The five decision rules on a seeded family of 400 cyclic groups.
+"""The five decision rules on `families.family()`, 400 seeded cyclic groups.
 
 Each of 200 words in s1..s8 (random.Random(2), lengths 60 and 61 in
 turn) gives Gamma = <w> and Gamma = <w b>, with b the Bertini involution.
@@ -16,74 +16,29 @@ from functools import cache
 import numpy as np
 import pytest
 
-from dpone.criteria import (
-    RULES,
-    Verdict,
-    check_not_rational_carter,
-    check_not_rational_even,
-    check_not_rational_stars,
-    check_rational_triple,
-    check_rational_two_stars,
-    gamma_report,
-    replay_carter,
-    replay_even,
-    replay_stars,
-    replay_triple,
-    replay_two_stars,
-)
-from dpone.curves import bertini_isometry, curve_table
+from dpone.criteria import RULES, Verdict, gamma_report
 from dpone.lattice import (
     GroupSpec,
     LatticeIsometry,
-    eliminated_group,
     fixed_rank,
     is_isometry,
     permutation_isometry,
     permutation_of_isometry,
-    simple_roots,
 )
 from dpone.stars import star_masks, star_table
-from dpone.weyl import element_order, parse_element, reflection_permutation
-from test_lattice import loop_is_isometry, loop_permutation_of_isometry, matrix_fixed_rank
-
-REPLAYS = {
-    check_rational_two_stars: replay_two_stars,
-    check_rational_triple: replay_triple,
-    check_not_rational_carter: replay_carter,
-    check_not_rational_stars: replay_stars,
-    check_not_rational_even: replay_even,
-}
-
-
-@cache
-def family() -> tuple[GroupSpec, ...]:
-    """The 400 groups, each word composed on curve permutations."""
-    t = curve_table()
-    simple = [reflection_permutation(r) for r in simple_roots()]
-    b = t.permutation_of(bertini_isometry())
-    rng = random.Random(2)
-    groups = []
-    for k in range(200):
-        perm = np.arange(240, dtype=np.int16)
-        for _ in range(60 + k % 2):
-            perm = perm[simple[rng.randint(1, 8) - 1]]  # perm(w s) = perm_w[perm_s]
-        groups += [GroupSpec((t.isometry_of(perm),)), GroupSpec((t.isometry_of(perm[b]),))]
-    return tuple(groups)
+from dpone.weyl import element_order, parse_element
+from families import family
+from oracles import assert_row, loop_is_isometry, loop_permutation_of_isometry, matrix_fixed_rank
 
 
 @cache
 def sweep() -> tuple[dict[str, Verdict], ...]:
-    """Per group, every rule that hits and its verdict; each witness replayed."""
-    hits = []
-    for gamma in family():
-        hit = {}
-        for name, verdict, check in RULES:
-            witness = check(gamma)
-            if witness is not None:
-                assert REPLAYS[check](gamma, witness), name
-                hit[name] = verdict
-        hits.append(hit)
-    return tuple(hits)
+    """Per group, every rule that hits and its verdict.  The differential
+    table replays each witness on this family."""
+    return tuple(
+        {name: verdict for name, verdict, check in RULES if check(gamma) is not None}
+        for gamma in family()
+    )
 
 
 def sorted_row_setwise(perms, ids):
@@ -164,14 +119,9 @@ def coxeter_power_report():
 def test_trace_rank_matches_elimination_on_every_group():
     """A closed group's rank, read off its closure, against the cycle sums
     of an unclosed one, and the matrix rows and the moves of its
-    generators, each eliminated."""
-    for gens in [gamma.generators for gamma in family()] + [(coxeter_power(),)]:
-        closed, unclosed = GroupSpec(gens), GroupSpec(gens)
-        closed.perms
-        rank = fixed_rank(closed)
-        assert rank == matrix_fixed_rank(gens) == fixed_rank(unclosed), gens
-        assert rank == fixed_rank(eliminated_group(gens)), gens
-        assert "perms" not in vars(unclosed)
+    generators, each eliminated: the differential table's rank row."""
+    for g in family() + (GroupSpec((coxeter_power(),)),):
+        assert_row("fixed_rank", g)
 
 
 def test_coxeter_power_has_invariant_picard_number_one():

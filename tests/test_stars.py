@@ -42,7 +42,7 @@ from dpone.stars import (
     trichotomy_census,
 )
 from dpone.weyl import CarterType3, reflection_permutation, representative_order3
-from oracles import all_pairs_census
+from oracles import all_pairs_census, invariant_pair_codes
 
 
 def star_of_names(*names):
@@ -389,13 +389,6 @@ def test_census_agrees_with_classify_pair_samples():
     assert census["abnormal"] * 2 // 1120 == 648
 
 
-def brute_force_code(a, b):
-    try:
-        return PAIR_TYPES.index(classify_pair(a, b).pair_type)
-    except OverlappingStars:
-        return OVERLAPPING
-
-
 @pytest.mark.parametrize(
     "element",
     [representative_order3(c) for c in CarterType3]
@@ -403,11 +396,10 @@ def brute_force_code(a, b):
     ids=[c.display for c in CarterType3] + ["(1 2)(3 4)(5 6)(7 8)"],
 )
 def test_pair_codes_match_classify_pair(element):
-    found = [a.star for a in invariant_stars(element)]
-    ids = np.array(found)
-    for i in range(len(found) - 1):
-        codes = pair_codes(ids[i], ids[i + 1 :]).tolist()
-        assert codes == [brute_force_code(found[i], b) for b in found[i + 1 :]]
+    actions, brute = invariant_pair_codes(element)
+    ids = np.array([a.star for a in actions])
+    for i in range(len(actions) - 1):
+        assert pair_codes(ids[i], ids[i + 1 :]).tolist() == brute[i, i + 1 :].tolist()
 
 
 def test_sample_pairs_follow_the_combinations_walk():
@@ -613,20 +605,14 @@ def test_faithful_action_is_two_step_rotation():
 
 
 def test_faithful_invariant_pairs_never_abnormal():
+    # classify_pair on every pair of a representative's invariant stars
+    # with one of them faithful: none overlap and none are abnormal
+    allowed = {PAIR_TYPES.index(PairType.ASYNCHRONIZED), PAIR_TYPES.index(PairType.SYNCHRONIZED)}
     for ctype in CarterType3:
-        g = representative_order3(ctype)
-        actions = invariant_stars(g)
-        faithful = [a.star for a in actions if a.kind is ActionKind.FAITHFUL]
-        others = [a.star for a in actions]
-        for f in faithful:
-            for s in others:
-                if star_id(f) == star_id(s):
-                    continue
-                res = classify_pair(f, s)
-                assert res.pair_type in (
-                    PairType.ASYNCHRONIZED,
-                    PairType.SYNCHRONIZED,
-                )
+        actions, brute = invariant_pair_codes(representative_order3(ctype))
+        faithful = np.array([a.kind is ActionKind.FAITHFUL for a in actions])
+        pairs = np.triu(faithful[:, None] | faithful[None, :], 1)
+        assert set(brute[pairs].tolist()) <= allowed, ctype
 
 
 def test_star_graph_automorphism_orders():

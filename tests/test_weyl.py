@@ -11,7 +11,6 @@ from dpone.lattice import (
     LINE,
     ORDER_CAP,
     RANK,
-    GroupSpec,
     LatticeIsometry,
     divisor,
     exceptional,
@@ -34,7 +33,8 @@ from dpone.weyl import (
     reflection_permutation,
     representative_order3,
 )
-from test_group_oracles import GROUPS as ORACLE_GROUPS
+from families import group, groups
+from oracles import rank_carter_type
 
 
 def closed_form_roots():
@@ -239,12 +239,6 @@ def test_conjugation_preserves_carter_type():
         assert carter_type_order3(conj) is ctype
 
 
-def rank_carter_type(m: LatticeIsometry) -> CarterType3:
-    """The class of an order-3 isometry by the rank of its fixed sublattice,
-    the typing that the fixed-curve count replaced."""
-    return {t.fixed_rank: t for t in CarterType3}[fixed_rank(m)]
-
-
 def assert_counts_agree_with_ranks(rows):
     t = curve_table()
     elements = [t.isometry_of(row) for row in rows]
@@ -256,8 +250,8 @@ def assert_counts_agree_with_ranks(rows):
 
 def test_carter_types_match_ranks_on_oracle_groups():
     seen = Counter()
-    for gens in ORACLE_GROUPS.values():
-        g = GroupSpec(gens)
+    for name in groups():
+        g = group(name)
         seen += assert_counts_agree_with_ranks(g.perms[g.of_order(3)])
     assert set(seen) == set(CarterType3)
 
