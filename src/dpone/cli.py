@@ -13,7 +13,10 @@ alone writes one of them to stdout.  Exit codes: 0 ok, 1 check failed,
 
 A subcommand imports only what it runs: `stars` by list-stars, census
 and report; `criteria` by report; the lemma suite, `lemmas`, by
-verify-lemma alone; `json` only to write a JSON document.  A process
+verify-lemma alone; `json` only to write a JSON document.  Numpy is
+loaded only by the commands that compute on arrays: list-curves,
+list-roots, classify-element and verify-lemma A2A22 read plain Python
+tables and one element's curve images, and never import it.  A process
 that writes no bytecode cache compiles each module it imports, so a
 module left out saves its compile time too.
 """
@@ -35,9 +38,8 @@ from .lattice import (
     cycles_string,
     fixed_rank,
     permutation_of_isometry,
-    permutation_orders,
 )
-from .weyl import carter_types, enumerate_roots, parse_element
+from .weyl import carter_type_order3, element_order, enumerate_roots, parse_element
 
 
 MAX_INPUT_CHARS = 1 << 20  # a 9x9 matrix takes about 250
@@ -176,13 +178,12 @@ def cmd_list_stars(args):
 
 
 def cmd_classify_element(args):
-    g = GroupSpec((load_element(args.element),))  # permuted once for all three
-    perm = g.generator_perms
-    order, rank = int(permutation_orders(perm)[0]), fixed_rank(g)
+    m = load_element(args.element)  # all three read its curve images, built once
+    order, rank = element_order(m), fixed_rank(m)
     doc = {"order": order, "fixed_rank": rank}
     line = f"order {order}, rank {rank}"
     if order == 3:
-        doc["carter_type"] = carter_types(perm)[0].display
+        doc["carter_type"] = carter_type_order3(m).display
         line += f", type {doc['carter_type']}"
     return 0, doc, [line]
 

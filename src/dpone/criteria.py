@@ -341,15 +341,23 @@ def _first_four_clique(asynchronized: np.ndarray) -> list[int] | None:
     Reads the (n, n) mask only at i < j.  Sorted cliques grow one index at
     a time, each row by every larger index that is True against all its
     members, in (row, index) order, so each level is in lexicographic
-    order and the first row at size 4 is the least.
+    order and the first row at size 4 is the least.  They grow from
+    blocks of 64 least first indices, in order, and the search stops at
+    the first block that yields a 4-clique: every clique of a later block
+    is larger, so that clique is still the least, and a large candidate
+    set never grows the cliques of every first index.
     """
     n = len(asynchronized)
-    cliques = np.arange(n)[:, None]
-    for _ in range(3):
-        rows, j = np.nonzero(np.arange(n) > cliques[:, -1:])
-        keep = asynchronized[cliques[rows], j[:, None]].all(axis=1)
-        cliques = np.column_stack([cliques[rows[keep]], j[keep]])
-    return cliques[0].tolist() if len(cliques) else None
+    later = np.arange(n)
+    for start in range(0, n, 64):
+        cliques = later[start : start + 64, None]
+        for _ in range(3):
+            rows, j = np.nonzero(later > cliques[:, -1:])
+            keep = asynchronized[cliques[rows], j[:, None]].all(axis=1)
+            cliques = np.column_stack([cliques[rows[keep]], j[keep]])
+        if len(cliques):
+            return cliques[0].tolist()
+    return None
 
 
 def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None:

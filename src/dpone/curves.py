@@ -17,20 +17,22 @@ same loop that writes its class, with sorted indices ("L12", never
 Curves carry dense ids 0..239 assigned by lexicographic coefficient
 order; all higher modules speak ids.  The one table, `curve_table()`,
 is the entry point: ``curves`` holds the curves in id order,
-``id_of_name`` reads a name back, ``ids_of`` finds classes by packed
-key (``id_of`` one class), ``pairing_array`` is the 240x240 pairing
-matrix (a row's zeros are the curve's 56 disjoint partners),
-``bertini_ids`` maps each id to its Bertini partner's, and
-``trace_array`` reads an isometry's trace off its basis images.  The
-table is shared by the whole process, so its arrays are read-only.
+``id_of_name`` reads a name back, ``id_of`` finds one class by dict
+lookup and ``ids_of`` an array of them by packed key,
+``pairing_array`` is the 240x240 pairing matrix (a row's zeros are the
+curve's 56 disjoint partners), ``bertini_ids`` maps each id to its
+Bertini partner's, and ``trace_array`` reads an isometry's trace off
+its basis images.  The curves, names and ids are plain Python values,
+so listing the curves or reading one element's images (``images_of``)
+imports no numpy; each array is built on first use.  The table is
+shared by the whole process, so its arrays are read-only.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations, permutations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .lattice import (
     CANONICAL_CLASS,
@@ -43,17 +45,34 @@ from .lattice import (
     permutation_isometry,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 FAMILIES = ("E", "L2", "Q", "C", "BQ", "BL", "BE")
 
 # Curve coefficients lie in -3..6, so shifted by 8 they are base-16 digits;
 # with c_L most significant, packed keys sort like the coefficient tuples.
 # The key is linear in the class: key(c) = c . w + 8 sum(w).
-_KEY_WEIGHTS = 16 ** np.arange(RANK - 1, -1, -1, dtype=np.int64)
-_KEY_OFFSET = 8 * int(_KEY_WEIGHTS.sum())
+_KEY_WEIGHTS = tuple(16 ** k for k in range(RANK - 1, -1, -1))
+_KEY_OFFSET = 8 * sum(_KEY_WEIGHTS)
+
+
+@cache
+def _key_weights() -> np.ndarray:
+    import numpy as np
+
+    return _read_only(np.array(_KEY_WEIGHTS, dtype=np.int64))
 
 
 def _packed_keys(coeffs: np.ndarray) -> np.ndarray:
-    return coeffs @ _KEY_WEIGHTS + _KEY_OFFSET
+    return coeffs @ _key_weights() + _KEY_OFFSET
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: the tables' arrays are shared by the whole
+    process, and one stray in-place write would corrupt every later answer."""
+    a.flags.writeable = False
+    return a
 
 
 class ExceptionalCurve:
@@ -122,57 +141,94 @@ def _family_rows() -> list[tuple[tuple[int, ...], str, str]]:
 
 
 class CurveTable:
-    """Immutable table of the 240 exceptional curves and their pairings."""
+    """Immutable table of the 240 exceptional curves and their pairings.
+
+    The curves, their names, the class -> id dict behind ``id_of``, the
+    basis ids and ``trace_columns`` are plain Python values, built at
+    once.  Each numpy array is built on first use and read-only.
+    """
 
     def __init__(self) -> None:
-        rows = _family_rows()
-        if len(rows) != 240:
-            raise AssertionError(f"family generator produced {len(rows)} classes")
-        # ids follow coefficient order, which is packed-key order, so the
-        # keys sorted are strictly increasing exactly when the classes are
-        # distinct, and a key's position is its curve id
-        coeffs = np.array([r for r, _, _ in rows], dtype=np.int64)
-        keys = _packed_keys(coeffs)
-        order = np.argsort(keys)
-        self._keys = keys[order]
-        if not np.all(np.diff(self._keys) > 0):
-            raise AssertionError("packed curve keys are not strictly increasing")
-        coeff_matrix = self.coeff_array = coeffs[order]
-        curves = [
+        # ids follow coefficient order: the rows sorted are the curves in id order
+        rows = sorted(_family_rows())
+        self.curves: tuple[ExceptionalCurve, ...] = tuple(
             ExceptionalCurve(cid, DivisorClass(r), family, name)
-            for cid, (r, family, name) in enumerate(rows[i] for i in order.tolist())
-        ]
-        self.curves: tuple[ExceptionalCurve, ...] = tuple(curves)
-        self.id_by_name: dict[str, int] = {c.name: c.id for c in curves}
-        # E1..E8 and L12, a basis whose images fix an isometry (L = L12 + E1 + E2)
-        self.basis_ids = np.array(
-            [self.id_by_name[f"E{i}"] for i in range(1, 9)] + [self.id_by_name["L12"]]
+            for cid, (r, family, name) in enumerate(rows)
         )
-        self.pairing_array = (coeff_matrix * FORM_DIAG @ coeff_matrix.T).astype(np.int8)
-        k = np.array(CANONICAL_CLASS.coeffs, dtype=np.int64)
-        self.bertini_ids = self.ids_of(-2 * k - coeff_matrix)
-        # trace_array[c, s] is the diagonal entry curve c gives an isometry
+        self._ids: dict[tuple[int, ...], int] = {r: cid for cid, (r, _, _) in enumerate(rows)}
+        if len(self._ids) != 240:
+            raise AssertionError(f"family generator produced {len(self._ids)} classes")
+        self.id_by_name: dict[str, int] = {c.name: c.id for c in self.curves}
+        # E1..E8 and L12, a basis whose images fix an isometry (L = L12 + E1 + E2)
+        self.basis: tuple[int, ...] = tuple(
+            self.id_by_name[name] for name in (*(f"E{i}" for i in range(1, 9)), "L12")
+        )
+        # trace_columns[s][c] is the diagonal entry curve c gives an isometry
         # sending basis slot s to it: its E-coefficient for E1..E8, its
-        # L-coefficient for L12, and both for E1 and E2 (L = L12 + E1 + E2)
-        trace = coeff_matrix[:, [*range(1, RANK), 0]]
-        trace[:, :2] += coeff_matrix[:, :1]
-        self.trace_array = trace
-        # its columns as tuples, for walks that read one entry at a time
-        self.trace_columns = tuple(map(tuple, trace.T.tolist()))
-        # one stray in-place write would corrupt every later answer
-        for shared in (self.coeff_array, self._keys, self.basis_ids,
-                       self.pairing_array, self.bertini_ids, self.trace_array):
-            shared.flags.writeable = False
+        # L-coefficient for L12, and both for E1 and E2 (L = L12 + E1 + E2);
+        # as tuples, for walks that read one entry at a time
+        self.trace_columns: tuple[tuple[int, ...], ...] = tuple(
+            tuple(r[s + 1] + (r[0] if s < 2 else 0) for r, _, _ in rows) for s in range(8)
+        ) + (tuple(r[0] for r, _, _ in rows),)
+
+    @cached_property
+    def coeff_array(self) -> np.ndarray:
+        import numpy as np
+
+        rows = [c.divisor.coeffs for c in self.curves]
+        return _read_only(np.array(rows, dtype=np.int64))
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        # sorted keys are strictly increasing exactly when the classes are
+        # distinct, and a key's position is its curve id
+        keys = _packed_keys(self.coeff_array)
+        if not (keys[1:] > keys[:-1]).all():
+            raise AssertionError("packed curve keys are not strictly increasing")
+        return _read_only(keys)
+
+    @cached_property
+    def basis_ids(self) -> np.ndarray:
+        import numpy as np
+
+        return _read_only(np.array(self.basis))
+
+    @cached_property
+    def pairing_array(self) -> np.ndarray:
+        c = self.coeff_array
+        return _read_only((c * FORM_DIAG @ c.T).astype("int8"))
+
+    @cached_property
+    def bertini_ids(self) -> np.ndarray:
+        return _read_only(self.ids_of((-2 * CANONICAL_CLASS).coeffs - self.coeff_array))
+
+    @cached_property
+    def trace_array(self) -> np.ndarray:
+        """``trace_columns`` as a (240, 9) array, read at many elements at once."""
+        trace = self.coeff_array[:, [*range(1, RANK), 0]]
+        trace[:, :2] += self.coeff_array[:, :1]
+        return _read_only(trace)
 
     def curve(self, cid: int) -> ExceptionalCurve:
         return self.curves[cid]
 
     def id_of(self, d: DivisorClass) -> int:
-        """The curve id of a class by `ids_of`; a coefficient past int64 is none."""
+        """The curve id of a class, by dict lookup."""
         try:
-            return int(self.ids_of(np.array([d.coeffs], dtype=np.int64))[0])
-        except (ValueError, OverflowError):
+            return self._ids[d.coeffs]
+        except KeyError:
             raise ValueError(f"not an exceptional class: {d!r}") from None
+
+    @lru_cache(maxsize=1)  # one element's order, rank and class read the same images
+    def images_of(self, m: LatticeIsometry) -> tuple[int, ...]:
+        """The curve-id permutation of an isometry, one curve at a time.
+
+        Each image is ``m.apply`` of the curve's class, found by ``id_of``:
+        no numpy, so one element in a fresh process is read without
+        importing it.  ``permutation_of`` gives the same ids as an array,
+        faster once numpy is loaded.
+        """
+        return tuple(self.id_of(m.apply(c.divisor)) for c in self.curves)
 
     def id_of_name(self, name: str) -> int:
         try:
@@ -186,6 +242,8 @@ class CurveTable:
         Raises ValueError naming the first row that is not one of the
         240 classes.
         """
+        import numpy as np
+
         ids = np.minimum(np.searchsorted(self._keys, _packed_keys(coeffs)), 239)
         missed = (self.coeff_array[ids] != coeffs).any(axis=1)
         if missed.any():
@@ -202,13 +260,15 @@ class CurveTable:
         The key is linear, key(M c) = c . (M^T w) + 8 sum(w), so the keys
         of all 240 images are one matrix-vector product, and the images
         themselves are never formed.  A key match is exact here: every
-        LatticeIsometry is validated at construction or is a product or
-        inverse of validated ones, so it maps the 240-class set to itself
-        and its images have coefficients in -3..6, where the packing is
-        injective.  A key that matches no curve would mean the matrix is
-        not an isometry, and raises AssertionError.
+        LatticeIsometry is validated at construction or is an isometry by
+        construction, so it maps the 240-class set to itself and its
+        images have coefficients in -3..6, where the packing is injective.
+        A key that matches no curve would mean the matrix is not an
+        isometry, and raises AssertionError.
         """
-        weights = np.array(m.matrix, dtype=np.int64).T @ _KEY_WEIGHTS
+        import numpy as np
+
+        weights = np.array(m.matrix, dtype=np.int64).T @ _key_weights()
         keys = self.coeff_array @ weights + _KEY_OFFSET
         ids = np.minimum(np.searchsorted(self._keys, keys), 239)
         missed = self._keys[ids] != keys
@@ -223,10 +283,9 @@ class CurveTable:
         Its columns are the images of L, E1, ..., E8, read off the images
         of the curves E1..E8 and L12 = L - E1 - E2.
         """
-        e1_to_e8_l12 = self.coeff_array[perm[self.basis_ids]]
-        line = e1_to_e8_l12[8] + e1_to_e8_l12[0] + e1_to_e8_l12[1]
-        columns = np.vstack([line, e1_to_e8_l12[:8]])
-        return LatticeIsometry(tuple(tuple(row) for row in columns.T.tolist()))
+        images = self.coeff_array[perm[self.basis_ids]].tolist()  # E1..E8, L12
+        line = [l12 + e1 + e2 for l12, e1, e2 in zip(images[8], images[0], images[1])]
+        return LatticeIsometry(tuple(zip(line, *images[:8])))
 
 
 @cache

@@ -6,6 +6,11 @@ eight blown-up points.  The intersection pairing is the diagonal form of
 signature (1, 8), the canonical class is K = (-3; 1, ..., 1), and every
 symmetry of interest is an integer matrix preserving the pairing and
 fixing K.
+
+Classes, isometries and one element's order and fixed rank are plain
+Python integers.  Numpy is imported only inside the functions that
+compute on arrays: `solve_norm` and the group layer (`GroupSpec`,
+`group_closure`, `permutation_orders`).
 """
 
 from __future__ import annotations
@@ -13,9 +18,11 @@ from __future__ import annotations
 import re
 from functools import cache, cached_property, total_ordering
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence, Union
+from operator import mul
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 RANK = 9
 
@@ -146,6 +153,8 @@ def solve_norm(square: int, dot_k: int) -> list[DivisorClass]:
     One c_L is built at a time, with int8 coordinates, so the tables
     stay small.
     """
+    import numpy as np
+
     gap = dot_k * dot_k - square
     if gap < 0:
         return []
@@ -187,17 +196,16 @@ def _as_matrix(rows: Iterable[Iterable[int]]) -> Matrix:
 
 # Every entry of a K-fixing isometry lies in -17..17 (see is_isometry)
 ENTRY_BOUND = 17
-_J, _K_COLUMN = np.diag(FORM_DIAG), np.array(CANONICAL_CLASS.coeffs)
 
 
 def is_isometry(matrix: Iterable[Iterable[int]]) -> bool:
     """Whether the matrix preserves the pairing, M^T J M = J, and fixes K.
 
-    The int64 products are exact only for small entries (M = I + 2^32 A,
-    A antisymmetric on E1..E3 with AK = 0, wraps to M^T J M = J), so an
-    entry past ENTRY_BOUND is rejected first.  No isometry has one: its
-    columns are curves (entries -3..6) and the image v of L, with v*v = 1
-    and v*K = -3, so 1 <= c_L <= 17 and c_i^2 < c_L^2 by solve_norm's bound.
+    Exact, on Python integers.  An entry past ENTRY_BOUND is rejected
+    first, so a huge input costs no huge products.  No isometry has one:
+    its columns are curves (entries -3..6) and the image v of L, with
+    v*v = 1 and v*K = -3, so 1 <= c_L <= 17 and c_i^2 < c_L^2 by
+    solve_norm's bound.
     """
     try:
         return _is_isometry_matrix(_as_matrix(matrix))
@@ -207,13 +215,18 @@ def is_isometry(matrix: Iterable[Iterable[int]]) -> bool:
 
 def _is_isometry_matrix(m: Matrix) -> bool:
     """`is_isometry` of a matrix that `_as_matrix` has already converted."""
-    try:
-        a = np.array(m, dtype=np.int64)
-    except OverflowError:  # past int64
+    if any(not -ENTRY_BOUND <= x <= ENTRY_BOUND for row in m for x in row):
         return False
-    if ((a < -ENTRY_BOUND) | (a > ENTRY_BOUND)).any():
+    k = CANONICAL_CLASS.coeffs
+    if any(sum(map(mul, row, k)) != k_r for row, k_r in zip(m, k)):
         return False
-    return bool((a.T @ _J @ a == _J).all() and (a @ _K_COLUMN == _K_COLUMN).all())
+    columns = tuple(zip(*m))
+    for i, a in enumerate(columns):
+        ja = tuple(map(mul, FORM_DIAG, a))  # J times column i
+        for j in range(i, RANK):
+            if sum(map(mul, ja, columns[j])) != (FORM_DIAG[i] if i == j else 0):
+                return False
+    return True
 
 
 class LatticeIsometry:
@@ -221,9 +234,12 @@ class LatticeIsometry:
 
     Converted and validated once, at construction, as `is_isometry`
     checks: it must preserve the pairing and fix K (which forces
-    determinant +-1).  The matrix is the element's text form; groups
-    compute with its curve permutation.  Immutable, and equal exactly
-    when the matrices are.
+    determinant +-1).  Only a matrix read from text needs the check:
+    products, inverses, reflection words and permutations of the E_i
+    are isometries by construction and are wrapped unchecked.  The
+    matrix is the element's text form; groups compute with its curve
+    permutation, and one element's curve images are read with `apply`.
+    Immutable, and equal exactly when the matrices are.
     """
 
     __slots__ = ("matrix",)
@@ -246,7 +262,8 @@ class LatticeIsometry:
     @classmethod
     def _unchecked(cls, matrix: Matrix) -> "LatticeIsometry":
         """Wrap a matrix that is an isometry by construction: a product or
-        inverse of validated isometries."""
+        inverse of isometries, a reflection word or a permutation of the
+        E_i."""
         m = object.__new__(cls)
         object.__setattr__(m, "matrix", matrix)
         return m
@@ -256,9 +273,8 @@ class LatticeIsometry:
         return cls(tuple(tuple(int(i == j) for j in range(RANK)) for i in range(RANK)))
 
     def apply(self, v: DivisorClass) -> DivisorClass:
-        return DivisorClass(
-            tuple(sum(row[c] * v.coeffs[c] for c in range(RANK)) for row in self.matrix)
-        )
+        c = v.coeffs
+        return DivisorClass(tuple(sum(map(mul, row, c)) for row in self.matrix))
 
     def __matmul__(self, other: "LatticeIsometry") -> "LatticeIsometry":
         a, b = self.matrix, other.matrix
@@ -357,6 +373,8 @@ class GroupSpec:
 
     @cached_property
     def generator_perms(self) -> np.ndarray:
+        import numpy as np
+
         from .curves import curve_table
 
         t = curve_table()
@@ -373,6 +391,8 @@ class GroupSpec:
     def orders(self) -> np.ndarray:
         if len(self.generators) != 1:
             return permutation_orders(self.perms)
+        import numpy as np
+
         # the closure of <g> is g^0, g^1, ..., g^(n-1) in that order, and
         # g^k has order n / gcd(n, k)
         n = len(self.perms)
@@ -387,7 +407,7 @@ class GroupSpec:
         if "perms" in self.__dict__:
             return _closure_rank(self.perms)
         if len(self.generators) == 1:
-            return _cycle_rank(self.generator_perms[0])
+            return _cycle_rank(self.generator_perms[0].tolist())
         return _eliminated_rank(self.generator_perms)
 
     @cached_property
@@ -399,6 +419,8 @@ class GroupSpec:
 
     @cached_property
     def fixed_curves(self) -> np.ndarray:
+        import numpy as np
+
         fixed = (self.generator_perms == np.arange(240)).all(axis=0)
         fixed.flags.writeable = False  # every caller shares this array
         return fixed
@@ -409,7 +431,7 @@ class GroupSpec:
 
     def of_order(self, n: int) -> np.ndarray:
         """Closure indices of the elements of order n, in closure order."""
-        return np.flatnonzero(self.orders == n)
+        return (self.orders == n).nonzero()[0]
 
     def element(self, i: int) -> bytes:
         """Element i as the bytes of its int16 closure row."""
@@ -467,6 +489,8 @@ def _closure_rank(perms: np.ndarray) -> int:
     """dim Fix(G) = (1/|G|) sum of tr(g) over the closure rows, the
     multiplicity of the trivial character; raises CheckViolation if the
     sum is not a multiple of |G|."""
+    import numpy as np
+
     from .curves import curve_table
 
     t = curve_table()
@@ -480,7 +504,42 @@ def _closure_rank(perms: np.ndarray) -> int:
     return rank
 
 
-def _cycle_rank(perm: np.ndarray) -> int:
+def _basis_cycles(images: Sequence[int]) -> list[tuple[int, int]]:
+    """The length L_s and trace sum of the cycle of each basis curve b_s.
+
+    ``images`` is an element's curve permutation as a sequence of ids,
+    and the trace sum adds ``trace_array[c, s]`` over the curves c of
+    the cycle.  A walk that is not back at its basis curve after
+    ORDER_CAP steps raises ValueError, so a row that is not a
+    permutation fails and never hangs.
+    """
+    from .curves import curve_table
+
+    t = curve_table()
+    cycles = []
+    for b, column in zip(t.basis, t.trace_columns):
+        c, length, cycle_sum = images[b], 1, column[b]
+        while c != b:
+            if length == ORDER_CAP:
+                raise ValueError(f"element order exceeds cap {ORDER_CAP}")
+            c, length, cycle_sum = images[c], length + 1, cycle_sum + column[c]
+        cycles.append((length, cycle_sum))
+    return cycles
+
+
+def cycle_order(images: Sequence[int]) -> int:
+    """The order of an element from its curve images; raises past ORDER_CAP.
+
+    The images of the basis curves fix an element, so its order is the
+    lcm of their cycle lengths, as in ``permutation_orders``.
+    """
+    n = lcm(*(length for length, _ in _basis_cycles(images)))
+    if n > ORDER_CAP:
+        raise ValueError(f"element order exceeds cap {ORDER_CAP}")
+    return n
+
+
+def _cycle_rank(images: Sequence[int]) -> int:
     """dim Fix(<g>) off the cycles of g's nine basis curves, no power formed.
 
     tr(g^k) is the sum over basis slots s of trace_array[g^k(b_s), s],
@@ -488,24 +547,11 @@ def _cycle_rank(perm: np.ndarray) -> int:
     cycle of b_s, of length L_s.  So the average trace (1/n) sum_k tr(g^k)
     is sum_s (1/L_s) times the trace sum of that cycle, taken in integers
     with n = lcm(L_s).  A total that is not a multiple of n raises
-    CheckViolation, and a walk that is not back at its basis curve after
-    ORDER_CAP steps raises ValueError, so a row that is not a permutation
-    fails and never hangs.
+    CheckViolation (see ``_basis_cycles`` for a walk that never closes).
     """
-    from .curves import curve_table
-
-    t = curve_table()
-    step, lengths, sums = perm.tolist(), [], []
-    for b, column in zip(t.basis_ids.tolist(), t.trace_columns):
-        c, length, cycle_sum = step[b], 1, column[b]
-        while c != b:
-            if length == ORDER_CAP:
-                raise ValueError(f"element order exceeds cap {ORDER_CAP}")
-            c, length, cycle_sum = step[c], length + 1, cycle_sum + column[c]
-        lengths.append(length)
-        sums.append(cycle_sum)
-    n = lcm(*lengths)
-    total = sum(n // length * s for length, s in zip(lengths, sums))
+    cycles = _basis_cycles(images)
+    n = lcm(*(length for length, _ in cycles))
+    total = sum(n // length * s for length, s in cycles)
     rank, rest = divmod(total, n)
     if rest:
         raise CheckViolation(
@@ -563,10 +609,17 @@ def fixed_rank(g: GroupLike) -> int:
     - any other group: 9 minus the rank of its generators' basis moves,
       by ``integer_rank``.
 
-    A trace sum that is not a multiple of the group's order raises
-    CheckViolation.  No group is closed for its rank.
-    ``eliminated_group`` takes the third route on any generators.
+    A bare isometry takes the second route on its curve images, read one
+    curve at a time with ``apply`` (``curve_table().images_of``), so one
+    element is ranked without numpy.  A trace sum that is not a multiple
+    of the group's order raises CheckViolation.  No group is closed for
+    its rank.  ``eliminated_group`` takes the third route on any
+    generators.
     """
+    if isinstance(g, LatticeIsometry):
+        from .curves import curve_table
+
+        return _cycle_rank(curve_table().images_of(g))
     return _group_of(g)._fixed_rank
 
 
@@ -594,6 +647,8 @@ def group_closure(g: GroupSpec) -> np.ndarray:
     ``g.cap`` bounds the time and memory a closure may take: past that
     many elements the closure raises.
     """
+    import numpy as np
+
     from .curves import curve_table
 
     basis = curve_table().basis_ids
@@ -624,6 +679,8 @@ def permutation_orders(perms: np.ndarray) -> np.ndarray:
     A curve's cycle length is the least k with perm^k(c) = c; the powers
     of all rows are taken together, on the nine basis columns only.
     """
+    import numpy as np
+
     from .curves import curve_table
 
     basis = curve_table().basis_ids
@@ -695,7 +752,8 @@ def cycles_string(mapping: dict[int, int]) -> str:
 
 
 def permutation_isometry(mapping: dict[int, int]) -> LatticeIsometry:
-    """The isometry fixing L and sending E_i to E_{mapping[i]}."""
+    """The isometry fixing L and sending E_i to E_{mapping[i]}: a permutation
+    matrix on E1..E8, an isometry by construction, so it is not checked."""
     full = {i: mapping.get(i, i) for i in range(1, 9)}
     if sorted(full.values()) != list(range(1, 9)):
         raise ValueError(f"not a permutation of 1..8: {mapping!r}")
@@ -703,7 +761,7 @@ def permutation_isometry(mapping: dict[int, int]) -> LatticeIsometry:
     rows[0][0] = 1
     for i, j in full.items():
         rows[j][i] = 1
-    return LatticeIsometry(tuple(tuple(r) for r in rows))
+    return LatticeIsometry._unchecked(tuple(tuple(r) for r in rows))
 
 
 def permutation_of_isometry(m: LatticeIsometry) -> dict[int, int] | None:

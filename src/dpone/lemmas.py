@@ -5,7 +5,8 @@ returns its detail lines, ending "OK", or raises CheckFailure with a
 counterexample; a failed library check (`CheckViolation`) raised inside
 a check fails it too.  Only `verify-lemma` imports this module, and the
 checks import `stars` and `criteria` where used: `DP1lines` and `A2A22`
-load neither.
+load neither.  `A2A22` loads no numpy either: its representatives are
+index 3-cycles, read off their curve images.
 """
 
 from __future__ import annotations

@@ -1,22 +1,26 @@
 """Roots and finite-order isometries of the K-orthogonal E8 sublattice.
 
 The Weyl group W(E8) acts on the Picard lattice fixing K; it is generated
-by reflections in the 240 roots {v : v*v = -2, v*K = 0}, which are the
-solutions solve_norm(-2, 0).  Elements compose as curve permutations,
-perm(A @ B) = perm_A[perm_B], with each reflection's permutation cached;
-a matrix is built only to read text or hand an element out, by one
-`curve_table().isometry_of`.  The four order-3 classes A2, A2^2, A2^3,
-A2^4 fix 72, 12, 6 and 0 of the 240 curves, so `carter_types` reads the
-class of a curve permutation off that count; their fixed sublattices
-have rank 7, 5, 3, 1.
+by reflections in the 240 roots {v : v*v = -2, v*K = 0}.  The roots are
+the curves shifted by K: r -> r - K sends them one-to-one onto the 240
+exceptional classes, since (r - K)^2 = -1 and (r - K)*K = -1, and it
+keeps lexicographic order, so `enumerate_roots` solves nothing.  Groups
+compose elements as curve permutations, perm(A @ B) = perm_A[perm_B],
+with each reflection's permutation cached.  One element read from text
+is a 9x9 matrix: a reflection word composes on its nine columns, and its
+order, fixed rank and Carter class come from its curve images
+(`curve_table().images_of`), with no numpy imported.  The four order-3
+classes A2, A2^2, A2^3, A2^4 fix 72, 12, 6 and 0 of the 240 curves, so
+`carter_types` and `carter_type_order3` read the class off that count;
+their fixed sublattices have rank 7, 5, 3, 1.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cache, reduce
-
-import numpy as np
+from functools import cache
+from operator import add, eq
+from typing import TYPE_CHECKING
 
 from .curves import curve_table, s8_action
 from .lattice import (
@@ -25,12 +29,13 @@ from .lattice import (
     RANK,
     DivisorClass,
     LatticeIsometry,
+    cycle_order,
     isometry_from_text,
     pair,
-    permutation_orders,
-    simple_roots,
-    solve_norm,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def is_root(v: DivisorClass) -> bool:
@@ -39,8 +44,9 @@ def is_root(v: DivisorClass) -> bool:
 
 @cache
 def enumerate_roots() -> tuple[DivisorClass, ...]:
-    """The 240 roots of the E8 sublattice, in lexicographic order."""
-    return tuple(solve_norm(-2, 0))
+    """The 240 roots of the E8 sublattice, in lexicographic order: c + K
+    over the curves c in id order."""
+    return tuple(c.divisor + CANONICAL_CLASS for c in curve_table().curves)
 
 
 def reflection(r: DivisorClass) -> LatticeIsometry:
@@ -66,10 +72,9 @@ def element_order(m: LatticeIsometry) -> int:
     """Multiplicative order of an isometry; raises past ORDER_CAP.
 
     W(E8) acts faithfully on the 240 curves, so this is the order of the
-    curve permutation.
+    curve permutation: the lcm of the basis curves' cycle lengths.
     """
-    perm = curve_table().permutation_of(m)
-    return int(permutation_orders(perm[None])[0])
+    return cycle_order(curve_table().images_of(m))
 
 
 class CarterType3(enum.Enum):
@@ -93,21 +98,26 @@ class CarterType3(enum.Enum):
 _FIXED_CURVES_TO_TYPE = dict(zip((72, 12, 6, 0), CarterType3))
 
 
+def _carter_type(fixed: int) -> CarterType3:
+    try:
+        return _FIXED_CURVES_TO_TYPE[fixed]
+    except KeyError:
+        raise AssertionError(f"order-3 element fixing {fixed} curves") from None
+
+
 def carter_types(perms: np.ndarray) -> list[CarterType3]:
     """The classes of order-3 curve permutations (rows), by fixed-curve count."""
-    fixed = (perms == np.arange(240)).sum(axis=1).tolist()
-    unknown = set(fixed) - _FIXED_CURVES_TO_TYPE.keys()
-    if unknown:
-        raise AssertionError(f"order-3 element fixing {min(unknown)} curves")
-    return [_FIXED_CURVES_TO_TYPE[n] for n in fixed]
+    import numpy as np
+
+    return [_carter_type(n) for n in (perms == np.arange(240)).sum(axis=1).tolist()]
 
 
 def carter_type_order3(m: LatticeIsometry) -> CarterType3:
     """Conjugacy class of an order-3 isometry, read off its fixed curves."""
-    perm = curve_table().permutation_of(m)[None]
-    if permutation_orders(perm)[0] != 3:
+    images = curve_table().images_of(m)
+    if cycle_order(images) != 3:
         raise ValueError("element does not have order 3")
-    return carter_types(perm)[0]
+    return _carter_type(sum(map(eq, images, range(240))))
 
 
 def orthogonal_a2_planes(count: int) -> tuple[tuple[DivisorClass, DivisorClass], ...]:
@@ -124,6 +134,8 @@ def orthogonal_a2_planes(count: int) -> tuple[tuple[DivisorClass, DivisorClass],
     """
     if count < 1 or count > 4:
         raise ValueError("count must be between 1 and 4")
+    import numpy as np
+
     roots = enumerate_roots()
     coeffs = np.array([r.coeffs for r in roots], dtype=np.int64)
     gram = coeffs * FORM_DIAG @ coeffs.T
@@ -148,6 +160,8 @@ def representative_order3(ctype: CarterType3) -> LatticeIsometry:
         return s8_action("(1 2 3)")
     if ctype is CarterType3.A2x2:
         return s8_action("(1 2 3)(4 5 6)")
+    import numpy as np
+
     perm = np.arange(240, dtype=np.int16)
     for a, b in orthogonal_a2_planes(ctype.value):
         perm = perm[reflection_permutation(a)[reflection_permutation(b)]]
@@ -155,6 +169,29 @@ def representative_order3(ctype: CarterType3) -> LatticeIsometry:
     if carter_type_order3(m) is not ctype:
         raise AssertionError(f"representative search produced wrong class for {ctype}")
     return m
+
+
+_IDENTITY_COLUMNS = tuple(tuple(int(i == j) for i in range(RANK)) for j in range(RANK))
+
+
+def _word_isometry(letters: list[int]) -> LatticeIsometry:
+    """s_i1 s_i2 ... s_ik, composed on the nine columns of the identity.
+
+    Right multiplication by s_i acts on the columns, M s_i e_j = M s_i(e_j).
+    For i >= 2, s_i swaps E_(i-1) and E_i, so it swaps columns i - 1 and
+    i.  s_1 reflects in r = L - E1 - E2 - E3, which pairs to 1 with each
+    of L, E1, E2, E3 and to 0 with E4..E8, so it adds M r = c0 - c1 - c2
+    - c3 to columns 0..3.  A product of reflections is an isometry by
+    construction, so the matrix is not checked.
+    """
+    columns = list(_IDENTITY_COLUMNS)  # tuples: each step replaces columns, edits none
+    for i in letters:
+        if i == 1:
+            r = [c0 - c1 - c2 - c3 for c0, c1, c2, c3 in zip(*columns[:4])]
+            columns[:4] = [tuple(map(add, col, r)) for col in columns[:4]]
+        else:
+            columns[i - 1], columns[i] = columns[i], columns[i - 1]
+    return LatticeIsometry._unchecked(tuple(zip(*columns)))
 
 
 def parse_element(text: str) -> LatticeIsometry:
@@ -171,11 +208,10 @@ def parse_element(text: str) -> LatticeIsometry:
     if stripped.startswith("(") or stripped in ("id", "()"):
         return s8_action(stripped)
     if first == "s":
-        simples = simple_roots()
         word = stripped.split()[1:]
         if not word:
             raise ValueError("empty reflection word")
-        roots = []  # every letter is read before the curve table is built
+        letters = []
         for tok in word:
             try:
                 idx = int(tok)
@@ -183,9 +219,8 @@ def parse_element(text: str) -> LatticeIsometry:
                 raise ValueError(f"bad reflection index: {tok!r}") from None
             if not 1 <= idx <= 8:
                 raise ValueError(f"reflection index out of range: {idx}")
-            roots.append(simples[idx - 1])
-        perms = map(reflection_permutation, roots)  # perm(w s) = perm_w[perm_s]
-        return curve_table().isometry_of(reduce(lambda p, q: p[q], perms))
+            letters.append(idx)
+        return _word_isometry(letters)
     if not first.split("/")[0].lstrip("-").isdigit():  # a matrix's first entry
         raise ValueError(
             f"cannot read an element from {first!r}: write cycle notation "

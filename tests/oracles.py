@@ -11,7 +11,7 @@ No test module imports another; they share only `conftest.py`,
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, permutations
 from typing import Callable
 from unittest.mock import patch
@@ -22,6 +22,7 @@ import dpone.criteria as criteria
 from dpone.curves import bertini_class, curve_table
 from dpone.lattice import (
     CANONICAL_CLASS,
+    ENTRY_BOUND,
     FORM_DIAG,
     LINE,
     ORDER_CAP,
@@ -33,6 +34,7 @@ from dpone.lattice import (
     exceptional,
     fixed_rank,
     integer_rank,
+    simple_roots,
 )
 from dpone.stars import (
     OVERLAPPING,
@@ -49,7 +51,7 @@ from dpone.stars import (
     star_masks,
     star_table,
 )
-from dpone.weyl import CarterType3
+from dpone.weyl import CarterType3, reflection_permutation
 
 ASYNCHRONIZED = PAIR_TYPES.index(PairType.ASYNCHRONIZED)  # its pair code
 
@@ -99,6 +101,31 @@ def loop_is_isometry(matrix) -> bool:
     return all(sum(m[r][c] * k[c] for c in range(9)) == k[r] for r in range(9))
 
 
+def numpy_is_isometry(matrix) -> bool:
+    """The exact numpy check is_isometry replaced: M^T J M = J and MK = K on
+    an int64 array.  Its products are exact only for small entries, so an
+    entry past ENTRY_BOUND is rejected first (FORGED["wrapping"] passes the
+    products)."""
+    try:
+        m = tuple(tuple(int(x) for x in row) for row in matrix)
+        a = np.array(m, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError):
+        return False
+    if a.shape != (9, 9) or ((a < -ENTRY_BOUND) | (a > ENTRY_BOUND)).any():
+        return False
+    j, k = np.diag(FORM_DIAG), np.array(CANONICAL_CLASS.coeffs)
+    return bool((a.T @ j @ a == j).all() and (a @ k == k).all())
+
+
+def permutation_word_isometry(word) -> LatticeIsometry:
+    """A word in s1..s8 (indices 0..7) as parse_element composed it before:
+    the reflections' curve permutations, perm(w s) = perm_w[perm_s], turned
+    into a validated matrix by `isometry_of`."""
+    perms = [reflection_permutation(simple_roots()[i]) for i in word]
+    identity = np.arange(240, dtype=np.int16)
+    return curve_table().isometry_of(reduce(lambda p, q: p[q], perms, identity))
+
+
 def loop_permutation_of_isometry(m):
     """The column shape test permutation_of_isometry replaced."""
     cols = []
@@ -122,8 +149,9 @@ def matrix_fixed_rank(generators) -> int:
 
 def rank_carter_type(m: LatticeIsometry) -> CarterType3:
     """The class of an order-3 isometry by the rank of its fixed sublattice,
-    the typing that the fixed-curve count replaced."""
-    return {t.fixed_rank: t for t in CarterType3}[fixed_rank(m)]
+    the typing that the fixed-curve count replaced (ranked as a group, off
+    its permutation, as the typing read it)."""
+    return {t.fixed_rank: t for t in CarterType3}[fixed_rank(GroupSpec((m,)))]
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +586,16 @@ def closure_permutations(f: Callable) -> Callable:
     return per_element(lambda p: f(curve_table().isometry_of(p)))
 
 
+def python_images(m: LatticeIsometry) -> np.ndarray:
+    """`images_of`, the one-element images by `apply` and `id_of`, as int16."""
+    return np.array(curve_table().images_of(m), dtype=np.int16)
+
+
+def generator_permutations(f: Callable) -> Callable:
+    """f on each generator of a group, stacked as `generator_perms` is."""
+    return lambda g: np.array([f(m) for m in g.generators], dtype=np.int16)
+
+
 def flips(p):
     """The permutation's mask of curves sent to their Bertini partners."""
     return p == curve_table().bertini_ids
@@ -612,6 +650,11 @@ GROUP_ROWS = {
     "permutation_of": Row(
         closure_permutations(lambda m: curve_table().permutation_of(m)),
         (lambda g: g.perms, closure_permutations(coefficient_row_permutation_of)),
+        SWEEP,
+    ),
+    "images_of": Row(
+        generator_permutations(python_images),
+        (lambda g: g.generator_perms, generator_permutations(coefficient_row_permutation_of)),
         SWEEP,
     ),
     "fixed_stars": Row(

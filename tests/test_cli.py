@@ -283,7 +283,7 @@ import contextlib, io, sys
 import dpone.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = dpone.cli.main(sys.argv[1:])
-loaded = ("dpone.stars", "dpone.criteria", "dpone.lemmas", "json", "jsonschema")
+loaded = ("dpone.stars", "dpone.criteria", "dpone.lemmas", "json", "jsonschema", "numpy")
 print(code, *(m for m in loaded if m in sys.modules))
 """
 
@@ -305,22 +305,28 @@ def test_cli_import_leaves_out_jsonschema():
     code = "import sys, dpone.cli; print('jsonschema' in sys.modules)"
     assert fresh_python(code) == "False"
     # the cheap commands load neither the star layer, nor the rules, nor
-    # the lemma suite, which only verify-lemma loads; json is loaded only
-    # to write a JSON document
+    # the lemma suite, which only verify-lemma loads, nor numpy: they read
+    # plain Python tables and one element's curve images; json is loaded
+    # only to write a JSON document
     for argv, loaded in (
         (["list-curves"], "0"),
         (["--json", "list-roots"], "0 json"),
         (["classify-element", "-e", "(1 2 3)"], "0"),
+        (["classify-element", "-e", "s 8 7 6 5 4 3 2 1"], "0"),
+        (["--json", "classify-element", "-e", workloads.BERTINI_ROWS], "0 json"),
         (["classify-element", "-e", "(1 9)"], "2"),
         (["classify-element", "-e", "s 1 9"], "2"),
+        (["classify-element", "-e", "1 2 3\n4 5 6"], "2"),
         (["verify-lemma", "A2A22"], "0 dpone.lemmas"),
-        (["verify-lemma", "DP1lines"], "0 dpone.lemmas"),
+        (["verify-lemma", "DP1lines"], "0 dpone.lemmas numpy"),
         (["verify-lemma", "NoSuchLemma"], "2 dpone.lemmas"),
         # so that the checks above cannot pass for want of a working
-        # probe; report, refused or not, loads the rules but not the
-        # lemma suite
-        (["report", "-gamma", "(1 2 3)"], "0 dpone.stars dpone.criteria json"),
-        (["report", "-g", "(1 2)", "-gamma", "(1 3)"], "2 dpone.stars dpone.criteria"),
+        # probe: the commands that compute on arrays load numpy, and
+        # report, refused or not, loads the rules but not the lemma suite
+        (["list-stars"], "0 dpone.stars numpy"),
+        (["census", "-e", "(1 2 3)"], "0 dpone.stars numpy"),
+        (["report", "-gamma", "(1 2 3)"], "0 dpone.stars dpone.criteria json numpy"),
+        (["report", "-g", "(1 2)", "-gamma", "(1 3)"], "2 dpone.stars dpone.criteria numpy"),
     ):
         assert fresh_python(LOADED_AFTER_MAIN, *argv) == loaded, argv
     # a bare `import dpone` loads no submodule, yet every export resolves,

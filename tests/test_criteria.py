@@ -648,17 +648,21 @@ def test_minimality_matches_reference_clique(g_name, with_bertini):
 
 
 def test_clique_search_matches_dfs_and_reads_upper_triangle():
-    # the lower triangle and diagonal hold noise the search must never read
+    # the lower triangle and diagonal hold noise the search must never read;
+    # the search grows cliques from 64 first indices at a time, so the
+    # 150-index masks with no pair in their first rows reach later blocks
     rng = np.random.default_rng(4)
     found = 0
-    for n in (0, 3, 4, 5, 12, 30):
+    for n, empty_rows in ((0, 0), (3, 0), (4, 0), (5, 0), (12, 0), (30, 0),
+                          (150, 63), (150, 64), (150, 140)):
         for density in (0.2, 0.5, 0.8):
             upper = np.triu(rng.random((n, n)) < density, 1)
+            upper[:empty_rows] = False
             noisy = upper | np.tril(rng.random((n, n)) < 0.5)
             want = dfs_four_clique(upper)
             assert _first_four_clique(noisy) == want
             found += want is not None
-    assert found >= 5
+    assert found >= 12
 
 
 def test_report_path_never_calls_brute_force(monkeypatch):

@@ -27,6 +27,7 @@ HITS = {
     "orders": {"groups": 52, "family": 400},
     "fixed_rank": {"groups": 52, "pool": 115},
     "permutation_of": {"groups": 52, "family": 400},
+    "images_of": {"groups": 52, "family": 400},
     "fixed_stars": {"groups": 52, "family": 400},
     "partners": {"groups": 8, "family": 8},
     "star_masks": {"groups": 52, "family": 400},

@@ -1,5 +1,6 @@
 """Every name a dpone module imports, and every private name it defines, is
-read; and no test module imports another.
+read; no test module imports another; and the modules of the cheap
+commands import numpy only inside functions.
 
 A name counts as used only where it is loaded, so an import whose name
 is only assigned (say, a dataclass field of the same name) is reported.
@@ -8,6 +9,10 @@ module-level name or private method (one underscore, not a dunder) must
 be read in the module that defines it, by name or as an attribute, so a
 helper left behind by a rewrite is reported.  Test modules share inputs
 and oracles only through `conftest.py`, `families.py` and `oracles.py`.
+`lattice`, `curves`, `weyl`, `lemmas` and `cli` serve list-curves,
+list-roots, classify-element and verify-lemma A2A22, which compute on no
+array, so a numpy import at their module level is named here; the probe
+in test_cli.py can only say that numpy was loaded.
 """
 
 import ast
@@ -147,3 +152,68 @@ def test_imported_test_module_is_reported():
         "    from oracles import slow_order\n"
     )
     assert imported_test_modules(source) == ["test_lattice", "test_rule_sweep", "tests.test_cli"]
+
+
+NUMPY_FREE = ("lattice.py", "curves.py", "weyl.py", "lemmas.py", "cli.py")
+
+
+def module_level_numpy_imports(source: str) -> list[str]:
+    """`numpy (line n)` for each import of numpy run when the module loads.
+
+    Statements inside functions and classes run later, and an
+    `if TYPE_CHECKING:` block never runs; every other block at module
+    level (if, try, with) runs at import.
+    """
+    found = []
+
+    def visit(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+                visit(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            found.extend(
+                f"{name} (line {node.lineno})"
+                for name in names if name.split(".")[0] == "numpy"
+            )
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                visit(getattr(node, field, []))
+
+    visit(ast.parse(source).body)
+    return found
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_cheap_command_modules_import_no_numpy_at_load(name):
+    source = (Path(dpone.__file__).parent / name).read_text(encoding="utf-8")
+    assert module_level_numpy_imports(source) == []
+
+
+def test_module_level_numpy_import_is_reported():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "import numpy as np\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy.typing\n"
+        "else:\n"
+        "    from numpy import arange\n"
+        "try:\n"
+        "    import numpy.linalg as la\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def f():\n"
+        "    import numpy\n"
+        "class C:\n"
+        "    import numpy\n"
+        "import numpyish\n"
+    )
+    assert module_level_numpy_imports(source) == [
+        "numpy (line 2)", "numpy (line 6)", "numpy.linalg (line 8)",
+    ]

@@ -29,7 +29,7 @@ from dpone.lattice import (
 )
 from dpone.weyl import reflection_permutation
 from families import FORGED, PARABOLICS, identity_plus, parabolic, parabolic_generators
-from oracles import assert_row, loop_is_isometry, matrix_fixed_rank
+from oracles import assert_row, loop_is_isometry, matrix_fixed_rank, numpy_is_isometry
 
 
 def test_pairing_diagonal_form():
@@ -174,6 +174,8 @@ def test_is_isometry_rejects_form_breakers():
 
 
 def test_forged_matrix_would_wrap_an_int64_product():
+    # so the numpy oracle needs ENTRY_BOUND for exactness; is_isometry,
+    # on Python integers, keeps the bound only as a guard on input
     m = np.array(FORGED["wrapping"], dtype=np.int64)
     form = np.diag(FORM_DIAG)
     k = np.array(CANONICAL_CLASS.coeffs)
@@ -191,7 +193,7 @@ def test_is_isometry_matches_loop_on_forged_matrices():
         [[0.5] * 9] * 9,
     ]
     for m in candidates:
-        assert is_isometry(m) == loop_is_isometry(m), m
+        assert is_isometry(m) == loop_is_isometry(m) == numpy_is_isometry(m), m
 
 
 def test_isometry_constructor_validates():

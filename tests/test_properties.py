@@ -31,8 +31,13 @@ from dpone.weyl import (
     reflection,
     representative_order3,
 )
-from families import word_isometry, words
-from oracles import loop_is_isometry, loop_permutation_of_isometry
+from families import cycle_types, word_isometry, words
+from oracles import (
+    loop_is_isometry,
+    loop_permutation_of_isometry,
+    numpy_is_isometry,
+    permutation_word_isometry,
+)
 
 coeffs9 = st.tuples(*[st.integers(-9, 9)] * 9)
 divisors = coeffs9.map(DivisorClass)
@@ -51,19 +56,35 @@ def word_text(word):
     return "s " + " ".join(str(i + 1) for i in word)
 
 
-# parse_element composes curve permutations; the matrix products are its oracle
+# parse_element composes a word on the matrix's columns; the matrix products
+# and the curve-permutation composition it replaced are its oracles
 @settings(max_examples=50, deadline=None)
 @given(words)
 def test_parsed_word_matches_matrix_product(word):
     assume(word)
-    assert parse_element(word_text(word)) == word_isometry(word)
+    m = parse_element(word_text(word))
+    assert m == word_isometry(word) == permutation_word_isometry(word)
 
 
 def test_long_parsed_words_match_matrix_products():
     rng = random.Random(2)
     for k in range(50):
         word = [rng.randrange(8) for _ in range(60 + k % 2)]
-        assert parse_element(word_text(word)) == word_isometry(word)
+        m = parse_element(word_text(word))
+        assert m == word_isometry(word) == permutation_word_isometry(word)
+
+
+# words and cycles are wrapped unchecked, as isometries by construction
+@given(words)
+def test_parsed_words_are_isometries(word):
+    assume(word)
+    assert is_isometry(parse_element(word_text(word)).matrix)
+
+
+def test_cycle_types_are_isometries():
+    assert len(cycle_types()) == 22
+    for text in cycle_types():
+        assert is_isometry(parse_element(text).matrix), text
 
 
 def test_representatives_match_plane_rotation_products():
@@ -88,7 +109,7 @@ def test_pairing_bilinear(a, b, c, m, n):
 @given(words)
 def test_word_isometry_matches_loop_oracles(word):
     m = word_isometry(word)
-    assert is_isometry(m.matrix) and loop_is_isometry(m.matrix)
+    assert is_isometry(m.matrix) and loop_is_isometry(m.matrix) and numpy_is_isometry(m.matrix)
     assert permutation_of_isometry(m) == loop_permutation_of_isometry(m)
 
 

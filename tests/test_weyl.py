@@ -19,6 +19,7 @@ from dpone.lattice import (
     pair,
     permutation_orders,
     simple_roots,
+    solve_norm,
 )
 from dpone.weyl import (
     CarterType3,
@@ -103,7 +104,9 @@ def test_root_census():
 
 
 def test_independent_root_solver_agrees():
-    assert closed_form_roots() == list(enumerate_roots())
+    # enumerate_roots shifts the curves by K; the closed forms and the
+    # solver each find the roots on their own
+    assert closed_form_roots() == list(enumerate_roots()) == solve_norm(-2, 0)
 
 
 def test_is_root_examples():
