@@ -338,25 +338,24 @@ def search_commuting_order3(
 def _first_four_clique(asynchronized: np.ndarray) -> list[int] | None:
     """The least sorted index 4-tuple whose pairs (i, j), i < j, are all True.
 
-    Reads the (n, n) mask only at i < j.  Sorted cliques grow one index at
-    a time, each row by every larger index that is True against all its
-    members, in (row, index) order, so each level is in lexicographic
-    order and the first row at size 4 is the least.  They grow from
-    blocks of 64 least first indices, in order, and the search stops at
-    the first block that yields a 4-clique: every clique of a later block
-    is larger, so that clique is still the least, and a large candidate
-    set never grows the cliques of every first index.
+    Reads the (n, n) mask only at i < j.  For i ascending, its later
+    neighbours N_i; for each j in N_i, the later members of N_i that j
+    meets; for each such k, the least later one that k meets too.  The
+    first l found closes the least clique, so the search stops at the
+    first hit and never lists the cliques of a dense mask; with n < 4
+    there is no i to take.
     """
     n = len(asynchronized)
-    later = np.arange(n)
-    for start in range(0, n, 64):
-        cliques = later[start : start + 64, None]
-        for _ in range(3):
-            rows, j = np.nonzero(later > cliques[:, -1:])
-            keep = asynchronized[cliques[rows], j[:, None]].all(axis=1)
-            cliques = np.column_stack([cliques[rows[keep]], j[keep]])
-        if len(cliques):
-            return cliques[0].tolist()
+    for i in range(n - 3):
+        later_i = i + 1 + np.flatnonzero(asynchronized[i, i + 1 :])
+        for p, j in enumerate(later_i.tolist()):
+            common = later_i[p + 1 :]
+            common = common[asynchronized[j, common]]
+            for q, k in enumerate(common.tolist()):
+                last = common[q + 1 :]
+                hits = last[asynchronized[k, last]]
+                if len(hits):
+                    return [i, j, k, int(hits[0])]
     return None
 
 

@@ -204,10 +204,10 @@ class CurveTable:
 
     @cached_property
     def trace_array(self) -> np.ndarray:
-        """``trace_columns`` as a (240, 9) array, read at many elements at once."""
-        trace = self.coeff_array[:, [*range(1, RANK), 0]]
-        trace[:, :2] += self.coeff_array[:, :1]
-        return _read_only(trace)
+        """``trace_columns`` as a C-ordered (240, 9) array, for many elements."""
+        import numpy as np
+
+        return _read_only(np.array(self.trace_columns, dtype=np.int64).T.copy())
 
     def curve(self, cid: int) -> ExceptionalCurve:
         return self.curves[cid]

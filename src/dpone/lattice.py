@@ -700,6 +700,17 @@ def permutation_orders(perms: np.ndarray) -> np.ndarray:
 
 # -- permutation shorthand and text I/O ------------------------------------
 
+INTEGER = re.compile(r"[+-]?[0-9]+")  # an integer in element text
+
+
+def read_int(tok: str, error: str) -> int:
+    """The integer a whole token writes in ASCII digits, or ValueError(error);
+    int() alone also takes other scripts' digits and "_" separators."""
+    if INTEGER.fullmatch(tok) is None:
+        raise ValueError(error)
+    return int(tok)
+
+
 def parse_cycles(text: str) -> dict[int, int]:
     """Parse cycle notation such as "(1 2 3)(4 5 6)" into a mapping on 1..8.
 
@@ -718,10 +729,7 @@ def parse_cycles(text: str) -> dict[int, int]:
         parts = [p for p in chunk.replace(",", " ").split() if p]
         if not parts:
             continue
-        try:
-            idxs = [int(p) for p in parts]
-        except ValueError as exc:
-            raise ValueError(f"malformed cycle string: {text!r}") from exc
+        idxs = [read_int(p, f"malformed cycle string: {text!r}") for p in parts]
         if any(not 1 <= i <= 8 for i in idxs):
             raise ValueError(f"cycle indices must be in 1..8: {text!r}")
         if len(set(idxs)) != len(idxs) or any(i in mapping for i in idxs):
@@ -789,12 +797,6 @@ def isometry_from_text(text: str) -> LatticeIsometry:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows += ([_matrix_entry(tok) for tok in row.split()] for row in line.split("/"))
+        for row in line.split("/"):
+            rows.append([read_int(tok, f"bad matrix entry {tok!r}") for tok in row.split()])
     return LatticeIsometry(_as_matrix(rows))
-
-
-def _matrix_entry(tok: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ValueError(f"bad matrix entry {tok!r}") from None

@@ -26,12 +26,14 @@ from .curves import curve_table, s8_action
 from .lattice import (
     CANONICAL_CLASS,
     FORM_DIAG,
+    INTEGER,
     RANK,
     DivisorClass,
     LatticeIsometry,
     cycle_order,
     isometry_from_text,
     pair,
+    read_int,
 )
 
 if TYPE_CHECKING:
@@ -137,8 +139,8 @@ def orthogonal_a2_planes(count: int) -> tuple[tuple[DivisorClass, DivisorClass],
     import numpy as np
 
     roots = enumerate_roots()
-    coeffs = np.array([r.coeffs for r in roots], dtype=np.int64)
-    gram = coeffs * FORM_DIAG @ coeffs.T
+    # the roots are the curves shifted by K in id order: r.s = c.d - 1
+    gram = curve_table().pairing_array - 1
     free = np.ones(len(roots), dtype=bool)
     chosen = []
     for _ in range(count):
@@ -213,15 +215,12 @@ def parse_element(text: str) -> LatticeIsometry:
             raise ValueError("empty reflection word")
         letters = []
         for tok in word:
-            try:
-                idx = int(tok)
-            except ValueError:
-                raise ValueError(f"bad reflection index: {tok!r}") from None
+            idx = read_int(tok, f"bad reflection index: {tok!r}")
             if not 1 <= idx <= 8:
                 raise ValueError(f"reflection index out of range: {idx}")
             letters.append(idx)
         return _word_isometry(letters)
-    if not first.split("/")[0].lstrip("-").isdigit():  # a matrix's first entry
+    if INTEGER.fullmatch(first.split("/")[0]) is None:  # a matrix's first entry
         raise ValueError(
             f"cannot read an element from {first!r}: write cycle notation "
             '"(1 2 3)", a reflection word "s 1 2 1" or nine rows of nine integers'

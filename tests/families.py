@@ -7,7 +7,9 @@ another.  A change that replaces a fast path moves the old path into
 these families.
 """
 
+import os
 import random
+import subprocess
 import sys
 from functools import cache, reduce
 from pathlib import Path
@@ -19,11 +21,22 @@ from dpone.curves import bertini_isometry, curve_table
 from dpone.lattice import GroupSpec, LatticeIsometry, simple_roots
 from dpone.weyl import CarterType3, reflection, reflection_permutation, representative_order3
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 import workloads  # noqa: E402  (perfbench/workloads.py)
 
 cycle_types = workloads.cycle_types
+
+
+def fresh_python(*args: str, **run) -> subprocess.CompletedProcess:
+    """`python *args` in a new interpreter that imports dpone from this
+    checkout's src/ and writes no bytecode; `run` goes to subprocess.run."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **run)
 
 
 @cache

@@ -39,7 +39,6 @@ from dpone.lattice import (
 from dpone.stars import (
     OVERLAPPING,
     PAIR_TYPES,
-    ActionKind,
     OverlappingStars,
     PairType,
     asynchronized,
@@ -48,10 +47,11 @@ from dpone.stars import (
     invariant_stars,
     pair_codes,
     pair_counts,
+    split_invariant_stars,
     star_masks,
     star_table,
 )
-from dpone.weyl import CarterType3, reflection_permutation
+from dpone.weyl import CarterType3, carter_type_order3, reflection_permutation
 
 ASYNCHRONIZED = PAIR_TYPES.index(PairType.ASYNCHRONIZED)  # its pair code
 
@@ -337,7 +337,7 @@ def all_ones_cross(a, b) -> bool:
 def reference_two_stars(gamma):
     """The first asynchronized pair of StarAction records, by the all-ones
     cross test, each hit confirmed by classify_pair."""
-    pointwise = [a.star for a in invariant_stars(gamma) if a.kind is ActionKind.TRIVIAL]
+    pointwise, _ = split_invariant_stars(gamma)
     for a, b in combinations(pointwise, 2):
         if set(a) & set(b):
             continue
@@ -377,10 +377,7 @@ def reference_carter(gamma):
 def reference_not_rational_stars(gamma):
     """The first order-3 element with three faithful StarAction records."""
     for i in gamma.of_order(3):
-        faithful = [
-            a.star for a in invariant_stars(criteria.element_isometry(gamma.element(i)))
-            if a.kind is ActionKind.FAITHFUL
-        ]
+        _, faithful = split_invariant_stars(criteria.element_isometry(gamma.element(i)))
         if len(faithful) >= 3:
             return criteria.StarsWitness((gamma.element(i),), stars=tuple(faithful[:3]))
     return None
@@ -596,42 +593,48 @@ def generator_permutations(f: Callable) -> Callable:
     return lambda g: np.array([f(m) for m in g.generators], dtype=np.int16)
 
 
+def order3_isometries(f: Callable) -> Callable:
+    """f on the isometry of each order-3 closure row of a group, in
+    `of_order(3)` order."""
+    return lambda g: tuple(f(curve_table().isometry_of(g.perms[i])) for i in g.of_order(3))
+
+
 def flips(p):
     """The permutation's mask of curves sent to their Bertini partners."""
     return p == curve_table().bertini_ids
 
 
-RULES = ("groups", "family", "pool")
+ALL = ("groups", "family", "pool")
 SWEEP = ("groups", "family")
 RULE_ROWS = {
     "rational_two_stars": Row(
         criteria.check_rational_two_stars,
         (reference_two_stars, pair_code_two_stars),
-        RULES,
+        ALL,
         criteria.replay_two_stars,
     ),
     "rational_triple": Row(
-        criteria.check_rational_triple, (ix_triple,), RULES, criteria.replay_triple
+        criteria.check_rational_triple, (ix_triple,), ALL, criteria.replay_triple
     ),
     "not_rational_carter": Row(
         criteria.check_not_rational_carter,
         (reference_carter,),
-        RULES,
+        ALL,
         criteria.replay_carter,
     ),
     "not_rational_stars": Row(
         criteria.check_not_rational_stars,
         (reference_not_rational_stars,),
-        RULES,
+        ALL,
         criteria.replay_stars,
     ),
     "not_rational_even": Row(
-        criteria.check_not_rational_even, (element_loop_even,), RULES, criteria.replay_even
+        criteria.check_not_rational_even, (element_loop_even,), ALL, criteria.replay_even
     ),
     "minimal_four_stars": Row(
         lambda g: criteria.check_minimal_four_stars(as_g(g)),
         (lambda g: reference_four_stars(as_g(g)), lambda g: pair_code_four_stars(as_g(g))),
-        RULES,
+        ALL,
         lambda g, cert: criteria.replay_minimality(as_g(g), cert),
     ),
 }
@@ -645,7 +648,7 @@ GROUP_ROWS = {
             lambda g: fixed_rank(eliminated_group(g.generators)),
             lambda g: matrix_fixed_rank(g.generators),
         ),
-        ("groups", "pool"),
+        ALL,
     ),
     "permutation_of": Row(
         closure_permutations(lambda m: curve_table().permutation_of(m)),
@@ -673,6 +676,11 @@ GROUP_ROWS = {
     "star_masks": Row(
         lambda g: star_masks(g.perms, star_table().ids_array),
         (lambda g: row_major_star_masks(g.perms, rows16()),),
+        SWEEP,
+    ),
+    "order3_types": Row(
+        lambda g: g.order3_types,
+        (order3_isometries(rank_carter_type), order3_isometries(carter_type_order3)),
         SWEEP,
     ),
     "flipped_stars": Row(

@@ -37,15 +37,14 @@ from dpone.lattice import (
 )
 from dpone.stars import (
     D6,
-    ActionKind,
     PairType,
     classify_pair,
     intersection_profile_census,
     invariant_curves,
-    invariant_stars,
     is_star,
     profile,
     sample_pairs_by_type,
+    split_invariant_stars,
     star_graph_automorphisms,
     star_id,
     star_table,
@@ -123,22 +122,27 @@ def test_criterion_03_invariant_census(capsys):
 
         def census(ctype):
             m = REPS[ctype]
-            inv = invariant_curves(m)
-            acts = invariant_stars(m)
-            triv = [a.star for a in acts if a.kind is ActionKind.TRIVIAL]
-            faith = [a.star for a in acts if a.kind is ActionKind.FAITHFUL]
-            return inv, triv, faith
+            return invariant_curves(m), *split_invariant_stars(m)
+
+        def names(stars):
+            return {frozenset(t.curve(c).name for c in s) for s in stars}
 
         inv, triv, faith = census(CarterType3.A2)
         assert len(inv) == 72 and len(faith) == 1
-        assert {t.curve(c).name for c in faith[0]} == {
-            "C1-2", "C3-2", "C3-1", "C2-1", "C2-3", "C1-3",
-        }
+        assert names(faith) == {frozenset({"C1-2", "C3-2", "C3-1", "C2-1", "C2-3", "C1-3"})}
         assert all(profile(c, faith[0]) is None for c in inv)
 
         inv, triv, faith = census(CarterType3.A2x2)
         assert len(inv) == 12 and len(triv) == 2 and len(faith) == 2
         assert set().union(*triv) == set(inv)
+        assert names(triv) == {
+            frozenset({"E7", "E8", "C7-8", "bE7", "bE8", "C8-7"}),
+            frozenset({"L78", "bQ123", "Q456", "bL78", "Q123", "bQ456"}),
+        }
+        assert names(faith) == {
+            frozenset({"C1-2", "C3-2", "C3-1", "C2-1", "C2-3", "C1-3"}),
+            frozenset({"C4-5", "C6-5", "C6-4", "C5-4", "C5-6", "C4-6"}),
+        }
         for a, b in combinations(triv + faith, 2):
             assert classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
 
@@ -152,7 +156,7 @@ def test_criterion_03_invariant_census(capsys):
         assert len(inv) == 0 and len(triv) == 0 and len(faith) == 40
 
         info["detail"] = (
-            "A2 72/1 with all-ones profiles, A2^2 12 curves + 2+2 stars "
+            "A2 72/1 with all-ones profiles, A2^2 12 curves + 2+2 named stars "
             "pairwise asynchronized, A2^3 6/1+12 asynchronized, A2^4 0/40"
         )
 
@@ -171,6 +175,7 @@ def test_criterion_04_star_totals(capsys):
                     continue
                 pairs += 1
                 s = star_through(t.curve(a), t.curve(b))
+                assert {a, b} <= set(s)
                 assert is_star([t.curve(c).divisor for c in s])
                 # the least of the star's 12 hexagon relabelings
                 keys.add(min(tuple(s[i] for i in order) for order in relabelings))
@@ -220,6 +225,10 @@ def test_criterion_06_trichotomy(capsys):
         assert (census["asynchronized"], census["synchronized"], census["abnormal"]) == (
             67200, 151200, 362880,
         )
+        # per star: 120 asynchronized, 270 synchronized and 648 abnormal partners
+        assert [census[k] * 2 // 1120 for k in ("asynchronized", "synchronized", "abnormal")] == [
+            120, 270, 648,
+        ]
         # the orbit count equals the sweep of pair_codes over every pair
         assert census == all_pairs_census()
         a = star_through("E7", "E8")
@@ -259,11 +268,7 @@ def test_criterion_08_minimality_cross_validation(capsys):
         ranks = []
         for ctype in (CarterType3.A2x3, CarterType3.A2x2):
             g = REPS[ctype]
-            pointwise = [
-                a.star
-                for a in invariant_stars(g)
-                if a.kind is ActionKind.TRIVIAL
-            ]
+            pointwise, _ = split_invariant_stars(g)
             h = search_commuting_order3(g, pointwise)
             setup = ActionSetup(GroupSpec((g, h), "G"), TRIVIAL_GROUP)
             cert = check_minimal_four_stars(setup)
@@ -299,13 +304,15 @@ def test_criterion_09_verdict_soundness(capsys):
         for name, gamma, want in canned:
             report = gamma_report(gamma)
             assert report.verdict is want, name
+            assert (report.caveat is not None) == (want is Verdict.RATIONAL), name
             assert replays[report.rule](gamma, report.witness), name
             has_triple = check_rational_triple(gamma) is not None
             triple_record.append(f"{name}:{'yes' if has_triple else 'no'}")
             assert has_triple == (want is Verdict.RATIONAL)
         info["detail"] = (
-            "verdicts Rational x3 then NotRational x2, all witnesses "
-            "replay; fixed triples by exhaustive search: "
+            "verdicts Rational x3 then NotRational x2, a caveat exactly on "
+            "the Rational ones, all witnesses replay; fixed triples by "
+            "exhaustive search: "
             + ", ".join(triple_record)
         )
 

@@ -1,20 +1,16 @@
 import json
 import os
 import subprocess
-import sys
 import time
-from pathlib import Path
 
 import jsonschema
 import pytest
 
 import dpone
 from dpone.cli import main
-from dpone.lattice import MAX_CAP, isometry_to_text
+from dpone.lattice import MAX_CAP, LatticeIsometry, isometry_to_text
 from dpone.weyl import CarterType3, representative_order3
-from families import FORGED, PERFBENCH, workloads
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from families import FORGED, PERFBENCH, fresh_python, workloads
 
 VERDICT_SCHEMA = {
     "type": "object",
@@ -288,22 +284,15 @@ print(code, *(m for m in loaded if m in sys.modules))
 """
 
 
-def fresh_python(code: str, *argv: str) -> str:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True,
-        text=True, timeout=60,
-    )
+def stdout_of(code: str, *argv: str) -> str:
+    proc = fresh_python("-c", code, *argv, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
 
 def test_cli_import_leaves_out_jsonschema():
     code = "import sys, dpone.cli; print('jsonschema' in sys.modules)"
-    assert fresh_python(code) == "False"
+    assert stdout_of(code) == "False"
     # the cheap commands load neither the star layer, nor the rules, nor
     # the lemma suite, which only verify-lemma loads, nor numpy: they read
     # plain Python tables and one element's curve images; json is loaded
@@ -328,7 +317,7 @@ def test_cli_import_leaves_out_jsonschema():
         (["report", "-gamma", "(1 2 3)"], "0 dpone.stars dpone.criteria json numpy"),
         (["report", "-g", "(1 2)", "-gamma", "(1 3)"], "2 dpone.stars dpone.criteria numpy"),
     ):
-        assert fresh_python(LOADED_AFTER_MAIN, *argv) == loaded, argv
+        assert stdout_of(LOADED_AFTER_MAIN, *argv) == loaded, argv
     # a bare `import dpone` loads no submodule, yet every export resolves,
     # and no name is exported that the list above leaves out
     assert sorted(dpone.__all__) == sorted(PACKAGE_EXPORTS)
@@ -337,7 +326,7 @@ def test_cli_import_leaves_out_jsonschema():
         "print(*sorted(m for m in sys.modules if m.startswith('dpone')))\n"
         f"print(all(getattr(dpone, name) is not None for name in {PACKAGE_EXPORTS!r}))"
     )
-    assert fresh_python(code).splitlines() == ["dpone", "True"]
+    assert stdout_of(code).splitlines() == ["dpone", "True"]
 
 
 # runs main on the bench pool's commands that build group elements with
@@ -371,7 +360,7 @@ for label, _, argv in workloads.cli_pool():
 
 
 def test_elements_compose_without_matrix_products():
-    lines = fresh_python(NO_MATRIX_PRODUCTS, str(PERFBENCH)).splitlines()
+    lines = stdout_of(NO_MATRIX_PRODUCTS, str(PERFBENCH)).splitlines()
     assert lines[0] == "rejected with 0 tables"
     assert len(lines[1:]) == 15
     for line in lines[1:]:
@@ -412,7 +401,7 @@ except AssertionError:
 
 
 def test_report_path_never_calls_pair_codes():
-    lines = fresh_python(NO_PAIR_CODES, str(PERFBENCH)).splitlines()
+    lines = stdout_of(NO_PAIR_CODES, str(PERFBENCH)).splitlines()
     assert lines == ["114 reports", "census refused"]
 
 
@@ -428,17 +417,10 @@ def test_report_path_never_calls_pair_codes():
 )
 def test_closed_stdout_exits_quietly(argv):
     """A reader that went away (`dpone list-stars | head -3`) ends the run."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to the pipe now fails with EPIPE
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "dpone", *argv], env=env, stdout=write_end,
-            stderr=subprocess.PIPE, timeout=60,
-        )
+        proc = fresh_python("-m", "dpone", *argv, stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
@@ -616,6 +598,27 @@ def test_bad_element_exits_2(capsys):
     code, _, err = run(capsys, "classify-element", "-e", "(1 2")
     assert code == 2
     assert "error:" in err
+
+
+# int() reads other scripts' digits and "_" separators; element text does not
+IDENTITY_0_1 = isometry_to_text(LatticeIsometry.identity())[:-1] + "0_1"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(\u0661 2)", "malformed cycle string: '(\u0661 2)'"),
+        ("s \u0661", "bad reflection index: '\u0661'"),
+        ("s 1_0", "bad reflection index: '1_0'"),
+        (IDENTITY_0_1, "bad matrix entry '0_1'"),
+        ("\u0661 0 0", "cannot read an element from '\u0661'"),
+    ],
+    ids=["cycle", "word", "word separator", "matrix", "matrix start"],
+)
+def test_only_ascii_digits_read_as_integers(capsys, text, message):
+    code, out, err = run(capsys, "classify-element", "-e", text)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -41,10 +41,9 @@ from dpone.lattice import (
     simple_roots,
 )
 from dpone.stars import (
-    ActionKind,
     PairType,
     classify_pair,
-    invariant_stars,
+    split_invariant_stars,
     star_table,
 )
 from dpone.weyl import (
@@ -252,9 +251,7 @@ def test_minimality_none_for_a2():
 
 def _commuting_pair(ctype):
     g = REPS[ctype]
-    pointwise = [
-        a.star for a in invariant_stars(g) if a.kind is ActionKind.TRIVIAL
-    ]
+    pointwise, _ = split_invariant_stars(g)
     h = search_commuting_order3(g, pointwise)
     return g, h, pointwise
 
@@ -300,27 +297,10 @@ def test_search_commuting_rejects_what_is_not_a_star(which):
     # star_masks reads a row by its first edge, so a row whose first two
     # curves meet would pass as invariant; the search checks every row first
     g = REPS[CarterType3.A2x2]
-    s = next(a.star for a in invariant_stars(g) if a.kind is ActionKind.TRIVIAL)
+    s = split_invariant_stars(g)[0][0]
     row = (0, 1, 2, 3, 4, 5) if which == "non-star" else (s[0], s[2], s[1]) + s[3:]
     with pytest.raises(ValueError, match="do not form a star"):
         search_commuting_order3(g, [s, row])
-
-
-def test_canned_verdicts():
-    expected = {
-        "trivial": Verdict.RATIONAL,
-        "A2": Verdict.RATIONAL,
-        "A2^2": Verdict.RATIONAL,
-        "A2^3": Verdict.NOT_RATIONAL,
-        "A2^4": Verdict.NOT_RATIONAL,
-    }
-    for name, gamma in CANNED.items():
-        report = gamma_report(gamma)
-        assert report.verdict is expected[name], name
-        if report.verdict is Verdict.RATIONAL:
-            assert report.caveat is not None
-        else:
-            assert report.caveat is None
 
 
 def test_report_ranks():
@@ -505,7 +485,7 @@ def test_replay_minimality_recomputes_the_rank(monkeypatch):
     m = REPS[CarterType3.A2x3]
     g = group_of(m, label="G")
     setup = ActionSetup(g, TRIVIAL_GROUP)
-    stars = [a.star for a in invariant_stars(g) if a.kind is ActionKind.FAITHFUL]
+    _, stars = split_invariant_stars(g)
     cert = MinimalityCertificate(tuple(stars[:4]), (m,) * 4, 1)
     vars(setup.combined)["_fixed_rank"] = 1  # a false cached rank
     assert fixed_rank(setup.combined) == 1
@@ -649,12 +629,12 @@ def test_minimality_matches_reference_clique(g_name, with_bertini):
 
 def test_clique_search_matches_dfs_and_reads_upper_triangle():
     # the lower triangle and diagonal hold noise the search must never read;
-    # the search grows cliques from 64 first indices at a time, so the
-    # 150-index masks with no pair in their first rows reach later blocks
+    # the 150-index masks with no pair in their first rows start late, and
+    # the last, dense from its first row, holds a clique at once
     rng = np.random.default_rng(4)
     found = 0
     for n, empty_rows in ((0, 0), (3, 0), (4, 0), (5, 0), (12, 0), (30, 0),
-                          (150, 63), (150, 64), (150, 140)):
+                          (150, 63), (150, 64), (150, 140), (150, 0)):
         for density in (0.2, 0.5, 0.8):
             upper = np.triu(rng.random((n, n)) < density, 1)
             upper[:empty_rows] = False

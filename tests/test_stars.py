@@ -26,12 +26,12 @@ from dpone.stars import (
     classify_pair,
     intersection_profile_census,
     invariant_curves,
-    invariant_stars,
     is_star,
     pair_codes,
     pattern_key_table,
     profile,
     sample_pairs_by_type,
+    split_invariant_stars,
     star_graph_automorphisms,
     star_id,
     star_orbit,
@@ -291,11 +291,7 @@ def test_classify_pair_rejects_equal_stars():
 
 
 def test_classified_examples():
-    a2x2_stars = [
-        a.star
-        for a in invariant_stars(representative_order3(CarterType3.A2x2))
-        if a.kind is ActionKind.TRIVIAL
-    ]
+    a2x2_stars, _ = split_invariant_stars(representative_order3(CarterType3.A2x2))
     assert len(a2x2_stars) == 2
     res = classify_pair(*a2x2_stars)
     assert res.pair_type is PairType.ASYNCHRONIZED
@@ -528,8 +524,7 @@ def test_invariant_census_a2():
     g = representative_order3(CarterType3.A2)
     inv = invariant_curves(g)
     assert len(inv) == 72
-    actions = invariant_stars(g)
-    faithful = [a.star for a in actions if a.kind is ActionKind.FAITHFUL]
+    _, faithful = split_invariant_stars(g)
     assert len(faithful) == 1
     assert frozenset(faithful[0]) == star_of_names(
         "C1-2", "C3-2", "C3-1", "C2-1", "C2-3", "C1-3"
@@ -541,9 +536,7 @@ def test_invariant_census_a2():
 def test_invariant_census_a2x2():
     g = representative_order3(CarterType3.A2x2)
     assert len(invariant_curves(g)) == 12
-    actions = invariant_stars(g)
-    trivial = [a.star for a in actions if a.kind is ActionKind.TRIVIAL]
-    faithful = [a.star for a in actions if a.kind is ActionKind.FAITHFUL]
+    trivial, faithful = split_invariant_stars(g)
     assert len(trivial) == 2
     assert len(faithful) == 2
     assert {frozenset(s) for s in trivial} == {
@@ -562,9 +555,7 @@ def test_invariant_census_a2x3():
     g = representative_order3(CarterType3.A2x3)
     inv = invariant_curves(g)
     assert len(inv) == 6
-    actions = invariant_stars(g)
-    trivial = [a.star for a in actions if a.kind is ActionKind.TRIVIAL]
-    faithful = [a.star for a in actions if a.kind is ActionKind.FAITHFUL]
+    trivial, faithful = split_invariant_stars(g)
     assert len(trivial) == 1
     assert frozenset(trivial[0]) == frozenset(inv)
     assert len(faithful) == 12
@@ -575,9 +566,8 @@ def test_invariant_census_a2x3():
 def test_invariant_census_a2x4():
     g = representative_order3(CarterType3.A2x4)
     assert invariant_curves(g) == ()
-    actions = invariant_stars(g)
-    assert len(actions) == 40
-    assert all(a.kind is ActionKind.FAITHFUL for a in actions)
+    trivial, faithful = split_invariant_stars(g)
+    assert (len(trivial), len(faithful)) == (0, 40)
 
 
 def test_invariant_curves_read_the_kept_mask():
@@ -594,10 +584,7 @@ def test_faithful_action_is_two_step_rotation():
     g = representative_order3(CarterType3.A2)
     t = curve_table()
     perm = t.permutation_of(g)
-    faithful = [
-        a.star for a in invariant_stars(g) if a.kind is ActionKind.FAITHFUL
-    ][0]
-    ids = faithful
+    ids = split_invariant_stars(g)[1][0]
     shift = ids.index(perm[ids[0]])
     assert shift in (2, 4)
     for i in range(6):

@@ -8,12 +8,8 @@ closure signature would break `--trace 1` while no other test runs it.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from families import PERFBENCH, fresh_python
 
 SCRIPT = """
 import json, sys
@@ -32,14 +28,7 @@ print(json.dumps({"rule": report.rule, "spans": sorted({s.name for s in rec.span
 
 
 def test_span_tracer_wraps_rules_and_closure():
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = fresh_python("-c", SCRIPT, str(PERFBENCH), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     # Bertini: every rule runs, and the even rule hits last

@@ -1,5 +1,3 @@
-import random
-from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -34,8 +32,6 @@ from dpone.weyl import (
     reflection_permutation,
     representative_order3,
 )
-from families import group, groups
-from oracles import rank_carter_type
 
 
 def closed_form_roots():
@@ -240,49 +236,6 @@ def test_conjugation_preserves_carter_type():
         m = representative_order3(ctype)
         conj = w @ m @ w.inverse()
         assert carter_type_order3(conj) is ctype
-
-
-def assert_counts_agree_with_ranks(rows):
-    t = curve_table()
-    elements = [t.isometry_of(row) for row in rows]
-    want = [rank_carter_type(m) for m in elements]
-    assert carter_types(rows) == want
-    assert [carter_type_order3(m) for m in elements] == want
-    return Counter(want)
-
-
-def test_carter_types_match_ranks_on_oracle_groups():
-    seen = Counter()
-    for name in groups():
-        g = group(name)
-        seen += assert_counts_agree_with_ranks(g.perms[g.of_order(3)])
-    assert set(seen) == set(CarterType3)
-
-
-def test_carter_types_match_ranks_on_random_words():
-    # the order-3 powers of seeded words in s1..s8 reach all four classes
-    simple = [reflection_permutation(r) for r in simple_roots()]
-    rng = random.Random(2)
-    words = []
-    for _ in range(3000):
-        h = np.arange(240)
-        for _ in range(rng.choice((60, 61))):
-            h = h[simple[rng.randrange(8)]]
-        words.append(h)
-    rows = []
-    for h, n in zip(words, permutation_orders(np.array(words)).tolist()):
-        if n % 3 == 0:
-            p = np.arange(240)
-            for _ in range(n // 3):
-                p = p[h]
-            rows.append(p)
-    seen = assert_counts_agree_with_ranks(np.array(rows))
-    assert seen == {
-        CarterType3.A2: 504,
-        CarterType3.A2x2: 509,
-        CarterType3.A2x3: 400,
-        CarterType3.A2x4: 127,
-    }
 
 
 def test_carter_types_reject_unknown_counts():
