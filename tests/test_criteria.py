@@ -303,6 +303,23 @@ def test_search_commuting_rejects_what_is_not_a_star(which):
         search_commuting_order3(g, [s, row])
 
 
+def test_canned_verdicts():
+    expected = {
+        "trivial": Verdict.RATIONAL,
+        "A2": Verdict.RATIONAL,
+        "A2^2": Verdict.RATIONAL,
+        "A2^3": Verdict.NOT_RATIONAL,
+        "A2^4": Verdict.NOT_RATIONAL,
+    }
+    for name, gamma in CANNED.items():
+        report = gamma_report(gamma)
+        assert report.verdict is expected[name], name
+        if report.verdict is Verdict.RATIONAL:
+            assert report.caveat is not None
+        else:
+            assert report.caveat is None
+
+
 def test_report_ranks():
     report = gamma_report(CANNED["A2^2"])
     assert report.ranks == {"G": 9, "Gamma": 5, "combined": 5}

@@ -10,10 +10,9 @@ C-ordered int16 table (`oracles.rows16`) and reduce over the last axis.
 Their answers must agree exactly on hypothesis words here, and in the
 differential table on every element of the oracle groups' and the sweep
 groups' closures, whose generators the one-element images
-(`images_of`) are checked on too; the pair test and the partner table
-meet theirs on every star pair in test_pair_code_rules.py.  The shared
-tables are read-only, so a stray write raises instead of corrupting
-every later answer.
+(`images_of`) are checked on too.  The shared tables
+are read-only, so a stray write raises instead of corrupting every later
+answer.
 """
 
 import shlex
@@ -31,6 +30,11 @@ from families import fresh_python, group, groups, word_isometry, words
 from oracles import coefficient_row_permutation_of, rows16
 
 
+def row_major_asynchronized(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    ones = (curve_table().pairing_array[a] == 1).sum(axis=-2, dtype=np.int8)
+    return ones[..., rest].sum(axis=-1, dtype=np.int8) == 36
+
+
 def assert_same_permutation(m: LatticeIsometry) -> None:
     perm = curve_table().permutation_of(m)
     assert perm.dtype == np.int16
@@ -42,6 +46,28 @@ def assert_same_permutation(m: LatticeIsometry) -> None:
 def test_key_product_matches_coefficient_rows_on_words(word, bertini):
     m = word_isometry(word)
     assert_same_permutation(m @ bertini_isometry() if bertini else m)
+
+
+def test_slot_first_asynchronized_matches_row_major_on_all_pairs():
+    ids = star_table().ids_array
+    block = asynchronized(ids, ids)
+    assert np.array_equal(block, row_major_asynchronized(rows16(), rows16()))
+    assert np.array_equal(asynchronized(rows16(), rows16()), block)  # C-ordered rows too
+    assert block.sum() == 2 * 67200  # each asynchronized pair, both ways
+    for i in range(len(ids)):
+        assert np.array_equal(asynchronized(ids[i], ids), block[i])
+
+
+def test_partner_table_matches_asynchronized_on_all_pairs():
+    ids = star_table().ids_array
+    partners = star_table().partners
+    assert partners.shape == (1120, 120) and partners.dtype == np.int16
+    assert (np.diff(partners, axis=1) > 0).all()  # each row ascends
+    block = asynchronized(ids, ids)
+    table = np.zeros_like(block)
+    table[np.arange(1120)[:, None], partners] = True
+    assert np.array_equal(table, block)
+    assert np.array_equal(table, table.T)  # symmetric
 
 
 def test_partner_table_build_stays_small(monkeypatch):
