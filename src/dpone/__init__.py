@@ -15,10 +15,10 @@ from importlib import import_module
 
 _EXPORTS = {
     "lattice": (
-        "CANONICAL_CLASS", "DivisorClass", "GroupSpec", "LatticeIsometry",
-        "TRIVIAL_GROUP", "divisor", "exceptional", "fixed_rank",
-        "group_closure", "is_isometry", "pair", "simple_roots",
+        "CANONICAL_CLASS", "DivisorClass", "LatticeIsometry", "divisor",
+        "exceptional", "fixed_rank", "is_isometry", "pair", "simple_roots",
     ),
+    "groups": ("GroupSpec", "TRIVIAL_GROUP", "group_closure"),
     "curves": (
         "ExceptionalCurve", "bertini_isometry", "curve_table", "s8_action",
     ),

@@ -1,5 +1,14 @@
 """Command-line front end: dumps, classification, lemma checks, verdicts.
 
+    dpone [--json] [--cap N] COMMAND [OPTIONS]
+
+`main` reads argv against one table, `COMMANDS`: each command's
+function, its options and the ones it requires.  `--json` and `--cap N`
+come before the command, and `-h`/`--help` wherever an option may stand
+prints `USAGE`.  An option takes the next token as its value, whatever
+it is; `--cap` reads ASCII digits only (`lattice.read_int`).  Any other
+token is a usage error: one `error:` line on stderr and exit 2.
+
 Element inputs (-e, -g, -gamma) take a file path or inline text in any of
 the three formats of the weyl module: cycle notation "(1 2 3)(4 5 6)",
 a reflection word "s 1 2 1", or nine rows of nine integers.  Group files
@@ -12,34 +21,36 @@ alone writes one of them to stdout.  Exit codes: 0 ok, 1 check failed,
 2 usage error, 141 stdout closed before the output was written.
 
 A subcommand imports only what it runs: `stars` by list-stars, census
-and report; `criteria` by report; the lemma suite, `lemmas`, by
-verify-lemma alone; `json` only to write a JSON document.  Numpy is
-loaded only by the commands that compute on arrays: list-curves,
-list-roots, classify-element and verify-lemma A2A22 read plain Python
-tables and one element's curve images, and never import it.  A process
-that writes no bytecode cache compiles each module it imports, so a
-module left out saves its compile time too.
+and report; `groups` by census and report; `criteria` by report; the
+lemma suite, `lemmas`, by verify-lemma alone; `json` only to write a
+JSON document.  Numpy is loaded only by the commands that compute on
+arrays: list-curves, list-roots, classify-element and verify-lemma A2A22
+read plain Python tables and one element's curve images, and never
+import it or the group layer.  A process that writes no bytecode cache
+compiles each module it imports, so a module left out saves its compile
+time too.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from itertools import chain
+from typing import TYPE_CHECKING
 
 from .curves import curve_table
 from .lattice import (
-    CLOSURE_CAP,
     CheckViolation,
-    GroupSpec,
     LatticeIsometry,
-    cap_exceeded,
     cycles_string,
     fixed_rank,
     permutation_of_isometry,
+    read_int,
 )
 from .weyl import carter_type_order3, element_order, enumerate_roots, parse_element
+
+if TYPE_CHECKING:
+    from .groups import GroupSpec
 
 
 MAX_INPUT_CHARS = 1 << 20  # a 9x9 matrix takes about 250
@@ -88,6 +99,8 @@ def load_group(value: str | None, label: str, cap: int) -> GroupSpec:
     in the group, so its closure would fail.  A cap below 1 is refused
     after the last block, as GroupSpec refuses it.
     """
+    from .groups import GroupSpec, cap_exceeded
+
     if value is None:
         return GroupSpec((), label, cap)
     text = _strip_comments(_read_source(value))
@@ -178,7 +191,7 @@ def cmd_list_stars(args):
 
 
 def cmd_classify_element(args):
-    m = load_element(args.element)  # all three read its curve images, built once
+    m = load_element(args["element"])  # all three read its curve images, built once
     order, rank = element_order(m), fixed_rank(m)
     doc = {"order": order, "fixed_rank": rank}
     line = f"order {order}, rank {rank}"
@@ -189,9 +202,10 @@ def cmd_classify_element(args):
 
 
 def cmd_census(args):
+    from .groups import GroupSpec
     from .stars import invariant_curves, pair_counts, split_invariant_stars, star_text
 
-    m = GroupSpec((load_element(args.element),))  # permuted once for both scans
+    m = GroupSpec((load_element(args["element"]),))  # permuted once for both scans
     inv = invariant_curves(m)
     trivial, faithful = split_invariant_stars(m)
     doc = {
@@ -212,75 +226,127 @@ def cmd_census(args):
 
 def cmd_report(args):
     from .criteria import ActionSetup, rationality_report
+    from .groups import CLOSURE_CAP
 
-    g = load_group(args.g_group, "G", args.cap)
-    gamma = load_group(args.gamma, "Gamma", args.cap)
+    cap = args.get("cap", CLOSURE_CAP)
+    g = load_group(args.get("g"), "G", cap)
+    gamma = load_group(args.get("gamma"), "Gamma", cap)
     return 0, verdict_to_dict(rationality_report(ActionSetup(g, gamma))), None
 
 
 def cmd_verify_lemma(args):
     from .lemmas import LEMMAS
 
-    checker = LEMMAS.get(args.name)
+    name = args["name"]
+    checker = LEMMAS.get(name)
     if checker is None:
-        raise ValueError(
-            f"unknown lemma {args.name!r}; choose from {', '.join(sorted(LEMMAS))}"
-        )
+        raise ValueError(f"unknown lemma {name!r}; choose from {', '.join(sorted(LEMMAS))}")
     try:
         detail, ok = checker(), True
     except CheckViolation as exc:  # CheckFailure, or a failed library check
         detail, ok = [f"FAIL: {exc}"], False
-    return int(not ok), {"lemma": args.name, "ok": ok, "detail": detail}, detail
+    return int(not ok), {"lemma": name, "ok": ok, "detail": detail}, detail
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dpone",
-        description="Exact combinatorics of the degree-1 del Pezzo Picard lattice",
-    )
-    parser.add_argument("--json", action="store_true", help="emit JSON output")
-    parser.add_argument(
-        "--cap", type=int, default=CLOSURE_CAP,
-        help="closure bound for the report's groups G and Gamma",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: dpone [--json] [--cap N] COMMAND [OPTIONS]
 
-    def command(name, run, summary):
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run)
-        return p
+Exact combinatorics of the degree-1 del Pezzo Picard lattice.
 
-    command("list-curves", cmd_list_curves, "print the 240 exceptional curves")
-    command("list-roots", cmd_list_roots, "print the 240 roots")
-    command("list-stars", cmd_list_stars, "print all 1120 stars")
+commands:
+  list-curves                       print the 240 exceptional curves
+  list-roots                        print the 240 roots
+  list-stars                        print all 1120 stars
+  classify-element -e ELEMENT       order, fixed rank, Carter type
+  census -e ELEMENT                 invariant curves and stars of an element
+  verify-lemma NAME                 replay a named check
+  report [-g GROUP] [-gamma GROUP]  rationality verdict as JSON
 
-    p = command("classify-element", cmd_classify_element, "order, fixed rank, Carter type")
-    p.add_argument("-e", "--element", required=True, help="element file or inline")
+options:
+  --json            emit JSON output
+  --cap N           closure bound for the report's groups G and Gamma
+                    (default 10000)
+  -e, --element     element file or inline text
+  -g                G generators file or inline text
+  -gamma, --gamma   Gamma generators file or inline text
+  -h, --help        print this text\
+"""
 
-    p = command("census", cmd_census, "invariant curves and stars of an element")
-    p.add_argument("-e", "--element", required=True, help="element file or inline")
 
-    p = command("verify-lemma", cmd_verify_lemma, "replay a named check")
-    p.add_argument("name", help="the check's name; any other name lists them")
+def cmd_help(args):
+    return 0, None, [USAGE]
 
-    p = command("report", cmd_report, "rationality verdict as JSON")
-    p.add_argument("-g", dest="g_group", default=None, help="G generators file or inline")
-    p.add_argument("-gamma", "--gamma", dest="gamma", default=None,
-                   help="Gamma generators file or inline")
-    return parser
+
+ELEMENT = {"-e": "element", "--element": "element"}
+
+# command -> (function, {option: keyword it sets}, {required keyword: its
+# usage}); the option None is the command's one positional argument
+COMMANDS = {
+    "list-curves": (cmd_list_curves, {}, {}),
+    "list-roots": (cmd_list_roots, {}, {}),
+    "list-stars": (cmd_list_stars, {}, {}),
+    "classify-element": (cmd_classify_element, ELEMENT, {"element": "-e ELEMENT"}),
+    "census": (cmd_census, ELEMENT, {"element": "-e ELEMENT"}),
+    "verify-lemma": (cmd_verify_lemma, {None: "name"}, {"name": "NAME"}),
+    "report": (cmd_report, {"-g": "g", "-gamma": "gamma", "--gamma": "gamma"}, {}),
+}
+
+
+def read_argv(argv: list[str]):
+    """(function, keywords, --json) of the command argv names.
+
+    -h or --help, where an option could stand, gives `cmd_help` instead;
+    every other token the grammar does not take raises ValueError.
+    """
+    tokens, args, as_json = iter(argv), {}, False
+
+    def value(option: str) -> str:
+        token = next(tokens, None)
+        if token is None:
+            raise ValueError(f"{option} takes a value")
+        return token
+
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return cmd_help, {}, False
+        if token == "--json":
+            as_json = True
+        elif token == "--cap":
+            text = value(token)
+            args["cap"] = read_int(text, f"--cap takes ASCII digits, not {text!r}")
+        elif token in COMMANDS:
+            break
+        elif token.startswith("-"):
+            raise ValueError(f"unknown option {token!r}; see dpone --help")
+        else:
+            raise ValueError(f"unknown command {token!r}; choose from {', '.join(COMMANDS)}")
+    else:
+        raise ValueError("no command given; see dpone --help")
+    command = token
+    run, options, required = COMMANDS[command]
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return cmd_help, {}, False
+        if token in options:
+            args[options[token]] = value(token)
+        elif None in options and options[None] not in args and not token.startswith("-"):
+            args[options[None]] = token
+        else:
+            raise ValueError(f"{command} takes no {token!r}; see dpone --help")
+    for key, usage in required.items():
+        if key not in args:
+            raise ValueError(f"{command} needs {usage}; see dpone --help")
+    return run, args, as_json
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and write its document: the one stdout writer."""
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        code, doc, lines = args.run(args)
+        run, args, as_json = read_argv(sys.argv[1:] if argv is None else argv)
+        code, doc, lines = run(args)
     except ValueError as exc:  # stars.OverlappingStars included
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -288,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.json or lines is None:
+        if as_json or lines is None:
             import json  # the text lines need none of it
 
             print(json.dumps(doc, indent=2))

@@ -41,17 +41,8 @@ from itertools import combinations, product
 import numpy as np
 
 from .curves import curve_table
-from .lattice import (
-    CANONICAL_CLASS,
-    CheckViolation,
-    GroupSpec,
-    LatticeIsometry,
-    TRIVIAL_GROUP,
-    eliminated_group,
-    fixed_rank,
-    pair,
-    permutation_orders,
-)
+from .groups import TRIVIAL_GROUP, GroupSpec, eliminated_group, permutation_orders
+from .lattice import CANONICAL_CLASS, CheckViolation, LatticeIsometry, fixed_rank, pair
 from .stars import (
     PairType,
     asynchronized,

@@ -4,22 +4,15 @@
 returns its detail lines, ending "OK", or raises CheckFailure with a
 counterexample; a failed library check (`CheckViolation`) raised inside
 a check fails it too.  Only `verify-lemma` imports this module, and the
-checks import `stars` and `criteria` where used: `DP1lines` and `A2A22`
-load neither.  `A2A22` loads no numpy either: its representatives are
-index 3-cycles, read off their curve images.
+checks import `stars`, `groups` and `criteria` where used: `DP1lines`
+and `A2A22` load none of them.  `A2A22` loads no numpy either: its
+representatives are index 3-cycles, read off their curve images.
 """
 
 from __future__ import annotations
 
 from .curves import FAMILIES, curve_table
-from .lattice import (
-    CheckViolation,
-    GroupSpec,
-    TRIVIAL_GROUP,
-    eliminated_group,
-    fixed_rank,
-    solve_norm,
-)
+from .lattice import CheckViolation, fixed_rank, solve_norm
 from .weyl import CarterType3, carter_type_order3, element_order, representative_order3
 
 
@@ -153,6 +146,7 @@ def _lemma_davidauto() -> list[str]:
 
 def _lemma_davidmin() -> list[str]:
     from .criteria import ActionSetup, check_minimal_four_stars
+    from .groups import TRIVIAL_GROUP, GroupSpec
 
     g = representative_order3(CarterType3.A2x4)
     setup = ActionSetup(GroupSpec((g,), "G"), TRIVIAL_GROUP)
@@ -164,6 +158,7 @@ def _lemma_davidmin() -> list[str]:
 
 def _lemma_davidmin_pair(ctype: CarterType3, rotations: str) -> list[str]:
     from .criteria import ActionSetup, check_minimal_four_stars, search_commuting_order3
+    from .groups import TRIVIAL_GROUP, GroupSpec, eliminated_group
     from .stars import split_invariant_stars
 
     g = representative_order3(ctype)
@@ -183,6 +178,7 @@ def _lemma_davidmin_pair(ctype: CarterType3, rotations: str) -> list[str]:
 
 def _lemma_ratcor() -> list[str]:
     from .criteria import Verdict, Witness, gamma_report, replay_triple
+    from .groups import TRIVIAL_GROUP, GroupSpec
     from .stars import PairType, sample_pairs_by_type
 
     out = []

@@ -47,6 +47,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -55,11 +56,13 @@ from .lattice import (
     CANONICAL_CLASS,
     CheckViolation,
     DivisorClass,
-    GroupLike,
-    _group_of,
+    LatticeIsometry,
     simple_roots,
 )
 from .weyl import reflection_permutation
+
+if TYPE_CHECKING:
+    from .groups import GroupLike, GroupSpec
 
 
 def _circulant(row) -> np.ndarray:
@@ -528,15 +531,25 @@ def star_masks(perms: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return setwise, pointwise
 
 
+def _group(g: GroupLike) -> GroupSpec:
+    """g itself if it is a GroupSpec; only a bare isometry, wrapped as the
+    group it generates, loads the group layer, which list-stars never does."""
+    if isinstance(g, LatticeIsometry):
+        from .groups import as_group
+
+        return as_group(g)
+    return g
+
+
 def invariant_curves(g: GroupLike) -> tuple[int, ...]:
     """Ids of curves fixed by every generator: the group's ``fixed_curves``."""
-    return tuple(np.flatnonzero(_group_of(g).fixed_curves).tolist())
+    return tuple(np.flatnonzero(_group(g).fixed_curves).tolist())
 
 
 def invariant_stars(g: GroupLike) -> tuple[StarAction, ...]:
     """Setwise-invariant stars, flagged trivial (pointwise) or faithful."""
     table = star_table()
-    setwise, pointwise = star_masks(_group_of(g).generator_perms, table.ids_array)
+    setwise, pointwise = star_masks(_group(g).generator_perms, table.ids_array)
     pointwise = pointwise.all(axis=0)
     return tuple(
         StarAction(

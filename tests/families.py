@@ -18,7 +18,8 @@ import hypothesis.strategies as st
 import numpy as np
 
 from dpone.curves import bertini_isometry, curve_table
-from dpone.lattice import GroupSpec, LatticeIsometry, simple_roots
+from dpone.groups import GroupSpec
+from dpone.lattice import LatticeIsometry, simple_roots
 from dpone.weyl import CarterType3, reflection, reflection_permutation, representative_order3
 
 ROOT = Path(__file__).resolve().parents[1]

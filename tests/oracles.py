@@ -20,20 +20,17 @@ import numpy as np
 
 import dpone.criteria as criteria
 from dpone.curves import bertini_class, curve_table
+from dpone.groups import TRIVIAL_GROUP, GroupSpec, eliminated_group, integer_rank
 from dpone.lattice import (
     CANONICAL_CLASS,
     ENTRY_BOUND,
     FORM_DIAG,
     LINE,
     ORDER_CAP,
-    TRIVIAL_GROUP,
     DivisorClass,
-    GroupSpec,
     LatticeIsometry,
-    eliminated_group,
     exceptional,
     fixed_rank,
-    integer_rank,
     simple_roots,
 )
 from dpone.stars import (

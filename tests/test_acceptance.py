@@ -27,14 +27,8 @@ from dpone.criteria import (
     search_commuting_order3,
 )
 from dpone.curves import curve_table
-from dpone.lattice import (
-    GroupSpec,
-    TRIVIAL_GROUP,
-    cycles_string,
-    fixed_rank,
-    permutation_of_isometry,
-    solve_norm,
-)
+from dpone.groups import GroupSpec, TRIVIAL_GROUP
+from dpone.lattice import cycles_string, fixed_rank, permutation_of_isometry, solve_norm
 from dpone.stars import (
     D6,
     PairType,

@@ -56,7 +56,7 @@ VERDICT_JSON_SHA256 = "4cac4d2bc348e09d4021a40637eacbb17af96f4d2d68eb62e982368ae
 def test_verdict_json_digest():
     from dpone.cli import verdict_to_dict
     from dpone.criteria import ActionSetup, rationality_report
-    from dpone.lattice import GroupSpec
+    from dpone.groups import GroupSpec
 
     def report_json(g, gamma):
         setup = ActionSetup(GroupSpec(g, "G"), GroupSpec(gamma, "Gamma"))

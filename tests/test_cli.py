@@ -8,7 +8,8 @@ import pytest
 
 import dpone
 from dpone.cli import main
-from dpone.lattice import MAX_CAP, LatticeIsometry, isometry_to_text
+from dpone.groups import MAX_CAP
+from dpone.lattice import LatticeIsometry, isometry_to_text
 from dpone.weyl import CarterType3, representative_order3
 from families import FORGED, PERFBENCH, fresh_python, workloads
 
@@ -279,7 +280,8 @@ import contextlib, io, sys
 import dpone.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = dpone.cli.main(sys.argv[1:])
-loaded = ("dpone.stars", "dpone.criteria", "dpone.lemmas", "json", "jsonschema", "numpy")
+loaded = ("dpone.stars", "dpone.groups", "dpone.criteria", "dpone.lemmas", "argparse",
+          "json", "jsonschema", "numpy")
 print(code, *(m for m in loaded if m in sys.modules))
 """
 
@@ -293,10 +295,11 @@ def stdout_of(code: str, *argv: str) -> str:
 def test_cli_import_leaves_out_jsonschema():
     code = "import sys, dpone.cli; print('jsonschema' in sys.modules)"
     assert stdout_of(code) == "False"
-    # the cheap commands load neither the star layer, nor the rules, nor
-    # the lemma suite, which only verify-lemma loads, nor numpy: they read
-    # plain Python tables and one element's curve images; json is loaded
-    # only to write a JSON document
+    # the cheap commands load neither the star layer, nor the group layer,
+    # nor the rules, nor the lemma suite, which only verify-lemma loads,
+    # nor numpy: they read plain Python tables and one element's curve
+    # images; json is loaded only to write a JSON document, and no command
+    # loads argparse
     for argv, loaded in (
         (["list-curves"], "0"),
         (["--json", "list-roots"], "0 json"),
@@ -306,16 +309,21 @@ def test_cli_import_leaves_out_jsonschema():
         (["classify-element", "-e", "(1 9)"], "2"),
         (["classify-element", "-e", "s 1 9"], "2"),
         (["classify-element", "-e", "1 2 3\n4 5 6"], "2"),
+        (["classify-element", "-e"], "2"),
+        (["--help"], "0"),
         (["verify-lemma", "A2A22"], "0 dpone.lemmas"),
         (["verify-lemma", "DP1lines"], "0 dpone.lemmas numpy"),
         (["verify-lemma", "NoSuchLemma"], "2 dpone.lemmas"),
         # so that the checks above cannot pass for want of a working
-        # probe: the commands that compute on arrays load numpy, and
-        # report, refused or not, loads the rules but not the lemma suite
+        # probe: the commands that compute on arrays load numpy, census
+        # and report load the group layer, and report, refused or not,
+        # loads the rules but not the lemma suite
         (["list-stars"], "0 dpone.stars numpy"),
-        (["census", "-e", "(1 2 3)"], "0 dpone.stars numpy"),
-        (["report", "-gamma", "(1 2 3)"], "0 dpone.stars dpone.criteria json numpy"),
-        (["report", "-g", "(1 2)", "-gamma", "(1 3)"], "2 dpone.stars dpone.criteria numpy"),
+        (["census", "-e", "(1 2 3)"], "0 dpone.stars dpone.groups numpy"),
+        (["report", "-gamma", "(1 2 3)"],
+         "0 dpone.stars dpone.groups dpone.criteria json numpy"),
+        (["report", "-g", "(1 2)", "-gamma", "(1 3)"],
+         "2 dpone.stars dpone.groups dpone.criteria numpy"),
     ):
         assert stdout_of(LOADED_AFTER_MAIN, *argv) == loaded, argv
     # a bare `import dpone` loads no submodule, yet every export resolves,
@@ -381,7 +389,7 @@ def refuse(*args):
 
 stars.pair_codes = refuse
 from dpone.criteria import ActionSetup, rationality_report
-from dpone.lattice import GroupSpec
+from dpone.groups import GroupSpec
 
 rng = random.Random(0)
 reports = 0
@@ -536,9 +544,9 @@ def test_failed_lemma_exits_1(capsys, monkeypatch):
 def test_davidmin_pair_lemmas_eliminate_their_direct_rank(capsys, monkeypatch, name):
     # the certificate's rank is its closure's average trace; the direct
     # rank is eliminated anew, so a wrong elimination fails the lemma
-    import dpone.lattice as lattice
+    import dpone.groups as groups
 
-    monkeypatch.setattr(lattice, "integer_rank", lambda rows: 0)  # rank 9
+    monkeypatch.setattr(groups, "integer_rank", lambda rows: 0)  # rank 9
     code, out, _ = run(capsys, "verify-lemma", name)
     assert code == 1
     assert out == "FAIL: direct rank 9\n"
@@ -605,18 +613,22 @@ IDENTITY_0_1 = isometry_to_text(LatticeIsometry.identity())[:-1] + "0_1"
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "argv, message",
     [
-        ("(\u0661 2)", "malformed cycle string: '(\u0661 2)'"),
-        ("s \u0661", "bad reflection index: '\u0661'"),
-        ("s 1_0", "bad reflection index: '1_0'"),
-        (IDENTITY_0_1, "bad matrix entry '0_1'"),
-        ("\u0661 0 0", "cannot read an element from '\u0661'"),
+        (("classify-element", "-e", "(\u0661 2)"), "malformed cycle string: '(\u0661 2)'"),
+        (("classify-element", "-e", "s \u0661"), "bad reflection index: '\u0661'"),
+        (("classify-element", "-e", "s 1_0"), "bad reflection index: '1_0'"),
+        (("classify-element", "-e", IDENTITY_0_1), "bad matrix entry '0_1'"),
+        (("classify-element", "-e", "\u0661 0 0"), "cannot read an element from '\u0661'"),
+        (("--cap", "\u0661\u0660", "report", "-gamma", "(1 2 3)"),
+         "--cap takes ASCII digits, not '\u0661\u0660'"),
+        (("--cap", "1_0", "report", "-gamma", "(1 2 3)"),
+         "--cap takes ASCII digits, not '1_0'"),
     ],
-    ids=["cycle", "word", "word separator", "matrix", "matrix start"],
+    ids=["cycle", "word", "word separator", "matrix", "matrix start", "cap", "cap separator"],
 )
-def test_only_ascii_digits_read_as_integers(capsys, text, message):
-    code, out, err = run(capsys, "classify-element", "-e", text)
+def test_only_ascii_digits_read_as_integers(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
@@ -656,7 +668,7 @@ def test_cap_below_one_exits_2(capsys, monkeypatch, cap, gamma):
     def no_closure(g):
         raise AssertionError("a closure was built")
 
-    monkeypatch.setattr("dpone.lattice.group_closure", no_closure)
+    monkeypatch.setattr("dpone.groups.group_closure", no_closure)
     code, out, err = run(capsys, "--cap", cap, "report", *gamma)
     assert code == 2
     assert out == ""
@@ -733,14 +745,49 @@ def test_repeated_blocks_are_read_once(capsys, tmp_path):
     assert elapsed < 10, elapsed
 
 
-def test_missing_subcommand_exits_2(capsys):
-    code, _, _ = run(capsys)
-    assert code == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["list-curves", "--frobnicate"],
+        ["classify-element"],
+        ["census", "-e"],
+        ["--cap"],
+        ["list-curves", "-e", "(1 2 3)"],
+        ["classify-element", "-e", "(1 2 3)", "-gamma", "(1 2 3)"],
+        ["verify-lemma"],
+        ["verify-lemma", "A2A22", "DP1lines"],
+        ["report", "--json"],
+    ],
+    ids=[
+        "no command", "unknown command", "unknown option", "missing -e",
+        "-e without value", "--cap without value", "option of no command",
+        "option of another command", "missing lemma name", "second lemma name",
+        "global option after the command",
+    ],
+)
+def test_usage_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_unknown_flag_exits_2(capsys):
-    code, _, _ = run(capsys, "list-curves", "--frobnicate")
-    assert code == 2
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["-h"], ["--json", "--help"], ["report", "--help"], ["census", "-h"]],
+    ids=" ".join,
+)
+def test_help_names_every_command(capsys, argv):
+    import dpone.cli as cli
+    from dpone.groups import CLOSURE_CAP
+
+    code = main(argv)  # not run: report's help is text, not a verdict
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out == cli.USAGE + "\n"
+    assert all(command in out for command in cli.COMMANDS) and len(cli.COMMANDS) == 7
+    assert f"(default {CLOSURE_CAP})" in out
 
 
 @pytest.mark.parametrize(

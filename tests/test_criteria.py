@@ -31,15 +31,8 @@ from dpone.criteria import (
     search_commuting_order3,
 )
 from dpone.curves import bertini_isometry, curve_table, s8_action
-from dpone.lattice import (
-    CANONICAL_CLASS,
-    GroupSpec,
-    TRIVIAL_GROUP,
-    divisor,
-    fixed_rank,
-    pair,
-    simple_roots,
-)
+from dpone.groups import GroupSpec, TRIVIAL_GROUP
+from dpone.lattice import CANONICAL_CLASS, divisor, fixed_rank, pair, simple_roots
 from dpone.stars import (
     PairType,
     classify_pair,
@@ -330,12 +323,12 @@ def test_report_ranks():
 def test_order3_rules_build_matrices_only_for_witnesses(monkeypatch):
     # no rule, search or report builds a 9x9 matrix, witnesses included,
     # and no rule takes a rank; printing builds one per printed element
-    import dpone.lattice as lattice
+    import dpone.groups as group_layer
     from dpone.cli import verdict_to_dict
 
     table = curve_table()
     calls = Counter()
-    real_isometry_of, real_rank = type(table).isometry_of, lattice.integer_rank
+    real_isometry_of, real_rank = type(table).isometry_of, group_layer.integer_rank
 
     def isometry_of(self, perm):
         calls["isometry_of"] += 1
@@ -346,7 +339,7 @@ def test_order3_rules_build_matrices_only_for_witnesses(monkeypatch):
         return real_rank(rows)
 
     monkeypatch.setattr(type(table), "isometry_of", isometry_of)
-    monkeypatch.setattr(lattice, "integer_rank", integer_rank)
+    monkeypatch.setattr(group_layer, "integer_rank", integer_rank)
     s5 = group_of(s8_action("(1 2)"), s8_action("(1 2 3 4 5)"))
     a2x4, bertini = CANNED["A2^4"], group_of(bertini_isometry())
     for gamma in (s5, a2x4, bertini):
@@ -415,12 +408,12 @@ def test_replays_read_no_cached_orders():
 def test_reports_read_a_closed_groups_rank_off_its_closure(monkeypatch):
     # Gamma = <(1 2 3) b> is closed by the even rule, and G = S4 by the
     # minimality search, so neither report eliminates
-    import dpone.lattice as lattice
+    import dpone.groups as group_layer
 
     def integer_rank(rows):
         raise AssertionError("a closed group's rank was eliminated")
 
-    monkeypatch.setattr(lattice, "integer_rank", integer_rank)
+    monkeypatch.setattr(group_layer, "integer_rank", integer_rank)
     report = gamma_report(group_of(s8_action("(1 2 3)") @ bertini_isometry()))
     assert report.rule == "not_rational_even"
     assert report.ranks == {"G": 9, "Gamma": 1, "combined": 1}
@@ -432,15 +425,15 @@ def test_reports_read_a_closed_groups_rank_off_its_closure(monkeypatch):
 def test_early_hit_report_reads_its_unclosed_gamma_rank_off_cycles(monkeypatch):
     # the one generator's basis cycles give Gamma's rank: nothing is
     # eliminated and Gamma stays unclosed
-    import dpone.lattice as lattice
+    import dpone.groups as group_layer
 
-    calls, real_rank = [], lattice.integer_rank
+    calls, real_rank = [], group_layer.integer_rank
 
     def integer_rank(rows):
         calls.append(len(rows))
         return real_rank(rows)
 
-    monkeypatch.setattr(lattice, "integer_rank", integer_rank)
+    monkeypatch.setattr(group_layer, "integer_rank", integer_rank)
     gamma = group_of(s8_action("(1 2 3)"))
     report = gamma_report(gamma)
     assert report.rule == "rational_two_stars"
@@ -453,6 +446,7 @@ def test_replays_eliminate_their_ranks(monkeypatch):
     # the replays rank a fresh group by elimination, never by the cycle
     # sums a one-generator group would take: with those patched to raise
     # the witnesses still replay, and a wrong elimination refuses them
+    import dpone.groups as group_layer
     import dpone.lattice as lattice
 
     carter = [(CANNED[n], check_not_rational_carter(CANNED[n])) for n in ("A2^3", "A2^4")]
@@ -463,10 +457,11 @@ def test_replays_eliminate_their_ranks(monkeypatch):
     def cycle_rank(perm):
         raise AssertionError("a replay read a rank off basis cycles")
 
-    monkeypatch.setattr(lattice, "_cycle_rank", cycle_rank)
+    for module in (lattice, group_layer):
+        monkeypatch.setattr(module, "_cycle_rank", cycle_rank)
     assert all(replay_carter(gamma, w) for gamma, w in carter)
     assert replay_minimality(setup, cert)
-    monkeypatch.setattr(lattice, "integer_rank", lambda rows: 0)  # rank 9
+    monkeypatch.setattr(group_layer, "integer_rank", lambda rows: 0)  # rank 9
     assert not any(replay_carter(gamma, w) for gamma, w in carter)
     assert not replay_minimality(setup, cert)
 
@@ -474,15 +469,15 @@ def test_replays_eliminate_their_ranks(monkeypatch):
 def test_order3_rules_type_their_elements_once(monkeypatch):
     # the Carter and stars rules both miss on <(1 2 3) b>, whose two
     # order-3 elements are typed once, for the Carter rule
-    import dpone.weyl as weyl
+    import dpone.groups as group_layer
 
-    calls, real_types = [], weyl.carter_types
+    calls, real_types = [], group_layer.carter_types
 
     def carter_types(perms):
         calls.append(len(perms))
         return real_types(perms)
 
-    monkeypatch.setattr(weyl, "carter_types", carter_types)
+    monkeypatch.setattr(group_layer, "carter_types", carter_types)
     gamma = group_of(s8_action("(1 2 3)") @ bertini_isometry())
     assert gamma_report(gamma).rule == "not_rational_even"
     assert calls == [2]
@@ -504,7 +499,7 @@ def test_replay_minimality_recomputes_the_rank(monkeypatch):
     setup = ActionSetup(g, TRIVIAL_GROUP)
     _, stars = split_invariant_stars(g)
     cert = MinimalityCertificate(tuple(stars[:4]), (m,) * 4, 1)
-    vars(setup.combined)["_fixed_rank"] = 1  # a false cached rank
+    vars(setup.combined)["fixed_rank"] = 1  # a false cached rank
     assert fixed_rank(setup.combined) == 1
     assert not replay_minimality(setup, cert)
     monkeypatch.setattr(criteria, "fixed_rank", lambda group: 1)
@@ -565,16 +560,16 @@ def test_report_closes_each_group_once(monkeypatch):
     # certificate reuse both closures.
     # Bertini is central, so it commutes with the A2^2 pair, whose
     # certificate survives the combined group.
-    import dpone.lattice as lattice
+    import dpone.groups as group_layer
 
     closed = []
-    real = lattice.group_closure
+    real = group_layer.group_closure
 
     def counting(g):
         closed.append(g.label)
         return real(g)
 
-    monkeypatch.setattr(lattice, "group_closure", counting)
+    monkeypatch.setattr(group_layer, "group_closure", counting)
     for g_gens in ((), _commuting_pair(CarterType3.A2x2)[:2]):
         closed.clear()
         setup = ActionSetup(

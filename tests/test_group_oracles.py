@@ -17,13 +17,8 @@ import pytest
 from hypothesis import given, settings
 
 from dpone.curves import bertini_isometry, curve_table, s8_action
-from dpone.lattice import (
-    GroupSpec,
-    LatticeIsometry,
-    fixed_rank,
-    group_closure,
-    permutation_orders,
-)
+from dpone.groups import GroupSpec, group_closure, permutation_orders
+from dpone.lattice import LatticeIsometry, fixed_rank
 from dpone.weyl import element_order
 from families import (
     CLOSABLE,
@@ -153,9 +148,9 @@ def test_cyclic_orders_of_words(word, with_bertini):
 
 
 def test_cyclic_orders_raise_past_order_cap(monkeypatch):
-    import dpone.lattice as lattice
+    import dpone.groups as group_layer
 
-    monkeypatch.setattr(lattice, "ORDER_CAP", 5)
+    monkeypatch.setattr(group_layer, "ORDER_CAP", 5)
     five, six = (GroupSpec((s8_action(c),)) for c in ("(1 2 3 4 5)", "(1 2 3 4 5 6)"))
     assert five.orders.tolist() == [1, 5, 5, 5, 5]
     assert len(six.perms) == 6

@@ -12,7 +12,9 @@ and oracles only through `conftest.py`, `families.py` and `oracles.py`.
 `lattice`, `curves`, `weyl`, `lemmas` and `cli` serve list-curves,
 list-roots, classify-element and verify-lemma A2A22, which compute on no
 array, so a numpy import at their module level is named here; the probe
-in test_cli.py can only say that numpy was loaded.
+in test_cli.py can only say that numpy, the group layer `groups` or
+argparse was loaded.  `groups`, `stars` and `criteria` import numpy at
+module level: only commands that compute on arrays load them.
 """
 
 import ast

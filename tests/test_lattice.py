@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from dpone.curves import bertini_isometry, curve_table
+from dpone.groups import GroupSpec, group_closure, integer_rank
 from dpone.lattice import (
     CANONICAL_CLASS,
     FORM_DIAG,
     CheckViolation,
     DivisorClass,
-    GroupSpec,
     LatticeIsometry,
     cycles_string,
     divisor,
     exceptional,
     fixed_rank,
-    group_closure,
-    integer_rank,
     is_isometry,
     isometry_from_text,
     isometry_to_text,

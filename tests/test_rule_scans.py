@@ -25,7 +25,7 @@ from dpone.criteria import (
     check_rational_two_stars,
 )
 from dpone.curves import curve_table, s8_action
-from dpone.lattice import GroupSpec
+from dpone.groups import GroupSpec
 from dpone.stars import (
     PairType,
     asynchronized,

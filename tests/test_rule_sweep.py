@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from dpone.criteria import RULES, Verdict, gamma_report
+from dpone.groups import GroupSpec
 from dpone.lattice import (
-    GroupSpec,
     LatticeIsometry,
     fixed_rank,
     is_isometry,

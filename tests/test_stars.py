@@ -5,13 +5,8 @@ import numpy as np
 import pytest
 
 from dpone.curves import curve_table, s8_action
-from dpone.lattice import (
-    CANONICAL_CLASS,
-    TRIVIAL_GROUP,
-    GroupSpec,
-    pair,
-    permutation_orders,
-)
+from dpone.groups import TRIVIAL_GROUP, GroupSpec, permutation_orders
+from dpone.lattice import CANONICAL_CLASS, pair
 import dpone.stars as stars_module
 from dpone.stars import (
     D6,

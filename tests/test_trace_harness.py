@@ -19,7 +19,7 @@ rec = spans.Recorder()
 spans.install(rec)
 from dpone.criteria import gamma_report
 from dpone.curves import bertini_isometry
-from dpone.lattice import GroupSpec
+from dpone.groups import GroupSpec
 rec.begin_op(0)
 report = gamma_report(GroupSpec((bertini_isometry(),), "Gamma"))
 rec.end_op()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dpone.curves import curve_table, s8_action
+from dpone.groups import permutation_orders
 from dpone.lattice import (
     CANONICAL_CLASS,
     LINE,
@@ -15,7 +16,6 @@ from dpone.lattice import (
     fixed_rank,
     isometry_to_text,
     pair,
-    permutation_orders,
     simple_roots,
     solve_norm,
 )
