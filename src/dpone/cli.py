@@ -6,8 +6,9 @@
 function, its options and the ones it requires.  `--json` and `--cap N`
 come before the command, and `-h`/`--help` wherever an option may stand
 prints `USAGE`.  An option takes the next token as its value, whatever
-it is; `--cap` reads ASCII digits only (`lattice.read_int`).  Any other
-token is a usage error: one `error:` line on stderr and exit 2.
+it is; `--cap` reads ASCII digits only (`lattice.read_int`), and takes 1
+to `lattice.MAX_CAP` whatever the command.  Any other token is a usage
+error: one `error:` line on stderr and exit 2.
 
 Element inputs (-e, -g, -gamma) take a file path or inline text in any of
 the three formats of the weyl module: cycle notation "(1 2 3)(4 5 6)",
@@ -42,6 +43,7 @@ from .curves import curve_table
 from .lattice import (
     CheckViolation,
     LatticeIsometry,
+    check_cap,
     cycles_string,
     fixed_rank,
     permutation_of_isometry,
@@ -316,7 +318,7 @@ def read_argv(argv: list[str]):
             as_json = True
         elif token == "--cap":
             text = value(token)
-            args["cap"] = read_int(text, f"--cap takes ASCII digits, not {text!r}")
+            args["cap"] = check_cap(read_int(text, f"--cap takes ASCII digits, not {text!r}"))
         elif token in COMMANDS:
             break
         elif token.startswith("-"):

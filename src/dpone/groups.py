@@ -27,14 +27,13 @@ from .lattice import (
     LatticeIsometry,
     _cycle_rank,
     _frozen,
+    check_cap,
 )
 from .weyl import carter_types
 
 # W(E8) has order 696,729,600, and two generators typed by a user can
 # generate a subgroup far too large to list: a closure raises past its cap
 CLOSURE_CAP = 10000
-# W(E6) and W(A7) peaked at 3.9 KiB per closure element with its order
-MAX_CAP = 250_000  # about 1 GiB
 
 
 class GroupSpec:
@@ -58,7 +57,7 @@ class GroupSpec:
     only the generators' curve permutations, and each generator is kept
     once, at its first occurrence: a repeat yields no element the
     closure has not seen.
-    ``cap``, at most MAX_CAP, bounds that closure (see ``group_closure``).
+    ``cap``, at most ``lattice.MAX_CAP``, bounds that closure (see ``group_closure``).
     ``element(i)`` hands out element i as the bytes of its closure row,
     exact, hashable and independent of generator order, and ``index_of``
     finds such bytes, or an isometry's permutation, in the closure; no
@@ -74,10 +73,7 @@ class GroupSpec:
         label: str = "",
         cap: int = CLOSURE_CAP,
     ) -> None:
-        if cap < 1:
-            raise ValueError("cap must be >= 1")
-        if cap > MAX_CAP:
-            raise ValueError(f"cap must be <= {MAX_CAP}, about 1 GiB of closure")
+        check_cap(cap)
         fields = vars(self)  # cached_property fills the same dict
         fields["generators"] = tuple(dict.fromkeys(generators))
         fields["label"], fields["cap"] = label, cap

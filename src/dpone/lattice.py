@@ -305,6 +305,18 @@ class LatticeIsometry:
 
 # W(E8) elements have order at most 30, so a larger order means a bad input
 ORDER_CAP = 60
+# the most elements a group's closure may hold: closures of W(E6) and
+# W(A7) peaked at 3.9 KiB per element with its order
+MAX_CAP = 250_000  # about 1 GiB
+
+
+def check_cap(cap: int) -> int:
+    """cap, if it may bound a closure (1 to MAX_CAP), else ValueError."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    if cap > MAX_CAP:
+        raise ValueError(f"cap must be <= {MAX_CAP}, about 1 GiB of closure")
+    return cap
 
 
 def _basis_cycles(images: Sequence[int]) -> list[tuple[int, int]]:

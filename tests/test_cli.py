@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -8,8 +9,8 @@ import pytest
 
 import dpone
 from dpone.cli import main
-from dpone.groups import MAX_CAP
-from dpone.lattice import LatticeIsometry, isometry_to_text
+from dpone.groups import GroupSpec
+from dpone.lattice import MAX_CAP, LatticeIsometry, isometry_to_text
 from dpone.weyl import CarterType3, representative_order3
 from families import FORGED, PERFBENCH, fresh_python, workloads
 
@@ -310,10 +311,16 @@ def test_cli_import_leaves_out_jsonschema():
         (["classify-element", "-e", "s 1 9"], "2"),
         (["classify-element", "-e", "1 2 3\n4 5 6"], "2"),
         (["classify-element", "-e"], "2"),
+        (["--cap", "0", "census", "-e", "(1 2 3)"], "2"),
         (["--help"], "0"),
         (["verify-lemma", "A2A22"], "0 dpone.lemmas"),
         (["verify-lemma", "DP1lines"], "0 dpone.lemmas numpy"),
         (["verify-lemma", "NoSuchLemma"], "2 dpone.lemmas"),
+        # each lemma loads what README's module table says
+        (["verify-lemma", "Davidinv"], "0 dpone.stars dpone.groups dpone.lemmas numpy"),
+        (["verify-lemma", "2Daviddef"], "0 dpone.stars dpone.lemmas numpy"),
+        (["verify-lemma", "RatCor-consistency"],
+         "0 dpone.stars dpone.groups dpone.criteria dpone.lemmas numpy"),
         # so that the checks above cannot pass for want of a working
         # probe: the commands that compute on arrays load numpy, census
         # and report load the group layer, and report, refused or not,
@@ -540,6 +547,31 @@ def test_failed_lemma_exits_1(capsys, monkeypatch):
     }
 
 
+# each row forges what a lemma reads so that only its exact numbers are
+# wrong: the counts still add up to their totals, the samples still agree
+@pytest.mark.parametrize(
+    "name, target, forge",
+    [
+        ("Davidintersection", "dpone.stars.intersection_profile_census",
+         lambda real: lambda: {"all-ones": 80641, "touching": 181439}),
+        ("2Daviddef", "dpone.stars.trichotomy_census",
+         lambda real: lambda: {"asynchronized": 151200, "synchronized": 67200,
+                               "abnormal": 362880, "overlapping": 45360}),
+        ("Davidauto", "dpone.stars.sample_pairs_by_type",
+         lambda real: lambda k: {p: pairs[:9] for p, pairs in real(k).items()}),
+        ("RatCor-consistency", "dpone.criteria.check_rational_triple",
+         lambda real: lambda gamma: None),
+    ],
+    ids=["profile split", "async and sync swapped", "9 pairs per type", "no triple"],
+)
+def test_forged_lemma_inputs_fail(capsys, monkeypatch, name, target, forge):
+    module, attr = target.rsplit(".", 1)
+    monkeypatch.setattr(target, forge(getattr(importlib.import_module(module), attr)))
+    code, out, _ = run(capsys, "verify-lemma", name)
+    assert code == 1
+    assert out.startswith("FAIL: ") and out.count("\n") == 1, out
+
+
 @pytest.mark.parametrize("name", ["Davidmin1", "Davidmin2"])
 def test_davidmin_pair_lemmas_eliminate_their_direct_rank(capsys, monkeypatch, name):
     # the certificate's rank is its closure's average trace; the direct
@@ -676,6 +708,10 @@ def test_cap_below_one_exits_2(capsys, monkeypatch, cap, gamma):
         assert err == "error: cap must be >= 1\n"
     else:
         assert err == f"error: cap must be <= {MAX_CAP}, about 1 GiB of closure\n"
+    # read_argv refuses the cap first; a GroupSpec built in process refuses it too
+    with pytest.raises(ValueError) as refused:
+        GroupSpec((), "Gamma", int(cap))
+    assert err == f"error: {refused.value}\n"
 
 
 def test_cap_exceeded_exits_2(capsys):
@@ -759,12 +795,16 @@ def test_repeated_blocks_are_read_once(capsys, tmp_path):
         ["verify-lemma"],
         ["verify-lemma", "A2A22", "DP1lines"],
         ["report", "--json"],
+        ["--cap", "-1", "list-curves"],
+        ["--cap", "0", "census", "-e", "(1 2 3)"],
+        ["--cap", "300000", "list-stars"],
     ],
     ids=[
         "no command", "unknown command", "unknown option", "missing -e",
         "-e without value", "--cap without value", "option of no command",
         "option of another command", "missing lemma name", "second lemma name",
-        "global option after the command",
+        "global option after the command", "cap below 1", "cap 0 on census",
+        "cap above MAX_CAP",
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

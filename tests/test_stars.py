@@ -19,7 +19,6 @@ from dpone.stars import (
     STAR_GRAM,
     TrichotomyViolation,
     classify_pair,
-    intersection_profile_census,
     invariant_curves,
     is_star,
     pair_codes,
@@ -37,7 +36,7 @@ from dpone.stars import (
     trichotomy_census,
 )
 from dpone.weyl import CarterType3, reflection_permutation, representative_order3
-from oracles import all_pairs_census, invariant_pair_codes
+from oracles import invariant_pair_codes
 
 
 def star_of_names(*names):
@@ -196,25 +195,6 @@ def test_star_equality_ignores_labeling():
         star_id(swapped)
 
 
-def test_enumerate_stars_totals():
-    stars = star_table().stars
-    assert len(stars) == 1120
-    for c in range(240):
-        assert len(stars_containing(c)) == 28
-
-
-def test_every_disjoint_pair_yields_its_star():
-    t = curve_table()
-    count = 0
-    for i in range(240):
-        for j in np.flatnonzero(t.pairing_array[i] == 0).tolist():
-            if j > i:
-                s = star_through(i, j)
-                assert {i, j} <= set(s)
-                count += 1
-    assert count == 6720
-
-
 def test_stars_stable_under_isometry():
     g = s8_action("(1 5)(2 6)(3 7)(4 8)")
     t = curve_table()
@@ -310,20 +290,6 @@ def test_classification_returns_matching_orderings():
                     )
 
 
-def test_trichotomy_census_totals():
-    census = trichotomy_census()
-    assert sum(census.values()) == 1120 * 1119 // 2
-    assert census["overlapping"] == 45360
-    assert (
-        census["asynchronized"] + census["synchronized"] + census["abnormal"]
-        == 1120 * 1119 // 2 - census["overlapping"]
-    )
-
-
-def test_census_equals_all_pairs_sweep():
-    assert trichotomy_census() == all_pairs_census()
-
-
 def test_census_refuses_a_corrupted_reflection(monkeypatch):
     # with the simple reflections forged to the identity, the orbit of
     # star 0 is star 0 alone, so no orbit count proves the census
@@ -367,17 +333,6 @@ def test_overlap_count_closed_form():
         assert stars_containing(c) == stars_containing(t.bertini_ids[c])
     n_pairs = 28 * 27 // 2
     assert trichotomy_census()["overlapping"] == 120 * n_pairs
-
-
-def test_census_agrees_with_classify_pair_samples():
-    census = trichotomy_census()
-    samples = sample_pairs_by_type(5)
-    for ptype, pairs in samples.items():
-        assert len(pairs) == 5
-    # per-star tallies derived from the census are consistent
-    assert census["asynchronized"] * 2 // 1120 == 120
-    assert census["synchronized"] * 2 // 1120 == 270
-    assert census["abnormal"] * 2 // 1120 == 648
 
 
 @pytest.mark.parametrize(
@@ -497,13 +452,6 @@ def test_profile_rejects_an_unknown_shape(monkeypatch):
         stars_module.intersection_profile_census.__wrapped__()
 
 
-def test_profile_census():
-    census = intersection_profile_census()
-    assert sum(census.values()) == 1120 * 234
-    assert census["all-ones"] == 80640
-    assert census["touching"] == 181440
-
-
 def test_touching_anchor_matches_adjacency():
     # a curve disjoint from two neighbors of a star anchors at that edge
     s = star_through("E7", "E8")
@@ -513,56 +461,6 @@ def test_touching_anchor_matches_adjacency():
     e6 = t.id_of_name("E6")
     assert t.pairing_array[e6, s[i]] == 0
     assert t.pairing_array[e6, s[j]] == 0
-
-
-def test_invariant_census_a2():
-    g = representative_order3(CarterType3.A2)
-    inv = invariant_curves(g)
-    assert len(inv) == 72
-    _, faithful = split_invariant_stars(g)
-    assert len(faithful) == 1
-    assert frozenset(faithful[0]) == star_of_names(
-        "C1-2", "C3-2", "C3-1", "C2-1", "C2-3", "C1-3"
-    )
-    for c in inv:
-        assert profile(c, faithful[0]) is None
-
-
-def test_invariant_census_a2x2():
-    g = representative_order3(CarterType3.A2x2)
-    assert len(invariant_curves(g)) == 12
-    trivial, faithful = split_invariant_stars(g)
-    assert len(trivial) == 2
-    assert len(faithful) == 2
-    assert {frozenset(s) for s in trivial} == {
-        star_of_names("E7", "E8", "C7-8", "bE7", "bE8", "C8-7"),
-        star_of_names("L78", "bQ123", "Q456", "bL78", "Q123", "bQ456"),
-    }
-    assert {frozenset(s) for s in faithful} == {
-        star_of_names("C1-2", "C3-2", "C3-1", "C2-1", "C2-3", "C1-3"),
-        star_of_names("C4-5", "C6-5", "C6-4", "C5-4", "C5-6", "C4-6"),
-    }
-    for a, b in combinations(trivial + faithful, 2):
-        assert classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
-
-
-def test_invariant_census_a2x3():
-    g = representative_order3(CarterType3.A2x3)
-    inv = invariant_curves(g)
-    assert len(inv) == 6
-    trivial, faithful = split_invariant_stars(g)
-    assert len(trivial) == 1
-    assert frozenset(trivial[0]) == frozenset(inv)
-    assert len(faithful) == 12
-    for s in faithful:
-        assert classify_pair(trivial[0], s).pair_type is PairType.ASYNCHRONIZED
-
-
-def test_invariant_census_a2x4():
-    g = representative_order3(CarterType3.A2x4)
-    assert invariant_curves(g) == ()
-    trivial, faithful = split_invariant_stars(g)
-    assert (len(trivial), len(faithful)) == (0, 40)
 
 
 def test_invariant_curves_read_the_kept_mask():
@@ -595,20 +493,6 @@ def test_faithful_invariant_pairs_never_abnormal():
         faithful = np.array([a.kind is ActionKind.FAITHFUL for a in actions])
         pairs = np.triu(faithful[:, None] | faithful[None, :], 1)
         assert set(brute[pairs].tolist()) <= allowed, ctype
-
-
-def test_star_graph_automorphism_orders():
-    stars = star_table().stars
-    assert star_graph_automorphisms([stars[0]]) == 12
-    samples = sample_pairs_by_type(2)
-    expected = {
-        PairType.ASYNCHRONIZED: 288,
-        PairType.SYNCHRONIZED: 24,
-        PairType.ABNORMAL: 16,
-    }
-    for ptype, pairs in samples.items():
-        for sa, sb in pairs:
-            assert star_graph_automorphisms([sa, sb]) == expected[ptype]
 
 
 def backtrack_automorphisms(stars) -> int:

@@ -183,11 +183,6 @@ def test_carter_types_of_representatives():
         assert ctype.fixed_rank == rank
 
 
-def test_literal_permutation_representatives():
-    assert representative_order3(CarterType3.A2) == s8_action("(1 2 3)")
-    assert representative_order3(CarterType3.A2x2) == s8_action("(1 2 3)(4 5 6)")
-
-
 def test_carter_display():
     assert CarterType3.A2.display == "A2"
     assert CarterType3.A2x2.display == "A2^2"
