@@ -95,14 +95,14 @@ def load_group(value: str | None, label: str, cap: int) -> GroupSpec:
 
     No value, or no element in it, gives the trivial group.  A repeated
     block is parsed once.  ``cap`` bounds the group's closure, and is
-    checked even for the trivial group.  The blocks are parsed one at a
-    time, and reading stops with the closure's own error once the
+    checked first, even for the trivial group.  The blocks are parsed one
+    at a time, and reading stops with the closure's own error once the
     distinct elements, with the identity, outnumber ``cap``: they all lie
-    in the group, so its closure would fail.  A cap below 1 is refused
-    after the last block, as GroupSpec refuses it.
+    in the group, so its closure would fail.
     """
     from .groups import GroupSpec, cap_exceeded
 
+    check_cap(cap)
     if value is None:
         return GroupSpec((), label, cap)
     text = _strip_comments(_read_source(value))
@@ -111,7 +111,7 @@ def load_group(value: str | None, label: str, cap: int) -> GroupSpec:
         if block:
             generators.append(_parse(block, value))
             distinct.add(generators[-1])
-            if 1 <= cap < len(distinct):
+            if cap < len(distinct):
                 raise cap_exceeded(label, cap)
     return GroupSpec(tuple(generators), label, cap)
 

@@ -41,7 +41,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .curves import curve_table
-from .groups import TRIVIAL_GROUP, GroupSpec, eliminated_group, permutation_orders
+from .groups import TRIVIAL_GROUP, GroupSpec, eliminated_rank, permutation_orders
 from .lattice import CANONICAL_CLASS, CheckViolation, LatticeIsometry, fixed_rank, pair
 from .stars import (
     PairType,
@@ -411,8 +411,8 @@ def replay_carter(gamma: GroupSpec, w: CarterWitness) -> bool:
     row = _witness_row(gamma, w.elements)
     if row is None or _order(row) != 3:
         return False
-    # the rank is eliminated on a fresh group of the validated matrix
-    rank = fixed_rank(eliminated_group((element_isometry(row.tobytes()),)))
+    # the rank is eliminated on the validated matrix
+    rank = eliminated_rank((element_isometry(row.tobytes()),))
     return rank in {t.fixed_rank for t in _MANY_FAITHFUL}
 
 
@@ -484,9 +484,9 @@ def replay_minimality(setup: ActionSetup, cert: MinimalityCertificate) -> bool:
     for a, b in combinations(cert.stars, 2):
         if classify_pair(a, b).pair_type is not PairType.ASYNCHRONIZED:
             return False
-    # a fresh group, so the rank is eliminated anew, not read from the
-    # object the certificate was built on
-    rank = fixed_rank(eliminated_group(setup.combined.generators))
+    # the rank is eliminated anew, not read from the object the
+    # certificate was built on
+    rank = eliminated_rank(setup.combined.generators)
     return rank == 1 == cert.combined_rank
 
 
@@ -506,6 +506,15 @@ RULES = (
     ("not_rational_stars", Verdict.NOT_RATIONAL, check_not_rational_stars),
     ("not_rational_even", Verdict.NOT_RATIONAL, check_not_rational_even),
 )
+
+# rule name -> the replay that checks its witness, replay(gamma, witness)
+REPLAYS = {
+    "rational_two_stars": replay_two_stars,
+    "rational_triple": replay_triple,
+    "not_rational_carter": replay_carter,
+    "not_rational_stars": replay_stars,
+    "not_rational_even": replay_even,
+}
 
 
 @dataclass(frozen=True)

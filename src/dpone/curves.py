@@ -38,6 +38,7 @@ from .lattice import (
     CANONICAL_CLASS,
     FORM_DIAG,
     RANK,
+    CheckViolation,
     DivisorClass,
     LatticeIsometry,
     _frozen,
@@ -157,7 +158,7 @@ class CurveTable:
         )
         self._ids: dict[tuple[int, ...], int] = {r: cid for cid, (r, _, _) in enumerate(rows)}
         if len(self._ids) != 240:
-            raise AssertionError(f"family generator produced {len(self._ids)} classes")
+            raise CheckViolation(f"family generator produced {len(self._ids)} classes")
         self.id_by_name: dict[str, int] = {c.name: c.id for c in self.curves}
         # E1..E8 and L12, a basis whose images fix an isometry (L = L12 + E1 + E2)
         self.basis: tuple[int, ...] = tuple(
@@ -184,7 +185,7 @@ class CurveTable:
         # distinct, and a key's position is its curve id
         keys = _packed_keys(self.coeff_array)
         if not (keys[1:] > keys[:-1]).all():
-            raise AssertionError("packed curve keys are not strictly increasing")
+            raise CheckViolation("packed curve keys are not strictly increasing")
         return _read_only(keys)
 
     @cached_property
@@ -264,7 +265,7 @@ class CurveTable:
         construction, so it maps the 240-class set to itself and its
         images have coefficients in -3..6, where the packing is injective.
         A key that matches no curve would mean the matrix is not an
-        isometry, and raises AssertionError.
+        isometry, and raises CheckViolation.
         """
         import numpy as np
 
@@ -274,7 +275,7 @@ class CurveTable:
         missed = self._keys[ids] != keys
         if missed.any():
             name = self.curves[int(np.argmax(missed))].name
-            raise AssertionError(f"isometry maps curve {name} outside the curve set")
+            raise CheckViolation(f"isometry maps curve {name} outside the curve set")
         return ids.astype(np.int16)
 
     def isometry_of(self, perm: np.ndarray) -> LatticeIsometry:

@@ -228,17 +228,13 @@ def _eliminated_rank(generator_perms: np.ndarray) -> int:
     return RANK - integer_rank(moves.reshape(-1, RANK).tolist())
 
 
-def eliminated_group(generators: Iterable[LatticeIsometry]) -> GroupSpec:
-    """A fresh group on the generators whose fixed rank is eliminated now.
-
-    The rank is 9 minus the rank of the generators' basis moves, by
-    ``integer_rank``, whatever route ``fixed_rank`` would take: the
-    replays recompute a rank this way, independently of the closure
+def eliminated_rank(generators: Iterable[LatticeIsometry]) -> int:
+    """The generators' common fixed rank, 9 minus the rank of their basis
+    moves by ``integer_rank``, whatever route ``fixed_rank`` would take:
+    the replays recompute a rank this way, independently of the closure
     trace and the cycle sums that the rules' groups read.
     """
-    group = GroupSpec(tuple(generators))
-    vars(group)["fixed_rank"] = _eliminated_rank(group.generator_perms)
-    return group
+    return _eliminated_rank(GroupSpec(tuple(generators)).generator_perms)
 
 
 def cap_exceeded(label: str, cap: int) -> ValueError:

@@ -396,7 +396,7 @@ def fixed_rank(g: GroupSpec | LatticeIsometry) -> int:
     curve at a time with ``apply`` (``curve_table().images_of``), so one
     element is ranked without numpy or the group layer.  A trace sum
     that is not a multiple of the group's order raises CheckViolation.
-    No group is closed for its rank.  ``groups.eliminated_group`` takes
+    No group is closed for its rank.  ``groups.eliminated_rank`` takes
     the third route on any generators.
     """
     if isinstance(g, LatticeIsometry):

@@ -72,6 +72,7 @@ def _lemma_a2a22() -> list[str]:
 def _lemma_davidinv() -> list[str]:
     import numpy as np
 
+    from .groups import GroupSpec
     from .stars import asynchronized, invariant_curves, profile, split_invariant_stars
 
     t = curve_table()
@@ -85,11 +86,11 @@ def _lemma_davidinv() -> list[str]:
         CarterType3.A2x4: (0, 0, 40, 1),
     }
     for ctype, counts in expected.items():
-        m = representative_order3(ctype)
-        inv = invariant_curves(m)
-        trivial, faithful = split_invariant_stars(m)
+        g = GroupSpec((representative_order3(ctype),))  # permuted once for all three
+        inv = invariant_curves(g)
+        trivial, faithful = split_invariant_stars(g)
         census[ctype] = inv, trivial, faithful
-        rank = None if counts[3] is None else fixed_rank(m)
+        rank = None if counts[3] is None else g.fixed_rank
         got = (len(inv), len(trivial), len(faithful), rank)
         _require(got == counts, f"{ctype.display}: counts and rank {got}, expected {counts}")
         _require(
@@ -202,7 +203,7 @@ def _lemma_davidmin() -> list[str]:
 
 def _lemma_davidmin_pair(ctype: CarterType3, rotations: str) -> list[str]:
     from .criteria import ActionSetup, check_minimal_four_stars, search_commuting_order3
-    from .groups import TRIVIAL_GROUP, GroupSpec, eliminated_group
+    from .groups import TRIVIAL_GROUP, GroupSpec, eliminated_rank
     from .stars import split_invariant_stars
 
     g = representative_order3(ctype)
@@ -212,8 +213,8 @@ def _lemma_davidmin_pair(ctype: CarterType3, rotations: str) -> list[str]:
     _require(cert is not None, f"no certificate for the {ctype.display} pair")
     _require(cert.combined_rank == 1, f"certificate rank {cert.combined_rank}")
     # the certificate's rank is the closure's average trace; this one is
-    # eliminated on the generators of a fresh group
-    rank = fixed_rank(eliminated_group(setup.combined.generators))
+    # eliminated on the generators
+    rank = eliminated_rank(setup.combined.generators)
     _require(rank == 1, f"direct rank {rank}")
     return [
         f"{ctype.display} with commuting {rotations}: rank {rank}, certificate found",
@@ -223,26 +224,16 @@ def _lemma_davidmin_pair(ctype: CarterType3, rotations: str) -> list[str]:
 
 def _lemma_ratcor() -> list[str]:
     from .criteria import (
+        REPLAYS,
         Verdict,
         Witness,
         check_rational_triple,
         gamma_report,
-        replay_carter,
-        replay_even,
-        replay_stars,
         replay_triple,
-        replay_two_stars,
     )
     from .groups import TRIVIAL_GROUP, GroupSpec
     from .stars import PairType, sample_pairs_by_type
 
-    replays = {
-        "rational_two_stars": replay_two_stars,
-        "rational_triple": replay_triple,
-        "not_rational_carter": replay_carter,
-        "not_rational_stars": replay_stars,
-        "not_rational_even": replay_even,
-    }
     out = []
     expected = {
         "trivial": (TRIVIAL_GROUP, Verdict.RATIONAL),
@@ -264,7 +255,7 @@ def _lemma_ratcor() -> list[str]:
             f"{name}: caveat {report.caveat!r} on a {want.value} verdict",
         )
         _require(
-            replays[report.rule](gamma, report.witness),
+            REPLAYS[report.rule](gamma, report.witness),
             f"{name}: the {report.rule} witness does not replay",
         )
         # the exhaustive triple search finds a triple exactly when Rational

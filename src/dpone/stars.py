@@ -225,7 +225,7 @@ class StarTable:
             or np.any(edge_star[tails, heads] != owner)
             or np.any((edge_star >= 0) != (t.pairing_array == 0))
         ):
-            raise AssertionError("star table rows are not 1120 canonical hexagons")
+            raise CheckViolation("star table rows are not 1120 canonical hexagons")
 
         self.ids_array = np.asfortranarray(rows, dtype=np.intp)
         self.edge_star = edge_star
@@ -242,7 +242,7 @@ class StarTable:
         for lo in range(0, len(ids), 56):  # a (56, 6, 1120) int8 gather, 376 KB
             block = asynchronized(ids[lo : lo + 56], ids)
             if np.any(block.sum(axis=1) != 120):
-                raise AssertionError("a star without exactly 120 asynchronized partners")
+                raise CheckViolation("a star without exactly 120 asynchronized partners")
             rows.append(np.nonzero(block)[1].astype(np.int16))
         partners = np.concatenate(rows).reshape(len(ids), 120)
         partners.flags.writeable = False

@@ -12,7 +12,11 @@ order, fixed rank and Carter class come from its curve images
 (`curve_table().images_of`), with no numpy imported.  The four order-3
 classes A2, A2^2, A2^3, A2^4 fix 72, 12, 6 and 0 of the 240 curves, so
 `carter_types` and `carter_type_order3` read the class off that count;
-their fixed sublattices have rank 7, 5, 3, 1.
+their fixed sublattices have rank 7, 5, 3, 1.  One representative of
+each class is written as element text (`ORDER3_TEXT`), 3-cycles for A2
+and A2^2 and reflection words for A2^3 and A2^4, so all four are built
+without numpy; the A2-plane search that gave the two words is their
+oracle in the tests.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .lattice import (
     FORM_DIAG,
     INTEGER,
     RANK,
+    CheckViolation,
     DivisorClass,
     LatticeIsometry,
     cycle_order,
@@ -104,7 +109,7 @@ def _carter_type(fixed: int) -> CarterType3:
     try:
         return _FIXED_CURVES_TO_TYPE[fixed]
     except KeyError:
-        raise AssertionError(f"order-3 element fixing {fixed} curves") from None
+        raise CheckViolation(f"order-3 element fixing {fixed} curves") from None
 
 
 def carter_types(perms: np.ndarray) -> list[CarterType3]:
@@ -122,55 +127,30 @@ def carter_type_order3(m: LatticeIsometry) -> CarterType3:
     return _carter_type(sum(map(eq, images, range(240))))
 
 
-def orthogonal_a2_planes(count: int) -> tuple[tuple[DivisorClass, DivisorClass], ...]:
-    """The first `count` pairwise-orthogonal A2 root pairs, chosen greedily.
-
-    Each pair (a, b) has a*b = 1; distinct pairs pair to zero in all four
-    combinations.  Each step takes a = the first root, in enumeration
-    order, orthogonal to every root chosen so far, and b = the first such
-    root with a*b = 1, so the result is reproducible.  No choice ever has
-    to be undone: the roots orthogonal to one, two or three A2 planes form
-    the root systems E6, A2 x A2 and A2, each of which holds an A2 plane,
-    and an A2 plane inside A2 x A2 is one of the two factors, so the other
-    is left for the fourth step.
-    """
-    if count < 1 or count > 4:
-        raise ValueError("count must be between 1 and 4")
-    import numpy as np
-
-    roots = enumerate_roots()
-    # the roots are the curves shifted by K in id order: r.s = c.d - 1
-    gram = curve_table().pairing_array - 1
-    free = np.ones(len(roots), dtype=bool)
-    chosen = []
-    for _ in range(count):
-        a = int(np.argmax(free))
-        b = int(np.argmax(free & (gram[a] == 1)))
-        chosen.append((roots[a], roots[b]))
-        free &= (gram[a] == 0) & (gram[b] == 0)
-    return tuple(chosen)
+# One representative of each order-3 class, as element text.  A2 and A2^2
+# are 3-cycles of the blown-up points; A2^3 and A2^4 are reduced words in
+# s1..s8, of 78 and 80 letters, for the products of the rotations s_a s_b
+# in three and four pairwise-orthogonal A2 planes.  The greedy plane
+# search that gives those products is their oracle in tests/oracles.py.
+ORDER3_TEXT = {
+    CarterType3.A2: "(1 2 3)",
+    CarterType3.A2x2: "(1 2 3)(4 5 6)",
+    CarterType3.A2x3: (
+        "s 8 7 6 5 4 3 1 4 5 6 7 2 3 4 5 6 1 4 5 3 4 2 3 1 4 5 6 7 8 7 6 5 4 3 1 4 5 6 7 2"
+        " 3 4 5 6 1 4 5 3 4 2 3 1 4 5 6 7 1 4 5 3 4 2 3 1 4 5 6 5 4 3 1 4 5 2 3 4 3 2"
+    ),
+    CarterType3.A2x4: (
+        "s 8 7 6 5 4 3 1 4 5 6 7 2 3 4 5 6 1 4 5 3 4 2 3 1 4 5 6 7 8 7 6 5 4 3 1 4 5 6 7 2"
+        " 3 4 5 6 1 4 5 3 4 2 3 1 4 5 6 7 6 1 4 5 3 4 2 3 1 4 5 6 5 4 2 3 1 4 5 2 3 4 3 2"
+    ),
+}
 
 
 @cache
 def representative_order3(ctype: CarterType3) -> LatticeIsometry:
-    """A standard representative of each order-3 class.
-
-    A2 and A2^2 act by index 3-cycles on the blown-up points; A2^3 and
-    A2^4 compose the rotations s_a s_b of pairwise-orthogonal A2 planes.
-    """
-    if ctype is CarterType3.A2:
-        return s8_action("(1 2 3)")
-    if ctype is CarterType3.A2x2:
-        return s8_action("(1 2 3)(4 5 6)")
-    import numpy as np
-
-    perm = np.arange(240, dtype=np.int16)
-    for a, b in orthogonal_a2_planes(ctype.value):
-        perm = perm[reflection_permutation(a)[reflection_permutation(b)]]
-    m = curve_table().isometry_of(perm)
-    if carter_type_order3(m) is not ctype:
-        raise AssertionError(f"representative search produced wrong class for {ctype}")
-    return m
+    """The standard representative of an order-3 class, read from its
+    `ORDER3_TEXT`.  Its class is checked by the lemmas that use it."""
+    return parse_element(ORDER3_TEXT[ctype])
 
 
 _IDENTITY_COLUMNS = tuple(tuple(int(i == j) for i in range(RANK)) for j in range(RANK))

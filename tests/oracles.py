@@ -20,7 +20,7 @@ import numpy as np
 
 import dpone.criteria as criteria
 from dpone.curves import bertini_class, curve_table
-from dpone.groups import TRIVIAL_GROUP, GroupSpec, eliminated_group, integer_rank
+from dpone.groups import TRIVIAL_GROUP, GroupSpec, eliminated_rank, integer_rank
 from dpone.lattice import (
     CANONICAL_CLASS,
     ENTRY_BOUND,
@@ -48,7 +48,12 @@ from dpone.stars import (
     star_masks,
     star_table,
 )
-from dpone.weyl import CarterType3, carter_type_order3, reflection_permutation
+from dpone.weyl import (
+    CarterType3,
+    carter_type_order3,
+    enumerate_roots,
+    reflection_permutation,
+)
 
 ASYNCHRONIZED = PAIR_TYPES.index(PairType.ASYNCHRONIZED)  # its pair code
 
@@ -149,6 +154,34 @@ def rank_carter_type(m: LatticeIsometry) -> CarterType3:
     the typing that the fixed-curve count replaced (ranked as a group, off
     its permutation, as the typing read it)."""
     return {t.fixed_rank: t for t in CarterType3}[fixed_rank(GroupSpec((m,)))]
+
+
+def orthogonal_a2_planes(count: int) -> tuple[tuple[DivisorClass, DivisorClass], ...]:
+    """The first `count` pairwise-orthogonal A2 root pairs, chosen greedily.
+
+    Each pair (a, b) has a*b = 1; distinct pairs pair to zero in all four
+    combinations.  Each step takes a = the first root, in enumeration
+    order, orthogonal to every root chosen so far, and b = the first such
+    root with a*b = 1, so the result is reproducible.  No choice ever has
+    to be undone: the roots orthogonal to one, two or three A2 planes form
+    the root systems E6, A2 x A2 and A2, each of which holds an A2 plane,
+    and an A2 plane inside A2 x A2 is one of the two factors, so the other
+    is left for the fourth step.  The rotations of the first three and four
+    planes multiply to the A2^3 and A2^4 words of `weyl.ORDER3_TEXT`.
+    """
+    if count < 1 or count > 4:
+        raise ValueError("count must be between 1 and 4")
+    roots = enumerate_roots()
+    # the roots are the curves shifted by K in id order: r.s = c.d - 1
+    gram = curve_table().pairing_array - 1
+    free = np.ones(len(roots), dtype=bool)
+    chosen = []
+    for _ in range(count):
+        a = int(np.argmax(free))
+        b = int(np.argmax(free & (gram[a] == 1)))
+        chosen.append((roots[a], roots[b]))
+        free &= (gram[a] == 0) & (gram[b] == 0)
+    return tuple(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -603,31 +636,19 @@ def flips(p):
 
 ALL = ("groups", "family", "pool")
 SWEEP = ("groups", "family")
+# each rule's oracles; its kernel and replay are the library's
+RULE_ORACLES = {
+    "rational_two_stars": (reference_two_stars, pair_code_two_stars),
+    "rational_triple": (ix_triple,),
+    "not_rational_carter": (reference_carter,),
+    "not_rational_stars": (reference_not_rational_stars,),
+    "not_rational_even": (element_loop_even,),
+}
 RULE_ROWS = {
-    "rational_two_stars": Row(
-        criteria.check_rational_two_stars,
-        (reference_two_stars, pair_code_two_stars),
-        ALL,
-        criteria.replay_two_stars,
-    ),
-    "rational_triple": Row(
-        criteria.check_rational_triple, (ix_triple,), ALL, criteria.replay_triple
-    ),
-    "not_rational_carter": Row(
-        criteria.check_not_rational_carter,
-        (reference_carter,),
-        ALL,
-        criteria.replay_carter,
-    ),
-    "not_rational_stars": Row(
-        criteria.check_not_rational_stars,
-        (reference_not_rational_stars,),
-        ALL,
-        criteria.replay_stars,
-    ),
-    "not_rational_even": Row(
-        criteria.check_not_rational_even, (element_loop_even,), ALL, criteria.replay_even
-    ),
+    **{
+        name: Row(checker, RULE_ORACLES[name], ALL, criteria.REPLAYS[name])
+        for name, _, checker in criteria.RULES
+    },
     "minimal_four_stars": Row(
         lambda g: criteria.check_minimal_four_stars(as_g(g)),
         (lambda g: reference_four_stars(as_g(g)), lambda g: pair_code_four_stars(as_g(g))),
@@ -642,7 +663,7 @@ GROUP_ROWS = {
         trace_rank,
         (
             unclosed_rank,
-            lambda g: fixed_rank(eliminated_group(g.generators)),
+            lambda g: eliminated_rank(g.generators),
             lambda g: matrix_fixed_rank(g.generators),
         ),
         ALL,

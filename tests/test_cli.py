@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 import dpone
-from dpone.cli import main
+from dpone.cli import load_group, main
 from dpone.groups import GroupSpec
 from dpone.lattice import MAX_CAP, LatticeIsometry, isometry_to_text
 from dpone.weyl import CarterType3, representative_order3
@@ -344,6 +344,18 @@ def test_cli_import_leaves_out_jsonschema():
     assert stdout_of(code).splitlines() == ["dpone", "True"]
 
 
+# builds the four order-3 representatives and types them in a fresh
+# interpreter; the without-numpy CI job runs the same line
+TYPED_REPRESENTATIVES = (
+    "import sys; from dpone.weyl import CarterType3 as C, carter_type_order3 as t, "
+    "representative_order3 as r; print(all(t(r(c)) is c for c in C), 'numpy' in sys.modules)"
+)
+
+
+def test_representatives_need_no_numpy():
+    assert stdout_of(TYPED_REPRESENTATIVES) == "True False"
+
+
 # runs main on the bench pool's commands that build group elements with
 # every 9x9 matrix product refused, and prints each command's exit code and
 # whether its stdout matches the bench oracle; first, a bad reflection word
@@ -547,6 +559,20 @@ def test_failed_lemma_exits_1(capsys, monkeypatch):
     }
 
 
+def test_failed_library_check_exits_1(capsys, monkeypatch):
+    # a library self-check raises CheckViolation, never AssertionError: with
+    # no fixed-curve count known, typing an order-3 element fails the check
+    import dpone.weyl as weyl
+
+    monkeypatch.setattr(weyl, "_FIXED_CURVES_TO_TYPE", {})
+    code, out, err = run(capsys, "classify-element", "-e", "(1 2 3)")
+    assert (code, out) == (1, "")
+    assert err == "check failed: order-3 element fixing 72 curves\n"
+    code, out, err = run(capsys, "verify-lemma", "A2A22")
+    assert (code, err) == (1, "")
+    assert out == "FAIL: order-3 element fixing 72 curves\n"
+
+
 # each row forges what a lemma reads so that only its exact numbers are
 # wrong: the counts still add up to their totals, the samples still agree
 @pytest.mark.parametrize(
@@ -561,13 +587,20 @@ def test_failed_lemma_exits_1(capsys, monkeypatch):
          lambda real: lambda k: {p: pairs[:9] for p, pairs in real(k).items()}),
         ("RatCor-consistency", "dpone.criteria.check_rational_triple",
          lambda real: lambda gamma: None),
+        ("Davidinv", "dpone.weyl.ORDER3_TEXT",
+         lambda real: {**real, CarterType3.A2x3: real[CarterType3.A2x2]}),
     ],
-    ids=["profile split", "async and sync swapped", "9 pairs per type", "no triple"],
+    ids=["profile split", "async and sync swapped", "9 pairs per type", "no triple",
+         "A2^3 written as A2^2"],
 )
 def test_forged_lemma_inputs_fail(capsys, monkeypatch, name, target, forge):
     module, attr = target.rsplit(".", 1)
     monkeypatch.setattr(target, forge(getattr(importlib.import_module(module), attr)))
-    code, out, _ = run(capsys, "verify-lemma", name)
+    representative_order3.cache_clear()  # so that a forged text is read, and not kept
+    try:
+        code, out, _ = run(capsys, "verify-lemma", name)
+    finally:
+        representative_order3.cache_clear()
     assert code == 1
     assert out.startswith("FAIL: ") and out.count("\n") == 1, out
 
@@ -708,9 +741,13 @@ def test_cap_below_one_exits_2(capsys, monkeypatch, cap, gamma):
         assert err == "error: cap must be >= 1\n"
     else:
         assert err == f"error: cap must be <= {MAX_CAP}, about 1 GiB of closure\n"
-    # read_argv refuses the cap first; a GroupSpec built in process refuses it too
+    # read_argv refuses the cap first; a GroupSpec built in process refuses
+    # it too, and so does load_group, before it reads an unreadable block
     with pytest.raises(ValueError) as refused:
         GroupSpec((), "Gamma", int(cap))
+    assert err == f"error: {refused.value}\n"
+    with pytest.raises(ValueError) as refused:
+        load_group("(1 9)", "Gamma", int(cap))
     assert err == f"error: {refused.value}\n"
 
 

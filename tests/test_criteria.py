@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from dpone.criteria import (
+    REPLAYS,
+    RULES,
     ActionSetup,
     CarterWitness,
     EvenWitness,
@@ -485,7 +487,7 @@ def test_replay_minimality_recomputes_the_rank(monkeypatch):
     vars(setup.combined)["fixed_rank"] = 1  # a false cached rank
     assert fixed_rank(setup.combined) == 1
     assert not replay_minimality(setup, cert)
-    monkeypatch.setattr(criteria, "fixed_rank", lambda group: 1)
+    monkeypatch.setattr(criteria, "eliminated_rank", lambda generators: 1)
     assert replay_minimality(setup, cert)  # the rank is the only refusal
 
 
@@ -593,6 +595,10 @@ def test_star_rules_match_reference_scans(name):
     scans (`oracles.RULE_ROWS`), each hit replayed."""
     for row in RULE_ROWS:
         assert_row(row, group(name))
+
+
+def test_every_rule_has_one_replay():
+    assert set(REPLAYS) == {name for name, _, _ in RULES}
 
 
 MINIMALITY_GROUPS = {

@@ -4,6 +4,7 @@ import pytest
 from dpone.curves import bertini_class, bertini_isometry, curve_table, s8_action
 from dpone.lattice import (
     CANONICAL_CLASS,
+    CheckViolation,
     LatticeIsometry,
     divisor,
     exceptional,
@@ -183,7 +184,7 @@ def test_permutation_of_rejects_forged_matrix():
     doubled = [[2 * x for x in row] for row in ident]
     huge = [[x * 10**6 for x in row] for row in ident]
     for rows in (swap_l_e1, doubled, huge):
-        with pytest.raises(AssertionError, match="outside the curve set"):
+        with pytest.raises(CheckViolation, match="outside the curve set"):
             t.permutation_of(forged_isometry(rows))
 
 

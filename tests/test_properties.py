@@ -26,7 +26,6 @@ from dpone.weyl import (
     CarterType3,
     carter_type_order3,
     element_order,
-    orthogonal_a2_planes,
     parse_element,
     reflection,
     representative_order3,
@@ -36,6 +35,7 @@ from oracles import (
     loop_is_isometry,
     loop_permutation_of_isometry,
     numpy_is_isometry,
+    orthogonal_a2_planes,
     permutation_word_isometry,
 )
 
@@ -87,6 +87,8 @@ def test_cycle_types_are_isometries():
         assert is_isometry(parse_element(text).matrix), text
 
 
+# the A2^3 and A2^4 reflection words of weyl.ORDER3_TEXT are exactly the
+# products of the rotations s_a s_b of the greedy planes
 def test_representatives_match_plane_rotation_products():
     for ctype in (CarterType3.A2x3, CarterType3.A2x4):
         rotations = (

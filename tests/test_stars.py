@@ -6,7 +6,7 @@ import pytest
 
 from dpone.curves import curve_table, s8_action
 from dpone.groups import TRIVIAL_GROUP, GroupSpec, permutation_orders
-from dpone.lattice import CANONICAL_CLASS, pair
+from dpone.lattice import CANONICAL_CLASS, CheckViolation, pair
 import dpone.stars as stars_module
 from dpone.stars import (
     D6,
@@ -221,7 +221,7 @@ def test_star_table_checks_every_gram_block(monkeypatch):
     gram = np.array(stars_module.STAR_GRAM)
     gram[0, 1] = gram[1, 0] = 1
     monkeypatch.setattr(stars_module, "STAR_GRAM", gram.tolist())
-    with pytest.raises(AssertionError, match="1120 canonical hexagons"):
+    with pytest.raises(CheckViolation, match="1120 canonical hexagons"):
         stars_module.StarTable()
 
 
@@ -235,7 +235,7 @@ def test_table_stars_skip_the_repeat_gram_check(monkeypatch):
     for sid, s in enumerate(table.stars):
         assert star_id(s) == sid
         assert star_id(s[3:] + s[:3]) == sid
-    with pytest.raises(AssertionError, match="1120 canonical hexagons"):
+    with pytest.raises(CheckViolation, match="1120 canonical hexagons"):
         stars_module.StarTable()
 
 

@@ -10,6 +10,7 @@ from dpone.lattice import (
     LINE,
     ORDER_CAP,
     RANK,
+    CheckViolation,
     LatticeIsometry,
     divisor,
     exceptional,
@@ -26,12 +27,12 @@ from dpone.weyl import (
     element_order,
     enumerate_roots,
     is_root,
-    orthogonal_a2_planes,
     parse_element,
     reflection,
     reflection_permutation,
     representative_order3,
 )
+from oracles import orthogonal_a2_planes
 
 
 def closed_form_roots():
@@ -234,5 +235,5 @@ def test_conjugation_preserves_carter_type():
 
 
 def test_carter_types_reject_unknown_counts():
-    with pytest.raises(AssertionError, match="fixing 237 curves"):
+    with pytest.raises(CheckViolation, match="fixing 237 curves"):
         carter_types(cycles_on_240(3)[None])
