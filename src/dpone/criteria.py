@@ -41,8 +41,10 @@ from itertools import combinations, product
 import numpy as np
 
 from .curves import curve_table
-from .groups import TRIVIAL_GROUP, GroupSpec, eliminated_rank, permutation_orders
-from .lattice import CANONICAL_CLASS, CheckViolation, LatticeIsometry, fixed_rank, pair
+from .groups import TRIVIAL_GROUP, GroupSpec, eliminated_rank
+from .lattice import (
+    CANONICAL_CLASS, CheckViolation, LatticeIsometry, cycle_order, fixed_rank, pair,
+)
 from .stars import (
     PairType,
     asynchronized,
@@ -319,7 +321,7 @@ def search_commuting_order3(
                 h = h[r]
         if not np.array_equal(h[g_perm], g_perm[h]):
             continue
-        if permutation_orders(h[None])[0] != 3:
+        if cycle_order(h.tolist()) != 3:
             continue
         if _faithful(h[None], np.array(stars)).all():
             return t.isometry_of(h)
@@ -402,14 +404,9 @@ def _witness_row(g: GroupSpec, elements) -> np.ndarray | None:
     return None if i is None else g.perms[i]
 
 
-def _order(row: np.ndarray) -> int:
-    """A row's order from the row itself, not from a group's cached orders."""
-    return int(permutation_orders(row[None])[0])
-
-
 def replay_carter(gamma: GroupSpec, w: CarterWitness) -> bool:
     row = _witness_row(gamma, w.elements)
-    if row is None or _order(row) != 3:
+    if row is None or cycle_order(row.tolist()) != 3:
         return False
     # the rank is eliminated on the validated matrix
     rank = eliminated_rank((element_isometry(row.tobytes()),))
@@ -426,14 +423,14 @@ def _distinct_stars(stars, n: int) -> bool:
 
 def replay_stars(gamma: GroupSpec, w: StarsWitness) -> bool:
     row = _witness_row(gamma, w.elements)
-    if row is None or _order(row) != 3 or not _distinct_stars(w.stars, 3):
+    if row is None or cycle_order(row.tolist()) != 3 or not _distinct_stars(w.stars, 3):
         return False
     return bool(_faithful(row[None], np.array(w.stars)).all())
 
 
 def replay_even(gamma: GroupSpec, w: EvenWitness) -> bool:
     row = _witness_row(gamma, w.elements)
-    if row is None or _order(row) % 2 != 0 or not _distinct_stars(w.stars, 1):
+    if row is None or cycle_order(row.tolist()) % 2 != 0 or not _distinct_stars(w.stars, 1):
         return False
     flipped = row == curve_table().bertini_ids
     return bool(_flipped_stars(flipped, np.array(w.stars))[0])
@@ -474,7 +471,7 @@ def replay_minimality(setup: ActionSetup, cert: MinimalityCertificate) -> bool:
     combined = setup.combined.generator_perms
     for s, m in zip(cert.stars, cert.elements):
         row = _witness_row(g, (m,))
-        if row is None or _order(row) != 3:
+        if row is None or cycle_order(row.tolist()) != 3:
             return False
         setwise, _ = star_masks(combined, np.array([s]))
         if not setwise.all():

@@ -139,18 +139,10 @@ def star_id(ids) -> int:
 
 
 def is_star(curves) -> bool:
-    """Whether the six curves form a star in the given cyclic order.
-
-    The divisor classes among them are found by one `ids_of` search.
-    """
-    curves = list(curves)
-    classes = [c.coeffs for c in curves if isinstance(c, DivisorClass)]
+    """Whether the six curves form a star in the given cyclic order."""
     try:
-        found = iter(curve_table().ids_of(np.array(classes, dtype=np.int64)).tolist()
-                     if classes else ())
-        star_id([next(found) if isinstance(c, DivisorClass) else _resolve_curve_id(c)
-                 for c in curves])
-    except (ValueError, TypeError, OverflowError):  # OverflowError: past int64
+        star_id([_resolve_curve_id(c) for c in curves])
+    except (ValueError, TypeError):
         return False
     return True
 

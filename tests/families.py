@@ -122,6 +122,22 @@ def parabolic(name: str) -> GroupSpec:
     return GroupSpec(parabolic_generators(name), name, cap=PARABOLICS[name][1])
 
 
+@cache
+def parabolics() -> tuple[GroupSpec, ...]:
+    """The six closable parabolic subgroups, A2xA2 to E6, as `parabolic`
+    shares them: each is closed once per test run."""
+    return tuple(parabolic(name) for name in CLOSABLE)
+
+
+@cache
+def parabolic_elements() -> tuple[GroupSpec, ...]:
+    """Each of the 348 elements of W(A2xA2), W(A4) and W(D4), the parabolics
+    of order at most 200, as a cyclic group."""
+    t = curve_table()
+    small = [g for g in parabolics() if PARABOLICS[g.label][1] <= 200]
+    return tuple(GroupSpec((t.isometry_of(row),)) for g in small for row in g.perms)
+
+
 # words in the simple reflections s1..s8, as indices 0..7
 words = st.lists(st.integers(0, 7), max_size=8)
 

@@ -20,7 +20,13 @@ import numpy as np
 
 import dpone.criteria as criteria
 from dpone.curves import bertini_class, curve_table
-from dpone.groups import TRIVIAL_GROUP, GroupSpec, eliminated_rank, integer_rank
+from dpone.groups import (
+    TRIVIAL_GROUP,
+    GroupSpec,
+    _closure_rank,
+    eliminated_rank,
+    integer_rank,
+)
 from dpone.lattice import (
     CANONICAL_CLASS,
     ENTRY_BOUND,
@@ -296,6 +302,14 @@ def row_major_star_masks(perms: np.ndarray, ids: np.ndarray):
     return setwise, (images == ids).all(axis=2)
 
 
+def sorted_row_star_masks(perms: np.ndarray, ids: np.ndarray):
+    """The setwise test the edge lookup replaced: each image row, sorted, is
+    the row sorted."""
+    images = perms[:, ids]
+    setwise = (np.sort(images, axis=2) == np.sort(ids, axis=1)).all(axis=2)
+    return setwise, (images == ids).all(axis=2)
+
+
 def row_major_antipodal(perm: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The antipode test on a permutation: every member goes to its partner."""
     return (perm[rows] == curve_table().bertini_ids[rows]).all(axis=1)
@@ -567,10 +581,9 @@ def per_element(f: Callable) -> Callable:
 
 
 def trace_rank(g):
-    """The rank of a closed copy of g: the average trace over its closure."""
-    closed = GroupSpec(g.generators, cap=g.cap)
-    closed.perms
-    return fixed_rank(closed)
+    """The rank as a closed group takes it, the average trace over g's
+    closure: the closure the other rows read, so no group is closed twice."""
+    return _closure_rank(g.perms)
 
 
 def unclosed_rank(g):
@@ -636,6 +649,7 @@ def flips(p):
 
 ALL = ("groups", "family", "pool")
 SWEEP = ("groups", "family")
+CLOSED = (*SWEEP, "parabolics")
 # each rule's oracles; its kernel and replay are the library's
 RULE_ORACLES = {
     "rational_two_stars": (reference_two_stars, pair_code_two_stars),
@@ -657,8 +671,8 @@ RULE_ROWS = {
     ),
 }
 GROUP_ROWS = {
-    "closure": Row(lambda g: g.perms, (row_keyed_closure,), SWEEP),
-    "orders": Row(lambda g: g.orders, (lambda g: all_column_orders(g.perms),), SWEEP),
+    "closure": Row(lambda g: g.perms, (row_keyed_closure,), CLOSED),
+    "orders": Row(lambda g: g.orders, (lambda g: all_column_orders(g.perms),), CLOSED),
     "fixed_rank": Row(
         trace_rank,
         (
@@ -666,7 +680,7 @@ GROUP_ROWS = {
             lambda g: eliminated_rank(g.generators),
             lambda g: matrix_fixed_rank(g.generators),
         ),
-        ALL,
+        (*ALL, "parabolics", "parabolic_elements"),
     ),
     "permutation_of": Row(
         closure_permutations(lambda m: curve_table().permutation_of(m)),
@@ -693,7 +707,10 @@ GROUP_ROWS = {
     ),
     "star_masks": Row(
         lambda g: star_masks(g.perms, star_table().ids_array),
-        (lambda g: row_major_star_masks(g.perms, rows16()),),
+        (
+            lambda g: row_major_star_masks(g.perms, rows16()),
+            lambda g: sorted_row_star_masks(g.perms, rows16()),
+        ),
         SWEEP,
     ),
     "order3_types": Row(

@@ -589,9 +589,16 @@ def test_failed_library_check_exits_1(capsys, monkeypatch):
          lambda real: lambda gamma: None),
         ("Davidinv", "dpone.weyl.ORDER3_TEXT",
          lambda real: {**real, CarterType3.A2x3: real[CarterType3.A2x2]}),
+        ("Davidmin", "dpone.criteria.check_minimal_four_stars",
+         lambda real: lambda setup: None),
+        ("Davidmin1", "dpone.criteria.check_minimal_four_stars",
+         lambda real: lambda setup: None),
+        ("DP1lines", "dpone.lemmas.solve_norm",
+         lambda real: lambda square, dot_k: real(square, dot_k)[1:]),
     ],
     ids=["profile split", "async and sync swapped", "9 pairs per type", "no triple",
-         "A2^3 written as A2^2"],
+         "A2^3 written as A2^2", "no A2^4 certificate", "no A2^3 pair certificate",
+         "one curve class unsolved"],
 )
 def test_forged_lemma_inputs_fail(capsys, monkeypatch, name, target, forge):
     module, attr = target.rsplit(".", 1)

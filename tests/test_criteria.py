@@ -139,20 +139,6 @@ def test_triple_rule():
     assert pair(d, CANONICAL_CLASS) == -3
 
 
-def test_triple_rule_census():
-    exists = {
-        name: check_rational_triple(gamma) is not None
-        for name, gamma in CANNED.items()
-    }
-    assert exists == {
-        "trivial": True,
-        "A2": True,
-        "A2^2": True,
-        "A2^3": False,
-        "A2^4": False,
-    }
-
-
 def test_triple_search_is_exhaustive_for_a2x3():
     # the six invariant curves pair only 0, 2, 3: no 1 anywhere
     from dpone.stars import invariant_curves
@@ -222,18 +208,6 @@ def test_replay_rejects_tampered_witnesses():
         assert not replay_minimality(setup, replace(cert, stars=stars)), stars
 
 
-def test_minimality_a2x4():
-    setup = ActionSetup(CANNED["A2^4"], TRIVIAL_GROUP)
-    cert = check_minimal_four_stars(setup)
-    assert cert is not None
-    assert cert.combined_rank == 1
-    assert replay_minimality(setup, cert)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            res = classify_pair(cert.stars[a], cert.stars[b])
-            assert res.pair_type is PairType.ASYNCHRONIZED
-
-
 def test_minimality_none_for_trivial_g():
     setup = ActionSetup(TRIVIAL_GROUP, CANNED["A2^4"])
     assert check_minimal_four_stars(setup) is None
@@ -259,14 +233,6 @@ def test_search_commuting_order3_a2x3():
     s = pointwise[0]
     assert {perm[c] for c in s} == set(s)
     assert any(perm[c] != c for c in s)
-
-
-def test_minimality_construction_a2x3():
-    g, h, _ = _commuting_pair(CarterType3.A2x3)
-    setup = ActionSetup(group_of(g, h), TRIVIAL_GROUP)
-    assert fixed_rank(setup.combined) == 1
-    cert = check_minimal_four_stars(setup)
-    assert cert is not None and replay_minimality(setup, cert)
 
 
 def test_minimality_construction_a2x2():
@@ -523,12 +489,6 @@ def test_monotonicity_along_chains():
         verdicts = [gamma_report(gamma).verdict for gamma in chain]
         for a, b in zip(verdicts, verdicts[1:]):
             assert order[a] <= order[b]
-
-
-def test_rank_one_group_never_rational_verdict():
-    report = gamma_report(group_of(REPS[CarterType3.A2x4]))
-    assert report.verdict is Verdict.NOT_RATIONAL
-    assert report.ranks["Gamma"] == 1
 
 
 def test_minimality_cert_included_in_report():

@@ -20,12 +20,6 @@ def named(name):
     return t.curve(t.id_of_name(name)).divisor
 
 
-def test_all_exceptional():
-    for c in curve_table().curves:
-        assert pair(c.divisor, c.divisor) == -1
-        assert pair(c.divisor, CANONICAL_CLASS) == -1
-
-
 def test_table_matches_divisor_family_generator():
     # the integer closed forms give every id, name, family and coefficient
     # row that DivisorClass arithmetic gives

@@ -4,10 +4,13 @@ Each row of `oracles.DIFFERENTIAL` names a kernel, its oracles and the
 families of `families.py` it walks.  The 52 groups of
 `families.groups()` run one group at a time, the rule rows in
 test_criteria.py and the group rows in test_group_oracles.py; this
-module walks each other family once per row.  It also pins how many
-inputs of each family every kernel hits on (a witness, or an answer
-with a true or nonzero entry), so that no row compares only misses, and
-how many order-3 elements of each Carter class the typing row meets.
+module walks each other family once per row: the 400 sweep groups, the
+pool's 115 groups, the six closable parabolic subgroups (closure,
+orders, rank) and the 348 elements of the three smallest (rank).  It
+also pins how many inputs of each family every kernel hits on (a
+witness, or an answer with a true or nonzero entry), so that no row
+compares only misses, and how many order-3 elements of each Carter
+class the typing row meets.
 """
 
 from collections import Counter
@@ -15,10 +18,15 @@ from collections import Counter
 import pytest
 
 from dpone.weyl import CarterType3
-from families import family, group, groups, pool
+from families import family, group, groups, parabolic_elements, parabolics, pool
 from oracles import DIFFERENTIAL, assert_row, hit
 
-FAMILIES = {"family": family, "pool": pool}
+FAMILIES = {
+    "family": family,
+    "pool": pool,
+    "parabolics": parabolics,
+    "parabolic_elements": parabolic_elements,
+}
 
 HITS = {
     "rational_two_stars": {"groups": 8, "family": 8, "pool": 17},
@@ -27,9 +35,11 @@ HITS = {
     "not_rational_stars": {"groups": 2, "family": 60, "pool": 8},
     "not_rational_even": {"groups": 18, "family": 227, "pool": 36},
     "minimal_four_stars": {"groups": 1, "family": 0, "pool": 6},
-    "closure": {"groups": 52, "family": 400},
-    "orders": {"groups": 52, "family": 400},
-    "fixed_rank": {"groups": 52, "family": 400, "pool": 115},
+    "closure": {"groups": 52, "family": 400, "parabolics": 6},
+    "orders": {"groups": 52, "family": 400, "parabolics": 6},
+    "fixed_rank": {
+        "groups": 52, "family": 400, "pool": 115, "parabolics": 6, "parabolic_elements": 348,
+    },
     "permutation_of": {"groups": 52, "family": 400},
     "images_of": {"groups": 52, "family": 400},
     "fixed_stars": {"groups": 52, "family": 400},

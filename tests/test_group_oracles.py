@@ -5,8 +5,10 @@ numpy product; their references in `oracles` are the matrix BFS and the
 apply-per-curve loop.  Each of the 52 groups of `families.groups()` also
 runs every group row of the differential table (`oracles.GROUP_ROWS`):
 the closure keyed on basis images against full 240-id rows, orders
-against all 240 columns, the three rank routes, the star kernels.  A
-one-generator group reads its orders off its closure length by gcd;
+against all 240 columns, the three rank routes, the star kernels.  The
+closable parabolic subgroups, up to W(E6), are a family of those rows
+(test_differential.py); their orders are pinned here.  A one-generator
+group reads its orders off its closure length by gcd;
 `permutation_orders` is the reference.  Closure order must agree
 element by element, since witnesses are the first hit in that order.
 """
@@ -21,13 +23,12 @@ from dpone.groups import GroupSpec, group_closure, permutation_orders
 from dpone.lattice import LatticeIsometry, fixed_rank
 from dpone.weyl import element_order
 from families import (
-    CLOSABLE,
-    PARABOLICS,
     cycle_types,
     family,
     group,
     groups,
     parabolic,
+    parabolics,
     word_isometry,
     words,
 )
@@ -67,6 +68,10 @@ def test_group_orders():
     assert orders["S4"] == 24
     assert orders["S5"] == 120
     assert orders["<S5,b>"] == 240
+    parabolic_orders = {g.label: len(g.perms) for g in parabolics()}
+    assert parabolic_orders == {
+        "A2xA2": 36, "A4": 120, "D4": 192, "D6": 23040, "A7": 40320, "E6": 51840,
+    }
 
 
 def test_s8_closes_at_its_order():
@@ -102,14 +107,6 @@ def test_basis_keyed_closure_matches_full_rows(name):
     the partner-row pair scan."""
     for row in GROUP_ROWS:
         assert_row(row, group(name))
-
-
-@pytest.mark.parametrize("name", CLOSABLE)
-def test_weyl_subgroup_closure_matches_full_rows(name):
-    g = parabolic(name)
-    assert len(g.perms) == PARABOLICS[name][1]
-    assert_row("closure", g)
-    assert_row("orders", g)
 
 
 def test_basis_images_key_the_e6_closure():

@@ -1,6 +1,6 @@
-"""Every name a dpone module imports, and every private name it defines, is
-read; no test module imports another; and the modules of the cheap
-commands import numpy only inside functions.
+"""Every name a dpone or test module imports, and every private name a
+dpone module defines, is read; no test module imports another; and the
+modules of the cheap commands import numpy only inside functions.
 
 A name counts as used only where it is loaded, so an import whose name
 is only assigned (say, a dataclass field of the same name) is reported.
@@ -48,7 +48,7 @@ def unused_imports(source: str) -> list[str]:
     )
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

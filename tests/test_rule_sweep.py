@@ -4,8 +4,9 @@ Each of 200 words in s1..s8 (random.Random(2), lengths 60 and 61 in
 turn) gives Gamma = <w> and Gamma = <w b>, with b the Bertini involution.
 Every rule is called directly on every group, so a group on which a
 Rational rule and a NotRational rule both fire would show here even
-where the report stops at its first hit.  Each rule's hit count and
-each group's rank by every route are rows of the differential table
+where the report stops at its first hit.  Each rule's hit count, each
+group's rank by every route and its star masks by the edge lookup, the
+row-major gather and sorted rows are rows of the differential table
 (test_differential.py).  The last two tests pin the abstract's rank-one
 statement on one cyclic group of order 5.
 """
@@ -41,16 +42,9 @@ def sweep() -> tuple[dict[str, Verdict], ...]:
     )
 
 
-def sorted_row_setwise(perms, ids):
-    """The setwise test star_masks replaced: each image row, sorted, is the row."""
-    return (np.sort(perms[:, ids], axis=2) == np.sort(ids, axis=1)).all(axis=2)
-
-
-def test_edge_lookup_setwise_matches_sorted_rows():
+def test_family_groups_with_an_invariant_star():
     perms = np.concatenate([gamma.generator_perms for gamma in family()])
-    ids = star_table().ids_array
-    setwise, _ = star_masks(perms, ids)
-    assert np.array_equal(setwise, sorted_row_setwise(perms, ids))
+    setwise, _ = star_masks(perms, star_table().ids_array)
     assert setwise.any(axis=1).sum() == 270  # groups with an invariant star
 
 
