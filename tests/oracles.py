@@ -20,13 +20,7 @@ import numpy as np
 
 import dpone.criteria as criteria
 from dpone.curves import bertini_class, curve_table
-from dpone.groups import (
-    TRIVIAL_GROUP,
-    GroupSpec,
-    _closure_rank,
-    eliminated_rank,
-    integer_rank,
-)
+from dpone.groups import TRIVIAL_GROUP, GroupSpec, _closure_rank, eliminated_rank, integer_rank
 from dpone.lattice import (
     CANONICAL_CLASS,
     ENTRY_BOUND,
@@ -54,12 +48,7 @@ from dpone.stars import (
     star_masks,
     star_table,
 )
-from dpone.weyl import (
-    CarterType3,
-    carter_type_order3,
-    enumerate_roots,
-    reflection_permutation,
-)
+from dpone.weyl import CarterType3, carter_type_order3, enumerate_roots, reflection_permutation
 
 ASYNCHRONIZED = PAIR_TYPES.index(PairType.ASYNCHRONIZED)  # its pair code
 

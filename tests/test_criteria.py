@@ -35,18 +35,8 @@ from dpone.criteria import (
 from dpone.curves import bertini_isometry, curve_table, s8_action
 from dpone.groups import GroupSpec, TRIVIAL_GROUP
 from dpone.lattice import CANONICAL_CLASS, divisor, fixed_rank, pair, simple_roots
-from dpone.stars import (
-    PairType,
-    classify_pair,
-    split_invariant_stars,
-    star_table,
-)
-from dpone.weyl import (
-    CarterType3,
-    carter_type_order3,
-    element_order,
-    reflection,
-)
+from dpone.stars import PairType, classify_pair, split_invariant_stars, star_table
+from dpone.weyl import CarterType3, carter_type_order3, element_order, reflection
 from families import group, groups, reps, workloads
 from oracles import RULE_ROWS, assert_row, dfs_four_clique, reference_four_stars
 

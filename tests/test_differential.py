@@ -1,16 +1,17 @@
 """Every fast kernel against the slow routes it replaced, on whole families.
 
 Each row of `oracles.DIFFERENTIAL` names a kernel, its oracles and the
-families of `families.py` it walks.  The 52 groups of
-`families.groups()` run one group at a time, the rule rows in
-test_criteria.py and the group rows in test_group_oracles.py; this
-module walks each other family once per row: the 400 sweep groups, the
-pool's 115 groups, the six closable parabolic subgroups (closure,
-orders, rank) and the 348 elements of the three smallest (rank).  It
-also pins how many inputs of each family every kernel hits on (a
-witness, or an answer with a true or nonzero entry), so that no row
-compares only misses, and how many order-3 elements of each Carter
-class the typing row meets.
+families of `families.py` it walks.  Three families run one input at
+a time elsewhere: the 52 groups of `families.groups()`, the rule rows
+in test_criteria.py and the group rows in test_group_oracles.py; the
+six closable parabolic subgroups, the closure and orders rows in
+test_group_oracles.py and the rank row in test_lattice.py; and the 348
+elements of the three smallest, the rank row in test_lattice.py.  This
+module walks each other family once per row: the 400 sweep groups and
+the pool's 115 groups.  It also pins how many inputs of each family
+every kernel hits on (a witness, or an answer with a true or nonzero
+entry), so that no row compares only misses, and how many order-3
+elements of each Carter class the typing row meets.
 """
 
 from collections import Counter
@@ -18,14 +19,15 @@ from collections import Counter
 import pytest
 
 from dpone.weyl import CarterType3
-from families import family, group, groups, parabolic_elements, parabolics, pool
+from families import SMALL_PARABOLICS, family, group, groups, parabolic_elements, parabolics, pool
 from oracles import DIFFERENTIAL, assert_row, hit
 
-FAMILIES = {
-    "family": family,
-    "pool": pool,
+FAMILIES = {"family": family, "pool": pool}
+# the families whose comparisons run one input at a time elsewhere
+ELSEWHERE = {
+    "groups": lambda: [group(g) for g in groups()],
     "parabolics": parabolics,
-    "parabolic_elements": parabolic_elements,
+    "parabolic_elements": lambda: [g for n in SMALL_PARABOLICS for g in parabolic_elements(n)],
 }
 
 HITS = {
@@ -76,7 +78,8 @@ def test_order3_types_reach_every_class():
 
 
 def test_kernels_hit_on_the_groups():
-    # the groups' comparisons run one group at a time elsewhere
-    for name, row in DIFFERENTIAL.items():
-        found = sum(hit(row.kernel(group(g))) for g in groups())
-        assert found == HITS[name]["groups"], name
+    for fam, walk in ELSEWHERE.items():
+        for name, row in DIFFERENTIAL.items():
+            if fam in row.families:
+                found = sum(hit(row.kernel(g)) for g in walk())
+                assert found == HITS[name][fam], (name, fam)

@@ -5,12 +5,13 @@ numpy product; their references in `oracles` are the matrix BFS and the
 apply-per-curve loop.  Each of the 52 groups of `families.groups()` also
 runs every group row of the differential table (`oracles.GROUP_ROWS`):
 the closure keyed on basis images against full 240-id rows, orders
-against all 240 columns, the three rank routes, the star kernels.  The
-closable parabolic subgroups, up to W(E6), are a family of those rows
-(test_differential.py); their orders are pinned here.  A one-generator
-group reads its orders off its closure length by gcd;
-`permutation_orders` is the reference.  Closure order must agree
-element by element, since witnesses are the first hit in that order.
+against all 240 columns, the three rank routes, the star kernels.  Each
+closable parabolic subgroup, up to W(E6), runs the closure and orders
+rows, and its order is pinned here; test_differential.py pins the
+rows' hits on them.  A one-generator group reads its orders off its
+closure length by gcd; `permutation_orders` is the reference.  Closure
+order must agree element by element, since witnesses are the first hit
+in that order.
 """
 
 import hypothesis.strategies as st
@@ -23,6 +24,7 @@ from dpone.groups import GroupSpec, group_closure, permutation_orders
 from dpone.lattice import LatticeIsometry, fixed_rank
 from dpone.weyl import element_order
 from families import (
+    CLOSABLE,
     cycle_types,
     family,
     group,
@@ -107,6 +109,12 @@ def test_basis_keyed_closure_matches_full_rows(name):
     the partner-row pair scan."""
     for row in GROUP_ROWS:
         assert_row(row, group(name))
+
+
+@pytest.mark.parametrize("name", CLOSABLE)
+def test_weyl_subgroup_closure_matches_full_rows(name):
+    assert_row("closure", parabolic(name))
+    assert_row("orders", parabolic(name))
 
 
 def test_basis_images_key_the_e6_closure():

@@ -1,7 +1,7 @@
 """Divisor classes, the pairing, isometries, the rank routes and the
-norm solver.  The rank routes agree on the closable parabolic subgroups
-and on each element of the three smallest in the differential table
-(test_differential.py); here they meet seeded words and forged rows.
+norm solver.  The rank routes meet each closable parabolic subgroup and
+each element of the three smallest (the differential table's rank row),
+seeded words and forged rows.
 """
 
 import random
@@ -32,7 +32,16 @@ from dpone.lattice import (
     solve_norm,
 )
 from dpone.weyl import reflection_permutation
-from families import FORGED, PARABOLICS, identity_plus, parabolic_generators
+from families import (
+    CLOSABLE,
+    FORGED,
+    PARABOLICS,
+    SMALL_PARABOLICS,
+    identity_plus,
+    parabolic,
+    parabolic_elements,
+    parabolic_generators,
+)
 from oracles import assert_row, loop_is_isometry, matrix_fixed_rank, numpy_is_isometry
 
 
@@ -234,12 +243,25 @@ def test_fixed_rank_matches_matrix_rows_on_parabolics(name):
     assert fixed_rank(GroupSpec(gens)) == matrix_fixed_rank(gens) == PARABOLICS[name][2]
 
 
+@pytest.mark.parametrize("name", CLOSABLE, ids=lambda name: f"W({name})")
+def test_trace_rank_matches_elimination_on_closed_parabolics(name):
+    # the closed group's rank against every route; PARABOLICS pins it above
+    assert_row("fixed_rank", parabolic(name))
+
+
 def test_trace_rank_rejects_rows_that_are_not_a_group():
     g = GroupSpec((permutation_isometry(parse_cycles("(1 2 3)")),))
     # the identity and (1 2 3) have traces 9 and 6, and 15 is odd
     vars(g)["perms"] = np.stack([np.arange(240, dtype=np.int16), g.generator_perms[0]])
     with pytest.raises(CheckViolation, match="not a group"):
         fixed_rank(g)
+
+
+@pytest.mark.parametrize("name", SMALL_PARABOLICS, ids=lambda name: f"W({name})")
+def test_cycle_rank_matches_every_route_on_parabolic_elements(name):
+    # each element generating a group of its own
+    for g in parabolic_elements(name):
+        assert_row("fixed_rank", g)
 
 
 def test_cycle_rank_matches_every_route_on_random_words():

@@ -26,12 +26,7 @@ from dpone.criteria import (
 )
 from dpone.curves import curve_table, s8_action
 from dpone.groups import GroupSpec
-from dpone.stars import (
-    PairType,
-    asynchronized,
-    classify_pair,
-    star_table,
-)
+from dpone.stars import PairType, asynchronized, classify_pair, star_table
 from families import group
 from oracles import block_scan_first_pair, element_loop_even, first_pair_ids, row_loop_first_pair
 
