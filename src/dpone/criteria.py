@@ -34,7 +34,6 @@ no rule builds a 9x9 matrix.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 
@@ -43,13 +42,14 @@ import numpy as np
 from .curves import curve_table
 from .groups import TRIVIAL_GROUP, GroupSpec, eliminated_rank
 from .lattice import (
-    CANONICAL_CLASS, CheckViolation, LatticeIsometry, cycle_order, fixed_rank, pair,
+    CANONICAL_CLASS, CheckViolation, LatticeIsometry, Record, cycle_order, fixed_rank, pair,
 )
 from .stars import (
     PairType,
     asynchronized,
     classify_pair,
     invariant_curves,
+    is_curve_id,
     star_id,
     star_masks,
     star_plane,
@@ -67,14 +67,13 @@ class CertificateViolation(CheckViolation):
     """A certificate was found whose direct re-verification failed."""
 
 
-@dataclass(frozen=True)
-class ActionSetup:
+class ActionSetup(Record):
     """Commuting pair of groups acting on the lattice."""
 
-    g_group: GroupSpec
-    gamma_group: GroupSpec
+    _fields = ("g_group", "gamma_group")  # no __slots__: cached_property needs a __dict__
 
-    def __post_init__(self) -> None:
+    def __init__(self, g_group: GroupSpec, gamma_group: GroupSpec) -> None:
+        super().__init__(g_group, gamma_group)
         # W(E8) acts faithfully on the curves, so two elements commute
         # exactly when their curve permutations do
         if not (self.g_group.generators and self.gamma_group.generators):
@@ -100,13 +99,13 @@ class ActionSetup:
 # ---------------------------------------------------------------------------
 # witnesses
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """What a rule found: group elements, curve ids and stars."""
 
-    elements: tuple[bytes, ...] = ()
-    curves: tuple[int, ...] = ()
-    stars: tuple[tuple[int, ...], ...] = ()
+    __slots__ = _fields = ("elements", "curves", "stars")
+
+    def __init__(self, elements: tuple = (), curves: tuple = (), stars: tuple = ()) -> None:
+        super().__init__(elements, curves, stars)
 
 
 # one subclass per rule, naming the replay that checks it
@@ -130,11 +129,8 @@ class TwoStarsWitness(Witness):
     """Two pointwise-fixed asynchronized stars."""
 
 
-@dataclass(frozen=True)
-class MinimalityCertificate:
-    stars: tuple[tuple[int, ...], ...]
-    elements: tuple[bytes, ...]
-    combined_rank: int
+class MinimalityCertificate(Record):
+    __slots__ = _fields = ("stars", "elements", "combined_rank")
 
 
 def element_isometry(element: bytes) -> LatticeIsometry:
@@ -439,7 +435,7 @@ def replay_even(gamma: GroupSpec, w: EvenWitness) -> bool:
 def _all_fixed(gamma: GroupSpec, ids) -> bool:
     """Whether ids are curve ids, each fixed by every generator of gamma."""
     ids = list(ids)
-    if not all(isinstance(c, (int, np.integer)) and 0 <= c < 240 for c in ids):
+    if not all(map(is_curve_id, ids)):
         return False
     return bool(gamma.fixed_curves[ids].all())
 
@@ -514,14 +510,8 @@ REPLAYS = {
 }
 
 
-@dataclass(frozen=True)
-class RationalityVerdict:
-    verdict: Verdict
-    rule: str | None
-    witness: Witness | None
-    ranks: dict[str, int]
-    minimality: MinimalityCertificate | None
-    caveat: str | None
+class RationalityVerdict(Record):
+    __slots__ = _fields = ("verdict", "rule", "witness", "ranks", "minimality", "caveat")
 
 
 def rationality_report(setup: ActionSetup) -> RationalityVerdict:

@@ -41,7 +41,7 @@ from .lattice import (
     CheckViolation,
     DivisorClass,
     LatticeIsometry,
-    _frozen,
+    Record,
     parse_cycles,
     permutation_isometry,
 )
@@ -76,27 +76,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class ExceptionalCurve:
-    """One of the 240 curves: its id, class, family and name.  Immutable,
-    and equal to a curve with the same four fields."""
+class ExceptionalCurve(Record):
+    """One of the 240 curves: its id, class, family and name."""
 
-    __slots__ = ("id", "divisor", "family", "name")
-    __setattr__ = __delattr__ = _frozen
-
-    def __init__(self, id: int, divisor: DivisorClass, family: str, name: str) -> None:
-        for field, value in zip(self.__slots__, (id, divisor, family, name)):
-            object.__setattr__(self, field, value)
-
-    def _fields(self) -> tuple:
-        return (self.id, self.divisor, self.family, self.name)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ExceptionalCurve:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    __slots__ = _fields = ("id", "divisor", "family", "name")
 
     def __repr__(self) -> str:
         return f"ExceptionalCurve({self.id}, {self.name})"

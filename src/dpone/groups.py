@@ -25,8 +25,8 @@ from .lattice import (
     RANK,
     CheckViolation,
     LatticeIsometry,
+    Record,
     _cycle_rank,
-    _frozen,
     check_cap,
 )
 from .weyl import carter_types
@@ -36,7 +36,7 @@ from .weyl import carter_types
 CLOSURE_CAP = 10000
 
 
-class GroupSpec:
+class GroupSpec(Record):
     """A finitely generated group of lattice isometries, closed at most once.
 
     Rows of ``generator_perms`` are the generators as curve permutations,
@@ -65,7 +65,7 @@ class GroupSpec:
     equal when their generators, label and cap are.
     """
 
-    __setattr__ = __delattr__ = _frozen
+    _fields = ("generators", "label", "cap")  # no __slots__: cached_property needs a __dict__
 
     def __init__(
         self,
@@ -74,19 +74,7 @@ class GroupSpec:
         cap: int = CLOSURE_CAP,
     ) -> None:
         check_cap(cap)
-        fields = vars(self)  # cached_property fills the same dict
-        fields["generators"] = tuple(dict.fromkeys(generators))
-        fields["label"], fields["cap"] = label, cap
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not GroupSpec:
-            return NotImplemented
-        return (self.generators, self.label, self.cap) == (
-            other.generators, other.label, other.cap,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.generators, self.label, self.cap))
+        super().__init__(tuple(dict.fromkeys(generators)), label, cap)
 
     def __repr__(self) -> str:
         return (

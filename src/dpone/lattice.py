@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from functools import cache, total_ordering
 from math import isqrt, lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -37,22 +37,51 @@ class CheckViolation(RuntimeError):
 FORM_DIAG = (1, -1, -1, -1, -1, -1, -1, -1, -1)
 
 
-# The value classes of this module and of `curves` are written out, not
-# made frozen dataclasses: generating a dataclass's methods at import
-# costs every command several milliseconds.  As frozen dataclasses do,
-# they refuse attribute writes and compare and hash by their fields, with
-# objects of their own class only.
+class Record:
+    """An immutable value: the base of every dpone value class.
 
-def _frozen(self, name, value=None):
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+    A subclass names its fields in ``_fields``, in constructor order, and
+    lists them again as ``__slots__`` unless it needs a ``__dict__`` (for
+    a ``cached_property``).  Records refuse attribute writes, compare and
+    hash by their fields, with records of their own class only, and print
+    as ``Name(field=value, ...)``.  These methods are written once, here,
+    and not generated per class at import, which would cost every command
+    that loads a value class several milliseconds.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls._fields)  # one field: its value, not a tuple
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 @total_ordering
-class DivisorClass:
+class DivisorClass(Record):
     """An integer divisor class (c_L; c_1, ..., c_8), ordered by coefficients."""
 
-    __slots__ = ("coeffs",)
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]) -> None:
         if len(coeffs) != RANK:
@@ -61,18 +90,10 @@ class DivisorClass:
             raise ValueError(f"coefficients must be integers: {coeffs!r}")
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not DivisorClass:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def __lt__(self, other: "DivisorClass") -> bool:
         if other.__class__ is not DivisorClass:
             return NotImplemented
         return self.coeffs < other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -231,7 +252,7 @@ def _is_isometry_matrix(m: Matrix) -> bool:
     return True
 
 
-class LatticeIsometry:
+class LatticeIsometry(Record):
     """A 9x9 integer matrix acting on coefficient column vectors.
 
     Converted and validated once, at construction, as `is_isometry`
@@ -244,22 +265,13 @@ class LatticeIsometry:
     Immutable, and equal exactly when the matrices are.
     """
 
-    __slots__ = ("matrix",)
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _fields = ("matrix",)
 
     def __init__(self, matrix: Matrix) -> None:
         m = _as_matrix(matrix)
         object.__setattr__(self, "matrix", m)
         if not _is_isometry_matrix(m):
             raise ValueError("matrix does not preserve the pairing and fix K")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not LatticeIsometry:
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
 
     @classmethod
     def _unchecked(cls, matrix: Matrix) -> "LatticeIsometry":

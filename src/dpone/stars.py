@@ -43,8 +43,7 @@ table; `star_through` is the one-star construction it vectorizes.
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from functools import cache, cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING
@@ -57,6 +56,7 @@ from .lattice import (
     CheckViolation,
     DivisorClass,
     LatticeIsometry,
+    Record,
     simple_roots,
 )
 from .weyl import reflection_permutation
@@ -88,18 +88,22 @@ class TrichotomyViolation(CheckViolation):
     """Raised if a disjoint-support pair matches no interaction pattern."""
 
 
+def is_curve_id(c) -> bool:
+    """Whether c is a curve id: an int in 0..239, and not a bool."""
+    return isinstance(c, (int, np.integer)) and not isinstance(c, bool) and 0 <= c < 240
+
+
 def _resolve_curve_id(c) -> int:
-    table = curve_table()
-    if isinstance(c, (int, np.integer)):
-        if not 0 <= c < 240:
-            raise ValueError(f"curve id out of range: {c}")
+    if is_curve_id(c):
         return int(c)
+    if isinstance(c, (int, np.integer)):
+        raise ValueError(f"not a curve id in 0..239: {c!r}")
     if isinstance(c, ExceptionalCurve):
         return c.id
     if isinstance(c, DivisorClass):
-        return table.id_of(c)
+        return curve_table().id_of(c)
     if isinstance(c, str):
-        return table.id_of_name(c)
+        return curve_table().id_of_name(c)
     raise TypeError(f"cannot interpret {c!r} as a curve")
 
 
@@ -124,12 +128,11 @@ def star_id(ids) -> int:
     The row through the first two ids, read from ``edge_star``, is the only
     candidate; the ids are accepted when they are one of its 12 relabelings,
     the orders whose Gram block is STAR_GRAM.  Raises ValueError unless ids
-    are six ints in 0..239 that form a star in this order.
+    are six curve ids (`is_curve_id`) that form a star in this order.
     """
-    ids = tuple(ids)
-    if len(ids) != 6 or not all(
-        isinstance(c, (int, np.integer)) and 0 <= c < 240 for c in ids
-    ):
+    if isinstance(ids, Iterable):
+        ids = tuple(ids)
+    if not (isinstance(ids, tuple) and len(ids) == 6 and all(map(is_curve_id, ids))):
         raise ValueError(f"a star needs six curve ids in 0..239, got {ids!r}")
     table = star_table()
     sid = int(table.edge_star[ids[0], ids[1]])
@@ -271,11 +274,10 @@ PATTERNS: dict[PairType, np.ndarray] = {
 }
 
 
-@dataclass(frozen=True)
-class PairClassification:
-    pair_type: PairType
-    ordering_a: tuple[int, ...]
-    ordering_b: tuple[int, ...]
+class PairClassification(Record):
+    """A pair's type, and the orderings of its two stars that show it."""
+
+    __slots__ = _fields = ("pair_type", "ordering_a", "ordering_b")
 
 
 def classify_pair(a: tuple[int, ...], b: tuple[int, ...]) -> PairClassification:
@@ -500,10 +502,10 @@ class ActionKind(enum.Enum):
     FAITHFUL = "faithful"
 
 
-@dataclass(frozen=True)
-class StarAction:
-    star: tuple[int, ...]
-    kind: ActionKind
+class StarAction(Record):
+    """An invariant star and how the group acts on it."""
+
+    __slots__ = _fields = ("star", "kind")
 
 
 def star_masks(perms: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -282,7 +282,7 @@ import dpone.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = dpone.cli.main(sys.argv[1:])
 loaded = ("dpone.stars", "dpone.groups", "dpone.criteria", "dpone.lemmas", "argparse",
-          "json", "jsonschema", "numpy")
+          "dataclasses", "json", "jsonschema", "numpy")
 print(code, *(m for m in loaded if m in sys.modules))
 """
 
@@ -300,7 +300,7 @@ def test_cli_import_leaves_out_jsonschema():
     # nor the rules, nor the lemma suite, which only verify-lemma loads,
     # nor numpy: they read plain Python tables and one element's curve
     # images; json is loaded only to write a JSON document, and no command
-    # loads argparse
+    # loads argparse or dataclasses
     for argv, loaded in (
         (["list-curves"], "0"),
         (["--json", "list-roots"], "0 json"),

@@ -14,7 +14,10 @@ list-roots, classify-element and verify-lemma A2A22, which compute on no
 array, so a numpy import at their module level is named here; the probe
 in test_cli.py can only say that numpy, the group layer `groups` or
 argparse was loaded.  `groups`, `stars` and `criteria` import numpy at
-module level: only commands that compute on arrays load them.
+module level: only commands that compute on arrays load them.  Every
+dpone value class derives from `lattice.Record`: no dpone module imports
+dataclasses, and no other class defines its own equality, hash or
+attribute writes.
 """
 
 import ast
@@ -218,4 +221,58 @@ def test_module_level_numpy_import_is_reported():
     )
     assert module_level_numpy_imports(source) == [
         "numpy (line 2)", "numpy (line 6)", "numpy.linalg (line 8)",
+    ]
+
+
+RECORD_METHODS = {"__eq__", "__hash__", "__setattr__", "__delattr__"}
+
+
+def record_idiom_breaks(source: str) -> list[str]:
+    """Each import of dataclasses, and each method of `RECORD_METHODS` that
+    a class other than `Record` defines, by def or by assignment."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        found += [f"{n} (line {node.lineno})" for n in names if n.split(".")[0] == "dataclasses"]
+        if isinstance(node, ast.ClassDef) and node.name != "Record":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    defined = [item.name]
+                elif isinstance(item, ast.Assign):
+                    defined = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                else:
+                    defined = []
+                found += [
+                    f"{node.name}.{m} (line {item.lineno})" for m in defined if m in RECORD_METHODS
+                ]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_value_classes_share_the_record_base(path):
+    assert record_idiom_breaks(path.read_text(encoding="utf-8")) == []
+
+
+def test_record_idiom_break_is_reported():
+    source = (
+        "from dataclasses import dataclass\n"
+        "import dataclasses as dc\n"
+        "class Record:\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "class Value(Record):\n"
+        "    def __hash__(self):\n"
+        "        return 0\n"
+        "    __setattr__ = __delattr__ = None\n"
+        "    def __lt__(self, other):\n"
+        "        return True\n"
+    )
+    assert record_idiom_breaks(source) == [
+        "dataclasses (line 1)", "dataclasses (line 2)", "Value.__hash__ (line 7)",
+        "Value.__setattr__ (line 9)", "Value.__delattr__ (line 9)",
     ]

@@ -86,13 +86,19 @@ def test_is_star():
     assert not is_star(shuffled)
 
 
-@pytest.mark.parametrize("bad", [-1, 240])
-def test_star_rejects_out_of_range_ids(bad):
-    # (0, 1, 120, 239, 238, 119) is a star; -1 must not index curve 239
+@pytest.mark.parametrize("ids", [
+    pytest.param((0, 1, 120, -1, 238, 119), id="-1"),
+    pytest.param((0, 1, 120, 240, 238, 119), id="240"),
+    pytest.param((False, True, 120, 239, 238, 119), id="bools"),
+    pytest.param(5, id="bare-id"),
+])
+def test_star_rejects_out_of_range_ids(ids):
+    # (0, 1, 120, 239, 238, 119) is a star; -1 must not index curve 239,
+    # False and True are not the curve ids 0 and 1, and one id is no star
     assert is_star((0, 1, 120, 239, 238, 119))
     with pytest.raises(ValueError, match="0..239"):
-        star_id((0, 1, 120, bad, 238, 119))
-    assert not is_star((0, 1, 120, bad, 238, 119))
+        star_id(ids)
+    assert not is_star(ids)
 
 
 def loop_is_star(p, ids):
