@@ -25,11 +25,11 @@ A subcommand imports only what it runs: `stars` by list-stars, census
 and report; `groups` by census and report; `criteria` by report; the
 lemma suite, `lemmas`, by verify-lemma alone; `json` only to write a
 JSON document.  Numpy is loaded only by the commands that compute on
-arrays: list-curves, list-roots, classify-element and verify-lemma A2A22
-read plain Python tables and one element's curve images, and never
-import it or the group layer.  A process that writes no bytecode cache
-compiles each module it imports, so a module left out saves its compile
-time too.
+arrays: list-curves, list-roots, classify-element and verify-lemma
+A2A22 and DP1lines read plain Python tables and one element's curve
+images, and never import it or the group layer.  A process that writes
+no bytecode cache compiles each module it imports, so a module left out
+saves its compile time too.
 """
 
 from __future__ import annotations

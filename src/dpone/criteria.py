@@ -393,8 +393,8 @@ def check_minimal_four_stars(setup: ActionSetup) -> MinimalityCertificate | None
 # replay
 
 def _witness_row(g: GroupSpec, elements) -> np.ndarray | None:
-    """The closure row of a witness's one element, or None."""
-    if len(elements) != 1:
+    """The closure row of a witness's one element, given as row bytes, or None."""
+    if len(elements) != 1 or not isinstance(elements[0], bytes):
         return None
     i = g.index_of(elements[0])
     return None if i is None else g.perms[i]

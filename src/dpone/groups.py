@@ -60,9 +60,9 @@ class GroupSpec(Record):
     ``cap``, at most ``lattice.MAX_CAP``, bounds that closure (see ``group_closure``).
     ``element(i)`` hands out element i as the bytes of its closure row,
     exact, hashable and independent of generator order, and ``index_of``
-    finds such bytes, or an isometry's permutation, in the closure; no
-    9x9 matrix is built.  The fields are immutable, and two groups are
-    equal when their generators, label and cap are.
+    finds such bytes in the closure; no 9x9 matrix is built.  The fields
+    are immutable, and two groups are equal when their generators, label
+    and cap are.
     """
 
     _fields = ("generators", "label", "cap")  # no __slots__: cached_property needs a __dict__
@@ -138,11 +138,9 @@ class GroupSpec(Record):
         """Element i as the bytes of its int16 closure row."""
         return self.perms[i].tobytes()
 
-    def index_of(self, m: bytes | LatticeIsometry) -> int | None:
-        """The closure index of an element or an isometry, or None if it is
-        not in the group."""
-        if not isinstance(m, bytes):
-            m = curve_table().permutation_of(m).tobytes()
+    def index_of(self, m: bytes) -> int | None:
+        """The closure index of an element's row bytes, or None if it is not
+        in the group."""
         return self._index.get(m)
 
 

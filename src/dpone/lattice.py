@@ -9,8 +9,8 @@ fixing K.
 
 This module holds what every command loads: divisor classes, the
 pairing, isometries, element text, one element's order and fixed rank
-off its basis curves' cycles, and `fixed_rank`.  All are plain Python
-integers; numpy is imported only inside `solve_norm`.  The group layer
+off its basis curves' cycles, `fixed_rank` and `solve_norm`.  All are
+plain Python integers, and nothing here imports numpy.  The group layer
 (`GroupSpec`, closures, element orders of a closure, elimination) is
 `dpone.groups`, which only the commands that build a group load.
 """
@@ -165,45 +165,30 @@ def solve_norm(square: int, dot_k: int) -> list[DivisorClass]:
 
         |c_L + 3 dot_k| <= sqrt(8 (dot_k^2 - square)),
 
-    an empty range when dot_k^2 < square.  Curves (-1, -1) get c_L in
-    -1..7 and roots (-2, 0) get -4..4.
-
-    For each c_L, every coordinate has |c_i| <= isqrt(c_L^2 - square).
-    The 4-tuples in that box whose sum of squares is within bound form
-    one half table, keyed by (sum, sum of squares).  A left half with
-    (s, q) joins exactly the right halves keyed (target_sum - s,
-    target_sq - q), which two searchsorted calls find in the sorted keys.
-    One c_L is built at a time, with int8 coordinates, so the tables
-    stay small.
+    an empty range when dot_k^2 < square; on it c_L^2 >= square.  Curves
+    (-1, -1) get c_L in -1..7 and roots (-2, 0) get -4..4.  The same bound
+    on the k coordinates still free, with sum t and squares q, keeps a
+    next coordinate c only if c^2 <= q and (t - c)^2 <= (k - 1)(q - c^2).
     """
-    import numpy as np
-
     gap = dot_k * dot_k - square
     if gap < 0:
         return []
-    spread = isqrt(8 * gap)
     found: list[DivisorClass] = []
+
+    def choose(prefix: tuple[int, ...], k: int, t: int, q: int) -> None:
+        if k == 0:
+            if t == q == 0:
+                found.append(DivisorClass(prefix))
+            return
+        r, k = isqrt(q), k - 1
+        for c in range(-r, r + 1):
+            t_rest, q_rest = t - c, q - c * c
+            if t_rest * t_rest <= k * q_rest:
+                choose(prefix + (c,), k, t_rest, q_rest)
+
+    spread = isqrt(8 * gap)
     for c_l in range(-3 * dot_k - spread, -3 * dot_k + spread + 1):
-        target_sq = c_l * c_l - square
-        target_sum = -dot_k - 3 * c_l
-        axis = np.arange(-isqrt(target_sq), isqrt(target_sq) + 1, dtype=np.int8)
-        squares = np.square(axis, dtype=np.int32)
-        pairs = squares[:, None] + squares
-        box = pairs[:, :, None, None] + pairs
-        inside = box <= target_sq
-        halves, sq = axis[np.argwhere(inside)], box[inside]
-        # with 0 <= sq <= target_sq the key (sum, sq) -> int is injective
-        keys = halves.sum(axis=1, dtype=np.int32) * (target_sq + 1) + sq
-        order = np.argsort(keys)
-        halves, keys = halves[order], keys[order]
-        wanted = (target_sum * (target_sq + 1) + target_sq) - keys
-        lo = np.searchsorted(keys, wanted, side="left")
-        counts = np.searchsorted(keys, wanted, side="right") - lo
-        left = np.repeat(np.arange(len(keys)), counts)
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        right = np.repeat(lo, counts) + np.arange(len(left)) - starts
-        for row in np.hstack([halves[left], halves[right]]).tolist():
-            found.append(DivisorClass((c_l, *row)))
+        choose((c_l,), RANK - 1, -dot_k - 3 * c_l, c_l * c_l - square)
     return sorted(found)
 
 

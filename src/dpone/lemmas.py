@@ -8,9 +8,9 @@ numbers: each acceptance criterion of tests/test_acceptance.py but the
 fourth and the tenth runs its lemmas and pins their detail lines, so a
 fact is asserted here and nowhere else.  Only `verify-lemma` imports
 this module, and the checks import `stars`, `groups` and `criteria`
-where used: `DP1lines` and `A2A22` load none of them.  `A2A22` loads no
-numpy either: its representatives are index 3-cycles, read off their
-curve images.
+where used: `DP1lines` and `A2A22` load none of them, and no numpy
+either.  `DP1lines` solves for the curves on Python integers, and the
+`A2A22` representatives are index 3-cycles, read off their curve images.
 """
 
 from __future__ import annotations

@@ -283,13 +283,15 @@ class PairClassification(Record):
 def classify_pair(a: tuple[int, ...], b: tuple[int, ...]) -> PairClassification:
     """Match a disjoint-support star pair against the three patterns.
 
-    a and b are stars' curve ids in hexagon order, taken as given.  Tries
-    all 144 hexagon relabelings of both stars against each pattern and
-    checks that exactly one pattern is ever achieved.  Raises
-    OverlappingStars when the supports meet: such pairs share a Bertini
-    pair, their cross matrix contains a -1 and a 3, and no pattern can
-    absorb that.
+    a and b are stars' curve ids in hexagon order, each checked by
+    `star_id` (ValueError unless it is a star).  Tries all 144 hexagon
+    relabelings of both stars against each pattern and checks that
+    exactly one pattern is ever achieved.  Raises OverlappingStars when
+    the supports meet: such pairs share a Bertini pair, their cross
+    matrix contains a -1 and a 3, and no pattern can absorb that.
     """
+    star_id(a)
+    star_id(b)
     shared = frozenset(a) & frozenset(b)
     if shared:
         raise OverlappingStars(shared)
@@ -479,8 +481,9 @@ def profile(a, star: tuple[int, ...]) -> int | None:
 
     The curve's pairings with the star, in the star's order, are one row of
     PROFILE_SHAPES: all ones gives None, and the touching profile
-    (0,0,1,2,2,1) anchored at k gives k.
+    (0,0,1,2,2,1) anchored at k gives k.  ValueError unless `star_id` reads a star.
     """
+    star_id(star)
     cid = _resolve_curve_id(a)
     if cid in star:
         raise ValueError(f"curve {curve_table().curve(cid).name} lies on the star")

@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations, permutations
+from math import isqrt
 from typing import Callable
 from unittest.mock import patch
 
@@ -79,6 +80,43 @@ def divisor_family_classes() -> dict[DivisorClass, tuple[str, str]]:
 def all_pairs_census() -> dict[str, int]:
     """`pair_counts` of all 1120 stars: `pair_codes` on each of the 626,640 pairs."""
     return pair_counts(star_table().ids_array)
+
+
+def meet_in_the_middle_norm_solver(square: int, dot_k: int) -> list[DivisorClass]:
+    """The numpy meet-in-the-middle solve_norm replaced, on its c_L range.
+
+    For each c_L, the 4-tuples whose sum of squares is within bound form
+    one half table, keyed by (sum, sum of squares).  A left half with
+    (s, q) joins exactly the right halves keyed (target_sum - s,
+    target_sq - q), which two searchsorted calls find in the sorted keys.
+    """
+    gap = dot_k * dot_k - square
+    if gap < 0:
+        return []
+    spread = isqrt(8 * gap)
+    found: list[DivisorClass] = []
+    for c_l in range(-3 * dot_k - spread, -3 * dot_k + spread + 1):
+        target_sq = c_l * c_l - square
+        target_sum = -dot_k - 3 * c_l
+        axis = np.arange(-isqrt(target_sq), isqrt(target_sq) + 1, dtype=np.int8)
+        squares = np.square(axis, dtype=np.int32)
+        pairs = squares[:, None] + squares
+        box = pairs[:, :, None, None] + pairs
+        inside = box <= target_sq
+        halves, sq = axis[np.argwhere(inside)], box[inside]
+        # with 0 <= sq <= target_sq the key (sum, sq) -> int is injective
+        keys = halves.sum(axis=1, dtype=np.int32) * (target_sq + 1) + sq
+        order = np.argsort(keys)
+        halves, keys = halves[order], keys[order]
+        wanted = (target_sum * (target_sq + 1) + target_sq) - keys
+        lo = np.searchsorted(keys, wanted, side="left")
+        counts = np.searchsorted(keys, wanted, side="right") - lo
+        left = np.repeat(np.arange(len(keys)), counts)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        right = np.repeat(lo, counts) + np.arange(len(left)) - starts
+        for row in np.hstack([halves[left], halves[right]]).tolist():
+            found.append(DivisorClass((c_l, *row)))
+    return sorted(found)
 
 
 def loop_is_isometry(matrix) -> bool:

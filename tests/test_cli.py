@@ -314,7 +314,8 @@ def test_cli_import_leaves_out_jsonschema():
         (["--cap", "0", "census", "-e", "(1 2 3)"], "2"),
         (["--help"], "0"),
         (["verify-lemma", "A2A22"], "0 dpone.lemmas"),
-        (["verify-lemma", "DP1lines"], "0 dpone.lemmas numpy"),
+        (["verify-lemma", "DP1lines"], "0 dpone.lemmas"),
+        (["--json", "verify-lemma", "DP1lines"], "0 dpone.lemmas json"),
         (["verify-lemma", "NoSuchLemma"], "2 dpone.lemmas"),
         # each lemma loads what README's module table says
         (["verify-lemma", "Davidinv"], "0 dpone.stars dpone.groups dpone.lemmas numpy"),

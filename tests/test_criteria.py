@@ -196,7 +196,11 @@ def test_replay_rejects_tampered_witnesses():
     assert not replay_triple(CANNED["A2"], tampered)
     w4 = check_not_rational_carter(CANNED["A2^4"])
     assert not replay_carter(CANNED["A2^3"], w4)
-    assert not replay_carter(CANNED["A2"], CarterWitness((REPS[CarterType3.A2],)))
+    # an element of the group, of order 3, but of a class (A2) whose fixed
+    # rank the Carter rule does not accept
+    a2 = curve_table().permutation_of(REPS[CarterType3.A2]).tobytes()
+    assert CANNED["A2"].index_of(a2) is not None
+    assert not replay_carter(CANNED["A2"], CarterWitness((a2,)))
 
     # every replay that reads stars checks each one before trusting it
     bertini = group_of(bertini_isometry())
@@ -211,11 +215,12 @@ def test_replay_rejects_tampered_witnesses():
             forged = type(w)(w.elements, w.curves, stars)
             assert not replay(gamma, forged), (replay.__name__, stars)
 
-    # a witness of the wrong size is rejected, not unpacked into an error
+    # a witness of the wrong size, or whose element is not row bytes (an
+    # isometry included), is rejected, not read into an error
     cases = [(replay_carter, CANNED["A2^4"], w4)] + cases[:2]
     for replay, gamma, w in cases:
         (m,) = w.elements
-        for elements in ((), (m, m)):
+        for elements in ((), (m, m), ("junk",), (5,), (None,), (REPS[CarterType3.A2x4],)):
             assert not replay(gamma, type(w)(elements, w.curves, w.stars)), replay.__name__
     for curves in (
         (), t[:2], t + t[:1], (-1,) + t[1:], t[:2] + (240,), t[:2] + ("E1",), (True,) * 3,
@@ -227,6 +232,9 @@ def test_replay_rejects_tampered_witnesses():
     for stars in forged_stars(cert.stars):
         forged = MinimalityCertificate(stars, cert.elements, cert.combined_rank)
         assert not replay_minimality(setup, forged), stars
+    for m in ("junk", 5, None, REPS[CarterType3.A2x4]):
+        forged = MinimalityCertificate(cert.stars, (m,) + cert.elements[1:], cert.combined_rank)
+        assert not replay_minimality(setup, forged), m
 
 
 def test_minimality_none_for_trivial_g():
@@ -470,7 +478,8 @@ def test_replay_minimality_recomputes_the_rank(monkeypatch):
     g = group_of(m, label="G")
     setup = ActionSetup(g, TRIVIAL_GROUP)
     _, stars = split_invariant_stars(g)
-    cert = MinimalityCertificate(tuple(stars[:4]), (m,) * 4, 1)
+    row = curve_table().permutation_of(m).tobytes()  # the element as row bytes
+    cert = MinimalityCertificate(tuple(stars[:4]), (row,) * 4, 1)
     vars(setup.combined)["fixed_rank"] = 1  # a false cached rank
     assert fixed_rank(setup.combined) == 1
     assert not replay_minimality(setup, cert)

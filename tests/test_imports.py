@@ -11,7 +11,8 @@ helper left behind by a rewrite is reported.  Test modules share inputs
 and oracles only through `conftest.py`, `families.py` and `oracles.py`.
 `lattice`, `curves`, `weyl`, `lemmas` and `cli` serve list-curves,
 list-roots, classify-element and verify-lemma A2A22, which compute on no
-array, so a numpy import at their module level is named here; the probe
+array, so a numpy import at their module level is named here, and
+`lattice` imports numpy nowhere, not even inside a function; the probe
 in test_cli.py can only say that numpy, the group layer `groups` or
 argparse was loaded.  `groups`, `stars` and `criteria` import numpy at
 module level: only commands that compute on arrays load them.  Every
@@ -162,6 +163,18 @@ def test_imported_test_module_is_reported():
 NUMPY_FREE = ("lattice.py", "curves.py", "weyl.py", "lemmas.py", "cli.py")
 
 
+def imports_of(node: ast.AST, package: str) -> list[str]:
+    """`module (line n)` for each module of the package that this one import
+    statement names; an empty list for any other node."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        names = []
+    return [f"{n} (line {node.lineno})" for n in names if n.split(".")[0] == package]
+
+
 def module_level_numpy_imports(source: str) -> list[str]:
     """`numpy (line n)` for each import of numpy run when the module loads.
 
@@ -178,16 +191,7 @@ def module_level_numpy_imports(source: str) -> list[str]:
             if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
                 visit(node.orelse)
                 continue
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                names = []
-            found.extend(
-                f"{name} (line {node.lineno})"
-                for name in names if name.split(".")[0] == "numpy"
-            )
+            found.extend(imports_of(node, "numpy"))
             for field in ("body", "orelse", "finalbody", "handlers"):
                 visit(getattr(node, field, []))
 
@@ -199,6 +203,16 @@ def module_level_numpy_imports(source: str) -> list[str]:
 def test_cheap_command_modules_import_no_numpy_at_load(name):
     source = (Path(dpone.__file__).parent / name).read_text(encoding="utf-8")
     assert module_level_numpy_imports(source) == []
+
+
+def numpy_imports(source: str) -> list[str]:
+    """`numpy (line n)` for each import of numpy anywhere in the source."""
+    return [found for node in ast.walk(ast.parse(source)) for found in imports_of(node, "numpy")]
+
+
+def test_lattice_imports_no_numpy_anywhere():
+    source = (Path(dpone.__file__).parent / "lattice.py").read_text(encoding="utf-8")
+    assert numpy_imports(source) == []
 
 
 def test_module_level_numpy_import_is_reported():
@@ -222,6 +236,10 @@ def test_module_level_numpy_import_is_reported():
     assert module_level_numpy_imports(source) == [
         "numpy (line 2)", "numpy (line 6)", "numpy.linalg (line 8)",
     ]
+    assert sorted(numpy_imports(source)) == [
+        "numpy (line 12)", "numpy (line 14)", "numpy (line 2)", "numpy (line 6)",
+        "numpy.linalg (line 8)", "numpy.typing (line 4)",
+    ]
 
 
 RECORD_METHODS = {"__eq__", "__hash__", "__setattr__", "__delattr__"}
@@ -232,13 +250,7 @@ def record_idiom_breaks(source: str) -> list[str]:
     a class other than `Record` defines, by def or by assignment."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-        else:
-            names = []
-        found += [f"{n} (line {node.lineno})" for n in names if n.split(".")[0] == "dataclasses"]
+        found += imports_of(node, "dataclasses")
         if isinstance(node, ast.ClassDef) and node.name != "Record":
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):

@@ -42,7 +42,13 @@ from families import (
     parabolic_elements,
     parabolic_generators,
 )
-from oracles import assert_row, loop_is_isometry, matrix_fixed_rank, numpy_is_isometry
+from oracles import (
+    assert_row,
+    loop_is_isometry,
+    matrix_fixed_rank,
+    meet_in_the_middle_norm_solver,
+    numpy_is_isometry,
+)
 
 
 def test_pairing_diagonal_form():
@@ -145,6 +151,7 @@ def test_solve_norm_matches_recursive_oracle(square, dot_k, c_l_range):
     solved = solve_norm(square, dot_k)
     assert len(solved) == 240
     assert solved == recursive_norm_solver(square, dot_k, c_l_range)
+    assert solved == meet_in_the_middle_norm_solver(square, dot_k)
 
 
 def test_solve_norm_counts_the_e8_theta_series():
@@ -152,7 +159,9 @@ def test_solve_norm_counts_the_e8_theta_series():
     # and there are 240 sigma_3(k) of them
     for k in range(1, 5):
         sigma_3 = sum(d**3 for d in range(1, k + 1) if k % d == 0)
-        assert len(solve_norm(-2 * k, 0)) == 240 * sigma_3
+        solved = solve_norm(-2 * k, 0)
+        assert len(solved) == 240 * sigma_3
+        assert solved == meet_in_the_middle_norm_solver(-2 * k, 0)
     # at k = 4 both ends of the range, c_L = -8 and 8, are reached by
     # +-(8; -3, ..., -3), so every c_L from -8 to 8 has a solution
     c_ls = {v.coeffs[0] for v in solve_norm(-8, 0)}
@@ -166,6 +175,8 @@ def test_solve_norm_at_and_past_the_edge():
     assert solve_norm(4, -2) == [-2 * CANONICAL_CLASS]
     assert solve_norm(0, 0) == [divisor(0, 0, 0, 0, 0, 0, 0, 0, 0)]
     assert solve_norm(2, 0) == []
+    for square, dot_k in ((1, 1), (4, -2), (0, 0), (2, 0)):
+        assert solve_norm(square, dot_k) == meet_in_the_middle_norm_solver(square, dot_k)
 
 
 def test_is_isometry_rejects_form_breakers():

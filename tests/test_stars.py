@@ -101,6 +101,27 @@ def test_star_rejects_out_of_range_ids(ids):
     assert not is_star(ids)
 
 
+@pytest.mark.parametrize("bad", [
+    pytest.param((0, 1, 120, -1, 238, 119), id="-1"),
+    pytest.param((0, 1, 120, 240, 238, 119), id="240"),
+    pytest.param((0, 120, 1, 239, 238, 119), id="non-star"),
+    pytest.param((False, True, 120, 239, 238, 119), id="bools"),
+])
+def test_pair_and_profile_reject_bad_stars(bad):
+    # each is a bad input, not a library fault: -1 must not read as curve
+    # 239, nor a non-star as a broken trichotomy
+    star = (0, 1, 120, 239, 238, 119)
+    other = next(s for s in star_table().stars if not set(s) & set(star))
+    outside = next(c for c in range(240) if c not in star)
+    classify_pair(star, other)
+    profile(outside, star)
+    for a, b in ((bad, other), (other, bad)):
+        with pytest.raises(ValueError):
+            classify_pair(a, b)
+    with pytest.raises(ValueError):
+        profile(outside, bad)
+
+
 def loop_is_star(p, ids):
     """The distance-1/2/3 loop over a tuple pairing: the slow star check."""
     if len(ids) != 6 or len(set(ids)) != 6:
