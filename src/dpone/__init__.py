@@ -30,8 +30,8 @@ _EXPORTS = {
     "stars": (
         "ActionKind", "OverlappingStars", "PairType", "StarAction",
         "TrichotomyViolation", "classify_pair", "intersection_profile_census",
-        "invariant_curves", "invariant_stars", "is_star", "profile",
-        "star_graph_automorphisms", "star_id", "star_text", "star_through",
+        "invariant_curves", "invariant_stars", "profile",
+        "star_graph_automorphisms", "star_id", "star_table", "star_text",
         "trichotomy_census",
     ),
     "criteria": (

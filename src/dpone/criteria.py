@@ -100,12 +100,12 @@ class ActionSetup(Record):
 # witnesses
 
 class Witness(Record):
-    """What a rule found: group elements, curve ids and stars."""
+    """What a rule found: group elements, curve ids and stars, each a tuple."""
 
     __slots__ = _fields = ("elements", "curves", "stars")
 
     def __init__(self, elements: tuple = (), curves: tuple = (), stars: tuple = ()) -> None:
-        super().__init__(elements, curves, stars)
+        super().__init__(tuple(elements), tuple(curves), tuple(stars))
 
 
 # one subclass per rule, naming the replay that checks it
@@ -131,6 +131,9 @@ class TwoStarsWitness(Witness):
 
 class MinimalityCertificate(Record):
     __slots__ = _fields = ("stars", "elements", "combined_rank")
+
+    def __init__(self, stars: tuple, elements: tuple, combined_rank: int) -> None:
+        super().__init__(tuple(stars), tuple(elements), combined_rank)
 
 
 def element_isometry(element: bytes) -> LatticeIsometry:
@@ -455,7 +458,7 @@ def replay_two_stars(gamma: GroupSpec, w: TwoStarsWitness) -> bool:
     if not _distinct_stars(w.stars, 2):
         return False
     a, b = w.stars
-    if not _all_fixed(gamma, a + b):
+    if not _all_fixed(gamma, (*a, *b)):
         return False
     return classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
 

@@ -85,11 +85,6 @@ class ExceptionalCurve(Record):
         return f"ExceptionalCurve({self.id}, {self.name})"
 
 
-def bertini_class(d: DivisorClass) -> DivisorClass:
-    """The Bertini image -2K - D of a class."""
-    return -2 * CANONICAL_CLASS - d
-
-
 def _family_rows() -> list[tuple[tuple[int, ...], str, str]]:
     """The seven families in closed form: (coefficient row, family, name).
 

@@ -74,7 +74,10 @@ class GroupSpec(Record):
         cap: int = CLOSURE_CAP,
     ) -> None:
         check_cap(cap)
-        super().__init__(tuple(dict.fromkeys(generators)), label, cap)
+        generators = tuple(dict.fromkeys(generators))
+        if not all(isinstance(m, LatticeIsometry) for m in generators):
+            raise TypeError(f"generators must be LatticeIsometry objects: {generators!r}")
+        super().__init__(generators, label, cap)
 
     def __repr__(self) -> str:
         return (

@@ -119,15 +119,13 @@ def divisor(*coeffs: int) -> DivisorClass:
     return DivisorClass(tuple(coeffs))
 
 
-LINE = divisor(1, 0, 0, 0, 0, 0, 0, 0, 0)
-
 #: The canonical class K; -K = 3L - (E1 + ... + E8) and K*K = 1.
 CANONICAL_CLASS = divisor(-3, 1, 1, 1, 1, 1, 1, 1, 1)
 
 
 def exceptional(i: int) -> DivisorClass:
-    """The class E_i of the i-th blown-up point, i in 1..8."""
-    if not 1 <= i <= 8:
+    """The class E_i of the i-th blown-up point, i in 1..8 (not a bool)."""
+    if isinstance(i, bool) or not 1 <= i <= 8:
         raise ValueError(f"exceptional index must be in 1..8, got {i}")
     coeffs = [0] * RANK
     coeffs[i] = 1

@@ -8,14 +8,14 @@ disjoint curves lie in exactly one common star, giving 1120 stars with
 each curve on 28 of them.  Every check reads the curve table's one
 pairing matrix, `pairing_array`.
 
-A star is the tuple of its six curve ids in hexagon order, wherever this
-module takes or returns one.  The one table, `star_table()`, is the
-entry point: ``stars`` holds all 1120 as tuples in canonical order,
-``ids_array`` the same rows as a (1120, 6) intp array, stored slot-first
-(``ids_array.T`` is a contiguous (6, 1120) view), and ``edge_star`` the
-row through any edge.  Ids from outside the table are checked once, by
-`star_id`, against the row through their first edge; `star_text` names a
-star's curves.
+A curve is its id (`is_curve_id`) and a star the tuple of its six curve
+ids in hexagon order, wherever this module takes or returns one; no other
+form is read.  The one table, `star_table()`, is the entry point:
+``stars`` holds all 1120 as tuples in canonical order, ``ids_array`` the
+same rows as a (1120, 6) intp array, stored slot-first (``ids_array.T``
+is a contiguous (6, 1120) view), and ``edge_star`` the row through any
+edge.  Ids from outside the table are checked once, by `star_id`, against
+the row through their first edge; `star_text` names a star's curves.
 
 Adding K to each member turns a star into a hexagon of E8 roots spanning
 an A2 plane, which is how stars talk to the Weyl group: rotating the
@@ -37,7 +37,7 @@ counting cross pairings equal to 1 (`cross_ones`); the table's
 ``partners`` holds its answer for every star.
 
 The star table itself is built with array operations on the curve
-table; `star_through` is the one-star construction it vectorizes.
+table; tests/oracles.py keeps the one-star construction it vectorizes.
 """
 
 from __future__ import annotations
@@ -50,12 +50,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .curves import ExceptionalCurve, curve_table
+from .curves import curve_table
 from .lattice import (
     CANONICAL_CLASS,
     CheckViolation,
     DivisorClass,
-    LatticeIsometry,
     Record,
     simple_roots,
 )
@@ -72,7 +71,6 @@ def _circulant(row) -> np.ndarray:
 
 # Gram matrix of a star in hexagon order
 STAR_GRAM = _circulant((-1, 0, 2, 3, 2, 0)).tolist()
-_K = np.array(CANONICAL_CLASS.coeffs, dtype=np.int64)  # K as a coefficient row
 
 
 class OverlappingStars(ValueError):
@@ -93,20 +91,6 @@ def is_curve_id(c) -> bool:
     return isinstance(c, (int, np.integer)) and not isinstance(c, bool) and 0 <= c < 240
 
 
-def _resolve_curve_id(c) -> int:
-    if is_curve_id(c):
-        return int(c)
-    if isinstance(c, (int, np.integer)):
-        raise ValueError(f"not a curve id in 0..239: {c!r}")
-    if isinstance(c, ExceptionalCurve):
-        return c.id
-    if isinstance(c, DivisorClass):
-        return curve_table().id_of(c)
-    if isinstance(c, str):
-        return curve_table().id_of_name(c)
-    raise TypeError(f"cannot interpret {c!r} as a curve")
-
-
 # the 12 hexagon relabelings (rotation by k, then its reflection), as
 # position arrays: ordering[i] = ids[D6[r, i]]; row 0 is the identity
 D6 = np.array([
@@ -116,10 +100,19 @@ D6 = np.array([
 ])
 
 
+def _six_ids(ids) -> tuple:
+    """ids read once into a tuple; ValueError unless six curve ids."""
+    if isinstance(ids, Iterable):
+        ids = tuple(ids)
+    if not (isinstance(ids, tuple) and len(ids) == 6 and all(map(is_curve_id, ids))):
+        raise ValueError(f"a star needs six curve ids in 0..239, got {ids!r}")
+    return ids
+
+
 def star_text(ids) -> str:
-    """The curve names of a star in its order, as {E7, E8, ...}."""
+    """The names of six curve ids in their order, as {E7, E8, ...}; else ValueError."""
     t = curve_table()
-    return "{" + ", ".join(t.curve(i).name for i in ids) + "}"
+    return "{" + ", ".join(t.curve(i).name for i in _six_ids(ids)) + "}"
 
 
 def star_id(ids) -> int:
@@ -130,43 +123,12 @@ def star_id(ids) -> int:
     the orders whose Gram block is STAR_GRAM.  Raises ValueError unless ids
     are six curve ids (`is_curve_id`) that form a star in this order.
     """
-    if isinstance(ids, Iterable):
-        ids = tuple(ids)
-    if not (isinstance(ids, tuple) and len(ids) == 6 and all(map(is_curve_id, ids))):
-        raise ValueError(f"a star needs six curve ids in 0..239, got {ids!r}")
+    ids = _six_ids(ids)
     table = star_table()
     sid = int(table.edge_star[ids[0], ids[1]])
     if sid < 0 or not (table.ids_array[sid][D6] == ids).all(axis=1).any():
         raise ValueError("curves do not form a star in this order")
     return sid
-
-
-def is_star(curves) -> bool:
-    """Whether the six curves form a star in the given cyclic order."""
-    try:
-        star_id([_resolve_curve_id(c) for c in curves])
-    except (ValueError, TypeError):
-        return False
-    return True
-
-
-def star_through(a, b) -> tuple[int, ...]:
-    """The curve ids of the unique star containing two disjoint curves as neighbors.
-
-    With A, B the classes, the hexagon runs A, B, -K - A + B, -2K - A,
-    -2K - B, -K + A - B.
-    """
-    t = curve_table()
-    ia, ib = _resolve_curve_id(a), _resolve_curve_id(b)
-    if t.pairing_array[ia, ib] != 0:
-        raise ValueError(
-            f"curves {t.curve(ia).name} and {t.curve(ib).name} are not disjoint"
-        )
-    va, vb = t.coeff_array[ia], t.coeff_array[ib]
-    seq = (va, vb, -_K - va + vb, -2 * _K - va, -2 * _K - vb, -_K + va - vb)
-    ids = tuple(t.ids_of(np.array(seq)).tolist())
-    star_id(ids)
-    return ids
 
 
 class StarTable:
@@ -198,7 +160,7 @@ class StarTable:
     def __init__(self) -> None:
         t = curve_table()
         a, b = np.nonzero(np.triu(t.pairing_array == 0, 1))
-        third = t.ids_of(t.coeff_array[b] - t.coeff_array[a] - _K)
+        third = t.ids_of(t.coeff_array[b] - t.coeff_array[a] - CANONICAL_CLASS.coeffs)
         half = np.stack([a, b, third], axis=1)
         hexagons = np.hstack([half, t.bertini_ids[half]])
         keep = (hexagons[:, 0] == hexagons.min(axis=1)) & (
@@ -283,13 +245,14 @@ class PairClassification(Record):
 def classify_pair(a: tuple[int, ...], b: tuple[int, ...]) -> PairClassification:
     """Match a disjoint-support star pair against the three patterns.
 
-    a and b are stars' curve ids in hexagon order, each checked by
-    `star_id` (ValueError unless it is a star).  Tries all 144 hexagon
-    relabelings of both stars against each pattern and checks that
+    a and b are stars' curve ids in hexagon order, each read into a tuple
+    and checked by `star_id` (ValueError unless a star).  Tries all 144
+    hexagon relabelings of both stars against each pattern and checks that
     exactly one pattern is ever achieved.  Raises OverlappingStars when
     the supports meet: such pairs share a Bertini pair, their cross
     matrix contains a -1 and a 3, and no pattern can absorb that.
     """
+    a, b = _six_ids(a), _six_ids(b)
     star_id(a)
     star_id(b)
     shared = frozenset(a) & frozenset(b)
@@ -476,15 +439,18 @@ def _profile_shapes(vecs: np.ndarray) -> np.ndarray:
     return shape
 
 
-def profile(a, star: tuple[int, ...]) -> int | None:
+def profile(cid: int, star: tuple[int, ...]) -> int | None:
     """Where an outside curve touches a star's hexagon, or None if nowhere.
 
     The curve's pairings with the star, in the star's order, are one row of
     PROFILE_SHAPES: all ones gives None, and the touching profile
-    (0,0,1,2,2,1) anchored at k gives k.  ValueError unless `star_id` reads a star.
+    (0,0,1,2,2,1) anchored at k gives k.  ValueError unless `star_id` reads
+    a star and cid is a curve id (`is_curve_id`).
     """
+    star = _six_ids(star)
     star_id(star)
-    cid = _resolve_curve_id(a)
+    if not is_curve_id(cid):
+        raise ValueError(f"not a curve id in 0..239: {cid!r}")
     if cid in star:
         raise ValueError(f"curve {curve_table().curve(cid).name} lies on the star")
     vec = curve_table().pairing_array[list(star), cid]
@@ -529,13 +495,12 @@ def star_masks(perms: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _group(g: GroupLike) -> GroupSpec:
-    """g itself if it is a GroupSpec; only a bare isometry, wrapped as the
-    group it generates, loads the group layer, which list-stars never does."""
-    if isinstance(g, LatticeIsometry):
-        from .groups import as_group
+    """g as a GroupSpec, a bare isometry wrapped as the group it generates.
+    The group layer is imported here, not when this module loads: a
+    GroupSpec has loaded it already, and list-stars never does."""
+    from .groups import as_group
 
-        return as_group(g)
-    return g
+    return as_group(g)
 
 
 def invariant_curves(g: GroupLike) -> tuple[int, ...]:
@@ -590,9 +555,9 @@ def star_graph_automorphisms(stars) -> int:
     map of vertices 0..pos-1; every row is extended by every vertex whose
     weights to the row's images match those of vertex pos.  A level holds
     at most as many rows as an induced subgraph has symmetries (288 for
-    two stars).
+    two stars).  ValueError unless `star_id` reads each star.
     """
-    verts = sorted(set().union(*stars))
+    verts = sorted(set().union(*(star_table().stars[star_id(s)] for s in stars)))
     n = len(verts)
     w = curve_table().pairing_array[np.ix_(verts, verts)]
     maps = np.zeros((1, 0), dtype=np.intp)

@@ -20,18 +20,19 @@ from unittest.mock import patch
 import numpy as np
 
 import dpone.criteria as criteria
-from dpone.curves import bertini_class, curve_table
+from dpone.curves import curve_table
 from dpone.groups import TRIVIAL_GROUP, GroupSpec, _closure_rank, eliminated_rank, integer_rank
 from dpone.lattice import (
     CANONICAL_CLASS,
     ENTRY_BOUND,
     FORM_DIAG,
-    LINE,
     ORDER_CAP,
     DivisorClass,
     LatticeIsometry,
+    divisor,
     exceptional,
     fixed_rank,
+    pair,
     simple_roots,
 )
 from dpone.stars import (
@@ -56,6 +57,31 @@ ASYNCHRONIZED = PAIR_TYPES.index(PairType.ASYNCHRONIZED)  # its pair code
 
 # ---------------------------------------------------------------------------
 # curves, isometries and the census
+
+LINE = divisor(1, 0, 0, 0, 0, 0, 0, 0, 0)
+
+
+def bertini_class(d: DivisorClass) -> DivisorClass:
+    """The Bertini image -2K - D of a class."""
+    return -2 * CANONICAL_CLASS - d
+
+
+def star_through(a, b) -> tuple[int, ...]:
+    """The curve ids of the star with two disjoint curves as neighbors,
+    by class arithmetic: the slow builder of the star table.
+
+    a and b are curve ids or names.  With A, B the classes, the hexagon
+    runs A, B, -K - A + B, -2K - A, -2K - B, -K + A - B, each read back
+    to its id by `id_of`.  Raises ValueError when the curves meet.
+    """
+    t = curve_table()
+    ia, ib = (t.id_of_name(c) if isinstance(c, str) else c for c in (a, b))
+    A, B = t.curve(ia).divisor, t.curve(ib).divisor
+    if pair(A, B) != 0:
+        raise ValueError(f"curves {t.curve(ia).name} and {t.curve(ib).name} are not disjoint")
+    k = CANONICAL_CLASS
+    hexagon = (A, B, B - A - k, bertini_class(A), bertini_class(B), A - B - k)
+    return tuple(t.id_of(d) for d in hexagon)
 
 
 def divisor_family_classes() -> dict[DivisorClass, tuple[str, str]]:

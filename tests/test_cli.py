@@ -265,8 +265,8 @@ PACKAGE_EXPORTS = """
     CarterType3 carter_type_order3 element_order enumerate_roots is_root
     parse_element reflection representative_order3
     ActionKind OverlappingStars PairType StarAction TrichotomyViolation
-    classify_pair intersection_profile_census invariant_curves invariant_stars is_star
-    profile star_graph_automorphisms star_id star_text star_through
+    classify_pair intersection_profile_census invariant_curves invariant_stars
+    profile star_graph_automorphisms star_id star_table star_text
     trichotomy_census
     ActionSetup CertificateViolation MinimalityCertificate RationalityVerdict
     Verdict check_minimal_four_stars check_not_rational_carter

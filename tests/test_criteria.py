@@ -13,6 +13,7 @@ from dpone.criteria import (
     MinimalityCertificate,
     StarsWitness,
     TripleWitness,
+    TwoStarsWitness,
     Verdict,
     Witness,
     _first_four_clique,
@@ -35,8 +36,16 @@ from dpone.criteria import (
 )
 from dpone.curves import bertini_isometry, curve_table, s8_action
 from dpone.groups import GroupSpec, TRIVIAL_GROUP
-from dpone.lattice import CANONICAL_CLASS, divisor, fixed_rank, pair, simple_roots
-from dpone.stars import PairType, classify_pair, split_invariant_stars, star_table
+from dpone.lattice import CANONICAL_CLASS, divisor, exceptional, fixed_rank, pair, simple_roots
+from dpone.stars import (
+    PairType,
+    classify_pair,
+    profile,
+    split_invariant_stars,
+    star_graph_automorphisms,
+    star_table,
+    star_text,
+)
 from dpone.weyl import CarterType3, carter_type_order3, element_order, reflection
 from families import group, groups, reps, workloads
 from oracles import RULE_ROWS, assert_row, dfs_four_clique, reference_four_stars
@@ -235,6 +244,59 @@ def test_replay_rejects_tampered_witnesses():
     for m in ("junk", 5, None, REPS[CarterType3.A2x4]):
         forged = MinimalityCertificate(cert.stars, (m,) + cert.elements[1:], cert.combined_rank)
         assert not replay_minimality(setup, forged), m
+
+
+STAR0 = (0, 1, 120, 239, 238, 119)  # star 0 in table order
+
+
+def same_pair_from_iterators():
+    other = next(s for s in star_table().stars if not set(s) & set(STAR0))
+    return classify_pair(iter(STAR0), iter(other)) == classify_pair(STAR0, other)
+
+
+def witness_from_lists_replays():
+    w = check_rational_two_stars(TRIVIAL_GROUP)
+    listed = TwoStarsWitness(stars=list(w.stars))
+    return listed == w and replay_two_stars(TRIVIAL_GROUP, listed)
+
+
+def certificate_from_lists_replays():
+    setup = ActionSetup(CANNED["A2^4"], TRIVIAL_GROUP)
+    cert = check_minimal_four_stars(setup)
+    listed = MinimalityCertificate(list(cert.stars), list(cert.elements), cert.combined_rank)
+    return listed == cert and replay_minimality(setup, listed)
+
+
+# each entry point on an input it used to misread: the exception it now
+# raises where the input comes in, or True for an input it now reads right
+ENTRY_INPUTS = {
+    "profile/class": (lambda: profile(curve_table().curve(5).divisor, STAR0), ValueError),
+    "profile/name": (lambda: profile("E6", STAR0), ValueError),
+    "classify_pair/iterators": (same_pair_from_iterators, True),
+    "star_text/-1": (lambda: star_text((0, 1, 120, -1, 238, 119)), ValueError),
+    "star_text/bools": (lambda: star_text((True,) * 6), ValueError),
+    "star_text/empty": (lambda: star_text(()), ValueError),
+    "star_graph_automorphisms/non-stars": (
+        lambda: star_graph_automorphisms([(1, 2), (3, 4)]), ValueError,
+    ),
+    "exceptional/bool": (lambda: exceptional(True), ValueError),
+    "GroupSpec/string": (lambda: GroupSpec("junk"), TypeError),
+    "CarterWitness/int": (lambda: CarterWitness(5), TypeError),
+    "TripleWitness/int curves": (lambda: TripleWitness(curves=5), TypeError),
+    "MinimalityCertificate/int stars": (lambda: MinimalityCertificate(5, (), 1), TypeError),
+    "TwoStarsWitness/lists": (witness_from_lists_replays, True),
+    "MinimalityCertificate/lists": (certificate_from_lists_replays, True),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_INPUTS)
+def test_entry_reads_or_refuses_input(name):
+    call, expected = ENTRY_INPUTS[name]
+    if expected is True:
+        assert call() is True
+    else:
+        with pytest.raises(expected):
+            call()
 
 
 def test_minimality_none_for_trivial_g():

@@ -7,7 +7,10 @@ is only assigned (say, a dataclass field of the same name) is reported.
 Function-local imports count like module-level ones.  A private
 module-level name or private method (one underscore, not a dunder) must
 be read in the module that defines it, by name or as an attribute, so a
-helper left behind by a rewrite is reported.  Test modules share inputs
+helper left behind by a rewrite is reported.  A public module-level name
+of a dpone module must be read by some dpone module, read by the bench
+harness in perfbench/, or exported in `dpone.__all__`; a name only the
+tests read belongs in tests/oracles.py.  Test modules share inputs
 and oracles only through `conftest.py`, `families.py` and `oracles.py`.
 `lattice`, `curves`, `weyl`, `lemmas` and `cli` serve list-curves,
 list-roots, classify-element and verify-lemma A2A22, which compute on no
@@ -74,28 +77,41 @@ def test_unused_import_is_reported():
     ]
 
 
-def unread_private_names(source: str) -> list[str]:
-    tree = ast.parse(source)
+def module_level_names(tree: ast.Module) -> dict[str, int]:
+    """name -> line of each function, class and assigned name at module level."""
     defined: dict[str, int] = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined[node.name] = node.lineno
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef):
-                    defined[item.name] = item.lineno
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         defined[name.id] = node.lineno
+    return defined
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name loaded, by name or as an attribute."""
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             read.add(node.attr)
+    return read
+
+
+def unread_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined = module_level_names(tree)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    defined[item.name] = item.lineno
+    read = names_read(tree)
     return sorted(
         f"{name} (line {line})"
         for name, line in defined.items()
@@ -129,6 +145,60 @@ def test_unread_private_name_is_reported():
     )
     assert unread_private_names(source) == [
         "_WEIGHTS (line 1)", "_helper (line 4)", "_unused (line 12)",
+    ]
+
+
+def names_from(package: str, sources: list[str]) -> set[str]:
+    """Every name the sources read: imported from the package, or loaded
+    by name or as an attribute (``criteria.replay_minimality``)."""
+    read = set()
+    for tree in map(ast.parse, sources):
+        read |= names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(package):
+                read |= {alias.name for alias in node.names}
+    return read
+
+
+def unread_public_names(modules: dict[str, str], readers: list[str], exported) -> list[str]:
+    """`module.name (line n)` for each public module-level name of the
+    modules that none of them reads, no reader reads and `exported` omits."""
+    read = names_from("dpone", list(modules.values()) + readers) | set(exported)
+    return sorted(
+        f"{module}.{name} (line {line})"
+        for module, source in modules.items()
+        for name, line in module_level_names(ast.parse(source)).items()
+        if not name.startswith("_") and name not in read
+    )
+
+
+def test_every_public_name_is_read():
+    # a public name only the tests read is test code: it lives in oracles.py
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    readers = [p.read_text(encoding="utf-8") for p in sorted(bench.glob("*.py"))]
+    assert unread_public_names(modules, readers, dpone.__all__) == []
+
+
+def test_unread_public_name_is_reported():
+    modules = {
+        "shapes": (
+            "LINE = 1\n"
+            "_K, SPAN = 2, 3\n"
+            "def bertini(d):\n"
+            "    return _K - d\n"
+            "def used():\n"
+            "    return SPAN\n"
+            "class Exported:\n"
+            "    def method(self):\n"
+            "        pass\n"
+            '"""LINE and bertini are named only in this docstring."""\n'
+        ),
+        "reader": "from .shapes import used\nprint(used())\ndef by_bench():\n    pass\n",
+    }
+    readers = ["import dpone.reader as r\nr.by_bench()\nfrom dpone.shapes import SPAN\n"]
+    assert unread_public_names(modules, readers, ["Exported"]) == [
+        "shapes.LINE (line 1)", "shapes.bertini (line 3)",
     ]
 
 

@@ -21,7 +21,7 @@ from dpone.lattice import (
     permutation_isometry,
     permutation_of_isometry,
 )
-from dpone.stars import is_star, profile, star_id, star_table, star_through
+from dpone.stars import profile, star_id, star_table
 from dpone.weyl import (
     CarterType3,
     carter_type_order3,
@@ -37,6 +37,7 @@ from oracles import (
     numpy_is_isometry,
     orthogonal_a2_planes,
     permutation_word_isometry,
+    star_through,
 )
 
 coeffs9 = st.tuples(*[st.integers(-9, 9)] * 9)
@@ -142,8 +143,7 @@ def test_word_isometry_maps_stars_to_stars(word, sid):
     t = curve_table()
     perm = t.permutation_of(m)
     s = star_table().stars[sid]
-    image = [t.curve(perm[c]).divisor for c in s]
-    assert is_star(image)
+    star_id([perm[c] for c in s])  # ValueError unless the image is a star
 
 
 @settings(max_examples=20, deadline=None)
@@ -174,9 +174,8 @@ def test_star_through_shape(ab):
     a, b = ab
     t = curve_table()
     assert a != b and t.pairing_array[a, b] == 0
-    ca, cb = t.curve(a), t.curve(b)
-    s = star_through(ca, cb)
-    assert star_id(s) == star_id(star_through(cb, ca))
+    s = star_through(a, b)
+    assert star_id(s) == star_id(star_through(b, a)) == star_table().edge_star[a, b]
     ids = s
     assert ids[0] == a and ids[1] == b
     assert t.bertini_ids[ids[0]] == ids[3]

@@ -20,7 +20,6 @@ from dpone.stars import (
     TrichotomyViolation,
     classify_pair,
     invariant_curves,
-    is_star,
     pair_codes,
     pattern_key_table,
     profile,
@@ -32,11 +31,10 @@ from dpone.stars import (
     star_plane,
     star_table,
     star_text,
-    star_through,
     trichotomy_census,
 )
 from dpone.weyl import CarterType3, reflection_permutation, representative_order3
-from oracles import invariant_pair_codes
+from oracles import invariant_pair_codes, star_through
 
 
 def star_of_names(*names):
@@ -50,14 +48,22 @@ def stars_containing(c):
 
 
 def test_star_through_example():
+    # the slow builder, and the table row through the same edge
+    t, table = curve_table(), star_table()
     s = star_through("E7", "E8")
-    names = tuple(curve_table().curve(i).name for i in s)
+    names = tuple(t.curve(i).name for i in s)
     assert names == ("E7", "E8", "C7-8", "bE7", "bE8", "C8-7")
+    row = table.stars[table.edge_star[t.id_of_name("E8"), t.id_of_name("E7")]]
+    assert star_text(row) == "{E8, E7, C8-7, bE8, bE7, C7-8}"
+    assert star_id(s) == star_id(row)
 
 
 def test_star_through_rejects_meeting_curves():
+    t = curve_table()
+    e1, l12 = t.id_of_name("E1"), t.id_of_name("L12")
     with pytest.raises(ValueError):
         star_through("E1", "L12")
+    assert star_table().edge_star[e1, l12] == -1
 
 
 def test_star_pattern_invariants():
@@ -79,11 +85,13 @@ def test_star_pattern_invariants():
 
 
 def test_is_star():
+    # star_id answers whether six ids form a star in their order
     s = star_through("E7", "E8")
-    assert is_star(s)
-    assert not is_star(s[:5] + (s[4],))
+    assert star_table().stars[star_id(s)] == (s[1], s[0], s[5], s[4], s[3], s[2])
     shuffled = (s[0], s[2], s[1], s[3], s[4], s[5])
-    assert not is_star(shuffled)
+    for bad in (s[:5] + (s[4],), shuffled):
+        with pytest.raises(ValueError, match="do not form a star"):
+            star_id(bad)
 
 
 @pytest.mark.parametrize("ids", [
@@ -95,10 +103,9 @@ def test_is_star():
 def test_star_rejects_out_of_range_ids(ids):
     # (0, 1, 120, 239, 238, 119) is a star; -1 must not index curve 239,
     # False and True are not the curve ids 0 and 1, and one id is no star
-    assert is_star((0, 1, 120, 239, 238, 119))
+    assert star_id((0, 1, 120, 239, 238, 119)) == 0
     with pytest.raises(ValueError, match="0..239"):
         star_id(ids)
-    assert not is_star(ids)
 
 
 @pytest.mark.parametrize("bad", [
@@ -162,9 +169,15 @@ def star_candidates():
 def test_gram_check_agrees_with_loop_oracle():
     p = tuple(map(tuple, curve_table().pairing_array.tolist()))
     relabeled, near_misses, short_or_long = star_candidates()
+    rows = star_table().stars
     for ids in relabeled + near_misses + short_or_long:
         expected = loop_is_star(p, ids)
-        assert gram_is_star(ids) == expected == is_star(ids), ids
+        assert gram_is_star(ids) == expected, ids
+        if expected:
+            assert set(rows[star_id(ids)]) == set(ids), ids
+        else:
+            with pytest.raises(ValueError):
+                star_id(ids)
     assert all(gram_is_star(ids) for ids in relabeled)
     assert {gram_is_star(ids) for ids in near_misses} == {True, False}
     assert not any(gram_is_star(ids) for ids in short_or_long)
@@ -229,7 +242,6 @@ def test_stars_stable_under_isometry():
     table = star_table()
     for s in table.stars[:50]:
         image = tuple(perm[c] for c in s)
-        assert is_star(image)
         assert set(table.stars[star_id(image)]) == set(image)
 
 
@@ -436,14 +448,15 @@ def test_pair_codes_reject_broken_overlap():
 def test_profile_shapes():
     s = star_through("E7", "E8")
     t = curve_table()
-    vector = lambda name: t.pairing_array[t.id_of_name(name), list(s)].tolist()
-    anchor = profile("E6", s)
+    e6, l78, e7 = map(t.id_of_name, ("E6", "L78", "E7"))
+    vector = lambda c: t.pairing_array[c, list(s)].tolist()
+    anchor = profile(e6, s)
     base = [0, 0, 1, 2, 2, 1]
-    assert [vector("E6")[(i + anchor) % 6] for i in range(6)] == base
-    assert profile("L78", s) is None
-    assert vector("L78") == [1] * 6
-    with pytest.raises(ValueError):
-        profile("E7", s)
+    assert [vector(e6)[(i + anchor) % 6] for i in range(6)] == base
+    assert profile(l78, s) is None
+    assert vector(l78) == [1] * 6
+    with pytest.raises(ValueError, match="lies on the star"):
+        profile(e7, s)
 
 
 def rotation_loop_profile(cid, star):
@@ -474,7 +487,7 @@ def test_profile_rejects_an_unknown_shape(monkeypatch):
     shapes[stars_module.ALL_ONES] = 9
     monkeypatch.setattr(stars_module, "PROFILE_SHAPES", shapes)
     with pytest.raises(TrichotomyViolation, match="fits neither shape"):
-        profile("L78", s)
+        profile(curve_table().id_of_name("L78"), s)
     with pytest.raises(TrichotomyViolation, match="unrecognized profile"):
         stars_module.intersection_profile_census.__wrapped__()
 
@@ -482,10 +495,10 @@ def test_profile_rejects_an_unknown_shape(monkeypatch):
 def test_touching_anchor_matches_adjacency():
     # a curve disjoint from two neighbors of a star anchors at that edge
     s = star_through("E7", "E8")
-    anchor = profile("E6", s)
     t = curve_table()
-    i, j = anchor, (anchor + 1) % 6
     e6 = t.id_of_name("E6")
+    anchor = profile(e6, s)
+    i, j = anchor, (anchor + 1) % 6
     assert t.pairing_array[e6, s[i]] == 0
     assert t.pairing_array[e6, s[j]] == 0
 

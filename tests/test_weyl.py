@@ -7,7 +7,6 @@ from dpone.curves import curve_table, s8_action
 from dpone.groups import permutation_orders
 from dpone.lattice import (
     CANONICAL_CLASS,
-    LINE,
     ORDER_CAP,
     RANK,
     CheckViolation,
@@ -32,7 +31,7 @@ from dpone.weyl import (
     reflection_permutation,
     representative_order3,
 )
-from oracles import orthogonal_a2_planes
+from oracles import LINE, orthogonal_a2_planes
 
 
 def closed_form_roots():
