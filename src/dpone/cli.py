@@ -124,45 +124,27 @@ def element_text(m: LatticeIsometry) -> str:
     return " / ".join(" ".join(str(x) for x in row) for row in m.matrix)
 
 
-def _elements_text(elements) -> list[str]:
-    """The text of witness or certificate elements, each a closure row's
-    bytes that becomes a validated 9x9 matrix only here."""
-    from .criteria import element_isometry
-
-    return [element_text(element_isometry(e)) for e in elements]
-
-
-def witness_to_dict(w) -> dict | None:
-    from .stars import star_text
-
-    if w is None:
-        return None
-    return {
-        "elements": _elements_text(w.elements),
-        "curves": [curve_table().curve(i).name for i in w.curves],
-        "stars": [star_text(s) for s in w.stars],
-    }
-
-
-def minimality_to_dict(cert) -> dict | None:
-    from .stars import star_text
-
-    if cert is None:
-        return None
-    return {
-        "stars": [star_text(s) for s in cert.stars],
-        "elements": _elements_text(cert.elements),
-        "combined_rank": cert.combined_rank,
-    }
-
-
 def verdict_to_dict(report) -> dict:
+    """The JSON document of a verdict.  A witness or certificate element,
+    the bytes of a closure row, becomes a validated 9x9 matrix only here."""
+    from .criteria import element_isometry
+    from .stars import star_text
+
+    w, cert = report.witness, report.minimality
     return {
         "verdict": report.verdict.value,
         "rule": report.rule,
-        "witness": witness_to_dict(report.witness),
+        "witness": None if w is None else {
+            "elements": [element_text(element_isometry(e)) for e in w.elements],
+            "curves": [curve_table().curve(i).name for i in w.curves],
+            "stars": [star_text(s) for s in w.stars],
+        },
         "ranks": dict(report.ranks),
-        "minimality": minimality_to_dict(report.minimality),
+        "minimality": None if cert is None else {
+            "stars": [star_text(s) for s in cert.stars],
+            "elements": [element_text(element_isometry(e)) for e in cert.elements],
+            "combined_rank": cert.combined_rank,
+        },
         "caveat": report.caveat,
     }
 

@@ -24,8 +24,9 @@ test many candidates per numpy call in the order a one-at-a-time loop
 would, so each finds that loop's first hit: the two-stars rule looks up
 doubling blocks of stars, the even rule counts Bertini flips before any
 star test, and the four-star search tests all its pairs at once.  The
-replays take no star on trust: each must be distinct and pass `star_id`,
-and star pairs are re-checked with `classify_pair`.
+replays take no star on trust: each is read once, by `star_id`, into its
+table row, the rows must be distinct, and the replays test their masks
+on those rows; star pairs are re-checked with `classify_pair`.
 Both order-3 rules take the first closure element of class A2^3 or A2^4,
 typed by `weyl.carter_types` once per group (`GroupSpec.order3_types`);
 no rule builds a 9x9 matrix.
@@ -48,7 +49,6 @@ from .stars import (
     PairType,
     asynchronized,
     classify_pair,
-    invariant_curves,
     is_curve_id,
     star_id,
     star_masks,
@@ -224,8 +224,8 @@ def check_rational_triple(gamma: GroupSpec) -> TripleWitness | None:
     The sum D = A + B + C then has D^2 = 1 and D.K = -3, the shape of a
     plane model; both equalities are re-checked on the found triple.
     """
-    inv = invariant_curves(gamma)
-    ids = np.array(inv, dtype=np.intp)
+    ids = np.flatnonzero(gamma.fixed_curves)
+    inv = ids.tolist()
     p = curve_table().pairing_array[ids[:, None], ids].tolist()
     for i, a in enumerate(inv):
         for j, b in enumerate(inv):
@@ -285,8 +285,7 @@ def check_rational_two_stars(gamma: GroupSpec) -> TwoStarsWitness | None:
     found = _first_asynchronized(np.flatnonzero(mask), mask)
     if found is None:
         return None
-    a, b = found
-    return TwoStarsWitness(stars=(table.stars[a], table.stars[b]))
+    return TwoStarsWitness(stars=tuple(table.stars[s] for s in found))
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +300,13 @@ def search_commuting_order3(
     (exponents 1 and 2); a rotation of a star whose curves g fixes
     commutes with g automatically, but every condition is checked rather
     than assumed.  The search runs on curve permutations; only the hit
-    becomes a matrix.  Raises ValueError unless each requested star passes
-    `star_id`.
+    becomes a matrix.  Raises ValueError unless each requested star, read
+    once into a tuple, passes `star_id`.
     """
-    stars = list(faithful_on)
+    stars = [tuple(s) for s in faithful_on]
     if not stars:
         raise ValueError("need at least one star to act on")
-    for s in stars:
-        star_id(s)
+    rows = star_table().ids_array[[star_id(s) for s in stars]]
     t = curve_table()
     g_perm = t.permutation_of(g)
     planes = map(star_plane, stars)
@@ -322,7 +320,7 @@ def search_commuting_order3(
             continue
         if cycle_order(h.tolist()) != 3:
             continue
-        if _faithful(h[None], np.array(stars)).all():
+        if _faithful(h[None], rows).all():
             return t.isometry_of(h)
     raise ValueError("no commuting order-3 element found over the star planes")
 
@@ -412,42 +410,40 @@ def replay_carter(gamma: GroupSpec, w: CarterWitness) -> bool:
     return rank in {t.fixed_rank for t in _MANY_FAITHFUL}
 
 
-def _distinct_stars(stars, n: int) -> bool:
-    """Whether stars are n different stars, each a star in its own order."""
+def _star_rows(stars, n: int) -> np.ndarray | None:
+    """The table rows of n different stars, each read once by `star_id`
+    in its own order, or None."""
     try:
-        return len(stars) == len({star_id(s) for s in stars}) == n
+        ids = [star_id(s) for s in stars]
     except ValueError:
-        return False
+        return None
+    if len(ids) != n or len(set(ids)) != n:
+        return None
+    return star_table().ids_array[ids]
 
 
 def replay_stars(gamma: GroupSpec, w: StarsWitness) -> bool:
-    row = _witness_row(gamma, w.elements)
-    if row is None or cycle_order(row.tolist()) != 3 or not _distinct_stars(w.stars, 3):
+    row, rows = _witness_row(gamma, w.elements), _star_rows(w.stars, 3)
+    if row is None or rows is None or cycle_order(row.tolist()) != 3:
         return False
-    return bool(_faithful(row[None], np.array(w.stars)).all())
+    return bool(_faithful(row[None], rows).all())
 
 
 def replay_even(gamma: GroupSpec, w: EvenWitness) -> bool:
-    row = _witness_row(gamma, w.elements)
-    if row is None or cycle_order(row.tolist()) % 2 != 0 or not _distinct_stars(w.stars, 1):
+    row, rows = _witness_row(gamma, w.elements), _star_rows(w.stars, 1)
+    if row is None or rows is None or cycle_order(row.tolist()) % 2 != 0:
         return False
     flipped = row == curve_table().bertini_ids
-    return bool(_flipped_stars(flipped, np.array(w.stars))[0])
-
-
-def _all_fixed(gamma: GroupSpec, ids) -> bool:
-    """Whether ids are curve ids, each fixed by every generator of gamma."""
-    ids = list(ids)
-    if not all(map(is_curve_id, ids)):
-        return False
-    return bool(gamma.fixed_curves[ids].all())
+    return bool(_flipped_stars(flipped, rows)[0])
 
 
 def replay_triple(gamma: GroupSpec, w: TripleWitness) -> bool:
-    if len(w.curves) != 3 or not _all_fixed(gamma, w.curves):
+    if len(w.curves) != 3 or not all(map(is_curve_id, w.curves)):
         return False
     a, b, c = w.curves
     p = curve_table().pairing_array
+    if not gamma.fixed_curves[[a, b, c]].all():
+        return False
     if not (p[a, b] == 1 and p[b, c] == 1 and p[a, c] == 0):
         return False
     _verify_triple_sum(w)
@@ -455,29 +451,24 @@ def replay_triple(gamma: GroupSpec, w: TripleWitness) -> bool:
 
 
 def replay_two_stars(gamma: GroupSpec, w: TwoStarsWitness) -> bool:
-    if not _distinct_stars(w.stars, 2):
+    rows = _star_rows(w.stars, 2)
+    if rows is None or not gamma.fixed_curves[rows].all():
         return False
-    a, b = w.stars
-    if not _all_fixed(gamma, (*a, *b)):
-        return False
-    return classify_pair(a, b).pair_type is PairType.ASYNCHRONIZED
+    return classify_pair(*rows).pair_type is PairType.ASYNCHRONIZED
 
 
 def replay_minimality(setup: ActionSetup, cert: MinimalityCertificate) -> bool:
-    if not _distinct_stars(cert.stars, 4) or len(cert.elements) != 4:
+    rows = _star_rows(cert.stars, 4)
+    if rows is None or len(cert.elements) != 4:
         return False
-    g = setup.g_group
-    combined = setup.combined.generator_perms
-    for s, m in zip(cert.stars, cert.elements):
-        row = _witness_row(g, (m,))
-        if row is None or cycle_order(row.tolist()) != 3:
-            return False
-        setwise, _ = star_masks(combined, np.array([s]))
-        if not setwise.all():
-            return False
-        if not _faithful(row[None], np.array([s])).all():
-            return False
-    for a, b in combinations(cert.stars, 2):
+    perms = [_witness_row(setup.g_group, (m,)) for m in cert.elements]
+    if any(p is None or cycle_order(p.tolist()) != 3 for p in perms):
+        return False
+    setwise, _ = star_masks(setup.combined.generator_perms, rows)
+    # element i must rotate star i: the diagonal of the (4, 4) faithful mask
+    if not (setwise.all() and _faithful(np.stack(perms), rows).diagonal().all()):
+        return False
+    for a, b in combinations(rows, 2):
         if classify_pair(a, b).pair_type is not PairType.ASYNCHRONIZED:
             return False
     # the rank is eliminated anew, not read from the object the

@@ -210,6 +210,8 @@ class CurveTable:
         return tuple(self.id_of(m.apply(c.divisor)) for c in self.curves)
 
     def id_of_name(self, name: str) -> int:
+        if not isinstance(name, str):
+            raise TypeError(f"a curve name is a string, not {name!r}")
         try:
             return self.id_by_name[name.strip()]
         except KeyError:

@@ -18,6 +18,7 @@ plain Python integers, and nothing here imports numpy.  The group layer
 from __future__ import annotations
 
 import re
+import sys
 from functools import cache, total_ordering
 from math import isqrt, lcm
 from operator import attrgetter, mul
@@ -390,14 +391,18 @@ def fixed_rank(g: GroupSpec | LatticeIsometry) -> int:
     A bare isometry takes the second route on its curve images, read one
     curve at a time with ``apply`` (``curve_table().images_of``), so one
     element is ranked without numpy or the group layer.  A trace sum
-    that is not a multiple of the group's order raises CheckViolation.
-    No group is closed for its rank.  ``groups.eliminated_rank`` takes
-    the third route on any generators.
+    that is not a multiple of the group's order raises CheckViolation,
+    and any other g TypeError.  No group is closed for its rank.
+    ``groups.eliminated_rank`` takes the third route on any generators.
     """
     if isinstance(g, LatticeIsometry):
         from .curves import curve_table
 
         return _cycle_rank(curve_table().images_of(g))
+    # no GroupSpec exists before dpone.groups loads, so it is not imported here
+    groups = sys.modules.get(f"{__package__}.groups")
+    if groups is None or not isinstance(g, groups.GroupSpec):
+        raise TypeError(f"fixed_rank takes a LatticeIsometry or a GroupSpec, not {g!r}")
     return g.fixed_rank  # GroupSpec.fixed_rank, kept once computed
 
 
@@ -434,6 +439,8 @@ def parse_cycles(text: str) -> dict[int, int]:
     "()" denotes the identity.  Separators may be spaces or commas, and
     whitespace, newlines included, may stand between cycles.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"cycle notation is a string, not {text!r}")
     s = text.strip()
     if not s:
         raise ValueError("empty permutation string")

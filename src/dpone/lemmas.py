@@ -265,17 +265,14 @@ def _lemma_ratcor() -> list[str]:
         )
         if report.rule == "rational_two_stars":
             a, b = report.witness.stars
-            triple = Witness(curves=(a[0], b[0], a[1]))
             _require(
-                replay_triple(gamma, triple),
+                replay_triple(gamma, Witness(curves=(a[0], b[0], a[1]))),
                 f"{name}: two-stars witness gives no triple",
             )
     # any asynchronized pair contains a qualifying triple
     for sa, sb in sample_pairs_by_type(25)[PairType.ASYNCHRONIZED]:
-        a, b, c = sa[0], sb[0], sa[1]
-        p = curve_table().pairing_array
         _require(
-            p[a, b] == 1 and p[b, c] == 1 and p[a, c] == 0,
+            replay_triple(TRIVIAL_GROUP, Witness(curves=(sa[0], sb[0], sa[1]))),
             "asynchronized pair without an adjacent-plus-cross triple",
         )
     out.append("every sampled asynchronized pair yields a triple")

@@ -61,7 +61,7 @@ from .lattice import (
 from .weyl import reflection_permutation
 
 if TYPE_CHECKING:
-    from .groups import GroupLike, GroupSpec
+    from .groups import GroupLike
 
 
 def _circulant(row) -> np.ndarray:
@@ -494,24 +494,23 @@ def star_masks(perms: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return setwise, pointwise
 
 
-def _group(g: GroupLike) -> GroupSpec:
-    """g as a GroupSpec, a bare isometry wrapped as the group it generates.
-    The group layer is imported here, not when this module loads: a
-    GroupSpec has loaded it already, and list-stars never does."""
-    from .groups import as_group
-
-    return as_group(g)
-
+# The two readers below import the group layer when called, not when this
+# module loads: a GroupSpec has loaded it already, and list-stars never does.
 
 def invariant_curves(g: GroupLike) -> tuple[int, ...]:
-    """Ids of curves fixed by every generator: the group's ``fixed_curves``."""
-    return tuple(np.flatnonzero(_group(g).fixed_curves).tolist())
+    """Ids of curves fixed by every generator: the group's ``fixed_curves``;
+    a bare isometry is read as the group it generates."""
+    from .groups import as_group
+
+    return tuple(np.flatnonzero(as_group(g).fixed_curves).tolist())
 
 
 def invariant_stars(g: GroupLike) -> tuple[StarAction, ...]:
     """Setwise-invariant stars, flagged trivial (pointwise) or faithful."""
+    from .groups import as_group
+
     table = star_table()
-    setwise, pointwise = star_masks(_group(g).generator_perms, table.ids_array)
+    setwise, pointwise = star_masks(as_group(g).generator_perms, table.ids_array)
     pointwise = pointwise.all(axis=0)
     return tuple(
         StarAction(

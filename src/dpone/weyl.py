@@ -183,6 +183,8 @@ def parse_element(text: str) -> LatticeIsometry:
     "s i1 i2 ..." gives a word in the simple reflections s_1..s_8; nine
     rows of nine integers, ended by newlines or "/", give a raw matrix.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"element text is a string, not {text!r}")
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty element text")

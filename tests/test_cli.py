@@ -357,6 +357,31 @@ def test_representatives_need_no_numpy():
     assert stdout_of(TYPED_REPRESENTATIVES) == "True False"
 
 
+# calls four entries that take a string or a group with the argument 5, in
+# a fresh interpreter, and prints whether each refused it with TypeError or
+# ValueError and a message; the without-numpy CI job runs the same code
+REFUSED_ENTRIES = """
+import sys
+from dpone.curves import curve_table, s8_action
+from dpone.lattice import fixed_rank
+from dpone.weyl import parse_element
+
+def refused(entry):
+    try:
+        entry(5)
+    except (TypeError, ValueError) as exc:
+        return bool(str(exc))
+    return False
+
+entries = (curve_table().id_of_name, parse_element, s8_action, fixed_rank)
+print(all(map(refused, entries)), 'numpy' in sys.modules)
+"""
+
+
+def test_entries_refuse_an_int_without_numpy():
+    assert stdout_of(REFUSED_ENTRIES) == "True False"
+
+
 # runs main on the bench pool's commands that build group elements with
 # every 9x9 matrix product refused, and prints each command's exit code and
 # whether its stdout matches the bench oracle; first, a bad reflection word

@@ -41,12 +41,13 @@ from dpone.stars import (
     PairType,
     classify_pair,
     profile,
+    sample_pairs_by_type,
     split_invariant_stars,
     star_graph_automorphisms,
     star_table,
     star_text,
 )
-from dpone.weyl import CarterType3, carter_type_order3, element_order, reflection
+from dpone.weyl import CarterType3, carter_type_order3, element_order, parse_element, reflection
 from families import group, groups, reps, workloads
 from oracles import RULE_ROWS, assert_row, dfs_four_clique, reference_four_stars
 
@@ -244,6 +245,41 @@ def test_replay_rejects_tampered_witnesses():
     for m in ("junk", 5, None, REPS[CarterType3.A2x4]):
         forged = MinimalityCertificate(cert.stars, (m,) + cert.elements[1:], cert.combined_rank)
         assert not replay_minimality(setup, forged), m
+    # a Gamma that commutes with G but moves three of the certificate's
+    # stars: only the stars' setwise invariance is false
+    h = search_commuting_order3(REPS[CarterType3.A2x4], [star_table().stars[78]])
+    moving = ActionSetup(CANNED["A2^4"], group_of(h))
+    assert not replay_minimality(moving, cert)
+
+    # forgeries whose fields are all well formed: distinct stars and group
+    # elements of the right order; only the claim the replay checks is false
+    table = star_table()
+    sync = sample_pairs_by_type(1)[PairType.SYNCHRONIZED][0]
+    assert sync[0] == table.stars[0]
+    assert not replay_two_stars(TRIVIAL_GROUP, TwoStarsWitness(stars=sync))
+
+    w = check_not_rational_stars(CANNED["A2^3"])
+    (fixed,), _ = split_invariant_stars(REPS[CarterType3.A2x3])
+    forged = StarsWitness(w.elements, stars=(fixed,) + w.stars[1:])
+    assert fixed not in w.stars and not replay_stars(CANNED["A2^3"], forged)
+
+    gamma = group_of(s8_action("(1 2)") @ bertini_isometry())
+    w = check_not_rational_even(gamma)
+    assert replay_even(gamma, w) and w.stars != (table.stars[5],)
+    assert not replay_even(gamma, EvenWitness(w.elements, stars=(table.stars[5],)))
+
+    for ctype in (CarterType3.A2x3, CarterType3.A2x2):  # Davidmin1, Davidmin2
+        g, h, _ = _commuting_pair(ctype)
+        setup = ActionSetup(group_of(g, h, label="G"), TRIVIAL_GROUP)
+        cert = check_minimal_four_stars(setup)
+        assert replay_minimality(setup, cert)
+        rotated = cert.elements[1:] + cert.elements[:1]
+        forged = MinimalityCertificate(cert.stars, rotated, cert.combined_rank)
+        assert not replay_minimality(setup, forged), ctype
+        perm = curve_table().permutation_of(g)
+        moved = next(s for s in table.stars if {perm[c] for c in s} != set(s))
+        forged = MinimalityCertificate((moved,) + cert.stars[1:], cert.elements, 1)
+        assert not replay_minimality(setup, forged), ctype
 
 
 STAR0 = (0, 1, 120, 239, 238, 119)  # star 0 in table order
@@ -258,6 +294,13 @@ def witness_from_lists_replays():
     w = check_rational_two_stars(TRIVIAL_GROUP)
     listed = TwoStarsWitness(stars=list(w.stars))
     return listed == w and replay_two_stars(TRIVIAL_GROUP, listed)
+
+
+def same_isometry_from_iterators():
+    g = REPS[CarterType3.A2x3]
+    pointwise, _ = split_invariant_stars(g)
+    h = search_commuting_order3(g, map(iter, pointwise))
+    return h == search_commuting_order3(g, pointwise)
 
 
 def certificate_from_lists_replays():
@@ -286,6 +329,12 @@ ENTRY_INPUTS = {
     "MinimalityCertificate/int stars": (lambda: MinimalityCertificate(5, (), 1), TypeError),
     "TwoStarsWitness/lists": (witness_from_lists_replays, True),
     "MinimalityCertificate/lists": (certificate_from_lists_replays, True),
+    "search_commuting_order3/iterators": (same_isometry_from_iterators, True),
+    "id_of_name/int": (lambda: curve_table().id_of_name(5), TypeError),
+    "parse_element/int": (lambda: parse_element(5), TypeError),
+    "s8_action/int": (lambda: s8_action(5), TypeError),
+    "fixed_rank/int": (lambda: fixed_rank(5), TypeError),
+    "fixed_rank/Carter class": (lambda: fixed_rank(CarterType3.A2), TypeError),
 }
 
 
@@ -295,7 +344,7 @@ def test_entry_reads_or_refuses_input(name):
     if expected is True:
         assert call() is True
     else:
-        with pytest.raises(expected):
+        with pytest.raises(expected, match="."):  # with a message
             call()
 
 
